@@ -15,7 +15,6 @@ from .expr import (
     eval_expr,
     equivalent,
     parse_expr,
-    rewrite,
     simplify,
     to_text,
     ts,

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from . import expr as ex
 from .automaton import DecentralizedSpec, Specification
+from .errors import SpecificationError
 from .expr import BOTTOM, TOP, Verdict
 
 FINAL_VERDICTS = frozenset({TOP, BOTTOM})
@@ -20,7 +21,7 @@ class Graph:
     def __post_init__(self) -> None:
         for a, b in self.edges:
             if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses unknown node")
+                raise SpecificationError(f"edge ({a!r}, {b!r}) uses unknown node")
 
     @staticmethod
     def of(nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> "Graph":
@@ -129,32 +130,42 @@ def verify_compatible(s: Mapping[str, str], rm: ReachMap, rs: ReachMap) -> bool:
     return True
 
 
-def compatible(
+def _compatible_assignments(
     net: Graph, sys: Graph, constraint: Mapping[str, str]
-) -> tuple[bool, Assignment]:
-    """Backtracking search for a total compatible assignment extending the
-    constraint; monitors and components are explored in name order."""
+) -> Iterator[Assignment]:
+    """Backtracking search: every total compatible assignment extending the
+    constraint, in search order (monitors and components in name order)."""
+    unknown = sorted(set(constraint) - set(net.nodes)) + sorted(
+        set(constraint.values()) - set(sys.nodes)
+    )
+    if unknown:
+        raise SpecificationError(f"constraint names unknown nodes {unknown}")
     rm = compute_reach(net)
     rs = compute_reach(sys)
     if not verify_compatible(constraint, rm, rs):
-        return False, {}
+        return
     free = sorted(set(net.nodes) - set(constraint))
     components = sorted(sys.nodes)
 
-    def search(assigned: Assignment, remaining: list[str]) -> Optional[Assignment]:
+    def search(assigned: Assignment, remaining: list[str]) -> Iterator[Assignment]:
         if not remaining:
-            return assigned
+            yield assigned
+            return
         monitor, rest = remaining[0], remaining[1:]
         for comp in components:
             candidate = dict(assigned)
             candidate[monitor] = comp
             if verify_compatible(candidate, rm, rs):
-                solution = search(candidate, rest)
-                if solution is not None:
-                    return solution
-        return None
+                yield from search(candidate, rest)
 
-    solution = search(dict(constraint), free)
+    yield from search(dict(constraint), free)
+
+
+def compatible(
+    net: Graph, sys: Graph, constraint: Mapping[str, str]
+) -> tuple[bool, Assignment]:
+    """The first compatible assignment extending the constraint, if any."""
+    solution = next(_compatible_assignments(net, sys, constraint), None)
     if solution is None:
         return False, {}
     return True, solution
@@ -163,26 +174,7 @@ def compatible(
 def count_compatible(net: Graph, sys: Graph, constraint: Mapping[str, str]) -> int:
     """Debug helper: number of total compatible assignments extending the
     constraint (exhaustive)."""
-    rm = compute_reach(net)
-    rs = compute_reach(sys)
-    if not verify_compatible(constraint, rm, rs):
-        return 0
-    free = sorted(set(net.nodes) - set(constraint))
-    components = sorted(sys.nodes)
-
-    def count(assigned: Assignment, remaining: list[str]) -> int:
-        if not remaining:
-            return 1
-        monitor, rest = remaining[0], remaining[1:]
-        total = 0
-        for comp in components:
-            candidate = dict(assigned)
-            candidate[monitor] = comp
-            if verify_compatible(candidate, rm, rs):
-                total += count(candidate, rest)
-        return total
-
-    return count(dict(constraint), free)
+    return sum(1 for _ in _compatible_assignments(net, sys, constraint))
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -190,4 +182,7 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(data: dict) -> Graph:
-    return Graph.of(data["nodes"], [tuple(e) for e in data["edges"]])
+    try:
+        return Graph.of(data["nodes"], [tuple(e) for e in data["edges"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecificationError(f"malformed graph object: {exc}") from exc

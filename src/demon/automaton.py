@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import expr as ex
@@ -53,8 +54,27 @@ class Specification:
     def verdict_of(self, q: str) -> Verdict:
         return self.verdicts[q]
 
-    def outgoing(self, q: str) -> list[Transition]:
-        return [t for t in self.transitions if t.src == q]
+    @cached_property
+    def by_source(self) -> dict[str, tuple[Transition, ...]]:
+        """Transitions grouped by source state, in declaration order."""
+        grouped: dict[str, list[Transition]] = {q: [] for q in self.states}
+        for t in self.transitions:
+            grouped[t.src].append(t)
+        return {q: tuple(group) for q, group in grouped.items()}
+
+    @cached_property
+    def by_destination(self) -> dict[str, tuple[tuple[Transition, frozenset[ex.Atom]], ...]]:
+        """Transitions grouped by destination state, in declaration order,
+        each paired with the atoms of its label."""
+        grouped: dict[str, list[tuple[Transition, frozenset[ex.Atom]]]] = {
+            q: [] for q in self.states
+        }
+        for t in self.transitions:
+            grouped[t.dst].append((t, frozenset(ex.atoms_of(t.label))))
+        return {q: tuple(group) for q, group in grouped.items()}
+
+    def outgoing(self, q: str) -> tuple[Transition, ...]:
+        return self.by_source.get(q, ())
 
     def __eq__(self, other) -> bool:
         return (
@@ -94,7 +114,7 @@ def validate(a: Specification) -> ValidationReport:
     """Check determinism (no two co-satisfiable labels per state) and
     completeness (outgoing labels disjoin to a tautology) by enumeration."""
     report = ValidationReport()
-    threshold = ex.exact_atom_threshold()
+    threshold = ex.EXACT_ATOMS
     for q in a.states:
         out = a.outgoing(q)
         state_atoms = sorted(
@@ -132,7 +152,7 @@ def normalize(a: Specification) -> Specification:
 def max_label_size(a: Specification) -> int:
     """Largest atom count over the labels of the normalized automaton."""
     n = normalize(a)
-    return max((ex.leaf_count(t.label) for t in n.transitions), default=0)
+    return max((ex.tree_size(t.label)[0] for t in n.transitions), default=0)
 
 
 def step(

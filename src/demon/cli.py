@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,13 +31,20 @@ def _distribution_from(data: dict) -> traces.Distribution:
     kind = data.get("kind")
     if kind not in _DISTRIBUTIONS:
         raise DemonError(f"unknown distribution kind {kind!r}")
+    cls = _DISTRIBUTIONS[kind]
     params = {k: v for k, v in data.items() if k != "kind"}
-    return _DISTRIBUTIONS[kind](**params)
+    unknown = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise DemonError(f"unknown {kind} distribution parameters {unknown}")
+    return cls(**params)
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    missing = [key for key in ("components", "distributions") if key not in config]
+    if missing:
+        raise DemonError(f"gen-traces config is missing {missing}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = int(config.get("count", 1))
@@ -150,7 +158,6 @@ def _sim_config(args: argparse.Namespace, algorithm: str) -> engine.SimConfig:
         comm_delay=args.comm_delay,
         initial_active=args.active,
         timeout_slack=args.timeout_slack,
-        seed=args.seed,
     )
 
 
@@ -217,7 +224,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                         comm_delay=int(config.get("comm_delay", 1)),
                         initial_active=int(config.get("active", 1)),
                         timeout_slack=int(config.get("timeout_slack", 5)),
-                        seed=int(config.get("seed", 0)),
                     )
                     spec_input = _spec_input_for(algorithm, spec_path)
                     system = analysis.complete_graph(tr.components)
@@ -280,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comm-delay", dest="comm_delay", type=int, default=1)
     p.add_argument("--active", type=int, default=1)
     p.add_argument("--timeout-slack", dest="timeout_slack", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_run)
 
@@ -301,7 +306,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.mode} needs --spec")
     try:
         return args.fn(args)
-    except (DemonError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DemonError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional
 from . import expr as ex
 from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
-from .expr import Encoder, Expr, TOP, TRUE, Verdict
+from .expr import Expr, TOP, TRUE, Verdict
 from .store import Memory
 
 _MOV_SIMPLIFY_CAP = 12  # eager construction-time simplification bound
@@ -49,38 +49,16 @@ def _require_round(p: EHE, t: int) -> None:
         raise UndefinedRound(f"round {t} is not encoded (rounds: {p.rounds()})")
 
 
-def next_states(p: EHE, t: int) -> set[str]:
-    """States reachable in one transition from the states present at round t."""
-    _require_round(p, t)
-    present = {q for (r, q) in p.entries if r == t}
-    return {
-        tr.dst for tr in p.automaton.transitions if tr.src in present
-    }
-
-
-def to_expr(p: EHE, t: int, qprime: str, enc: Encoder) -> Expr:
-    """Condition to reach ``qprime`` at round t+1: disjoin, over transitions
-    into it, the source state's condition at t conjoined with the encoded
-    label."""
-    _require_round(p, t)
-    parts = []
-    for tr in p.automaton.transitions:
-        if tr.dst != qprime:
-            continue
-        src_cond = p.entries.get((t, tr.src))
-        if src_cond is None:
-            continue
-        parts.append(ex.conj(src_cond, ex.encode(tr.label, enc)))
-    return ex.disj_all(parts)
-
-
 def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EHE:
     """Extend the encoding one round at a time from ``ts_round`` to ``te``.
 
-    New entries are built with folding constructors and simplified eagerly
-    while their atom count stays within the exact-decision threshold (atom
-    counts are tracked incrementally so large encodings are never re-walked);
-    entries already present at the target key are merged with disjunction.
+    The condition to reach q' at round t+1 disjoins, over the transitions
+    into q', the source state's condition at t conjoined with the label
+    encoded at t+1.  New entries are built with folding constructors and
+    simplified eagerly while their atom count stays within
+    ``_MOV_SIMPLIFY_CAP`` (atom counts are tracked incrementally as an
+    over-approximation, so large encodings are never re-walked); entries
+    already present at the target key are merged with disjunction.
     """
     _require_round(p, ts_round)
     if te < ts_round:
@@ -88,19 +66,9 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     if te == ts_round:
         return p
     names = frozenset(monitor_names)
-    threshold = min(ex.exact_atom_threshold(), _MOV_SIMPLIFY_CAP)
+    a = p.automaton
     entries = dict(p.entries)
     atom_sets: dict[tuple[int, str], frozenset[ex.Atom]] = {}
-    by_dst: dict[str, list] = {}
-    for tr in p.automaton.transitions:
-        by_dst.setdefault(tr.dst, []).append(tr)
-    successors = {
-        src: sorted({tr.dst for tr in p.automaton.transitions if tr.src == src})
-        for src in p.automaton.states
-    }
-    label_atoms = {
-        id(tr): frozenset(ex.atoms_of(tr.label)) for tr in p.automaton.transitions
-    }
 
     def atoms_at(key: tuple[int, str]) -> frozenset[ex.Atom]:
         cached = atom_sets.get(key)
@@ -111,30 +79,30 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
 
     for t in range(ts_round, te):
         enc = ex.ts(t + 1, names)
-        present = sorted(q for (r, q) in entries if r == t)
-        targets = sorted({dst for q in present for dst in successors[q]})
+        present = [q for (r, q) in entries if r == t]
+        targets = sorted({tr.dst for q in present for tr in a.outgoing(q)})
         for qprime in targets:
             parts = []
             support: frozenset[ex.Atom] = frozenset()
-            for tr in by_dst.get(qprime, ()):
+            for tr, label_atoms in a.by_destination[qprime]:
                 src_key = (t, tr.src)
                 src_cond = entries.get(src_key)
                 if src_cond is None:
                     continue
                 parts.append(ex.conj(src_cond, ex.encode(tr.label, enc)))
                 support |= atoms_at(src_key)
-                support |= frozenset(enc.apply(a) for a in label_atoms[id(tr)])
+                support |= frozenset(enc.apply(atom) for atom in label_atoms)
             cond = ex.disj_all(parts)
             key = (t + 1, qprime)
             if key in entries:
                 cond = ex.disj(entries[key], cond)
                 support |= atoms_at(key)
-            if len(support) <= threshold:
+            if len(support) <= _MOV_SIMPLIFY_CAP:
                 cond = ex.simplify(cond, light=True)
                 support = frozenset(ex.atoms_of(cond))
             entries[key] = cond
             atom_sets[key] = support
-    return EHE(p.automaton, entries)
+    return EHE(a, entries)
 
 
 def sreach(

@@ -29,7 +29,6 @@ class SimConfig:
     comm_delay: int = 1
     initial_active: int = 1
     timeout_slack: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -149,20 +148,19 @@ class SimRun:
 # Setup
 
 
-def _migration_ranking(spec: Specification, ap_owner: Mapping[str, str]) -> list[str]:
-    """Components ranked by the earliest-obligation preference after one move
-    from the initial encoding."""
-    probe = eh.mov(eh.init(spec), 0, 1)
-    ranked: list[str] = []
+def _obligation_owners(p: eh.EHE, ap_owner: Mapping[str, str]) -> list[str]:
+    """Components owning the timed atoms of ``p``, earliest obligation first:
+    atoms ordered by (round, name), each component listed once."""
     atoms = sorted(
-        {a for (_, _), cond in probe.entries.items() for a in ex.atoms_of(cond)},
+        {a for cond in p.entries.values() for a in ex.atoms_of(cond) if a.kind == "tap"},
         key=lambda a: (a.t, a.name),
     )
+    owners: list[str] = []
     for atom in atoms:
         comp = ap_owner.get(atom.name)
-        if comp is not None and comp not in ranked:
-            ranked.append(comp)
-    return ranked
+        if comp is not None and comp not in owners:
+            owners.append(comp)
+    return owners
 
 
 def setup(
@@ -197,7 +195,8 @@ def setup(
         placements = {f"m_{comp}": comp for comp in comps}
         network = analysis.complete_graph(tuple(sorted(placements)))
         if cfg.algorithm == "migr":
-            ranked = _migration_ranking(spec, ap_owner)
+            # earliest-obligation preference after one move from the start
+            ranked = _obligation_owners(eh.mov(eh.init(spec), 0, 1), ap_owner)
         else:
             ranked = []
         for comp in comps:  # fill up deterministically
@@ -301,6 +300,31 @@ def assemble_choreography(
 # Per-round monitor behavior
 
 
+def _resolve(
+    state: Union[MainState, MigrationState, ChorState],
+    t: int,
+    rounds: Iterable[int],
+    stats: Optional[mt.OpStats],
+    ctx: Optional[RunContext],
+) -> Optional[Verdict]:
+    """Resolve the automaton state at each of ``rounds`` in turn, advancing
+    ``state.t_kn`` (and sampling its delay) past every newly known round.
+    Stops at the first unresolved round; returns the first final verdict."""
+    memo: dict[int, ex.Expr] = {}
+    for r in rounds:
+        q = eh.sreach(state.ehe, state.memory, r, stats=stats, memo=memo)
+        if q is None:
+            return None
+        if r > state.t_kn:
+            if ctx is not None:
+                ctx.sample_delay(t - r)
+            state.t_kn = r
+        v = state.ehe.automaton.verdict_of(q)
+        if v.is_final:
+            return v
+    return None
+
+
 def orchestration_round(
     state: MonitorState,
     t: int,
@@ -331,36 +355,12 @@ def orchestration_round(
     end = state.ehe.rounds()[-1]
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
-    memo: dict[int, ex.Expr] = {}
-    verdict: Optional[Verdict] = None
-    for r in range(state.t_kn, t + 1):
-        q = eh.sreach(state.ehe, state.memory, r, stats=stats, memo=memo)
-        if q is None:
-            break
-        if r > state.t_kn:
-            if ctx is not None:
-                ctx.sample_delay(t - r)
-            state.t_kn = r
-        if state.ehe.automaton.verdict_of(q).is_final:
-            verdict = state.ehe.automaton.verdict_of(q)
-            break
+    verdict = _resolve(state, t, range(state.t_kn, t + 1), stats, ctx)
     if verdict is None:
         state.ehe = eh.drop_resolved(state.ehe, state.memory, stats=stats)
         if ctx is not None:
             ctx.sample_gc(state.ehe)
     return state, [], verdict
-
-
-def _earliest_obligation(p: eh.EHE, ap_owner: Mapping[str, str], own: str) -> str:
-    atoms = sorted(
-        {a for cond in p.entries.values() for a in ex.atoms_of(cond) if a.kind == "tap"},
-        key=lambda a: (a.t, a.name),
-    )
-    for atom in atoms:
-        owner = ap_owner.get(atom.name)
-        if owner is not None:
-            return owner
-    return own
 
 
 def _round_robin(components: list[str], own: str) -> str:
@@ -375,7 +375,6 @@ def migration_round(
     inbox: list[Message],
     stats: Optional[mt.OpStats] = None,
     ctx: Optional[RunContext] = None,
-    heuristic: str = "migr",
 ) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
     assert isinstance(state, MigrationState)
     if not obs.is_empty:
@@ -393,27 +392,18 @@ def migration_round(
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
     state.ehe = eh.inc(state.ehe, state.memory, stats=stats)
-    memo: dict[int, ex.Expr] = {}
-    for r in state.ehe.rounds():
-        q = eh.sreach(state.ehe, state.memory, r, stats=stats, memo=memo)
-        if q is None:
-            break
-        if r > state.t_kn:
-            if ctx is not None:
-                ctx.sample_delay(t - r)
-            state.t_kn = r
-        v = state.ehe.automaton.verdict_of(q)
-        if v.is_final:
-            return state, [], v
+    verdict = _resolve(state, t, state.ehe.rounds(), stats, ctx)
+    if verdict is not None:
+        return state, [], verdict
     state.ehe = eh.drop_resolved(state.ehe, state.memory, stats=stats)
     if ctx is not None:
         ctx.sample_gc(state.ehe)
     assert ctx is not None
-    components = sorted(set(ctx.setup.placements.values()))
-    if heuristic == "migr":
-        target = _earliest_obligation(state.ehe, ctx.setup.ap_owner, state.component)
+    if ctx.cfg.algorithm == "migr":
+        owners = _obligation_owners(state.ehe, ctx.setup.ap_owner)
+        target = owners[0] if owners else state.component
     else:
-        target = _round_robin(components, state.component)
+        target = _round_robin(sorted(set(ctx.setup.placements.values())), state.component)
     outbox: list[Message] = []
     if target != state.component:
         state.is_active = False
@@ -469,19 +459,7 @@ def choreography_round(
         if end < t:
             state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
         state.ehe = eh.inc(state.ehe, state.memory, stats=stats)
-        found: Optional[Verdict] = None
-        memo: dict[int, ex.Expr] = {}
-        for r in state.ehe.rounds():
-            q = eh.sreach(state.ehe, state.memory, r, stats=stats, memo=memo)
-            if q is None:
-                break
-            if r > state.t_kn:
-                ctx.sample_delay(t - r)
-                state.t_kn = r
-            v = state.ehe.automaton.verdict_of(q)
-            if v.is_final:
-                found = v
-                break
+        found = _resolve(state, t, state.ehe.rounds(), stats, ctx)
         if found is None:
             break
         if not state.respawn:
@@ -516,10 +494,6 @@ def choreography_round(
 # Simulation loop
 
 
-def derive_ap_owner(tr: DecentralizedTrace) -> dict[str, str]:
-    return tr.observed_owner()
-
-
 def simulate(
     cfg: SimConfig,
     spec_input: Union[Specification, lt.Ltl],
@@ -531,8 +505,7 @@ def simulate(
     Rounds proceed to trace length plus the timeout slack; a final verdict
     reported by any monitor stops the run at the end of its round.
     """
-    ap_owner = derive_ap_owner(tr)
-    st = setup(cfg, spec_input, system, ap_owner)
+    st = setup(cfg, spec_input, system, tr.observed_owner())
     record = mt.MetricsRecord(components=tuple(sorted(system.nodes)))
     record.monitor_component = dict(st.placements)
     ctx = RunContext(cfg=cfg, record=record, setup=st)
@@ -541,6 +514,12 @@ def simulate(
     seq = itertools.count()
     reported: Optional[Verdict] = None
     stop_round = max(horizon, 1)
+    if cfg.algorithm == "orch":
+        round_fn = orchestration_round
+    elif cfg.algorithm == "chor":
+        round_fn = choreography_round
+    else:
+        round_fn = migration_round
 
     for t in range(1, horizon + 1):
         due = [m for m in pending if m.sent_at + cfg.comm_delay <= t]
@@ -552,9 +531,7 @@ def simulate(
             state = st.states[name]
             obs = tr.at(t, st.placements[name])
             stats = mt.OpStats()
-            _, outbox, verdict = _round_fn(cfg)(
-                state, t, obs, inboxes.get(name, []), stats, ctx
-            )
+            _, outbox, verdict = round_fn(state, t, obs, inboxes.get(name, []), stats, ctx)
             record.add_stats(t, name, stats)
             for msg in outbox:
                 msg = replace(msg, seq=next(seq))
@@ -577,13 +554,3 @@ def simulate(
     record.run_length = stop_round
     record.verdict = reported if reported is not None else UNKNOWN
     return SimRun(cfg.algorithm, record.verdict, stop_round, record)
-
-
-def _round_fn(cfg: SimConfig):
-    if cfg.algorithm == "orch":
-        return orchestration_round
-    if cfg.algorithm == "migr":
-        return lambda *a: migration_round(*a, heuristic="migr")
-    if cfg.algorithm == "migrr":
-        return lambda *a: migration_round(*a, heuristic="migrr")
-    return choreography_round

@@ -2,38 +2,23 @@
 
 Expressions are immutable trees that may share subtrees; every traversal here
 memoizes on node identity so shared structure is visited once.  Exact
-tautology/contradiction decisions use bitmask truth tables up to a
-configurable atom threshold and fall back to a branching satisfiability
-check above it.
+tautology/contradiction decisions use bitmask truth tables up to
+``EXACT_ATOMS`` atoms and fall back to a branching satisfiability check
+above it.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import ParseError, ThresholdExceeded
 
-DEFAULT_EXACT_ATOMS = 16
+EXACT_ATOMS = 16  # atom limit for truth-table decisions
 _DNF_ATOM_CAP = 8
 _SAT_NODE_BUDGET = 200_000
-
-
-def exact_atom_threshold() -> int:
-    """Atom limit for truth-table decisions; env DEMON_EXACT_ATOMS overrides."""
-    raw = os.environ.get("DEMON_EXACT_ATOMS")
-    if raw is None:
-        return DEFAULT_EXACT_ATOMS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"DEMON_EXACT_ATOMS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ParseError("DEMON_EXACT_ATOMS must be >= 1")
-    return value
 
 
 class Verdict(enum.Enum):
@@ -219,28 +204,14 @@ def encode(e: Expr, enc: Encoder) -> Expr:
     """Re-encode every leaf of ``e`` with ``enc``; structure is unchanged."""
     if enc.kind == "identity":
         return e
-    memo: dict[int, Expr] = {}
-
-    def go(node: Expr) -> Expr:
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Const):
-            out: Expr = node
-        elif isinstance(node, Var):
-            out = Var(enc.apply(node.atom))
-        elif isinstance(node, Not):
-            out = Not(go(node.operand))
-        elif isinstance(node, And):
-            out = And(go(node.left), go(node.right))
-        else:
-            assert isinstance(node, Or)
-            out = Or(go(node.left), go(node.right))
-        memo[key] = out
-        return out
-
-    return go(e)
+    return bottom_up(
+        e,
+        {},
+        lambda node: Var(enc.apply(node.atom)),
+        lambda node: node,
+        Not,
+        lambda node, l, r: And(l, r) if isinstance(node, And) else Or(l, r),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +285,16 @@ def bottom_up(e: Expr, memo: dict, var_value, const_value, not_value, bin_value)
     return memo[id(e)]
 
 
-def leaf_count(e: Expr) -> int:
-    """Number of atom leaves counting repeats (tree size, sharing expanded)."""
+def tree_size(e: Expr) -> tuple[int, int]:
+    """(atom leaves, NOT/AND/OR nodes) of ``e`` as a tree: shared subtrees
+    are counted once per occurrence."""
     return bottom_up(
-        e, {}, lambda _: 1, lambda _: 0, lambda n: n, lambda _, l, r: l + r
-    )
-
-
-def operator_count(e: Expr) -> int:
-    """Number of NOT/AND/OR nodes (tree size, sharing expanded)."""
-    return bottom_up(
-        e, {}, lambda _: 0, lambda _: 0, lambda n: 1 + n, lambda _, l, r: 1 + l + r
-    )
-
-
-def const_leaf_count(e: Expr) -> int:
-    return bottom_up(
-        e, {}, lambda _: 0, lambda _: 1, lambda n: n, lambda _, l, r: l + r
+        e,
+        {},
+        lambda _: (1, 0),
+        lambda _: (0, 0),
+        lambda n: (n[0], n[1] + 1),
+        lambda _, l, r: (l[0] + r[0], l[1] + r[1] + 1),
     )
 
 
@@ -338,96 +302,21 @@ def const_leaf_count(e: Expr) -> int:
 # Rewriting and folding
 
 
-def rewrite(e: Expr, memory) -> Expr:
-    """Replace every atom that ``memory`` maps to a final verdict by its constant.
-
-    Atoms absent from the memory or mapped to UNKNOWN are preserved; the
-    structure is otherwise untouched (no simplification).
-    """
-    memo: dict[int, Expr] = {}
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, Const):
-            memo[id(node)] = node
-        elif isinstance(node, Var):
-            v = memory.get(node.atom)
-            memo[id(node)] = (
-                (TRUE if v is TOP else FALSE) if v is not None and v.is_final else node
-            )
-        elif isinstance(node, Not):
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.operand, False))
-                continue
-            child = memo[id(node.operand)]
-            memo[id(node)] = node if child is node.operand else Not(child)
-        else:
-            assert isinstance(node, (And, Or))
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-                continue
-            l, r = memo[id(node.left)], memo[id(node.right)]
-            if l is node.left and r is node.right:
-                memo[id(node)] = node
-            else:
-                memo[id(node)] = And(l, r) if isinstance(node, And) else Or(l, r)
-    return memo[id(e)]
-
-
-def fold(e: Expr, memo: Optional[dict[int, Expr]] = None) -> Expr:
-    """Bottom-up constant folding, double negation and identical-child collapse.
-
-    Returns the original node whenever nothing changed underneath it, so
-    shared subtrees stay shared across calls.  Iterative: encodings can
-    nest thousands of levels deep.
-    """
-    if memo is None:
-        memo = {}
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, (Const, Var)):
-            memo[id(node)] = node
-        elif isinstance(node, Not):
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.operand, False))
-                continue
-            child = memo[id(node.operand)]
-            if isinstance(child, (Const, Not)):
-                memo[id(node)] = neg(child)
-            else:
-                memo[id(node)] = node if child is node.operand else Not(child)
-        else:
-            assert isinstance(node, (And, Or))
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-                continue
-            l, r = memo[id(node.left)], memo[id(node.right)]
-            if isinstance(l, Const) or isinstance(r, Const) or l is r:
-                out = conj(l, r) if isinstance(node, And) else disj(l, r)
-            elif l is node.left and r is node.right:
-                out = node
-            else:
-                out = And(l, r) if isinstance(node, And) else Or(l, r)
-            memo[id(node)] = out
-    return memo[id(e)]
+def fold(e: Expr) -> Expr:
+    """Bottom-up constant folding, double negation and identical-child collapse:
+    :func:`rewrite_fold` under the empty memory."""
+    return rewrite_fold(e, {})
 
 
 def rewrite_fold(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Expr:
-    """Fused rewrite-then-fold pass, identity-preserving like :func:`fold`;
-    ``memo`` may be shared across expressions evaluated against the same
-    memory.  Iterative, and short-circuits a branch once the other one
-    determines the connective."""
+    """Replace every atom that ``memory`` maps to a final verdict by its
+    constant, then fold constants, double negations and identical children.
+
+    Returns the original node whenever nothing changed underneath it, so
+    shared subtrees stay shared across calls.  ``memo`` may be shared across
+    expressions evaluated against the same memory.  Iterative (encodings can
+    nest thousands of levels deep), and short-circuits a branch once the
+    other one determines the connective."""
     if memo is None:
         memo = {}
     get = memory.get
@@ -551,7 +440,7 @@ def decide_constant(e: Expr) -> Optional[Verdict]:
     """
     atoms = atoms_of(e)
     k = len(atoms)
-    if k <= exact_atom_threshold():
+    if k <= EXACT_ATOMS:
         table = truth_table(e, atoms)
         full = (1 << (1 << k)) - 1
         if table == full:
@@ -654,7 +543,7 @@ def simplify(e: Expr, light: bool = False) -> Expr:
         return f
     atoms = atoms_of(f)
     k = len(atoms)
-    if k <= exact_atom_threshold():
+    if k <= EXACT_ATOMS:
         table = truth_table(f, atoms)
         full = (1 << (1 << k)) - 1
         if table == full:
@@ -663,7 +552,7 @@ def simplify(e: Expr, light: bool = False) -> Expr:
             return FALSE
         if k <= _DNF_ATOM_CAP:
             dnf = _dnf_from_cover(qm_cover(table, k), atoms)
-            if (leaf_count(dnf), operator_count(dnf)) <= (leaf_count(f), operator_count(f)):
+            if tree_size(dnf) <= tree_size(f):
                 return dnf
         return f
     if light:
@@ -691,9 +580,9 @@ def eval_expr(e: Expr, memory, stats=None, memo: Optional[dict[int, Expr]] = Non
 def equivalent(e1: Expr, e2: Expr) -> bool:
     """Exact Boolean-function equality over the union of both atom sets."""
     atoms = sorted(set(atoms_of(e1)) | set(atoms_of(e2)), key=Atom.sort_key)
-    if len(atoms) > exact_atom_threshold():
+    if len(atoms) > EXACT_ATOMS:
         raise ThresholdExceeded(
-            f"equivalence over {len(atoms)} atoms exceeds threshold {exact_atom_threshold()}"
+            f"equivalence over {len(atoms)} atoms exceeds threshold {EXACT_ATOMS}"
         )
     return truth_table(e1, atoms) == truth_table(e2, atoms)
 

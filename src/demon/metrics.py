@@ -4,9 +4,8 @@ byte-encoding model, simplification counts, and convergence."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import expr as ex
 from .ehe import EHE
@@ -250,14 +249,3 @@ def csv_row(
         f"{d['conv_s']:.6f}",
         f"{d['conv_e']:.6f}",
     ]
-
-
-def record_to_json(rec: MetricsRecord, summary: Optional[Summary] = None) -> str:
-    payload = {
-        "components": list(rec.components),
-        "run_length": rec.run_length,
-        "verdict": rec.verdict.value,
-        "delay_samples": rec.delay_samples,
-        "summary": (summary or summarize(rec)).as_dict(),
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -93,10 +93,6 @@ class Memory:
 EMPTY_MEMORY = Memory()
 
 
-def memory_from(pairs: Iterable[tuple[Atom, Verdict]]) -> Memory:
-    return Memory(dict(pairs))
-
-
 def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
     """Replace-merge of two memories (the highest verdict wins per atom).
 

@@ -9,6 +9,7 @@ fixed seed reproduces the trace exactly.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -128,7 +129,11 @@ def generate(cfg: TraceGenConfig) -> DecentralizedTrace:
 
 
 def store(tr: DecentralizedTrace, path: str) -> None:
+    """Write ``tr`` as CSV, led by a ``#`` line holding its component list and
+    length as JSON, so silent components and trailing empty rounds survive."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        meta = {"components": list(tr.components), "length": tr.length}
+        fh.write(f"# {json.dumps(meta)}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "component", "ap", "value"])
         for (t, comp) in sorted(tr.events):
@@ -136,14 +141,36 @@ def store(tr: DecentralizedTrace, path: str) -> None:
                 writer.writerow([t, comp, ap, "1" if verdict is TOP else "0"])
 
 
+def _declared_shape(text: str) -> tuple[tuple[str, ...], int]:
+    """Component list and length from the JSON of a leading ``#`` line."""
+    try:
+        meta = json.loads(text)
+        components = tuple(meta["components"])
+        length = meta["length"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad trace metadata line: {exc}", 1) from None
+    if not all(isinstance(c, str) for c in components) or not isinstance(length, int):
+        raise ParseError("trace metadata needs string components and an integer length", 1)
+    return components, length
+
+
 def load(path: str) -> DecentralizedTrace:
+    """Read a trace CSV.  Without a leading ``#`` line, the components are
+    those that report and the length is the last reported round."""
     events: dict[tuple[int, str], set[tuple[str, Verdict]]] = {}
     components: set[str] = set()
     length = 0
+    declared = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
+        first = fh.readline()
+        if first.startswith("#"):
+            declared = _declared_shape(first[1:])
+            header_line = 2
+        else:
+            fh.seek(0)
+            header_line = 1
+        for lineno, row in enumerate(csv.reader(fh), start=header_line):
+            if lineno == header_line:
                 if row != ["t", "component", "ap", "value"]:
                     raise ParseError("expected header t,component,ap,value", lineno)
                 continue
@@ -165,8 +192,12 @@ def load(path: str) -> DecentralizedTrace:
             events.setdefault((t, comp), set()).add(
                 (ap, TOP if value == "1" else BOTTOM)
             )
+    if declared is not None:
+        declared_components, length = declared
+    else:
+        declared_components = tuple(sorted(components))
     return DecentralizedTrace(
-        tuple(sorted(components)),
+        declared_components,
         length,
         {key: Event(frozenset(obs)) for key, obs in events.items()},
     )

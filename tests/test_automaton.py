@@ -240,12 +240,14 @@ class TestJson:
             spec_from_dict({"states": ["q0"]})
 
 
-def test_validate_threshold(monkeypatch):
-    labels = " && ".join(f"x{i}" for i in range(6))
-    a = make_spec(
-        ["q0"], "q0", [("q0", labels, "q0"), ("q0", f"!({labels})", "q0")],
-        {"q0": "unknown"},
-    )
-    monkeypatch.setenv("DEMON_EXACT_ATOMS", "4")
+def test_validate_threshold():
+    def one_state(n_atoms):
+        labels = " && ".join(f"x{i}" for i in range(n_atoms))
+        return make_spec(
+            ["q0"], "q0", [("q0", labels, "q0"), ("q0", f"!({labels})", "q0")],
+            {"q0": "unknown"},
+        )
+
+    assert validate(one_state(16)).ok
     with pytest.raises(ThresholdExceeded):
-        validate(a)
+        validate(one_state(17))

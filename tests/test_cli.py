@@ -64,6 +64,20 @@ class TestGenTraces:
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "error" in err
 
+    def test_missing_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"distributions": [{"kind": "normal"}]}))
+        code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and "'components'" in err
+
+    def test_unknown_distribution_parameter_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({
+            "components": 2, "distributions": [{"kind": "beta", "alpah": 2}],
+        }))
+        code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and "'alpah'" in err
+
 
 class TestCheck:
     def test_monitorable_spec(self, fig1_file, capsys):
@@ -99,6 +113,23 @@ class TestCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["compatible"] and payload["assignment"]["m1"] in {"c2", "c3"}
+
+    @pytest.mark.parametrize("network, constraint", [
+        ({"nodes": ["m0"], "edges": [["m0", "m9"]]}, {}),  # edge to an unknown node
+        ({"nodes": ["m0"]}, {}),  # no edge list
+        ({"nodes": ["m0"], "edges": []}, {"m9": "c0"}),  # unknown monitor
+        ({"nodes": ["m0"], "edges": []}, {"m0": "c9"}),  # unknown component
+    ])
+    def test_bad_compatibility_input_exit_2(self, tmp_path, capsys, network, constraint):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(network))
+        sysg = tmp_path / "sys.json"
+        sysg.write_text(json.dumps({"nodes": ["c0"], "edges": []}))
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(constraint))
+        code, _, err = run_cli(capsys, "check", "compatibility", "--network", str(net),
+                               "--system", str(sysg), "--constraint", str(cons))
+        assert code == 2 and err.startswith("error:")
 
     def test_validate(self, fig1_file, capsys):
         code, out, _ = run_cli(capsys, "check", "validate", "--spec", fig1_file)
@@ -136,6 +167,14 @@ class TestRun:
         assert code == 1
         payload = json.loads(out)
         assert payload["verdict"] == "unknown" and payload["stop_round"] == 2 + 5
+
+    def test_internal_key_error_propagates(self, fig1_file, trace_file, capsys, monkeypatch):
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli.engine, "simulate", broken)
+        with pytest.raises(KeyError):
+            cli.main(["run", "--spec", fig1_file, "--trace", trace_file, "--algorithm", "orch"])
 
     def test_chor_from_ltl_text(self, tmp_path, capsys):
         ltl = tmp_path / "phi.ltl"

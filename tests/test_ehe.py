@@ -42,21 +42,27 @@ class TestConstruction:
         assert dict(p.entries) == {(0, "q0"): ex.TRUE}
 
     def test_next_states(self, fig1):
-        p = eh.init(fig1)
-        assert eh.next_states(p, 0) == {"q0", "q1"}
+        assert [tr.dst for tr in fig1.outgoing("q0")] == ["q1", "q0"]
+        assert eh.mov(eh.init(fig1), 0, 1).states_at(1) == ["q0", "q1"]
         with pytest.raises(UndefinedRound):
-            eh.next_states(p, 3)
+            eh.mov(eh.init(fig1), 3, 4)
 
     def test_next_absorbing(self, fig1):
-        p = eh.EHE(fig1, {(5, "q1"): ex.TRUE})
-        assert eh.next_states(p, 5) == {"q1"}
+        p = eh.mov(eh.EHE(fig1, {(5, "q1"): ex.TRUE}), 5, 6)
+        assert p.states_at(6) == ["q1"]
 
     def test_to_expr(self, fig1):
-        p = eh.init(fig1)
-        cond = eh.to_expr(p, 0, "q1", ex.ts(1))
-        assert ex.equivalent(cond, ex.Or(ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))))
-        stay = eh.to_expr(p, 0, "q0", ex.ts(1))
-        assert ex.equivalent(stay, ex.And(ex.Not(ex.Var(ex.timed(1, "a"))), ex.Not(ex.Var(ex.timed(1, "b")))))
+        a, b = ex.plain("a"), ex.plain("b")
+        into_q1 = fig1.by_destination["q1"]
+        assert [(tr.src, atoms) for tr, atoms in into_q1] == [
+            ("q0", frozenset({a, b})),
+            ("q1", frozenset()),
+        ]
+        assert fig1.by_destination is fig1.by_destination  # built once
+        p = eh.mov(eh.init(fig1), 0, 1)
+        a1, b1 = ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))
+        assert ex.equivalent(p.entries[(1, "q1")], ex.Or(a1, b1))
+        assert ex.equivalent(p.entries[(1, "q0")], ex.And(ex.Not(a1), ex.Not(b1)))
 
     def test_golden_table1(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,8 @@ from demon import analysis as an
 from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
+from demon import metrics as mt
+from demon import traces as tg
 from demon.automaton import (
     DecentralizedTrace,
     decentralized_run,
@@ -209,7 +213,7 @@ class TestDeterminism:
         spec, aps = random_spec(rng, absorbing_finals=True, require_final=True)
         tr = random_trace(rng, aps, 2, 10)
         runs = [
-            en.simulate(en.SimConfig("migr", seed=9), spec, complete(tr.components), tr)
+            en.simulate(en.SimConfig("migr"), spec, complete(tr.components), tr)
             for _ in range(2)
         ]
         assert runs[0].verdict is runs[1].verdict
@@ -260,3 +264,31 @@ def test_orchestration_delay_bounded_by_comm_delay(fig1):
         r = en.simulate(en.SimConfig("orch", comm_delay=delay), spec,
                         complete(tr.components), tr)
         assert all(s <= delay for s in r.record.delay_samples)
+
+
+EXPERIMENT = Path(__file__).resolve().parent.parent / "fixtures" / "experiment"
+PINNED_CONFIGS = ({}, {"comm_delay": 3, "initial_active": 2, "timeout_slack": 15})
+# SHA-256 of the sorted metrics rows below; any change to what a run computes
+# (verdict, stop round or a summary figure) changes it.
+PINNED_ROWS_SHA256 = "3822a7146a75504e2afffc243a34f9192ccb33f9265d50779c6a29ce3888a47d"
+
+
+def test_experiment_metrics_rows_pinned():
+    phi = lt.parse_ltl((EXPERIMENT / "spec.ltl").read_text(encoding="utf-8"))
+    spec = lt.synthesize(phi)
+    rows = []
+    for params in PINNED_CONFIGS:
+        for path in sorted(EXPERIMENT.glob("trace_*.csv")):
+            tr = tg.load(str(path))
+            system = complete(tr.components)
+            for alg in en.ALGORITHMS:
+                result = en.simulate(
+                    en.SimConfig(alg, **params), phi if alg == "chor" else spec, system, tr
+                )
+                rows.append(",".join(mt.csv_row(
+                    alg, len(system.nodes), "spec.ltl", path.name, result.verdict,
+                    result.stop_round, mt.summarize(result.record),
+                )))
+    assert len(rows) == 24
+    digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+    assert digest == PINNED_ROWS_SHA256

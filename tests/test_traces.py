@@ -4,8 +4,9 @@ import pytest
 
 from demon import expr as ex
 from demon import traces as tg
-from demon.automaton import reconstruct_global
+from demon.automaton import DecentralizedTrace, reconstruct_global
 from demon.errors import ConflictingObservation, InvalidParameters, ParseError
+from demon.store import Event
 
 
 class TestConfig:
@@ -73,6 +74,19 @@ class TestRoundTrip:
         path = tmp_path / "g.csv"
         tg.store(tr, str(path))
         assert tg.load(str(path)) == tr
+
+    def test_silent_component_and_trailing_rounds_roundtrip(self, tmp_path):
+        tr = DecentralizedTrace(("c0", "c1"), 5, {(1, "c0"): Event.of(("a0", ex.TOP))})
+        path = tmp_path / "sparse.csv"
+        tg.store(tr, str(path))
+        assert tg.load(str(path)) == tr
+        # without the metadata line, only what the rows show is recoverable
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text(body)
+        assert tg.load(str(path)) == DecentralizedTrace(("c0",), 1, tr.events)
+        path.write_text("# {\"components\": [\"c0\"]}\n" + body)
+        with pytest.raises(ParseError):
+            tg.load(str(path))
 
     def test_bad_verdict_token(self, tmp_path):
         path = tmp_path / "bad.csv"
