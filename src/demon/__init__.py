@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .ltl import Ltl, net_chor, parse_ltl, progress, synthesize
 from .engine import SimConfig, SimRun, simulate
-from .metrics import MetricsRecord, SizeModel, convergence, size_of, summarize
+from .metrics import MetricsRecord, convergence, size_of, summarize
 from .traces import TraceGenConfig, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -177,10 +177,6 @@ def count_compatible(net: Graph, sys: Graph, constraint: Mapping[str, str]) -> i
     return sum(1 for _ in _compatible_assignments(net, sys, constraint))
 
 
-def graph_to_dict(g: Graph) -> dict:
-    return {"nodes": list(g.nodes), "edges": [list(e) for e in sorted(g.edges)]}
-
-
 def graph_from_dict(data: dict) -> Graph:
     try:
         return Graph.of(data["nodes"], [tuple(e) for e in data["edges"]])

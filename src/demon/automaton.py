@@ -310,11 +310,7 @@ def reconstruct_global(tr: DecentralizedTrace) -> list[Event]:
     return out
 
 
-def decentralized_run(
-    d: DecentralizedSpec,
-    tr: DecentralizedTrace,
-    round_budget: Optional[int] = None,
-) -> Verdict:
+def decentralized_run(d: DecentralizedSpec, tr: DecentralizedTrace) -> Verdict:
     """Reference semantics: evaluate the trace from the root monitor.
 
     Monitor references in a label at round ``i`` denote the referenced
@@ -325,7 +321,6 @@ def decentralized_run(
     n = tr.length
     memo: dict[tuple[str, int], str] = {}
     in_progress: set[tuple[str, int]] = set()
-    steps_left = [round_budget] if round_budget is not None else None
 
     def run_from(label: str, i: int) -> str:
         key = (label, i)
@@ -349,10 +344,6 @@ def decentralized_run(
         return q
 
     def step_one(label: str, spec: Specification, q: str, i: int) -> str:
-        if steps_left is not None:
-            steps_left[0] -= 1
-            if steps_left[0] < 0:
-                raise RoundBudgetExceeded("round budget exhausted")
         evt = tr.at(i, d.attach[label])
         if evt.is_empty:
             return q

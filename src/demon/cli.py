@@ -27,6 +27,16 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _int_option(config: dict, key: str, default=None) -> int:
+    """``config[key]`` (or ``default`` when absent) as an int; a value that
+    does not convert is an input error naming the key."""
+    value = config.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DemonError(f"config key {key!r} must be an integer, got {value!r}") from None
+
+
 def _distribution_from(data: dict) -> traces.Distribution:
     kind = data.get("kind")
     if kind not in _DISTRIBUTIONS:
@@ -36,6 +46,10 @@ def _distribution_from(data: dict) -> traces.Distribution:
     unknown = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise DemonError(f"unknown {kind} distribution parameters {unknown}")
+    for key, value in params.items():
+        if not isinstance(value, (int, float)):
+            raise DemonError(f"{kind} distribution parameter {key!r} must be a number, "
+                             f"got {value!r}")
     return cls(**params)
 
 
@@ -45,19 +59,22 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     missing = [key for key in ("components", "distributions") if key not in config]
     if missing:
         raise DemonError(f"gen-traces config is missing {missing}")
+    components = _int_option(config, "components")
+    aps_per_component = _int_option(config, "aps_per_component", 2)
+    length = _int_option(config, "length", 60)
+    count = _int_option(config, "count", 1)
+    base_seed = _int_option(config, "seed", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = int(config.get("count", 1))
-    base_seed = int(config.get("seed", 0))
     written = 0
     for dist_data in config["distributions"]:
         dist = _distribution_from(dist_data)
         kind = dist_data["kind"]
         for i in range(count):
             cfg = traces.TraceGenConfig(
-                components=int(config["components"]),
-                aps_per_component=int(config.get("aps_per_component", 2)),
-                length=int(config.get("length", 60)),
+                components=components,
+                aps_per_component=aps_per_component,
+                length=length,
                 distribution=dist,
                 seed=base_seed + written,
             )
@@ -212,19 +229,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not (config.get("algorithms") and config.get("specs") and config.get("traces")):
         raise DemonError("experiment needs at least one algorithm, spec, and trace source")
     trace_paths = _trace_paths(base, config["traces"])
+    params = {
+        "comm_delay": _int_option(config, "comm_delay", 1),
+        "initial_active": _int_option(config, "active", 1),
+        "timeout_slack": _int_option(config, "timeout_slack", 5),
+    }
+    configs = [engine.SimConfig(algorithm, **params) for algorithm in config["algorithms"]]
     rows = []
-    for algorithm in config["algorithms"]:
+    for cfg in configs:
+        algorithm = cfg.algorithm
         for spec_entry in config["specs"]:
             spec_path = str(base / spec_entry)
             for trace_path in trace_paths:
                 try:
                     tr = traces.load(trace_path)
-                    cfg = engine.SimConfig(
-                        algorithm=algorithm,
-                        comm_delay=int(config.get("comm_delay", 1)),
-                        initial_active=int(config.get("active", 1)),
-                        timeout_slack=int(config.get("timeout_slack", 5)),
-                    )
                     spec_input = _spec_input_for(algorithm, spec_path)
                     system = analysis.complete_graph(tr.components)
                     run = engine.simulate(cfg, spec_input, system, tr)

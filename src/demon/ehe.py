@@ -109,28 +109,25 @@ def sreach(
     p: EHE,
     m: Memory,
     t: int,
-    stats=None,
+    step=None,
     memo: Optional[dict[int, Expr]] = None,
 ) -> Optional[str]:
     """The unique state whose condition at round t evaluates to TOP under
-    ``m``, or None when no condition resolves."""
+    ``m``, or None when no condition resolves.  Each evaluation is counted
+    in ``step.evaluations`` when a step is given."""
     _require_round(p, t)
     if memo is None:
         memo = {}
     for q in p.states_at(t):
-        if ex.eval_expr(p.entries[(t, q)], m, stats=stats, memo=memo) is TOP:
+        if step is not None:
+            step.evaluations += 1
+        if ex.eval_expr(p.entries[(t, q)], m, memo=memo) is TOP:
             return q
     return None
 
 
-def verdict_at(
-    p: EHE,
-    m: Memory,
-    t: int,
-    stats=None,
-    memo: Optional[dict[int, Expr]] = None,
-) -> Verdict:
-    q = sreach(p, m, t, stats=stats, memo=memo)
+def verdict_at(p: EHE, m: Memory, t: int, memo: Optional[dict[int, Expr]] = None) -> Verdict:
+    q = sreach(p, m, t, memo=memo)
     return p.automaton.verdict_of(q) if q is not None else ex.UNKNOWN
 
 
@@ -147,12 +144,13 @@ def merge(p1: EHE, p2: EHE) -> EHE:
     return EHE(p1.automaton, entries)
 
 
-def inc(p: EHE, m: Memory, stats=None) -> EHE:
+def inc(p: EHE, m: Memory, step=None) -> EHE:
     """Incorporate a memory: rewrite and simplify every entry.
 
     After this the memory is obsolete for these entries (evaluating the new
     entry under the empty memory equals evaluating the old one under ``m``).
-    Full simplifier calls are counted in ``stats`` when provided.
+    Full simplifier calls are counted in ``step.simplifications`` when a
+    step is given.
     """
     memo: dict[int, Expr] = {}
     entries: dict[tuple[int, str], Expr] = {}
@@ -161,20 +159,20 @@ def inc(p: EHE, m: Memory, stats=None) -> EHE:
         if isinstance(folded, ex.Const):
             entries[key] = folded
             continue
-        if stats is not None:
-            stats.simplifications += 1
+        if step is not None:
+            step.simplifications += 1
         entries[key] = ex.simplify(folded, light=True)
     return EHE(p.automaton, entries)
 
 
-def drop_resolved(p: EHE, m: Memory, stats=None) -> EHE:
+def drop_resolved(p: EHE, m: Memory, step=None) -> EHE:
     """Garbage collection: find the greatest round whose state is known,
     drop everything before it, and rebase that entry to TRUE."""
     rounds = p.rounds()
     memo: dict[int, Expr] = {}
     resolved: Optional[tuple[int, str]] = None
     for t in rounds:
-        q = sreach(p, m, t, stats=stats, memo=memo)
+        q = sreach(p, m, t, step=step, memo=memo)
         if q is None:
             break  # state resolution is monotone: later rounds cannot resolve
         resolved = (t, q)

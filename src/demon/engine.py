@@ -104,28 +104,12 @@ MonitorState = Union[ForwarderState, MainState, MigrationState, ChorState]
 
 @dataclass
 class Setup:
+    cfg: SimConfig
     network: analysis.Graph
     placements: dict[str, str]
     states: dict[str, MonitorState]
-    spec: Optional[Specification] = None
-    dspec: Optional[DecentralizedSpec] = None
     ap_owner: dict[str, str] = field(default_factory=dict)
     monitor_names: frozenset[str] = frozenset()
-
-
-@dataclass
-class RunContext:
-    cfg: SimConfig
-    record: mt.MetricsRecord
-    setup: Setup
-
-    def sample_delay(self, gap: int) -> None:
-        self.record.delay_samples.append(gap)
-
-    def sample_gc(self, p: eh.EHE) -> None:
-        rounds = p.rounds()
-        span = rounds[-1] - rounds[0] + 1 if rounds else 0
-        self.record.gc_samples.append((len(p.entries), span, len(p.automaton.states)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,7 @@ def setup(
             states[name] = ForwarderState(name, comp, "m0")
             edges.add((name, "m0"))
         network = analysis.Graph.of(sorted(placements), edges)
-        result = Setup(network, placements, states, spec=spec, ap_owner=dict(ap_owner))
+        result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner))
     elif cfg.algorithm in ("migr", "migrr"):
         spec = _expect_spec(spec_input)
         placements = {f"m_{comp}": comp for comp in comps}
@@ -210,7 +194,7 @@ def setup(
             )
             for comp in comps
         }
-        result = Setup(network, placements, states, spec=spec, ap_owner=dict(ap_owner))
+        result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner))
     else:  # choreography
         phi = _expect_ltl(spec_input)
         tree = lt.net_chor(phi, ap_owner)
@@ -237,10 +221,10 @@ def setup(
                 respawn=(m.id != 0),
             )
         result = Setup(
+            cfg,
             network,
             placements,
             states,
-            dspec=dspec,
             ap_owner=dict(ap_owner),
             monitor_names=frozenset(placements),
         )
@@ -304,20 +288,18 @@ def _resolve(
     state: Union[MainState, MigrationState, ChorState],
     t: int,
     rounds: Iterable[int],
-    stats: Optional[mt.OpStats],
-    ctx: Optional[RunContext],
+    step: mt.Step,
 ) -> Optional[Verdict]:
     """Resolve the automaton state at each of ``rounds`` in turn, advancing
-    ``state.t_kn`` (and sampling its delay) past every newly known round.
+    ``state.t_kn`` (and recording its delay) past every newly known round.
     Stops at the first unresolved round; returns the first final verdict."""
     memo: dict[int, ex.Expr] = {}
     for r in rounds:
-        q = eh.sreach(state.ehe, state.memory, r, stats=stats, memo=memo)
+        q = eh.sreach(state.ehe, state.memory, r, step=step, memo=memo)
         if q is None:
             return None
         if r > state.t_kn:
-            if ctx is not None:
-                ctx.sample_delay(t - r)
+            step.delays += (t - r,)
             state.t_kn = r
         v = state.ehe.automaton.verdict_of(q)
         if v.is_final:
@@ -330,8 +312,8 @@ def orchestration_round(
     t: int,
     obs: Event,
     inbox: list[Message],
-    stats: Optional[mt.OpStats] = None,
-    ctx: Optional[RunContext] = None,
+    step: mt.Step,
+    setup: Setup,
 ) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
     if isinstance(state, ForwarderState):
         outbox = []
@@ -355,12 +337,18 @@ def orchestration_round(
     end = state.ehe.rounds()[-1]
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
-    verdict = _resolve(state, t, range(state.t_kn, t + 1), stats, ctx)
+    verdict = _resolve(state, t, range(state.t_kn, t + 1), step)
     if verdict is None:
-        state.ehe = eh.drop_resolved(state.ehe, state.memory, stats=stats)
-        if ctx is not None:
-            ctx.sample_gc(state.ehe)
+        state.ehe = eh.drop_resolved(state.ehe, state.memory, step=step)
+        step.gc = _footprint(state.ehe)
     return state, [], verdict
+
+
+def _footprint(p: eh.EHE) -> tuple[int, int, int]:
+    """(entries, round span, automaton states) of an encoding."""
+    rounds = p.rounds()
+    span = rounds[-1] - rounds[0] + 1 if rounds else 0
+    return len(p.entries), span, len(p.automaton.states)
 
 
 def _round_robin(components: list[str], own: str) -> str:
@@ -373,8 +361,8 @@ def migration_round(
     t: int,
     obs: Event,
     inbox: list[Message],
-    stats: Optional[mt.OpStats] = None,
-    ctx: Optional[RunContext] = None,
+    step: mt.Step,
+    setup: Setup,
 ) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
     assert isinstance(state, MigrationState)
     if not obs.is_empty:
@@ -391,19 +379,17 @@ def migration_round(
     end = state.ehe.rounds()[-1]
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
-    state.ehe = eh.inc(state.ehe, state.memory, stats=stats)
-    verdict = _resolve(state, t, state.ehe.rounds(), stats, ctx)
+    state.ehe = eh.inc(state.ehe, state.memory, step=step)
+    verdict = _resolve(state, t, state.ehe.rounds(), step)
     if verdict is not None:
         return state, [], verdict
-    state.ehe = eh.drop_resolved(state.ehe, state.memory, stats=stats)
-    if ctx is not None:
-        ctx.sample_gc(state.ehe)
-    assert ctx is not None
-    if ctx.cfg.algorithm == "migr":
-        owners = _obligation_owners(state.ehe, ctx.setup.ap_owner)
+    state.ehe = eh.drop_resolved(state.ehe, state.memory, step=step)
+    step.gc = _footprint(state.ehe)
+    if setup.cfg.algorithm == "migr":
+        owners = _obligation_owners(state.ehe, setup.ap_owner)
         target = owners[0] if owners else state.component
     else:
-        target = _round_robin(sorted(set(ctx.setup.placements.values())), state.component)
+        target = _round_robin(sorted(set(setup.placements.values())), state.component)
     outbox: list[Message] = []
     if target != state.component:
         state.is_active = False
@@ -424,11 +410,10 @@ def choreography_round(
     t: int,
     obs: Event,
     inbox: list[Message],
-    stats: Optional[mt.OpStats] = None,
-    ctx: Optional[RunContext] = None,
+    step: mt.Step,
+    setup: Setup,
 ) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
     assert isinstance(state, ChorState)
-    assert ctx is not None and ctx.setup.dspec is not None
     name = state.name
     if state.terminated:
         return state, [], None
@@ -450,7 +435,7 @@ def choreography_round(
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, ex.ts(t)))
 
-    mon_names = ctx.setup.monitor_names
+    mon_names = setup.monitor_names
     while True:
         base = state.ehe.rounds()[0]
         if base > t:
@@ -458,8 +443,8 @@ def choreography_round(
         end = state.ehe.rounds()[-1]
         if end < t:
             state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
-        state.ehe = eh.inc(state.ehe, state.memory, stats=stats)
-        found = _resolve(state, t, state.ehe.rounds(), stats, ctx)
+        state.ehe = eh.inc(state.ehe, state.memory, step=step)
+        found = _resolve(state, t, state.ehe.rounds(), step)
         if found is None:
             break
         if not state.respawn:
@@ -507,8 +492,6 @@ def simulate(
     """
     st = setup(cfg, spec_input, system, tr.observed_owner())
     record = mt.MetricsRecord(components=tuple(sorted(system.nodes)))
-    record.monitor_component = dict(st.placements)
-    ctx = RunContext(cfg=cfg, record=record, setup=st)
     horizon = tr.length + cfg.timeout_slack
     pending: list[Message] = []
     seq = itertools.count()
@@ -528,15 +511,13 @@ def simulate(
         for msg in sorted(due, key=lambda m: (m.sender, m.seq)):
             inboxes.setdefault(msg.receiver, []).append(msg)
         for name in sorted(st.states):
-            state = st.states[name]
-            obs = tr.at(t, st.placements[name])
-            stats = mt.OpStats()
-            _, outbox, verdict = round_fn(state, t, obs, inboxes.get(name, []), stats, ctx)
-            record.add_stats(t, name, stats)
-            for msg in outbox:
-                msg = replace(msg, seq=next(seq))
-                record.add_message(t, msg.sender, msg.kind, mt.size_of(msg))
-                pending.append(msg)
+            step = mt.Step(t, name, st.placements[name])
+            obs = tr.at(t, step.component)
+            _, outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
+            if outbox:
+                step.sent = tuple((msg.kind, mt.size_of(msg)) for msg in outbox)
+                pending.extend(replace(msg, seq=next(seq)) for msg in outbox)
+            record.steps.append(step)
             if verdict is not None and verdict.is_final and reported is None:
                 reported = verdict
         if cfg.algorithm in ("migr", "migrr"):
@@ -552,5 +533,4 @@ def simulate(
             break
 
     record.run_length = stop_round
-    record.verdict = reported if reported is not None else UNKNOWN
-    return SimRun(cfg.algorithm, record.verdict, stop_round, record)
+    return SimRun(cfg.algorithm, reported if reported is not None else UNKNOWN, stop_round, record)

@@ -565,11 +565,9 @@ def simplify(e: Expr, light: bool = False) -> Expr:
     return f
 
 
-def eval_expr(e: Expr, memory, stats=None, memo: Optional[dict[int, Expr]] = None) -> Verdict:
+def eval_expr(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Verdict:
     """Verdict of ``e`` under ``memory``: TOP/BOTTOM iff the rewritten
     expression is a tautology/contradiction, UNKNOWN otherwise."""
-    if stats is not None:
-        stats.evaluations += 1
     r = rewrite_fold(e, memory, memo)
     if isinstance(r, Const):
         return r.value

@@ -1,137 +1,142 @@
 """Per-round metric collection and the aggregate measures used to compare
 monitoring algorithms: information delay, message counts and sizes under a
-byte-encoding model, simplification counts, and convergence."""
+byte-encoding model, simplification counts, and convergence.
+
+A run records one :class:`Step` per (round, monitor); every summary figure
+is a fold over those steps."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from . import expr as ex
 from .ehe import EHE
-from .expr import Atom, Expr, UNKNOWN, Verdict
+from .expr import Atom, Expr, Verdict
 from .store import Memory
 
-
-@dataclass(frozen=True)
-class SizeModel:
-    char_bytes: int = 1
-    int_bytes: int = 4
-    verdict_bytes: int = 1
-
-    def __post_init__(self) -> None:
-        if min(self.char_bytes, self.int_bytes, self.verdict_bytes) <= 0:
-            raise ValueError("size model entries must be positive")
+# Byte-encoding model: one byte per name character, a round number is an
+# int, a truth value is one byte.
+CHAR_BYTES = 1
+INT_BYTES = 4
+VERDICT_BYTES = 1
 
 
-DEFAULT_SIZE_MODEL = SizeModel()
-
-
-def atom_size(a: Atom, sm: SizeModel = DEFAULT_SIZE_MODEL) -> int:
-    name = len(a.name) * sm.char_bytes
+def atom_size(a: Atom) -> int:
+    name = len(a.name) * CHAR_BYTES
     if a.kind == "ap":
         return name
-    return sm.int_bytes + name  # timestamped atoms carry a round number
+    return INT_BYTES + name  # timestamped atoms carry a round number
 
 
-def expr_size(e: Expr, sm: SizeModel = DEFAULT_SIZE_MODEL) -> int:
+def expr_size(e: Expr) -> int:
     """Serialized size: per-atom cost plus one byte per operator node and a
     verdict byte per constant (tree size, shared subtrees counted repeatedly)."""
     return ex.bottom_up(
         e,
         {},
-        lambda node: atom_size(node.atom, sm),
-        lambda _: sm.verdict_bytes,
+        lambda node: atom_size(node.atom),
+        lambda _: VERDICT_BYTES,
         lambda n: 1 + n,
         lambda _, l, r: 1 + l + r,
     )
 
 
-def memory_size(m: Memory, sm: SizeModel = DEFAULT_SIZE_MODEL) -> int:
-    return sum(atom_size(a, sm) + sm.verdict_bytes for a, _ in m.items())
+def memory_size(m: Memory) -> int:
+    return sum(atom_size(a) + VERDICT_BYTES for a, _ in m.items())
 
 
-def ehe_size(p: EHE, sm: SizeModel = DEFAULT_SIZE_MODEL) -> int:
+def ehe_size(p: EHE) -> int:
     total = 0
     for (t, q), cond in p.entries.items():
-        total += sm.int_bytes + len(q) * sm.char_bytes + expr_size(cond, sm)
+        total += INT_BYTES + len(q) * CHAR_BYTES + expr_size(cond)
     return total
 
 
-def size_of(value, sm: SizeModel = DEFAULT_SIZE_MODEL) -> int:
+def size_of(value) -> int:
     """Byte size of a memory, EHE, expression, or message under the model."""
     from .engine import Message  # local import; engine depends on metrics
 
     if isinstance(value, Memory):
-        return memory_size(value, sm)
+        return memory_size(value)
     if isinstance(value, EHE):
-        return ehe_size(value, sm)
+        return ehe_size(value)
     if isinstance(value, Expr):
-        return expr_size(value, sm)
+        return expr_size(value)
     if isinstance(value, Message):
         if value.kind == "mem":
-            return memory_size(value.memory, sm)
+            return memory_size(value.memory)
         if value.kind == "ehe":
-            return ehe_size(value.ehe, sm)
+            return ehe_size(value.ehe)
         if value.kind == "verdict":
-            return len(value.sender) * sm.char_bytes + sm.int_bytes + sm.verdict_bytes
+            return len(value.sender) * CHAR_BYTES + INT_BYTES + VERDICT_BYTES
         assert value.kind == "kill"
-        return len(value.sender) * sm.char_bytes
+        return len(value.sender) * CHAR_BYTES
     raise TypeError(f"no size defined for {type(value).__name__}")
 
 
-@dataclass
-class OpStats:
-    """Counters threaded through one monitor's work in one round."""
+@dataclass(slots=True)
+class Step:
+    """What one monitor did in one round.  Idle steps share the empty
+    tuples, so only monitors that resolve or send allocate."""
 
-    evaluations: int = 0
-    simplifications: int = 0
+    t: int
+    monitor: str
+    component: str
+    evaluations: int = 0  # conditions evaluated by state resolution
+    simplifications: int = 0  # full simplifier calls while incorporating memory
+    delays: tuple[int, ...] = ()  # t - r for each round r newly resolved
+    gc: Optional[tuple[int, int, int]] = None  # (entries, round span, states) after GC
+    sent: tuple[tuple[str, int], ...] = ()  # (kind, bytes) per message sent
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(size for _, size in self.sent)
 
 
 @dataclass
 class MetricsRecord:
-    """Raw per-run counters; aggregation happens in :func:`summarize`."""
+    """A run's steps in execution order; aggregation happens in
+    :func:`summarize`."""
 
     components: tuple[str, ...]
-    monitor_component: dict[str, str] = field(default_factory=dict)
-    simplifications: dict[tuple[int, str], int] = field(default_factory=dict)
-    evaluations: dict[tuple[int, str], int] = field(default_factory=dict)
-    messages: dict[tuple[int, str], int] = field(default_factory=dict)
-    bytes_sent: dict[tuple[int, str], int] = field(default_factory=dict)
-    message_log: list[tuple[int, str, str, int]] = field(default_factory=list)
-    delay_samples: list[int] = field(default_factory=list)
-    gc_samples: list[tuple[int, int, int]] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
     active_counts: list[int] = field(default_factory=list)
     run_length: int = 0
-    verdict: Verdict = UNKNOWN
 
-    def add_stats(self, t: int, monitor: str, stats: OpStats) -> None:
-        key = (t, monitor)
-        if stats.simplifications:
-            self.simplifications[key] = (
-                self.simplifications.get(key, 0) + stats.simplifications
-            )
-        if stats.evaluations:
-            self.evaluations[key] = self.evaluations.get(key, 0) + stats.evaluations
+    @property
+    def messages(self) -> dict[tuple[int, str], int]:
+        """Messages sent, by (round, monitor)."""
+        return {(s.t, s.monitor): len(s.sent) for s in self.steps if s.sent}
 
-    def add_message(self, t: int, sender: str, kind: str, size: int) -> None:
-        key = (t, sender)
-        self.messages[key] = self.messages.get(key, 0) + 1
-        self.bytes_sent[key] = self.bytes_sent.get(key, 0) + size
-        self.message_log.append((t, sender, kind, size))
+    @property
+    def bytes_sent(self) -> dict[tuple[int, str], int]:
+        """Bytes sent, by (round, monitor)."""
+        return {(s.t, s.monitor): s.bytes_sent for s in self.steps if s.sent}
 
     def per_round_messages(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for (t, _), n in self.messages.items():
-            out[t] = out.get(t, 0) + n
+        for s in self.steps:
+            if s.sent:
+                out[s.t] = out.get(s.t, 0) + len(s.sent)
         return out
 
-    def per_component(self, counters: Mapping[tuple[int, str], int], t: int) -> dict[str, int]:
-        out = {c: 0 for c in self.components}
-        for (rt, monitor), n in counters.items():
-            if rt == t:
-                out[self.monitor_component[monitor]] += n
-        return out
+
+def _work_table(rec: MetricsRecord) -> dict[int, list[int]]:
+    """Work per round, one column per component in ``rec.components``
+    order; rows appear on first use."""
+    return defaultdict(lambda: [0] * len(rec.components))
+
+
+def _distance(table: Mapping[int, list[int]], rec: MetricsRecord) -> float:
+    ncomp = len(rec.components)
+    total = 0.0
+    for t in sorted(table):
+        s_t = sum(table[t])
+        if s_t:
+            total += sum((s_c / s_t - 1.0 / ncomp) ** 2 for s_c in table[t])
+    return total / max(rec.run_length, 1)
 
 
 def convergence(rec: MetricsRecord, counter: str = "simplifications") -> float:
@@ -140,17 +145,10 @@ def convergence(rec: MetricsRecord, counter: str = "simplifications") -> float:
 
     Rounds with no work at all contribute 0.
     """
-    counters = getattr(rec, counter)
-    n = max(rec.run_length, 1)
-    ncomp = len(rec.components)
-    total = 0.0
-    for t in range(1, n + 1):
-        per_comp = rec.per_component(counters, t)
-        s_t = sum(per_comp.values())
-        if s_t == 0:
-            continue
-        total += sum((s_c / s_t - 1.0 / ncomp) ** 2 for s_c in per_comp.values())
-    return total / n
+    table = _work_table(rec)
+    for s in rec.steps:
+        table[s.t][rec.components.index(s.component)] += getattr(s, counter)
+    return _distance(table, rec)
 
 
 @dataclass(frozen=True)
@@ -178,30 +176,32 @@ class Summary:
 
 
 def summarize(rec: MetricsRecord) -> Summary:
-    """Aggregate a run: average delay over resolutions, message count and data
-    normalized by run length, per-round critical simplifications, the worst
-    per-monitor round, and convergence for both counters."""
+    """Aggregate a run in one pass over its steps: average delay over
+    resolutions, message count and data normalized by run length, per-round
+    critical simplifications, the worst per-monitor round, and convergence
+    for both counters."""
     n = max(rec.run_length, 1)
-    delay = (
-        sum(rec.delay_samples) / len(rec.delay_samples) if rec.delay_samples else 0.0
-    )
-    total_msgs = sum(rec.messages.values())
-    total_bytes = sum(rec.bytes_sent.values())
-    crit = 0
-    for t in range(1, n + 1):
-        per_monitor = [v for (rt, _), v in rec.simplifications.items() if rt == t]
-        if per_monitor:
-            crit += max(per_monitor)
-    s_max = max(rec.simplifications.values(), default=0)
+    delay_sum = delay_count = total_msgs = total_bytes = 0
+    crit: dict[int, int] = defaultdict(int)  # round -> worst monitor's simplifications
+    simplifications, evaluations = _work_table(rec), _work_table(rec)
+    for s in rec.steps:
+        delay_sum += sum(s.delays)
+        delay_count += len(s.delays)
+        total_msgs += len(s.sent)
+        total_bytes += s.bytes_sent
+        crit[s.t] = max(crit[s.t], s.simplifications)
+        column = rec.components.index(s.component)
+        simplifications[s.t][column] += s.simplifications
+        evaluations[s.t][column] += s.evaluations
     return Summary(
-        average_delay=delay,
+        average_delay=delay_sum / delay_count if delay_count else 0.0,
         messages_per_round=total_msgs / n,
         data_per_round=total_bytes / n,
         data_per_message=total_bytes / total_msgs if total_msgs else 0.0,
-        critical_simplifications=crit / n,
-        max_simplifications=s_max,
-        convergence_simplifications=convergence(rec, "simplifications"),
-        convergence_evaluations=convergence(rec, "evaluations"),
+        critical_simplifications=sum(crit.values()) / n,
+        max_simplifications=max(crit.values(), default=0),
+        convergence_simplifications=_distance(simplifications, rec),
+        convergence_evaluations=_distance(evaluations, rec),
     )
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +225,14 @@ def random_expr(rng: random.Random, atoms: list[ex.Atom], depth: int = 4) -> ex.
     left = random_expr(rng, atoms, depth - 1)
     right = random_expr(rng, atoms, depth - 1)
     return ex.And(left, right) if op == "and" else ex.Or(left, right)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_module(relpath: str, name: str):
+    """Import a repository file that is not part of the package, by path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -351,17 +351,19 @@ def test_criterion_10_11_13_agreement_and_invariants():
             assert r.verdict is oracle, (alg, oracle, r.verdict)
             # Criterion 13: every garbage collection stays within the
             # observed round span times the state count.
-            for entries, span, nstates in r.record.gc_samples:
-                assert entries <= span * nstates
+            for s in r.record.steps:
+                if s.gc is not None:
+                    entries, span, nstates = s.gc
+                    assert entries <= span * nstates
             if alg == "orch":
                 per_round = r.record.per_round_messages()
                 for t in range(1, min(tr.length, r.stop_round) + 1):
                     assert per_round.get(t, 0) == ncomp - 1
-                if r.record.delay_samples:
-                    avg = sum(r.record.delay_samples) / len(r.record.delay_samples)
-                    assert avg <= 1.0
-                assert all(s <= 1 for s in r.record.delay_samples)
-                assert sum(r.record.simplifications.values()) == 0
+                delays = [d for s in r.record.steps for d in s.delays]
+                if delays:
+                    assert sum(delays) / len(delays) <= 1.0
+                assert all(d <= 1 for d in delays)
+                assert sum(s.simplifications for s in r.record.steps) == 0
             if alg == "migr":
                 assert all(n <= 1 for n in r.record.active_counts)
     assert final_oracles >= 60, final_oracles
@@ -393,7 +395,7 @@ def test_criterion_10_choreography_agreement():
         assert r.verdict is expected, (lt.ltl_text(phi), expected, r.verdict)
         # Criterion 11 (choreography part): fixed-size control messages.
         for kind in ("verdict", "kill"):
-            sizes = {s for (_, _, k, s) in r.record.message_log if k == kind}
+            sizes = {n for s in r.record.steps for k, n in s.sent if k == kind}
             assert len(sizes) <= 1, (kind, sizes)
         checked += 1
     _report("10 (CHOR agrees with the decentralized-run reference)")
@@ -407,16 +409,15 @@ def test_criterion_10_choreography_agreement():
 def test_criterion_12_convergence_formula():
     rec = mt.MetricsRecord(components=("A", "B"))
     rec.run_length = 1
-    rec.monitor_component = {"mA": "A", "mB": "B"}
-    rec.simplifications = {(1, "mA"): 3, (1, "mB"): 1}
+    rec.steps = [mt.Step(1, "mA", "A", simplifications=3),
+                 mt.Step(1, "mB", "B", simplifications=1)]
     assert abs(mt.convergence(rec) - 0.125) < 1e-12
 
     for ncomp in (2, 3, 4, 6):
         comps = tuple(f"c{i}" for i in range(ncomp))
         rec = mt.MetricsRecord(components=comps)
         rec.run_length = 3
-        rec.monitor_component = {f"m{c}": c for c in comps}
-        rec.simplifications = {(t, "mc0"): 5 for t in (1, 2, 3)}
+        rec.steps = [mt.Step(t, "mc0", "c0", simplifications=5) for t in (1, 2, 3)]
         expected = (1 - 1 / ncomp) ** 2 + (ncomp - 1) * (1 / ncomp) ** 2
         assert abs(mt.convergence(rec) - expected) < 1e-12
     _report("12 (convergence formula hand values)")

@@ -1,0 +1,50 @@
+"""What the benchmark under ``bench/`` reads from the library: the module
+attributes its tracer wraps, the round argument of the round functions, and
+the per-(round, monitor) message and byte mappings of a run's record."""
+
+import importlib
+import inspect
+
+import pytest
+
+from demon import analysis as an
+from demon import engine as en
+from demon import ltl as lt
+from demon import metrics as mt
+from demon import traces as tg
+
+from conftest import load_module
+
+tracer = load_module("bench/tracer.py", "bench_tracer")
+
+
+def test_tracer_targets_resolve():
+    for _, modname, attrs in tracer.TARGETS:
+        module = importlib.import_module(modname)
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), (modname, attr)
+    for name in tracer.ROUND_FUNCTIONS:
+        params = list(inspect.signature(getattr(en, name)).parameters)
+        assert params[:4] == ["state", "t", "obs", "inbox"], (name, params)
+
+
+@pytest.mark.parametrize("alg", en.ALGORITHMS)
+def test_record_message_totals_match_summary(alg):
+    phi = lt.parse_ltl("F (a0 && a2 && a4)")
+    tr = tg.generate(tg.TraceGenConfig(components=3, length=8, seed=3))
+    spec_input = phi if alg == "chor" else lt.synthesize(phi)
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        result = en.simulate(en.SimConfig(alg), spec_input, an.complete_graph(tr.components), tr)
+    assert tracing.round_s and all(isinstance(t, int) for _, t in tracing.round_s)
+
+    record = result.record
+    messages, data = record.messages, record.bytes_sent
+    assert set(messages) == set(data)
+    assert all(isinstance(t, int) and isinstance(m, str) for t, m in messages)
+    summary = mt.summarize(record)
+    n = record.run_length
+    assert sum(messages.values()) / n == summary.messages_per_round
+    assert sum(data.values()) / n == summary.data_per_round
+    if alg == "orch":
+        assert sum(messages.values()) > 0

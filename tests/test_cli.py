@@ -78,6 +78,22 @@ class TestGenTraces:
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "'alpah'" in err
 
+    def test_non_integer_option_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({
+            "components": "three", "distributions": [{"kind": "normal"}],
+        }))
+        code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and "'components'" in err
+
+    def test_non_numeric_distribution_parameter_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({
+            "components": 2, "distributions": [{"kind": "normal", "sigma2": "x"}],
+        }))
+        code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and "'sigma2'" in err
+
 
 class TestCheck:
     def test_monitorable_spec(self, fig1_file, capsys):
@@ -294,6 +310,17 @@ class TestExperimentTraceSources:
         cfg.write_text(json.dumps({"algorithms": [], "specs": [], "traces": []}))
         code, _, err = run_cli(capsys, "experiment", str(cfg))
         assert code == 2 and "at least one" in err
+
+    def test_non_integer_option_named(self, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "experiment"
+        shutil.copytree(Path(__file__).resolve().parent.parent / "fixtures" / "experiment", work)
+        config = json.loads((work / "config.json").read_text())
+        (work / "config.json").write_text(json.dumps({**config, "comm_delay": "x"}))
+        code, _, err = run_cli(capsys, "experiment", str(work / "config.json"))
+        assert code == 2 and "'comm_delay'" in err
+        assert not (work / "results.csv").exists()
 
 
 class TestShippedFixtures:

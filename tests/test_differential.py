@@ -1,0 +1,66 @@
+"""Differential test: all four algorithms against the reference semantics
+on random formulas and traces, over the delay and active-monitor grid."""
+
+import itertools
+import random
+
+from demon import analysis as an
+from demon import engine as en
+from demon import ltl as lt
+from demon import traces as tg
+from demon.automaton import decentralized_run, reconstruct_global, step
+from demon.expr import UNKNOWN
+
+from conftest import load_module
+
+synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
+
+GRID = tuple(itertools.product((1, 2, 3), (1, 2)))  # (comm_delay, initial_active)
+CASES = 36
+
+
+def centralized_verdict(spec, tr):
+    q = spec.initial
+    for evt in reconstruct_global(tr):
+        q = step(spec, q, evt)
+        if spec.verdict_of(q).is_final:
+            return spec.verdict_of(q)
+    return UNKNOWN
+
+
+def choreography_verdict(phi, tr):
+    owner = tr.observed_owner()
+    tree = lt.net_chor(phi, owner)
+    return decentralized_run(en.assemble_choreography(tree, tr.components, owner), tr)
+
+
+def test_algorithms_agree_with_reference_over_parameter_grid():
+    rng = random.Random(1903)
+    finals = 0
+    for i in range(CASES):
+        comm_delay, initial_active = GRID[i % len(GRID)]
+        ncomp = rng.randint(2, 4)
+        aps = rng.randint(1, 2)
+        phi = synthetic.random_formula(rng, ncomp, aps)
+        _, dist = rng.choice(synthetic.DISTRIBUTIONS)
+        tr = tg.generate(tg.TraceGenConfig(
+            components=ncomp, aps_per_component=aps, length=rng.randint(1, 30),
+            distribution=dist, seed=rng.randrange(2**31),
+        ))
+        spec = lt.synthesize(phi)
+        centralized = centralized_verdict(spec, tr)
+        finals += centralized.is_final
+        system = an.complete_graph(tr.components)
+        for alg in en.ALGORITHMS:
+            cfg = en.SimConfig(alg, comm_delay=comm_delay, initial_active=initial_active,
+                               timeout_slack=5 * comm_delay)
+            if alg == "chor":
+                expected = choreography_verdict(phi, tr)
+                result = en.simulate(cfg, phi, system, tr)
+            else:
+                expected = centralized
+                result = en.simulate(cfg, spec, system, tr)
+            assert result.verdict is expected, (
+                i, alg, lt.ltl_text(phi), cfg, expected, result.verdict
+            )
+    assert finals >= CASES // 2, finals

@@ -133,7 +133,7 @@ class TestMigration:
              for t in range(1, 4) for c, p in (("A", "a"), ("B", "b"))},
         )
         r = en.simulate(en.SimConfig("migrr"), fig3, complete(("A", "B")), tr)
-        sends = [m for m in r.record.message_log if m[2] == "ehe"]
+        sends = [k for s in r.record.steps for k, _ in s.sent if k == "ehe"]
         assert len(sends) >= r.record.run_length - 1
 
     def test_trivially_true_spec_immediate(self):
@@ -218,9 +218,7 @@ class TestDeterminism:
         ]
         assert runs[0].verdict is runs[1].verdict
         assert runs[0].stop_round == runs[1].stop_round
-        assert runs[0].record.message_log == runs[1].record.message_log
-        assert runs[0].record.simplifications == runs[1].record.simplifications
-        assert runs[0].record.delay_samples == runs[1].record.delay_samples
+        assert runs[0].record.steps == runs[1].record.steps
 
 
 class TestMultipleActiveMonitors:
@@ -263,7 +261,7 @@ def test_orchestration_delay_bounded_by_comm_delay(fig1):
         tr = random_trace(rng, aps, 2, 10)
         r = en.simulate(en.SimConfig("orch", comm_delay=delay), spec,
                         complete(tr.components), tr)
-        assert all(s <= delay for s in r.record.delay_samples)
+        assert all(d <= delay for s in r.record.steps for d in s.delays)
 
 
 EXPERIMENT = Path(__file__).resolve().parent.parent / "fixtures" / "experiment"

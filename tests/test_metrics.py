@@ -1,5 +1,3 @@
-import pytest
-
 from demon import ehe as eh
 from demon import expr as ex
 from demon import metrics as mt
@@ -39,22 +37,12 @@ class TestSizes:
         # key: round int (4) + "q0" (2); value: one constant byte
         assert mt.size_of(p) == 7
 
-    def test_custom_model(self):
-        sm = mt.SizeModel(char_bytes=2, int_bytes=8, verdict_bytes=3)
-        m = Memory({ex.timed(1, "a"): ex.TOP})
-        assert mt.size_of(m, sm) == 8 + 2 + 3
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            mt.SizeModel(char_bytes=0)
-
 
 def record_with(simp, components=("A", "B"), run_length=1):
     rec = mt.MetricsRecord(components=tuple(components))
     rec.run_length = run_length
-    rec.monitor_component = {f"mon_{c}": c for c in components}
     for (t, comp), n in simp.items():
-        rec.simplifications[(t, f"mon_{comp}")] = n
+        rec.steps.append(mt.Step(t, f"mon_{comp}", comp, simplifications=n))
     return rec
 
 
@@ -89,8 +77,11 @@ class TestSummarize:
     def test_critical_takes_per_round_max(self):
         rec = mt.MetricsRecord(components=("A", "B"))
         rec.run_length = 2
-        rec.monitor_component = {"x": "A", "y": "B"}
-        rec.simplifications = {(1, "x"): 5, (1, "y"): 2, (2, "y"): 3}
+        rec.steps = [
+            mt.Step(1, "x", "A", simplifications=5),
+            mt.Step(1, "y", "B", simplifications=2),
+            mt.Step(2, "y", "B", simplifications=3),
+        ]
         s = mt.summarize(rec)
         assert s.critical_simplifications == (5 + 3) / 2
         assert s.max_simplifications == 5
@@ -98,14 +89,14 @@ class TestSummarize:
     def test_delay_average(self):
         rec = mt.MetricsRecord(components=("A",))
         rec.run_length = 4
-        rec.delay_samples = [0, 1, 1, 0]
+        rec.steps = [mt.Step(1, "m", "A", delays=(0,)), mt.Step(2, "m", "A", delays=(1, 1, 0))]
         assert mt.summarize(rec).average_delay == 0.5
 
     def test_message_normalization(self):
         rec = mt.MetricsRecord(components=("A",))
         rec.run_length = 2
-        rec.add_message(1, "m", "mem", 10)
-        rec.add_message(2, "m", "mem", 14)
+        rec.steps = [mt.Step(1, "m", "A", sent=(("mem", 10),)),
+                     mt.Step(2, "m", "A", sent=(("mem", 14),))]
         s = mt.summarize(rec)
         assert s.messages_per_round == 1.0
         assert s.data_per_round == 12.0
