@@ -29,12 +29,23 @@ def _log(message: str) -> None:
 
 def _int_option(config: dict, key: str, default=None) -> int:
     """``config[key]`` (or ``default`` when absent) as an int; a value that
-    does not convert is an input error naming the key."""
+    is not integral (a bool, a fraction, or text that does not convert) is an
+    input error naming the key."""
     value = config.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise DemonError(f"config key {key!r} must be an integer, got {value!r}") from None
+
+
+def _str_list(config: dict, key: str) -> list[str]:
+    """``config[key]`` (empty when absent), which must be a list of strings."""
+    value = config.get(key, [])
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise DemonError(f"config key {key!r} must be a list of strings, got {value!r}")
+    return value
 
 
 def _distribution_from(data: dict) -> traces.Distribution:
@@ -226,19 +237,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     base = Path(args.config).parent
-    if not (config.get("algorithms") and config.get("specs") and config.get("traces")):
+    algorithms, specs, sources = (
+        _str_list(config, key) for key in ("algorithms", "specs", "traces")
+    )
+    if not (algorithms and specs and sources):
         raise DemonError("experiment needs at least one algorithm, spec, and trace source")
-    trace_paths = _trace_paths(base, config["traces"])
+    trace_paths = _trace_paths(base, sources)
     params = {
         "comm_delay": _int_option(config, "comm_delay", 1),
         "initial_active": _int_option(config, "active", 1),
         "timeout_slack": _int_option(config, "timeout_slack", 5),
     }
-    configs = [engine.SimConfig(algorithm, **params) for algorithm in config["algorithms"]]
+    configs = [engine.SimConfig(algorithm, **params) for algorithm in algorithms]
     rows = []
     for cfg in configs:
         algorithm = cfg.algorithm
-        for spec_entry in config["specs"]:
+        for spec_entry in specs:
             spec_path = str(base / spec_entry)
             for trace_path in trace_paths:
                 try:

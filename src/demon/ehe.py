@@ -1,5 +1,22 @@
-"""Execution history encoding: a replicated map from (round, state) to the
-Boolean condition for the automaton to be in that state at that round.
+"""Execution history encoding: a replicated table from round to the
+Boolean condition, per automaton state, for the automaton to be in that
+state at that round.
+
+The table maps each encoded round to its row ``{state: condition}`` and
+keeps the rounds in ascending order.  Rows are never mutated once built, so
+encodings derived from one another share them.  With R rounds, E entries
+and S states per row:
+
+- ``rounds`` is O(R); ``first_round``, ``last_round`` and ``len`` are O(1);
+  ``at`` is O(1) and ``states_at`` is O(S log S).
+- ``sreach`` finds its row in O(1) and evaluates at most S conditions.
+- ``mov`` copies the row index (O(R)) and builds one row per new round.
+- ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
+  that hold only constants.
+- ``drop_resolved`` resolves rounds from the first one until the state is
+  unknown, then keeps the rows after the last known round.
+- ``merge`` disjoins shared entries row by row; rounds present in only one
+  operand are kept as they are, so the table may have gaps.
 
 Entries are extended round by round from the automaton's transitions,
 merged pointwise with disjunction (which makes the structure a CvRDT), and
@@ -9,8 +26,9 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional
 
 from . import expr as ex
 from .automaton import Specification
@@ -20,33 +38,71 @@ from .store import Memory
 
 _MOV_SIMPLIFY_CAP = 12  # eager construction-time simplification bound
 
+Row = Mapping[str, Expr]
+
 
 @dataclass(frozen=True, eq=False)
 class EHE:
     automaton: Specification
-    entries: Mapping[tuple[int, str], Expr]
+    table: Mapping[int, Row]  # round -> {state: condition}, rounds ascending
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", sum(map(len, self.table.values())))
+
+    @property
+    def entries(self) -> Mapping[tuple[int, str], Expr]:
+        """Read-only ``(round, state) -> condition`` view of the table."""
+        return _Entries(self)
 
     def rounds(self) -> list[int]:
-        return sorted({t for t, _ in self.entries})
+        return list(self.table)
+
+    def first_round(self) -> int:
+        return next(iter(self.table))
+
+    def last_round(self) -> int:
+        return next(reversed(self.table))
 
     def at(self, t: int, q: str) -> Optional[Expr]:
-        return self.entries.get((t, q))
+        return self.table.get(t, {}).get(q)
 
     def states_at(self, t: int) -> list[str]:
-        return sorted(q for (r, q) in self.entries if r == t)
+        return sorted(self.table.get(t, ()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
+
+
+class _Entries(Mapping):
+    __slots__ = ("_p",)
+
+    def __init__(self, p: EHE) -> None:
+        self._p = p
+
+    def __getitem__(self, key: tuple[int, str]) -> Expr:
+        t, q = key
+        return self._p.table[t][q]
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for t, row in self._p.table.items():
+            for q in row:
+                yield t, q
+
+    def __len__(self) -> int:
+        return self._p.size
 
 
 def init(a: Specification) -> EHE:
     """Fresh encoding: the initial state holds unconditionally at round 0."""
-    return EHE(a, {(0, a.initial): TRUE})
+    return EHE(a, {0: {a.initial: TRUE}})
 
 
-def _require_round(p: EHE, t: int) -> None:
-    if not any(r == t for r, _ in p.entries):
+def _row(p: EHE, t: int) -> Row:
+    row = p.table.get(t)
+    if row is None:
         raise UndefinedRound(f"round {t} is not encoded (rounds: {p.rounds()})")
+    return row
 
 
 def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EHE:
@@ -60,49 +116,55 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     over-approximation, so large encodings are never re-walked); entries
     already present at the target key are merged with disjunction.
     """
-    _require_round(p, ts_round)
+    _row(p, ts_round)
     if te < ts_round:
         raise UndefinedRound(f"cannot extend backwards from {ts_round} to {te}")
     if te == ts_round:
         return p
     names = frozenset(monitor_names)
     a = p.automaton
-    entries = dict(p.entries)
+    table = dict(p.table)
     atom_sets: dict[tuple[int, str], frozenset[ex.Atom]] = {}
 
-    def atoms_at(key: tuple[int, str]) -> frozenset[ex.Atom]:
-        cached = atom_sets.get(key)
+    def atoms_at(t: int, q: str, cond: Expr) -> frozenset[ex.Atom]:
+        cached = atom_sets.get((t, q))
         if cached is None:
-            cached = frozenset(ex.atoms_of(entries[key]))
-            atom_sets[key] = cached
+            cached = frozenset(ex.atoms_of(cond))
+            atom_sets[(t, q)] = cached
         return cached
 
     for t in range(ts_round, te):
+        src = table.get(t, {})
+        targets = sorted({tr.dst for q in src for tr in a.outgoing(q)})
+        if not targets:
+            continue
         enc = ex.ts(t + 1, names)
-        present = [q for (r, q) in entries if r == t]
-        targets = sorted({tr.dst for q in present for tr in a.outgoing(q)})
+        old = table.get(t + 1, {})
+        row = dict(old)
         for qprime in targets:
             parts = []
             support: frozenset[ex.Atom] = frozenset()
             for tr, label_atoms in a.by_destination[qprime]:
-                src_key = (t, tr.src)
-                src_cond = entries.get(src_key)
+                src_cond = src.get(tr.src)
                 if src_cond is None:
                     continue
                 parts.append(ex.conj(src_cond, ex.encode(tr.label, enc)))
-                support |= atoms_at(src_key)
+                support |= atoms_at(t, tr.src, src_cond)
                 support |= frozenset(enc.apply(atom) for atom in label_atoms)
             cond = ex.disj_all(parts)
-            key = (t + 1, qprime)
-            if key in entries:
-                cond = ex.disj(entries[key], cond)
-                support |= atoms_at(key)
+            prior = old.get(qprime)
+            if prior is not None:
+                cond = ex.disj(prior, cond)
+                support |= atoms_at(t + 1, qprime, prior)
             if len(support) <= _MOV_SIMPLIFY_CAP:
                 cond = ex.simplify(cond, light=True)
                 support = frozenset(ex.atoms_of(cond))
-            entries[key] = cond
-            atom_sets[key] = support
-    return EHE(a, entries)
+            row[qprime] = cond
+            atom_sets[(t + 1, qprime)] = support
+        table[t + 1] = row
+    if ts_round < p.last_round():  # rounds added inside a gap go into place
+        table = dict(sorted(table.items()))
+    return EHE(a, table)
 
 
 def sreach(
@@ -115,13 +177,13 @@ def sreach(
     """The unique state whose condition at round t evaluates to TOP under
     ``m``, or None when no condition resolves.  Each evaluation is counted
     in ``step.evaluations`` when a step is given."""
-    _require_round(p, t)
+    row = _row(p, t)
     if memo is None:
         memo = {}
-    for q in p.states_at(t):
+    for q in sorted(row):
         if step is not None:
             step.evaluations += 1
-        if ex.eval_expr(p.entries[(t, q)], m, memo=memo) is TOP:
+        if ex.eval_expr(row[q], m, memo=memo) is TOP:
             return q
     return None
 
@@ -135,13 +197,18 @@ def merge(p1: EHE, p2: EHE) -> EHE:
     """Pointwise disjunction on shared keys, union elsewhere."""
     if not (p1.automaton is p2.automaton or p1.automaton == p2.automaton):
         raise AutomatonMismatch("cannot merge encodings of different automata")
-    entries = dict(p1.entries)
-    for key, cond in p2.entries.items():
-        if key in entries:
-            entries[key] = ex.simplify(ex.disj(entries[key], cond), light=True)
-        else:
-            entries[key] = cond
-    return EHE(p1.automaton, entries)
+    table: dict[int, Row] = {}
+    for t in sorted(p1.table.keys() | p2.table.keys()):
+        row1, row2 = p1.table.get(t), p2.table.get(t)
+        if row1 is None or row2 is None:
+            table[t] = row2 if row1 is None else row1
+            continue
+        row = dict(row1)
+        for q, cond in row2.items():
+            prior = row.get(q)
+            row[q] = cond if prior is None else ex.simplify(ex.disj(prior, cond), light=True)
+        table[t] = row
+    return EHE(p1.automaton, table)
 
 
 def inc(p: EHE, m: Memory, step=None) -> EHE:
@@ -149,29 +216,34 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
 
     After this the memory is obsolete for these entries (evaluating the new
     entry under the empty memory equals evaluating the old one under ``m``).
-    Full simplifier calls are counted in ``step.simplifications`` when a
-    step is given.
+    Entries are rewritten round by round, states in order; rows holding only
+    constants are kept as they are.  Full simplifier calls are counted in
+    ``step.simplifications`` when a step is given.
     """
     memo: dict[int, Expr] = {}
-    entries: dict[tuple[int, str], Expr] = {}
-    for key in sorted(p.entries):
-        folded = ex.rewrite_fold(p.entries[key], m, memo)
-        if isinstance(folded, ex.Const):
-            entries[key] = folded
+    table: dict[int, Row] = {}
+    for t, row in p.table.items():
+        if all(isinstance(cond, ex.Const) for cond in row.values()):
+            table[t] = row
             continue
-        if step is not None:
-            step.simplifications += 1
-        entries[key] = ex.simplify(folded, light=True)
-    return EHE(p.automaton, entries)
+        new: dict[str, Expr] = {}
+        for q in sorted(row):
+            folded = ex.rewrite_fold(row[q], m, memo)
+            if not isinstance(folded, ex.Const):
+                if step is not None:
+                    step.simplifications += 1
+                folded = ex.simplify(folded, light=True)
+            new[q] = folded
+        table[t] = new
+    return EHE(p.automaton, table)
 
 
 def drop_resolved(p: EHE, m: Memory, step=None) -> EHE:
     """Garbage collection: find the greatest round whose state is known,
     drop everything before it, and rebase that entry to TRUE."""
-    rounds = p.rounds()
     memo: dict[int, Expr] = {}
     resolved: Optional[tuple[int, str]] = None
-    for t in rounds:
+    for t in p.table:
         q = sreach(p, m, t, step=step, memo=memo)
         if q is None:
             break  # state resolution is monotone: later rounds cannot resolve
@@ -179,11 +251,9 @@ def drop_resolved(p: EHE, m: Memory, step=None) -> EHE:
     if resolved is None:
         return p
     t_star, q_star = resolved
-    entries = {
-        (t, q): cond for (t, q), cond in p.entries.items() if t > t_star
-    }
-    entries[(t_star, q_star)] = TRUE
-    return EHE(p.automaton, entries)
+    table: dict[int, Row] = {t_star: {q_star: TRUE}}
+    table.update((t, row) for t, row in p.table.items() if t > t_star)
+    return EHE(p.automaton, table)
 
 
 def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:

@@ -334,7 +334,7 @@ def orchestration_round(
         state.memory = memory_merge(state.memory, msg.memory)
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, ex.ts(t)))
-    end = state.ehe.rounds()[-1]
+    end = state.ehe.last_round()
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
     verdict = _resolve(state, t, range(state.t_kn, t + 1), step)
@@ -346,9 +346,8 @@ def orchestration_round(
 
 def _footprint(p: eh.EHE) -> tuple[int, int, int]:
     """(entries, round span, automaton states) of an encoding."""
-    rounds = p.rounds()
-    span = rounds[-1] - rounds[0] + 1 if rounds else 0
-    return len(p.entries), span, len(p.automaton.states)
+    span = p.last_round() - p.first_round() + 1 if p.table else 0
+    return len(p), span, len(p.automaton.states)
 
 
 def _round_robin(components: list[str], own: str) -> str:
@@ -373,10 +372,10 @@ def migration_round(
         else:
             state.ehe = msg.ehe
             state.is_active = True
-        state.t_kn = max(state.t_kn, msg.ehe.rounds()[0])
+        state.t_kn = max(state.t_kn, msg.ehe.first_round())
     if not state.is_active:
         return state, [], None
-    end = state.ehe.rounds()[-1]
+    end = state.ehe.last_round()
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
     state.ehe = eh.inc(state.ehe, state.memory, step=step)
@@ -437,10 +436,10 @@ def choreography_round(
 
     mon_names = setup.monitor_names
     while True:
-        base = state.ehe.rounds()[0]
+        base = state.ehe.first_round()
         if base > t:
             break  # instance anchored past the current round: nothing to do yet
-        end = state.ehe.rounds()[-1]
+        end = state.ehe.last_round()
         if end < t:
             state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
         state.ehe = eh.inc(state.ehe, state.memory, step=step)
@@ -466,7 +465,8 @@ def choreography_round(
             )
         anchor = state.t_mon
         state.t_mon = anchor + 1
-        state.ehe = eh.EHE(state.ehe.automaton, {(anchor, state.ehe.automaton.initial): ex.TRUE})
+        automaton = state.ehe.automaton
+        state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
         state.t_kn = anchor
         state.kill_set = set()
         state.memory = Memory(

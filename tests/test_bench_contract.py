@@ -1,6 +1,7 @@
 """What the benchmark under ``bench/`` reads from the library: the module
-attributes its tracer wraps, the round argument of the round functions, and
-the per-(round, monitor) message and byte mappings of a run's record."""
+attributes its tracer wraps, the round argument of the round functions, the
+per-(round, monitor) message and byte mappings of a run's record, and the
+entry count of the encodings its hooks see."""
 
 import importlib
 import inspect
@@ -48,3 +49,16 @@ def test_record_message_totals_match_summary(alg):
     assert sum(data.values()) / n == summary.data_per_round
     if alg == "orch":
         assert sum(messages.values()) > 0
+
+
+def test_traced_merge_reads_entry_count():
+    # Two active migration monitors hand encodings to each other, so the
+    # tracer's ``ehe.merge`` hook runs and reads ``len(result.entries)``.
+    phi = lt.parse_ltl("F (a0 && a2 && a4)")
+    tr = tg.generate(tg.TraceGenConfig(components=3, length=8, seed=0))
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        en.simulate(en.SimConfig("migr", initial_active=2), lt.synthesize(phi),
+                    an.complete_graph(tr.components), tr)
+    assert tracing.counts()["ehe.merge"] > 0
+    assert tracing.gauges["ehe.entries_max"] > 0

@@ -312,14 +312,28 @@ class TestExperimentTraceSources:
         assert code == 2 and "at least one" in err
 
     def test_non_integer_option_named(self, tmp_path, capsys):
+        self.check_bad_option_named(tmp_path, capsys, "comm_delay", "x")
+
+    @pytest.mark.parametrize("key, value", [
+        ("comm_delay", 2.5),
+        ("comm_delay", True),
+        ("specs", 5),
+        ("traces", [5]),
+        ("algorithms", "orch"),
+    ])
+    def test_bad_option_named(self, tmp_path, capsys, key, value):
+        self.check_bad_option_named(tmp_path, capsys, key, value)
+
+    @staticmethod
+    def check_bad_option_named(tmp_path, capsys, key, value):
         import shutil
 
         work = tmp_path / "experiment"
         shutil.copytree(Path(__file__).resolve().parent.parent / "fixtures" / "experiment", work)
         config = json.loads((work / "config.json").read_text())
-        (work / "config.json").write_text(json.dumps({**config, "comm_delay": "x"}))
+        (work / "config.json").write_text(json.dumps({**config, key: value}))
         code, _, err = run_cli(capsys, "experiment", str(work / "config.json"))
-        assert code == 2 and "'comm_delay'" in err
+        assert code == 2 and f"{key!r}" in err
         assert not (work / "results.csv").exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from demon import ehe as eh
 from demon import expr as ex
+from demon import metrics as mt
 from demon.automaton import reconstruct_global, run
 from demon.errors import AutomatonMismatch, UndefinedRound
 from demon.store import Memory, mem_from_event, memory_merge
@@ -48,7 +49,7 @@ class TestConstruction:
             eh.mov(eh.init(fig1), 3, 4)
 
     def test_next_absorbing(self, fig1):
-        p = eh.mov(eh.EHE(fig1, {(5, "q1"): ex.TRUE}), 5, 6)
+        p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 5, 6)
         assert p.states_at(6) == ["q1"]
 
     def test_to_expr(self, fig1):
@@ -264,3 +265,78 @@ def test_entry_support_bounded_by_delay_times_label_size():
         bound = d * max_label_size(spec)
         for (t, q), cond in p.entries.items():
             assert len(ex.atoms_of(cond)) <= bound
+
+
+def assert_table_consistent(p):
+    entries = p.entries
+    assert len(p) == len(entries) == len(list(entries)) == len(set(entries))
+    assert p.rounds() == sorted({t for t, _ in entries})
+    if p.rounds():
+        assert (p.first_round(), p.last_round()) == (p.rounds()[0], p.rounds()[-1])
+    for t in p.rounds():
+        assert p.states_at(t) == sorted(q for r, q in entries if r == t)
+        assert p.states_at(t), t  # no empty rows
+    for (t, q), cond in entries.items():
+        assert p.at(t, q) is cond
+    assert p.at(p.rounds()[-1] + 1, p.automaton.initial) is None
+
+
+class TestTable:
+    def test_random_operation_sequences_agree_with_entries(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            spec, aps = random_spec(rng, max_states=4, max_aps=3)
+            atoms = [ex.timed(t, a) for t in range(1, 12) for a in aps]
+            encodings = [eh.init(spec)]
+            for _ in range(12):
+                p = rng.choice(encodings)
+                op = rng.choice(("mov", "mov", "inc", "merge", "anchor", "drop"))
+                m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.3})
+                if op == "mov":
+                    if p.last_round() + 2 > 11:  # memories cover rounds 1..11
+                        continue
+                    p = eh.mov(p, rng.choice(p.rounds()), p.last_round() + rng.randint(0, 2))
+                elif op == "inc":
+                    p = eh.inc(p, m)
+                elif op == "merge":
+                    p = eh.merge(p, rng.choice(encodings))
+                elif op == "anchor":  # a one-row encoding, usually past a gap
+                    row = {rng.choice(spec.states): ex.TRUE}
+                    p = eh.merge(p, eh.EHE(spec, {p.last_round() + rng.randint(1, 3): row}))
+                else:
+                    p = eh.drop_resolved(p, m)
+                assert_table_consistent(p)
+                encodings.append(p)
+
+    def test_merge_of_disjoint_ranges_keeps_gap(self, fig1):
+        early = eh.mov(eh.init(fig1), 0, 2)
+        late = eh.mov(eh.EHE(fig1, {5: {"q0": ex.TRUE}}), 5, 6)
+        merged = eh.merge(late, early)
+        assert merged.rounds() == [0, 1, 2, 5, 6]
+        assert (merged.first_round(), merged.last_round()) == (0, 6)
+        assert dict(merged.entries) == {**early.entries, **late.entries}
+        assert_table_consistent(merged)
+
+    def test_undefined_round_in_gap_and_past_end(self, fig1):
+        early = eh.mov(eh.init(fig1), 0, 2)
+        late = eh.EHE(fig1, {5: {"q0": ex.TRUE}})
+        merged = eh.merge(early, late)
+        for t in (3, 4, 7):
+            with pytest.raises(UndefinedRound):
+                eh.sreach(merged, Memory(), t)
+            with pytest.raises(UndefinedRound):
+                eh.mov(merged, t, t + 1)
+
+    def test_mov_across_gap_keeps_rounds_ascending(self, fig1):
+        merged = eh.merge(eh.init(fig1), eh.EHE(fig1, {3: {"q1": ex.TRUE}}))
+        p = eh.mov(merged, 0, 4)
+        assert p.rounds() == [0, 1, 2, 3, 4]
+        assert p.states_at(3) == ["q0", "q1"]
+        assert_table_consistent(p)
+
+    def test_inc_reuses_constant_rows(self, fig1):
+        p = eh.mov(eh.init(fig1), 0, 2)
+        step = mt.Step(2, "m", "c")
+        incd = eh.inc(p, Memory(), step=step)
+        assert incd.table[0] is p.table[0]
+        assert step.simplifications == 4  # the four non-constant entries

@@ -290,3 +290,33 @@ def test_experiment_metrics_rows_pinned():
     assert len(rows) == 24
     digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
     assert digest == PINNED_ROWS_SHA256
+
+
+LONG_PHI = "G (a0 || a2 || a4)"
+LONG_DELAYS = (1, 3)
+# SHA-256 of the sorted metrics rows of a 150-round run that never resolves:
+# the choreography root keeps every round, so its encoding grows to hundreds
+# of entries and every encoding operation runs on a long table.
+LONG_ROWS_SHA256 = "6723c006d2ba048be4c427929d200e2fcf06dfc1b4d1a267a3a19471c398b2c7"
+
+
+def test_long_run_metrics_rows_pinned():
+    phi = lt.parse_ltl(LONG_PHI)
+    spec = lt.synthesize(phi)
+    tr = tg.generate(tg.TraceGenConfig(
+        components=3, aps_per_component=2, length=150,
+        distribution=tg.Binomial(n=100, p=0.97), seed=0,
+    ))
+    system = complete(tr.components)
+    rows = []
+    for delay in LONG_DELAYS:
+        for alg in en.ALGORITHMS:
+            cfg = en.SimConfig(alg, comm_delay=delay, timeout_slack=5 * delay)
+            result = en.simulate(cfg, phi if alg == "chor" else spec, system, tr)
+            rows.append(",".join(mt.csv_row(
+                alg, len(system.nodes), LONG_PHI, f"delay-{delay}", result.verdict,
+                result.stop_round, mt.summarize(result.record),
+            )))
+    assert len(rows) == 8
+    digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+    assert digest == LONG_ROWS_SHA256
