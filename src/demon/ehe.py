@@ -112,9 +112,15 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     into q', the source state's condition at t conjoined with the label
     encoded at t+1.  New entries are built with folding constructors and
     simplified eagerly while their atom count stays within
-    ``_MOV_SIMPLIFY_CAP`` (atom counts are tracked incrementally as an
-    over-approximation, so large encodings are never re-walked); entries
-    already present at the target key are merged with disjunction.
+    ``_MOV_SIMPLIFY_CAP``; entries already present at the target key are
+    merged with disjunction.
+
+    The atom count of a new entry is taken over the union of its parts' atom
+    sets, an over-approximation built incrementally round by round.  A
+    condition that was not built in this call is walked once, and the walk
+    stops after ``_MOV_SIMPLIFY_CAP + 1`` distinct atoms: a union holding
+    such a truncated set is over the cap anyway, and a union of sets within
+    the cap is exact, so every decision is the one a full walk would give.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -129,7 +135,7 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     def atoms_at(t: int, q: str, cond: Expr) -> frozenset[ex.Atom]:
         cached = atom_sets.get((t, q))
         if cached is None:
-            cached = frozenset(ex.atoms_of(cond))
+            cached = frozenset(ex.atoms_upto(cond, _MOV_SIMPLIFY_CAP))
             atom_sets[(t, q)] = cached
         return cached
 

@@ -3,13 +3,19 @@
 Expressions are immutable trees that may share subtrees; every traversal here
 memoizes on node identity so shared structure is visited once.  Exact
 tautology/contradiction decisions use bitmask truth tables up to
-``EXACT_ATOMS`` atoms and fall back to a branching satisfiability check
-above it.
+``EXACT_ATOMS`` atoms and fall back to a budgeted branching satisfiability
+check above it; an exhausted budget is logged on the ``demon`` logger.
+
+The costly parts of simplification are keyed by the Boolean function rather
+than by node identity: the truth-table column masks are cached per atom count
+(at most ``EXACT_ATOMS + 1`` counts), and Quine-McCluskey covers per
+``(table, k)`` in a least-recently-used cache of ``_QM_CACHE_SIZE`` entries.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -19,6 +25,7 @@ from .errors import ParseError, ThresholdExceeded
 EXACT_ATOMS = 16  # atom limit for truth-table decisions
 _DNF_ATOM_CAP = 8
 _SAT_NODE_BUDGET = 200_000
+_QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
 
 
 class Verdict(enum.Enum):
@@ -220,6 +227,12 @@ def encode(e: Expr, enc: Encoder) -> Expr:
 
 def atoms_of(e: Expr) -> list[Atom]:
     """Distinct atoms of ``e`` in atom order."""
+    return sorted(atoms_upto(e), key=Atom.sort_key)
+
+
+def atoms_upto(e: Expr, limit: float = math.inf) -> set[Atom]:
+    """Distinct atoms of ``e`` when there are at most ``limit`` of them;
+    otherwise the walk stops at the first ``limit + 1`` it meets."""
     seen: set[Atom] = set()
     visited: set[int] = set()
     stack = [e]
@@ -230,12 +243,14 @@ def atoms_of(e: Expr) -> list[Atom]:
         visited.add(id(node))
         if isinstance(node, Var):
             seen.add(node.atom)
+            if len(seen) > limit:
+                break
         elif isinstance(node, Not):
             stack.append(node.operand)
         elif isinstance(node, (And, Or)):
             stack.append(node.left)
             stack.append(node.right)
-    return sorted(seen, key=Atom.sort_key)
+    return seen
 
 
 def dep(e: Expr, monitor_labels: Iterable[str] = ()) -> set[str]:
@@ -375,20 +390,26 @@ def rewrite_fold(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Exp
 # Truth tables and exact decisions
 
 
-def truth_table(e: Expr, atoms: list[Atom]) -> int:
-    """Truth column of ``e`` over ``atoms`` packed into an int (bit j = row j)."""
-    k = len(atoms)
+@lru_cache(maxsize=EXACT_ATOMS + 1)
+def _columns(k: int) -> tuple[int, ...]:
+    """Truth column of each of k variables: bit j of column i is bit i of j."""
     rows = 1 << k
-    full = (1 << rows) - 1
-    columns: dict[Atom, int] = {}
-    for i, a in enumerate(atoms):
+    out = []
+    for i in range(k):
         width = 1 << (i + 1)
         col = ((1 << (1 << i)) - 1) << (1 << i)  # upper half of one period
         while width < rows:
             col |= col << width
             width <<= 1
-        columns[a] = col
+        out.append(col)
+    return tuple(out)
 
+
+def truth_table(e: Expr, atoms: list[Atom]) -> int:
+    """Truth column of ``e`` over ``atoms`` packed into an int (bit j = row j)."""
+    k = len(atoms)
+    full = (1 << (1 << k)) - 1
+    columns = dict(zip(atoms, _columns(k)))
     return bottom_up(
         e,
         {},
@@ -455,15 +476,25 @@ def decide_constant(e: Expr) -> Optional[Verdict]:
         if not _satisfiable(fold(Not(e)), budget):
             return TOP
     except _BudgetExhausted:
+        import logging  # here, not at the top: importing it adds 0.6 MB to every process
+
+        logging.getLogger("demon").debug(
+            "undecided: SAT budget of %d nodes exhausted on %d atoms", _SAT_NODE_BUDGET, k
+        )
         return None
     return None
 
 
-def qm_cover(table: int, k: int) -> list[list[tuple[int, bool]]]:
+Cover = tuple[tuple[tuple[int, bool], ...], ...]
+
+
+@lru_cache(maxsize=_QM_CACHE_SIZE)
+def qm_cover(table: int, k: int) -> Cover:
     """Irredundant sum-of-products cover of a truth table over k variables.
 
     Quine-McCluskey prime implicants followed by a deterministic greedy
-    cover.  Each returned term is a list of (variable index, polarity).
+    cover.  Each returned term is a tuple of (variable index, polarity) in
+    index order.  Results are cached by ``(table, k)``.
     """
     rows = 1 << k
     minterms = [j for j in range(rows) if (table >> j) & 1]
@@ -512,19 +543,26 @@ def qm_cover(table: int, k: int) -> list[list[tuple[int, bool]]]:
         chosen.append(best)
         uncovered -= {m for m in uncovered if covers(best, m)}
 
-    terms = []
-    for values, mask in chosen:
-        term = [(i, bool((values >> i) & 1)) for i in range(k) if not (mask >> i) & 1]
-        terms.append(term)
-    return terms
+    return tuple(
+        tuple((i, bool((values >> i) & 1)) for i in range(k) if not (mask >> i) & 1)
+        for values, mask in chosen
+    )
 
 
-def _dnf_from_cover(terms: list[list[tuple[int, bool]]], atoms: list[Atom]) -> Expr:
-    parts = []
-    for term in terms:
-        lits = [Var(atoms[i]) if pos else Not(Var(atoms[i])) for i, pos in sorted(term)]
-        parts.append(conj_all(lits) if lits else TRUE)
-    return disj_all(parts)
+def _cover_size(terms: Cover) -> tuple[int, int]:
+    """``tree_size`` of the DNF that :func:`_dnf_from_cover` builds from a
+    cover of a non-constant function: one leaf per literal, one NOT per
+    negative literal, and one fewer AND/OR node than literals."""
+    leaves = sum(map(len, terms))
+    negations = sum(not pos for term in terms for _, pos in term)
+    return leaves, negations + leaves - 1
+
+
+def _dnf_from_cover(terms: Cover, atoms: list[Atom]) -> Expr:
+    return disj_all(
+        conj_all(Var(atoms[i]) if pos else Not(Var(atoms[i])) for i, pos in term)
+        for term in terms
+    )
 
 
 def simplify(e: Expr, light: bool = False) -> Expr:
@@ -551,9 +589,9 @@ def simplify(e: Expr, light: bool = False) -> Expr:
         if table == 0:
             return FALSE
         if k <= _DNF_ATOM_CAP:
-            dnf = _dnf_from_cover(qm_cover(table, k), atoms)
-            if tree_size(dnf) <= tree_size(f):
-                return dnf
+            terms = qm_cover(table, k)
+            if _cover_size(terms) <= tree_size(f):
+                return _dnf_from_cover(terms, atoms)
         return f
     if light:
         return f

@@ -10,6 +10,7 @@ import pytest
 
 from demon import analysis as an
 from demon import engine as en
+from demon import expr as ex
 from demon import ltl as lt
 from demon import metrics as mt
 from demon import traces as tg
@@ -62,3 +63,16 @@ def test_traced_merge_reads_entry_count():
                     an.complete_graph(tr.components), tr)
     assert tracing.counts()["ehe.merge"] > 0
     assert tracing.gauges["ehe.entries_max"] > 0
+
+
+def test_traced_simplify_counts_every_qm_cover_call():
+    # qm_cover is cached by (table, k); the tracer wraps the cached function,
+    # so a repeated simplification still records its call.
+    a, b, c = (ex.Var(ex.plain(n)) for n in "abc")
+    e = ex.Or(ex.And(a, b), ex.And(a, ex.Not(c)))
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        first = ex.simplify(e)
+        second = ex.simplify(e)
+    assert first == second
+    assert tracing.counts()["expr.qm_cover"] == 2

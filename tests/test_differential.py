@@ -17,6 +17,7 @@ synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
 
 GRID = tuple(itertools.product((1, 2, 3), (1, 2)))  # (comm_delay, initial_active)
 CASES = 36
+WIDE_CASES = 12  # |C| = 5, L = 31..60
 
 
 def centralized_verdict(spec, tr):
@@ -34,17 +35,19 @@ def choreography_verdict(phi, tr):
     return decentralized_run(en.assemble_choreography(tree, tr.components, owner), tr)
 
 
-def test_algorithms_agree_with_reference_over_parameter_grid():
-    rng = random.Random(1903)
+def check_cases(seed, cases, components, lengths):
+    """Run ``cases`` seeded cases, cycling through the grid, and return how
+    many had a final reference verdict."""
+    rng = random.Random(seed)
     finals = 0
-    for i in range(CASES):
+    for i in range(cases):
         comm_delay, initial_active = GRID[i % len(GRID)]
-        ncomp = rng.randint(2, 4)
+        ncomp = rng.randint(*components)
         aps = rng.randint(1, 2)
         phi = synthetic.random_formula(rng, ncomp, aps)
         _, dist = rng.choice(synthetic.DISTRIBUTIONS)
         tr = tg.generate(tg.TraceGenConfig(
-            components=ncomp, aps_per_component=aps, length=rng.randint(1, 30),
+            components=ncomp, aps_per_component=aps, length=rng.randint(*lengths),
             distribution=dist, seed=rng.randrange(2**31),
         ))
         spec = lt.synthesize(phi)
@@ -61,6 +64,16 @@ def test_algorithms_agree_with_reference_over_parameter_grid():
                 expected = centralized
                 result = en.simulate(cfg, spec, system, tr)
             assert result.verdict is expected, (
-                i, alg, lt.ltl_text(phi), cfg, expected, result.verdict
+                seed, i, alg, lt.ltl_text(phi), cfg, expected, result.verdict
             )
+    return finals
+
+
+def test_algorithms_agree_with_reference_over_parameter_grid():
+    finals = check_cases(1903, CASES, components=(2, 4), lengths=(1, 30))
     assert finals >= CASES // 2, finals
+
+
+def test_five_components_and_longer_traces_agree_with_reference():
+    finals = check_cases(1903, WIDE_CASES, components=(5, 5), lengths=(31, 60))
+    assert finals >= WIDE_CASES // 2, finals

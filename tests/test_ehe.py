@@ -340,3 +340,35 @@ class TestTable:
         incd = eh.inc(p, Memory(), step=step)
         assert incd.table[0] is p.table[0]
         assert step.simplifications == 4  # the four non-constant entries
+
+
+
+def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
+    # mov walks a condition it did not build only until it has seen
+    # _MOV_SIMPLIFY_CAP + 1 atoms; it must simplify exactly the entries a full
+    # walk would have it simplify, and build the same encodings.
+    full_walk = ex.atoms_upto
+    real_simplify = ex.simplify
+
+    def runs():
+        rng = random.Random(99)
+        calls = []
+        monkeypatch.setattr(
+            ex, "simplify", lambda e, light=False: calls.append(e) or real_simplify(e, light)
+        )
+        dumps = []
+        for _ in range(12):
+            spec, aps = random_spec(rng, max_states=4, max_aps=3)
+            atoms = [ex.timed(t, a) for t in range(1, 8) for a in aps]
+            p = eh.init(spec)
+            while p.last_round() < 6:
+                p = eh.mov(p, p.last_round(), p.last_round() + rng.randint(1, 2))
+                if rng.random() < 0.3:
+                    m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.2})
+                    p = eh.inc(p, m)
+                dumps.append(eh.dump(p))
+        return len(calls), dumps
+
+    capped = runs()
+    monkeypatch.setattr(ex, "atoms_upto", lambda e, limit=None: full_walk(e))
+    assert runs() == capped

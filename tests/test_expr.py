@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -254,3 +255,71 @@ def test_deep_expressions_do_not_overflow():
     assert ex.eval_expr(deep, m) is ex.TOP  # y short-circuits every level
     folded = ex.fold(deep)
     assert ex.eval_expr(folded, m) is ex.TOP
+
+
+def cover_cases():
+    """Every non-constant table at k <= 3, and seeded random ones at k = 4..8."""
+    for k in range(1, 4):
+        for table in range(1, (1 << (1 << k)) - 1):
+            yield table, k
+    rng = random.Random(77)
+    for k in range(4, 9):
+        full = (1 << (1 << k)) - 1
+        for _ in range(10):
+            table = rng.randrange(1, full)
+            yield table, k
+
+
+def test_qm_cover_cache_matches_uncached_cover():
+    for table, k in cover_cases():
+        atoms = [ex.plain(f"x{i}") for i in range(k)]
+        terms = ex.qm_cover(table, k)
+        assert terms == ex.qm_cover.__wrapped__(table, k), (table, k)
+        assert ex.qm_cover(table, k) is terms
+        assert isinstance(terms, tuple) and all(isinstance(t, tuple) for t in terms)
+        dnf = ex._dnf_from_cover(terms, atoms)
+        assert ex._cover_size(terms) == ex.tree_size(dnf), (table, k)
+        assert ex.truth_table(dnf, atoms) == table
+
+
+def test_truth_table_columns_cached_per_atom_count():
+    atoms = [ex.plain(f"x{i}") for i in range(3)]
+    assert ex._columns(3) is ex._columns(3)
+    assert [ex.truth_table(ex.Var(a), atoms) for a in atoms] == [0b10101010, 0b11001100,
+                                                                  0b11110000]
+
+
+def test_atoms_upto_exact_within_limit_and_truncated_above():
+    rng = random.Random(11)
+    for _ in range(300):
+        atoms = [ex.plain(f"x{i}") for i in range(rng.randint(1, 10))]
+        e = random_expr(rng, atoms, depth=6)
+        limit = rng.randint(0, 8)
+        exact = set(ex.atoms_of(e))
+        got = ex.atoms_upto(e, limit)
+        if len(exact) <= limit:
+            assert got == exact
+        else:
+            assert len(got) == limit + 1 and got <= exact
+    assert ex.atoms_upto(e) == set(ex.atoms_of(e))
+
+
+def test_atoms_upto_on_deep_chain():
+    deep = ex.Var(ex.plain("x0"))
+    for i in range(1, 10_000):
+        deep = ex.And(deep, ex.Var(ex.plain(f"x{i % 40}")))
+    exact = set(ex.atoms_of(deep))
+    assert len(exact) == 40
+    assert ex.atoms_upto(deep, 40) == exact
+    capped = ex.atoms_upto(deep, 12)
+    assert len(capped) == 13 and capped <= exact
+
+
+def test_exhausted_sat_budget_is_logged(monkeypatch, caplog):
+    wide = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(ex.EXACT_ATOMS + 1))
+    monkeypatch.setattr(ex, "_SAT_NODE_BUDGET", 1)
+    with caplog.at_level(logging.DEBUG, logger="demon"):
+        assert ex.decide_constant(wide) is None
+    [record] = [r for r in caplog.records if r.name == "demon"]
+    assert record.levelno == logging.DEBUG
+    assert "17 atoms" in record.getMessage() and "budget of 1 " in record.getMessage()
