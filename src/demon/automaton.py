@@ -19,7 +19,6 @@ from .errors import (
     ConflictingObservation,
     RoundBudgetExceeded,
     SpecificationError,
-    ThresholdExceeded,
 )
 from .expr import BOTTOM, IDENTITY, TOP, UNKNOWN, Expr, Verdict
 from .store import EMPTY_EVENT, Event, Memory, mem_from_event, memory_merge
@@ -114,18 +113,9 @@ def validate(a: Specification) -> ValidationReport:
     """Check determinism (no two co-satisfiable labels per state) and
     completeness (outgoing labels disjoin to a tautology) by enumeration."""
     report = ValidationReport()
-    threshold = ex.EXACT_ATOMS
     for q in a.states:
         out = a.outgoing(q)
-        state_atoms = sorted(
-            {atom for t in out for atom in ex.atoms_of(t.label)}, key=ex.Atom.sort_key
-        )
-        if len(state_atoms) > threshold:
-            raise ThresholdExceeded(
-                f"state {q!r} labels use {len(state_atoms)} atoms (threshold {threshold})"
-            )
-        tables = [ex.truth_table(t.label, state_atoms) for t in out]
-        full = (1 << (1 << len(state_atoms))) - 1
+        tables, full = ex.truth_tables([t.label for t in out], f"labels of state {q!r}")
         for (t1, b1), (t2, b2) in itertools.combinations(zip(out, tables), 2):
             if b1 & b2:
                 report.determinism.append((q, t1.label, t2.label))

@@ -254,10 +254,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         algorithm = cfg.algorithm
         for spec_entry in specs:
             spec_path = str(base / spec_entry)
+            spec_error = None
+            try:
+                spec_input = _spec_input_for(algorithm, spec_path)
+            except (DemonError, OSError, json.JSONDecodeError) as exc:
+                spec_error = exc  # reported once per run below
             for trace_path in trace_paths:
                 try:
                     tr = traces.load(trace_path)
-                    spec_input = _spec_input_for(algorithm, spec_path)
+                    if spec_error is not None:
+                        raise spec_error
                     system = analysis.complete_graph(tr.components)
                     run = engine.simulate(cfg, spec_input, system, tr)
                 except (DemonError, OSError, json.JSONDecodeError) as exc:

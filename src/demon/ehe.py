@@ -163,7 +163,7 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
                 cond = ex.disj(prior, cond)
                 support |= atoms_at(t + 1, qprime, prior)
             if len(support) <= _MOV_SIMPLIFY_CAP:
-                cond = ex.simplify(cond, light=True)
+                cond = ex.simplify(cond)
                 support = frozenset(ex.atoms_of(cond))
             row[qprime] = cond
             atom_sets[(t + 1, qprime)] = support
@@ -212,7 +212,7 @@ def merge(p1: EHE, p2: EHE) -> EHE:
         row = dict(row1)
         for q, cond in row2.items():
             prior = row.get(q)
-            row[q] = cond if prior is None else ex.simplify(ex.disj(prior, cond), light=True)
+            row[q] = cond if prior is None else ex.simplify(ex.disj(prior, cond))
         table[t] = row
     return EHE(p1.automaton, table)
 
@@ -238,7 +238,7 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
             if not isinstance(folded, ex.Const):
                 if step is not None:
                     step.simplifications += 1
-                folded = ex.simplify(folded, light=True)
+                folded = ex.simplify(folded)
             new[q] = folded
         table[t] = new
     return EHE(p.automaton, table)

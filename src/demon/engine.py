@@ -9,8 +9,7 @@ the earliest-obligation and round-robin heuristics, and choreography.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from . import analysis, ehe as eh, ltl as lt, metrics as mt
@@ -51,7 +50,6 @@ class Message:
     ehe: Optional[eh.EHE] = None
     verdict_round: int = 0
     verdict: Optional[Verdict] = None
-    seq: int = 0  # FIFO tiebreaker within one sender
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +491,7 @@ def simulate(
     st = setup(cfg, spec_input, system, tr.observed_owner())
     record = mt.MetricsRecord(components=tuple(sorted(system.nodes)))
     horizon = tr.length + cfg.timeout_slack
-    pending: list[Message] = []
-    seq = itertools.count()
+    pending: list[Message] = []  # in send order
     reported: Optional[Verdict] = None
     stop_round = max(horizon, 1)
     if cfg.algorithm == "orch":
@@ -508,7 +505,7 @@ def simulate(
         due = [m for m in pending if m.sent_at + cfg.comm_delay <= t]
         pending = [m for m in pending if m.sent_at + cfg.comm_delay > t]
         inboxes: dict[str, list[Message]] = {}
-        for msg in sorted(due, key=lambda m: (m.sender, m.seq)):
+        for msg in sorted(due, key=lambda m: m.sender):  # stable: FIFO per sender
             inboxes.setdefault(msg.receiver, []).append(msg)
         for name in sorted(st.states):
             step = mt.Step(t, name, st.placements[name])
@@ -516,7 +513,7 @@ def simulate(
             _, outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
             if outbox:
                 step.sent = tuple((msg.kind, mt.size_of(msg)) for msg in outbox)
-                pending.extend(replace(msg, seq=next(seq)) for msg in outbox)
+                pending.extend(outbox)
             record.steps.append(step)
             if verdict is not None and verdict.is_final and reported is None:
                 reported = verdict

@@ -1,10 +1,14 @@
 """Boolean expressions over atoms: encoding, rewriting, simplification, evaluation.
 
 Expressions are immutable trees that may share subtrees; every traversal here
-memoizes on node identity so shared structure is visited once.  Exact
-tautology/contradiction decisions use bitmask truth tables up to
-``EXACT_ATOMS`` atoms and fall back to a budgeted branching satisfiability
-check above it; an exhausted budget is logged on the ``demon`` logger.
+is iterative and memoizes on node identity so shared structure is visited
+once.  Exact Boolean decisions use bitmask truth tables up to ``EXACT_ATOMS``
+atoms.  Above it :func:`simplify` only folds, :func:`equivalent` raises
+``ThresholdExceeded``, and only :func:`eval_expr` searches: through
+:func:`decide_constant`, a budgeted branching satisfiability check whose
+exhaustion is logged on the ``demon`` logger.  The lexer is shared with the
+LTL formula parser, and the LTL canonical form is decided through
+:func:`truth_table`, :func:`qm_cover` and :func:`fold`.
 
 The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
@@ -18,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, ThresholdExceeded
 
@@ -565,41 +569,30 @@ def _dnf_from_cover(terms: Cover, atoms: list[Atom]) -> Expr:
     )
 
 
-def simplify(e: Expr, light: bool = False) -> Expr:
-    """Return an expression Boolean-equivalent to ``e``.
+def simplify(e: Expr) -> Expr:
+    """Return an expression Boolean-equivalent to ``e``; never searches.
 
-    Tautologies within the atom threshold become TRUE and contradictions
-    FALSE (above it a budgeted check is attempted, skipped entirely when
-    ``light``); other results are constant-free.  Small expressions are
-    additionally rebuilt as an irredundant sum of products when that is no
-    larger.
+    Within the atom threshold tautologies become TRUE, contradictions FALSE,
+    and small expressions are rebuilt as an irredundant sum of products when
+    that is no larger.  Above it the expression is only folded.  Results
+    other than TRUE/FALSE are constant-free.
     """
     f = fold(e)
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Var) or (isinstance(f, Not) and isinstance(f.operand, Var)):
+    if isinstance(f, (Const, Var)) or (isinstance(f, Not) and isinstance(f.operand, Var)):
         return f
     atoms = atoms_of(f)
     k = len(atoms)
-    if k <= EXACT_ATOMS:
-        table = truth_table(f, atoms)
-        full = (1 << (1 << k)) - 1
-        if table == full:
-            return TRUE
-        if table == 0:
-            return FALSE
-        if k <= _DNF_ATOM_CAP:
-            terms = qm_cover(table, k)
-            if _cover_size(terms) <= tree_size(f):
-                return _dnf_from_cover(terms, atoms)
+    if k > EXACT_ATOMS:
         return f
-    if light:
-        return f
-    verdict = decide_constant(f)
-    if verdict is TOP:
+    table = truth_table(f, atoms)
+    if table == (1 << (1 << k)) - 1:
         return TRUE
-    if verdict is BOTTOM:
+    if table == 0:
         return FALSE
+    if k <= _DNF_ATOM_CAP:
+        terms = qm_cover(table, k)
+        if _cover_size(terms) <= tree_size(f):
+            return _dnf_from_cover(terms, atoms)
     return f
 
 
@@ -613,14 +606,22 @@ def eval_expr(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Verdic
     return verdict if verdict is not None else UNKNOWN
 
 
-def equivalent(e1: Expr, e2: Expr) -> bool:
-    """Exact Boolean-function equality over the union of both atom sets."""
-    atoms = sorted(set(atoms_of(e1)) | set(atoms_of(e2)), key=Atom.sort_key)
+def truth_tables(exprs: Sequence[Expr], what: str) -> tuple[list[int], int]:
+    """Truth tables of ``exprs`` over the union of their atoms, and the table
+    of TRUE.  Raises ``ThresholdExceeded``, naming ``what``, above
+    ``EXACT_ATOMS`` atoms."""
+    atoms = sorted({a for e in exprs for a in atoms_upto(e)}, key=Atom.sort_key)
     if len(atoms) > EXACT_ATOMS:
         raise ThresholdExceeded(
-            f"equivalence over {len(atoms)} atoms exceeds threshold {EXACT_ATOMS}"
+            f"{what} over {len(atoms)} atoms exceeds threshold {EXACT_ATOMS}"
         )
-    return truth_table(e1, atoms) == truth_table(e2, atoms)
+    return [truth_table(e, atoms) for e in exprs], (1 << (1 << len(atoms))) - 1
+
+
+def equivalent(e1: Expr, e2: Expr) -> bool:
+    """Exact Boolean-function equality over the union of both atom sets."""
+    (t1, t2), _ = truth_tables((e1, e2), "equivalence")
+    return t1 == t2
 
 
 # ---------------------------------------------------------------------------
@@ -628,94 +629,108 @@ def equivalent(e1: Expr, e2: Expr) -> bool:
 
 
 def to_text(e: Expr) -> str:
-    def go(node: Expr, parent_prec: int) -> str:
+    """Text form of ``e``, built iteratively into one list of pieces, so
+    encodings of any depth render in time linear in their tree size."""
+    out: list[str] = []
+    stack: list = [(e, 0)]  # (node, precedence of its context) or a literal piece
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent = item
         if isinstance(node, Const):
-            return "true" if node.value is TOP else "false"
-        if isinstance(node, Var):
-            return str(node.atom)
-        if isinstance(node, Not):
-            return "!" + go(node.operand, 3)
-        if isinstance(node, And):
-            s = f"{go(node.left, 2)} && {go(node.right, 2)}"
-            return f"({s})" if parent_prec > 2 else s
-        assert isinstance(node, Or)
-        s = f"{go(node.left, 1)} || {go(node.right, 1)}"
-        return f"({s})" if parent_prec > 1 else s
+            out.append("true" if node.value is TOP else "false")
+        elif isinstance(node, Var):
+            out.append(str(node.atom))
+        elif isinstance(node, Not):
+            out.append("!")
+            stack.append((node.operand, 3))
+        else:
+            prec, op = (2, " && ") if isinstance(node, And) else (1, " || ")
+            if parent > prec:
+                out.append("(")
+                stack.append(")")
+            stack += [(node.right, prec), op, (node.left, prec)]
+    return "".join(out)
 
-    return go(e, 0)
+
+def tokenize(text: str) -> list[str]:
+    """Tokens shared by the expression and LTL formula syntaxes: identifiers
+    (keywords included), ``!``, ``(``, ``)``, ``&&`` and ``||``."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "!()":
+            out.append(ch)
+            i += 1
+        elif text.startswith(("&&", "||"), i):
+            out.append(text[i : i + 2])
+            i += 2
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} at offset {i}")
+    return out
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ""
-        ch = self.text[self.pos]
-        if ch in "!()":
-            return ch
-        if self.text.startswith("&&", self.pos):
-            return "&&"
-        if self.text.startswith("||", self.pos):
-            return "||"
-        if ch.isalpha() or ch == "_":
-            end = self.pos
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                end += 1
-            return self.text[self.pos : end]
-        raise ParseError(f"unexpected character {ch!r} in expression")
-
-    def take(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}")
-        self.pos += len(tok)
+def is_identifier(tok: str) -> bool:
+    """Whether a :func:`tokenize` token is a name rather than an operator."""
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 def parse_expr(text: str) -> Expr:
     """Parse the expression grammar (precedence: ! > && > ||) over plain atoms."""
-    toks = _Tokens(text)
+    toks = tokenize(text)[::-1]  # next token last
+
+    def peek() -> str:
+        return toks[-1] if toks else ""
+
+    def take(tok: str) -> None:
+        if peek() != tok:
+            raise ParseError(f"expected {tok!r}, found {peek()!r}")
+        toks.pop()
 
     def parse_or() -> Expr:
         left = parse_and()
-        while toks.peek() == "||":
-            toks.take("||")
+        while peek() == "||":
+            take("||")
             left = Or(left, parse_and())
         return left
 
     def parse_and() -> Expr:
         left = parse_unary()
-        while toks.peek() == "&&":
-            toks.take("&&")
+        while peek() == "&&":
+            take("&&")
             left = And(left, parse_unary())
         return left
 
     def parse_unary() -> Expr:
-        tok = toks.peek()
+        tok = peek()
         if tok == "!":
-            toks.take("!")
+            take("!")
             return Not(parse_unary())
         if tok == "(":
-            toks.take("(")
+            take("(")
             inner = parse_or()
-            toks.take(")")
+            take(")")
             return inner
-        if tok == "true":
-            toks.take("true")
-            return TRUE
-        if tok == "false":
-            toks.take("false")
-            return FALSE
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
-            toks.take(tok)
+        if tok in ("true", "false"):
+            take(tok)
+            return TRUE if tok == "true" else FALSE
+        if is_identifier(tok):
+            take(tok)
             return Var(plain(tok))
         raise ParseError(f"expected an expression, found {tok!r}")
 
     result = parse_or()
-    if toks.peek():
-        raise ParseError(f"trailing input {toks.peek()!r} in expression")
+    if toks:
+        raise ParseError(f"trailing input {peek()!r} in expression")
     return result

@@ -1,16 +1,20 @@
 """LTL formulas, one-step progression, progression-based automaton synthesis,
 and the choreography network-setup procedure.
 
-States of synthesized automata are canonically simplified formulas, where the
-Boolean level is normalized over its temporal/atomic leaves via a truth-table
-cover; this keeps the progression closure finite for the supported fragment.
+States of synthesized automata are canonically simplified formulas.  Every
+Boolean-level decision goes through :mod:`demon.expr`: a Boolean level
+becomes an expression over its simplified temporal/atomic leaves, each an
+atom named by its text, which is rebuilt from its truth-table cover (or only
+folded above ``_BOOL_TABLE_CAP`` leaves).  This keeps the progression closure
+finite for the supported fragment.  Formulas share the expression lexer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from functools import reduce
+from typing import Mapping
 
 from . import expr as ex
 from .automaton import Specification, Transition
@@ -107,38 +111,29 @@ def leaf_name(node: Ltl) -> str:
     raise TypeError(f"{node!r} is not an atomic leaf")
 
 
+def _leaves(phi: Ltl) -> list[Ltl]:
+    """Proposition and placeholder leaves, one per occurrence, left to right."""
+    out: list[Ltl] = []
+    stack = [phi]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (Prop, MonPlaceholder)):
+            out.append(n)
+        elif isinstance(n, (LNot, Next, Finally, Globally)):
+            stack.append(n.operand)
+        elif isinstance(n, (LAnd, LOr, Until)):
+            stack += (n.right, n.left)
+    return out
+
+
 def atomic_leaves(phi: Ltl) -> list[str]:
     """Distinct proposition and placeholder names, sorted."""
-    out: set[str] = set()
-
-    def go(n: Ltl) -> None:
-        if isinstance(n, (Prop, MonPlaceholder)):
-            out.add(leaf_name(n))
-        elif isinstance(n, (LNot, Next, Finally, Globally)):
-            go(n.operand)
-        elif isinstance(n, (LAnd, LOr, Until)):
-            go(n.left)
-            go(n.right)
-
-    go(phi)
-    return sorted(out)
+    return sorted({leaf_name(n) for n in _leaves(phi)})
 
 
 def prop_occurrences(phi: Ltl) -> list[str]:
     """Proposition names, one entry per occurrence (placeholders excluded)."""
-    out: list[str] = []
-
-    def go(n: Ltl) -> None:
-        if isinstance(n, Prop):
-            out.append(n.name)
-        elif isinstance(n, (LNot, Next, Finally, Globally)):
-            go(n.operand)
-        elif isinstance(n, (LAnd, LOr, Until)):
-            go(n.left)
-            go(n.right)
-
-    go(phi)
-    return out
+    return [n.name for n in _leaves(phi) if isinstance(n, Prop)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,95 +171,62 @@ _KEYWORDS = {"X": Next, "F": Finally, "G": Globally}
 
 
 def parse_ltl(text: str) -> Ltl:
-    tokens = _tokenize(text)
-    pos = [0]
+    toks = ex.tokenize(text)[::-1]  # next token last
 
-    def peek() -> Optional[str]:
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    def peek() -> str:
+        return toks[-1] if toks else ""
 
-    def take(expected: Optional[str] = None) -> str:
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
-        pos[0] += 1
-        return tok
+    def take(expected: str) -> None:
+        if peek() != expected:
+            raise ParseError(f"expected {expected!r}, found {peek()!r}")
+        toks.pop()
 
     def parse_or() -> Ltl:
         left = parse_until()
         while peek() == "||":
-            take()
+            take("||")
             left = LOr(left, parse_until())
         return left
 
     def parse_until() -> Ltl:
         left = parse_and()
         if peek() == "U":
-            take()
+            take("U")
             return Until(left, parse_until())
         return left
 
     def parse_and() -> Ltl:
         left = parse_unary()
         while peek() == "&&":
-            take()
+            take("&&")
             left = LAnd(left, parse_unary())
         return left
 
     def parse_unary() -> Ltl:
         tok = peek()
         if tok == "!":
-            take()
+            take("!")
             return LNot(parse_unary())
         if tok in _KEYWORDS:
-            take()
+            take(tok)
             return _KEYWORDS[tok](parse_unary())
         if tok == "(":
-            take()
+            take("(")
             inner = parse_or()
             take(")")
             return inner
-        if tok == "true":
-            take()
-            return LTRUE
-        if tok == "false":
-            take()
-            return LFALSE
-        if tok is not None and (tok[0].isalpha() or tok[0] == "_") and tok not in ("U",):
-            take()
+        if tok in ("true", "false"):
+            take(tok)
+            return LTRUE if tok == "true" else LFALSE
+        if ex.is_identifier(tok) and tok != "U":
+            take(tok)
             return Prop(tok)
         raise ParseError(f"expected a formula, found {tok!r}")
 
     result = parse_or()
-    if peek() is not None:
+    if toks:
         raise ParseError(f"trailing input {peek()!r} in formula")
     return result
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "!()":
-            out.append(ch)
-            i += 1
-        elif text.startswith("&&", i):
-            out.append("&&")
-            i += 2
-        elif text.startswith("||", i):
-            out.append("||")
-            i += 2
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in formula")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +244,11 @@ def simplify_ltl(phi: Ltl) -> Ltl:
         return phi
     if isinstance(phi, Next):
         return Next(simplify_ltl(phi.operand))
-    if isinstance(phi, Finally):
+    if isinstance(phi, (Finally, Globally)):
         x = simplify_ltl(phi.operand)
-        if isinstance(x, (LTrue, LFalse)):
+        if isinstance(x, (LTrue, LFalse, type(phi))):
             return x
-        if isinstance(x, Finally):
-            return x
-        return Finally(x)
-    if isinstance(phi, Globally):
-        x = simplify_ltl(phi.operand)
-        if isinstance(x, (LTrue, LFalse)):
-            return x
-        if isinstance(x, Globally):
-            return x
-        return Globally(x)
+        return type(phi)(x)
     if isinstance(phi, Until):
         left = simplify_ltl(phi.left)
         right = simplify_ltl(phi.right)
@@ -310,28 +263,10 @@ def simplify_ltl(phi: Ltl) -> Ltl:
 
 
 def _bool_canonical(phi: Ltl) -> Ltl:
+    """The Boolean level of ``phi`` over its simplified leaves, each simplified
+    once and named by its text: the sum of products of its truth-table cover,
+    or, above ``_BOOL_TABLE_CAP`` distinct leaves, its constant folding."""
     leaves: dict[str, Ltl] = {}
-
-    def collect(n: Ltl) -> None:
-        if isinstance(n, _BOOL_NODES):
-            if isinstance(n, LNot):
-                collect(n.operand)
-            else:
-                collect(n.left)
-                collect(n.right)
-        elif not isinstance(n, (LTrue, LFalse)):
-            s = simplify_ltl(n)
-            if isinstance(s, (LTrue, LFalse)) or isinstance(s, _BOOL_NODES):
-                collect(s)
-            else:
-                leaves.setdefault(ltl_text(s), s)
-
-    collect(phi)
-    ordered = sorted(leaves)
-    if len(ordered) > _BOOL_TABLE_CAP:
-        return _bool_fold(phi)
-    index = {text: i for i, text in enumerate(ordered)}
-    atoms = [ex.plain(f"v{i:03d}") for i in range(len(ordered))]
 
     def skeleton(n: Ltl) -> ex.Expr:
         if isinstance(n, LTrue):
@@ -345,70 +280,39 @@ def _bool_canonical(phi: Ltl) -> Ltl:
         if isinstance(n, LOr):
             return ex.Or(skeleton(n.left), skeleton(n.right))
         s = simplify_ltl(n)
-        if isinstance(s, (LTrue, LFalse)) or isinstance(s, _BOOL_NODES):
+        if isinstance(s, (LTrue, LFalse, *_BOOL_NODES)):
             return skeleton(s)
-        return ex.Var(atoms[index[ltl_text(s)]])
+        text = ltl_text(s)
+        leaves.setdefault(text, s)
+        # a fresh node per occurrence: folding must not merge repeated leaves
+        return ex.Var(ex.Atom("ap", 0, text))
 
-    table = ex.truth_table(skeleton(phi), atoms)
-    rows = 1 << len(ordered)
-    if table == (1 << rows) - 1:
+    e = skeleton(phi)
+    if len(leaves) > _BOOL_TABLE_CAP:
+        return ex.bottom_up(
+            ex.fold(e),
+            {},
+            lambda v: leaves[v.atom.name],
+            lambda c: LTRUE if c.value is TOP else LFALSE,
+            LNot,
+            lambda n, l, r: (LAnd if isinstance(n, ex.And) else LOr)(l, r),
+        )
+    ordered = sorted(leaves)
+    atoms = [ex.Atom("ap", 0, text) for text in ordered]
+    table = ex.truth_table(e, atoms)
+    if table == (1 << (1 << len(atoms))) - 1:
         return LTRUE
     if table == 0:
         return LFALSE
-    terms = ex.qm_cover(table, len(ordered))
-    built_terms = []
-    for term in sorted(terms, key=lambda t: sorted(t)):
-        literals = []
-        for i, positive in sorted(term):
-            leaf = leaves[ordered[i]]
-            literals.append(leaf if positive else LNot(leaf))
-        built_terms.append(_and_chain(literals))
-    return _or_chain(built_terms)
+    return _chain(LOr, [
+        _chain(LAnd, [leaves[ordered[i]] if pos else LNot(leaves[ordered[i]]) for i, pos in term])
+        for term in sorted(ex.qm_cover(table, len(atoms)))
+    ])
 
 
-def _and_chain(parts: list[Ltl]) -> Ltl:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = LAnd(p, out)
-    return out
-
-
-def _or_chain(parts: list[Ltl]) -> Ltl:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = LOr(p, out)
-    return out
-
-
-def _bool_fold(phi: Ltl) -> Ltl:
-    if isinstance(phi, LNot):
-        x = _bool_fold(phi.operand)
-        if isinstance(x, LTrue):
-            return LFALSE
-        if isinstance(x, LFalse):
-            return LTRUE
-        if isinstance(x, LNot):
-            return x.operand
-        return LNot(x)
-    if isinstance(phi, LAnd):
-        l, r = _bool_fold(phi.left), _bool_fold(phi.right)
-        if isinstance(l, LFalse) or isinstance(r, LFalse):
-            return LFALSE
-        if isinstance(l, LTrue):
-            return r
-        if isinstance(r, LTrue):
-            return l
-        return LAnd(l, r)
-    if isinstance(phi, LOr):
-        l, r = _bool_fold(phi.left), _bool_fold(phi.right)
-        if isinstance(l, LTrue) or isinstance(r, LTrue):
-            return LTRUE
-        if isinstance(l, LFalse):
-            return r
-        if isinstance(r, LFalse):
-            return l
-        return LOr(l, r)
-    return simplify_ltl(phi)
+def _chain(op: type, parts: list[Ltl]) -> Ltl:
+    """``parts`` joined by the binary ``op``, nested to the right."""
+    return reduce(lambda out, p: op(p, out), reversed(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +384,20 @@ def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
         f = order[i]
         i += 1
         leaves = atomic_leaves(f)
-        successors: dict[str, tuple[Ltl, list[tuple[Verdict, ...]]]] = {}
+        successors: dict[str, list[tuple[Verdict, ...]]] = {}
         for bits in itertools.product((TOP, BOTTOM), repeat=len(leaves)):
             memory = Memory({ex.plain(nm): v for nm, v in zip(leaves, bits)})
-            succ = progress(f, memory)
-            register(succ)
-            entry = successors.setdefault(names[succ], (succ, []))
-            entry[1].append(bits)
+            successors.setdefault(register(progress(f, memory)), []).append(bits)
         for succ_name in sorted(successors):
-            _, assignments = successors[succ_name]
-            label = ex.disj_all(
+            # one successor takes every assignment; with more, no label is constant
+            label = ex.TRUE if len(successors) == 1 else ex.simplify(ex.disj_all(
                 ex.conj_all(
                     ex.Var(ex.plain(nm)) if v is TOP else ex.Not(ex.Var(ex.plain(nm)))
                     for nm, v in zip(leaves, bits)
                 )
-                for bits in assignments
-            )
-            transitions.append(Transition(names[f], ex.simplify(label), succ_name))
+                for bits in successors[succ_name]
+            ))
+            transitions.append(Transition(names[f], label, succ_name))
 
     verdicts = {
         names[f]: TOP if isinstance(f, LTrue) else BOTTOM if isinstance(f, LFalse) else ex.UNKNOWN
@@ -582,18 +483,12 @@ def net_chor(phi: Ltl, ap_owner: Mapping[str, str]) -> MonitorDataTree:
     host = choose(phi, ap_owner)
     counter = itertools.count(1)
 
-    def rebuild_unary(n: Ltl, child: Ltl) -> Ltl:
-        return type(n)(child)
-
-    def rebuild_binary(n: Ltl, left: Ltl, right: Ltl) -> Ltl:
-        return type(n)(left, right)
-
     def netx(f: Ltl, id_c: int, c_h: str) -> tuple[Ltl, list[MonitorData], list[tuple[int, int]]]:
         if isinstance(f, (LTrue, LFalse, Prop, MonPlaceholder)):
             return f, [], []
         if isinstance(f, (LNot, Next, Finally, Globally)):
             inner, extras, edges = netx(f.operand, id_c, c_h)
-            return rebuild_unary(f, inner), extras, edges
+            return type(f)(inner), extras, edges
         assert isinstance(f, (LAnd, LOr, Until))
         left_props = bool(prop_occurrences(f.left))
         right_props = bool(prop_occurrences(f.right))
@@ -604,14 +499,14 @@ def net_chor(phi: Ltl, ap_owner: Mapping[str, str]) -> MonitorDataTree:
         if c1 == c_h and c2 == c_h:
             lf, ln, le = netx(f.left, id_c, c_h)
             rf, rn, re_ = netx(f.right, id_c, c_h)
-            return rebuild_binary(f, lf, rf), ln + rn, le + re_
+            return type(f)(lf, rf), ln + rn, le + re_
         if c1 == c_h:  # delegate the right operand
             id_n = next(counter)
             lf, ln, le = netx(f.left, id_c, c_h)
             rf, rn, re_ = netx(f.right, id_n, c2)
             child = MonitorData(id_n, rf, c2)
             return (
-                rebuild_binary(f, lf, MonPlaceholder(id_n)),
+                type(f)(lf, MonPlaceholder(id_n)),
                 ln + rn + [child],
                 le + re_ + [(id_n, id_c)],
             )
@@ -621,7 +516,7 @@ def net_chor(phi: Ltl, ap_owner: Mapping[str, str]) -> MonitorDataTree:
         rf, rn, re_ = netx(f.right, id_c, c_h)
         child = MonitorData(id_n, lf, c1)
         return (
-            rebuild_binary(f, MonPlaceholder(id_n), rf),
+            type(f)(MonPlaceholder(id_n), rf),
             ln + rn + [child],
             le + re_ + [(id_n, id_c)],
         )

@@ -260,6 +260,27 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", str(cfg), "--strict")
         assert code == 2
 
+    def test_bad_spec_skipped_once_per_run(self, tmp_path, fig1, capsys):
+        cfg = self._write_experiment(tmp_path, fig1)
+        (tmp_path / "spec.json").write_text("{")
+        code, _, err = run_cli(capsys, "experiment", str(cfg))
+        assert code == 0 and err.count("skipping") == 2 * 2  # algorithms x traces
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--strict")
+        assert code == 2 and "skipping" not in err
+
+    def test_spec_input_built_once_per_algorithm(self, tmp_path, capsys, monkeypatch):
+        import shutil
+
+        work = tmp_path / "experiment"
+        shutil.copytree(Path(__file__).resolve().parent.parent / "fixtures" / "experiment", work)
+        real = cli._spec_input_for
+        calls = []
+        monkeypatch.setattr(cli, "_spec_input_for", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run_cli(capsys, "experiment", str(work / "config.json"))
+        assert code == 0
+        assert len((work / "results.csv").read_text().splitlines()) == 1 + 4 * 3
+        assert len(calls) == 4  # one per algorithm and spec, not one per trace
+
 
 class TestLtlSpecInput:
     def test_ltl_file_drives_every_algorithm(self, tmp_path, capsys):

@@ -16,6 +16,9 @@ from conftest import load_module
 synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
 
 GRID = tuple(itertools.product((1, 2, 3), (1, 2)))  # (comm_delay, initial_active)
+# System graphs, one per pass over GRID: complete, and a directed ring, which is
+# strongly connected but not complete.
+GRAPHS = (an.complete_graph, lambda cs: an.Graph.of(cs, zip(cs, cs[1:] + cs[:1])))
 CASES = 36
 WIDE_CASES = 12  # |C| = 5, L = 31..60
 
@@ -53,7 +56,7 @@ def check_cases(seed, cases, components, lengths):
         spec = lt.synthesize(phi)
         centralized = centralized_verdict(spec, tr)
         finals += centralized.is_final
-        system = an.complete_graph(tr.components)
+        system = GRAPHS[i // len(GRID) % len(GRAPHS)](list(tr.components))
         for alg in en.ALGORITHMS:
             cfg = en.SimConfig(alg, comm_delay=comm_delay, initial_active=initial_active,
                                timeout_slack=5 * comm_delay)

@@ -354,7 +354,7 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
         rng = random.Random(99)
         calls = []
         monkeypatch.setattr(
-            ex, "simplify", lambda e, light=False: calls.append(e) or real_simplify(e, light)
+            ex, "simplify", lambda e: calls.append(e) or real_simplify(e)
         )
         dumps = []
         for _ in range(12):

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demon import ehe as eh
 from demon import expr as ex
+from demon.automaton import make_spec
 from demon.errors import ParseError, ThresholdExceeded
 from demon.store import Memory
 
@@ -255,6 +257,12 @@ def test_deep_expressions_do_not_overflow():
     assert ex.eval_expr(deep, m) is ex.TOP  # y short-circuits every level
     folded = ex.fold(deep)
     assert ex.eval_expr(folded, m) is ex.TOP
+    text = ex.to_text(deep)
+    assert text.startswith("(" * 4998 + "x0 && x1 || y) && x2 || y)")
+    assert text.endswith(") && x39 || y")
+    assert len(text) == len("x0") + sum(len(f"( && x{i % 40} || y)") for i in range(1, 5000)) - 2
+    spec = make_spec(["q"], "q", [("q", "true", "q")], {"q": "unknown"})
+    assert eh.dump(eh.EHE(spec, {0: {"q": deep}})) == f"t\tq\te\n0\tq\t{text}"
 
 
 def cover_cases():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from demon import ltl as lt
 from demon.automaton import (
     centralized_as_decentralized,
     enumerate_full_traces,
+    spec_to_dict,
     validate,
     verdict_equivalent,
 )
@@ -44,6 +47,79 @@ class TestParser:
         for bad in ["", "a U", "F", "a &&", "(a"]:
             with pytest.raises(ParseError):
                 lt.parse_ltl(bad)
+
+    def test_shares_the_expression_lexer(self):
+        for bad in ["a $ b", "a & b", "a | b", "1a", "a -> b"]:
+            with pytest.raises(ParseError):
+                lt.parse_ltl(bad)
+            with pytest.raises(ParseError):
+                ex.parse_expr(bad)
+
+
+class TestCanonicalSimplification:
+    # More than _BOOL_TABLE_CAP distinct leaves, so the Boolean level is folded
+    # rather than rebuilt from its truth table.  It holds a repeated leaf, the
+    # constants, double negations, a leaf that simplifies to a constant
+    # (F true, G false) and one that simplifies to a Boolean level (false U ...).
+    FOLDED = (
+        "F a0 && F a0 || G a1 && true || !!X a2 || F a3 && false || a4 U a5 || F a6 && G a7"
+        " || !F a8 || X a9 || G (a10 || a11) || F a12 || a13 || !!a14 || !(false || !G a15)"
+        " || (false U (b0 || !b1)) && F true || G false"
+    )
+
+    def test_folded_boolean_level_pinned(self):
+        out = lt.simplify_ltl(lt.parse_ltl(self.FOLDED))
+        assert lt.ltl_text(out) == (
+            "F a0 && F a0 || G a1 || X a2 || a4 U a5 || F a6 && G a7 || !F a8 || X a9"
+            " || G (a10 || a11) || F a12 || a13 || a14 || G a15 || b0 || !b1"
+        )
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_nested_temporal_leaves_simplified_once(self, k, monkeypatch):
+        # F (a0 || F (a1 || ... F a(k-1))): every leaf is simplified once, so
+        # the work is linear in the nesting depth.
+        phi = lt.Finally(lt.Prop(f"a{k - 1}"))
+        for i in reversed(range(k - 1)):
+            phi = lt.Finally(lt.LOr(lt.Prop(f"a{i}"), phi))
+        real = lt.simplify_ltl
+        calls = []
+        monkeypatch.setattr(lt, "simplify_ltl", lambda p: calls.append(p) or real(p))
+        lt.simplify_ltl(phi)
+        assert len(calls) <= 3 * k, len(calls)
+
+
+# SHA-256 of the JSON of spec_to_dict(synthesize(phi)), one formula per
+# random_formula shape and one that nests a Next and an Until.  A state's name
+# is its formula text, so any change to the canonical form shows here.
+SYNTHESIZED_SHA256 = {
+    "F (a4 || a1 || a3)": "03fd1b4e7ead5b0fd8152ea16a7217217c5e07a605f9daa6a8c4a4efcde3cf03",
+    "F (a2 && a5 && a1)": "3dfb41e09758ff126bda5050e75a474c00a3f7aadc12b5fba98a7a3ad1e0be66",
+    "F a1 && F a3 && F a4": "646e48da1c3bc8908dbf3bc52e7a0b4ea55a0084f0f5abe8a545fec7ce3e95e8",
+    "(a5 || a0) U a2": "a8875af3fa0129054f45cdc7bd751959c7a88c284bf957f28ade76e6f7dd9553",
+    "X (a0 U (a1 && X a2))": "f4fd98b813c797ff0efd52e9b0d1d4d3a209a21bafacca6d7656670749367559",
+}
+
+
+class TestSynthesizedSpecsPinned:
+    @pytest.mark.parametrize("text", sorted(SYNTHESIZED_SHA256))
+    def test_spec_pinned(self, text):
+        d = spec_to_dict(lt.synthesize(lt.parse_ltl(text)))
+        digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+        assert digest == SYNTHESIZED_SHA256[text]
+
+    def test_single_successor_label_is_true(self):
+        d = spec_to_dict(lt.synthesize(lt.parse_ltl("X F a0")))
+        assert d == {
+            "initial": "X F a0",
+            "states": ["X F a0", "F a0", "true"],
+            "transitions": [
+                {"from": "X F a0", "label": "true", "to": "F a0"},
+                {"from": "F a0", "label": "!a0", "to": "F a0"},
+                {"from": "F a0", "label": "a0", "to": "true"},
+                {"from": "true", "label": "true", "to": "true"},
+            ],
+            "verdicts": {"X F a0": "unknown", "F a0": "unknown", "true": "top"},
+        }
 
 
 class TestProgress:
