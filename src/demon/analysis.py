@@ -171,14 +171,18 @@ def compatible(
     return True, solution
 
 
-def count_compatible(net: Graph, sys: Graph, constraint: Mapping[str, str]) -> int:
-    """Debug helper: number of total compatible assignments extending the
-    constraint (exhaustive)."""
-    return sum(1 for _ in _compatible_assignments(net, sys, constraint))
-
-
 def graph_from_dict(data: dict) -> Graph:
     try:
-        return Graph.of(data["nodes"], [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecificationError(f"malformed graph object: {exc}") from exc
+        nodes, edges = data["nodes"], data["edges"]
+    except KeyError as exc:
+        raise SpecificationError(f"malformed graph object: missing key {exc}") from None
+    if not (isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
+        raise SpecificationError(f"graph key 'nodes' must be a list of names, got {nodes!r}")
+    if not (isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(n, str) for n in e)
+        for e in edges
+    )):
+        raise SpecificationError(
+            f"graph key 'edges' must be a list of [from, to] name pairs, got {edges!r}"
+        )
+    return Graph.of(nodes, map(tuple, edges))

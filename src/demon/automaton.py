@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import expr as ex
 from .errors import (
@@ -62,14 +62,11 @@ class Specification:
         return {q: tuple(group) for q, group in grouped.items()}
 
     @cached_property
-    def by_destination(self) -> dict[str, tuple[tuple[Transition, frozenset[ex.Atom]], ...]]:
-        """Transitions grouped by destination state, in declaration order,
-        each paired with the atoms of its label."""
-        grouped: dict[str, list[tuple[Transition, frozenset[ex.Atom]]]] = {
-            q: [] for q in self.states
-        }
+    def by_destination(self) -> dict[str, tuple[Transition, ...]]:
+        """Transitions grouped by destination state, in declaration order."""
+        grouped: dict[str, list[Transition]] = {q: [] for q in self.states}
         for t in self.transitions:
-            grouped[t.dst].append((t, frozenset(ex.atoms_of(t.label))))
+            grouped[t.dst].append(t)
         return {q: tuple(group) for q, group in grouped.items()}
 
     def outgoing(self, q: str) -> tuple[Transition, ...]:
@@ -137,12 +134,6 @@ def normalize(a: Specification) -> Specification:
         Transition(src, label, dst) for (src, dst), label in sorted(grouped.items())
     )
     return Specification(a.states, a.initial, transitions, dict(a.verdicts))
-
-
-def max_label_size(a: Specification) -> int:
-    """Largest atom count over the labels of the normalized automaton."""
-    n = normalize(a)
-    return max((ex.tree_size(t.label)[0] for t in n.transitions), default=0)
 
 
 def step(
@@ -227,21 +218,6 @@ class DecentralizedSpec:
                         )
 
 
-def centralized_as_decentralized(a: Specification, component: str = "sys") -> DecentralizedSpec:
-    """Wrap a centralized specification as the one-monitor special case."""
-    aps = sorted(
-        {atom.name for t in a.transitions for atom in ex.atoms_of(t.label)}
-    )
-    return DecentralizedSpec(
-        monitor_labels=("g",),
-        monitors={"g": a},
-        components=(component,),
-        attach={"g": component},
-        root="g",
-        ap_owner={ap: component for ap in aps},
-    )
-
-
 @dataclass(frozen=True)
 class DecentralizedTrace:
     """Events per (round, component); rounds run from 1 to ``length``."""
@@ -272,13 +248,6 @@ class DecentralizedTrace:
             for ap in sorted(evt.propositions()):
                 owner.setdefault(ap, comp)
         return owner
-
-    def prefix(self, k: int) -> "DecentralizedTrace":
-        return DecentralizedTrace(
-            self.components,
-            min(k, self.length),
-            {(t, c): e for (t, c), e in self.events.items() if t <= k},
-        )
 
 
 def reconstruct_global(tr: DecentralizedTrace) -> list[Event]:
@@ -366,28 +335,6 @@ def verdict_equivalent(
         if decentralized_run(d1, tr) is not decentralized_run(d2, tr):
             return tr
     return None
-
-
-def enumerate_full_traces(
-    ap_owner: Mapping[str, str],
-    components: Sequence[str],
-    max_len: int,
-) -> Iterator[DecentralizedTrace]:
-    """All decentralized traces up to ``max_len`` in which every proposition
-    is observed every round."""
-    aps = sorted(ap_owner)
-    assignments = list(itertools.product((TOP, BOTTOM), repeat=len(aps)))
-    comps = tuple(components)
-    for n in range(0, max_len + 1):
-        for rounds in itertools.product(assignments, repeat=n):
-            events: dict[tuple[int, str], Event] = {}
-            for t, assign in enumerate(rounds, start=1):
-                per_comp: dict[str, set[tuple[str, Verdict]]] = {}
-                for ap, value in zip(aps, assign):
-                    per_comp.setdefault(ap_owner[ap], set()).add((ap, value))
-                for comp, obs in per_comp.items():
-                    events[(t, comp)] = Event(frozenset(obs))
-            yield DecentralizedTrace(comps, n, events)
 
 
 # ---------------------------------------------------------------------------

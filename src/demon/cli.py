@@ -21,10 +21,21 @@ from .errors import DemonError
 from .expr import UNKNOWN
 
 _DISTRIBUTIONS = {"normal": traces.Normal, "binomial": traces.Binomial, "beta": traces.Beta}
+_INPUT_ERRORS = (DemonError, OSError, json.JSONDecodeError)
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _load_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; any other JSON value is an input error
+    naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DemonError(f"{what} {path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _int_option(config: dict, key: str, default=None) -> int:
@@ -65,8 +76,7 @@ def _distribution_from(data: dict) -> traces.Distribution:
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _load_object(args.config, "gen-traces config")
     missing = [key for key in ("components", "distributions") if key not in config]
     if missing:
         raise DemonError(f"gen-traces config is missing {missing}")
@@ -75,10 +85,14 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     length = _int_option(config, "length", 60)
     count = _int_option(config, "count", 1)
     base_seed = _int_option(config, "seed", 0)
+    distributions = config["distributions"]
+    if not (isinstance(distributions, list) and all(isinstance(d, dict) for d in distributions)):
+        raise DemonError(f"config key 'distributions' must be a list of objects, "
+                         f"got {distributions!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for dist_data in config["distributions"]:
+    for dist_data in distributions:
         dist = _distribution_from(dist_data)
         kind = dist_data["kind"]
         for i in range(count):
@@ -97,8 +111,7 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
 
 
 def _load_graph(path: str) -> analysis.Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return analysis.graph_from_dict(json.load(fh))
+    return analysis.graph_from_dict(_load_object(path, "graph file"))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -107,8 +120,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         sysg = _load_graph(args.system)
         constraint = {}
         if args.constraint:
-            with open(args.constraint, "r", encoding="utf-8") as fh:
-                constraint = json.load(fh)
+            constraint = _load_object(args.constraint, "constraint file")
+            if not all(isinstance(comp, str) for comp in constraint.values()):
+                raise DemonError(f"constraint file {args.constraint} must map monitor "
+                                 "names to component names")
         ok, assignment = analysis.compatible(net, sysg, constraint)
         print(json.dumps({"compatible": ok, "assignment": assignment}, sort_keys=True))
         return 0 if ok else 1
@@ -165,6 +180,9 @@ def _spec_input_for(algorithm: str, spec_path: str):
     if text.startswith("{"):
         data = json.loads(text)
         if "ltl" in data:
+            if not isinstance(data["ltl"], str):
+                raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
+                                 f"string, got {data['ltl']!r}")
             formula = lt.parse_ltl(data["ltl"])
     else:
         formula = lt.parse_ltl(text)
@@ -233,9 +251,16 @@ def _trace_paths(base: Path, entries) -> list[str]:
     return out
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the input error it raised, to be reported per run."""
+    try:
+        return fn(*args)
+    except _INPUT_ERRORS as exc:
+        return exc
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _load_object(args.config, "experiment config")
     base = Path(args.config).parent
     algorithms, specs, sources = (
         _str_list(config, key) for key in ("algorithms", "specs", "traces")
@@ -249,24 +274,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "timeout_slack": _int_option(config, "timeout_slack", 5),
     }
     configs = [engine.SimConfig(algorithm, **params) for algorithm in algorithms]
+    loaded = [(path, _attempt(traces.load, path)) for path in trace_paths]
     rows = []
     for cfg in configs:
         algorithm = cfg.algorithm
         for spec_entry in specs:
             spec_path = str(base / spec_entry)
-            spec_error = None
-            try:
-                spec_input = _spec_input_for(algorithm, spec_path)
-            except (DemonError, OSError, json.JSONDecodeError) as exc:
-                spec_error = exc  # reported once per run below
-            for trace_path in trace_paths:
+            spec_input = _attempt(_spec_input_for, algorithm, spec_path)
+            for trace_path, tr in loaded:
                 try:
-                    tr = traces.load(trace_path)
-                    if spec_error is not None:
-                        raise spec_error
+                    for given in (tr, spec_input):  # input errors are reported per run
+                        if isinstance(given, Exception):
+                            raise given
                     system = analysis.complete_graph(tr.components)
                     run = engine.simulate(cfg, spec_input, system, tr)
-                except (DemonError, OSError, json.JSONDecodeError) as exc:
+                except _INPUT_ERRORS as exc:
                     if args.strict:
                         raise
                     _log(f"skipping {algorithm}/{spec_entry}/{Path(trace_path).name}: {exc}")
@@ -344,7 +366,7 @@ def main(argv=None) -> int:
             parser.error(f"{args.mode} needs --spec")
     try:
         return args.fn(args)
-    except (DemonError, OSError, json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -10,7 +10,8 @@ and S states per row:
 - ``rounds`` is O(R); ``first_round``, ``last_round`` and ``len`` are O(1);
   ``at`` is O(1) and ``states_at`` is O(S log S).
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
-- ``mov`` copies the row index (O(R)) and builds one row per new round.
+- ``mov`` copies the row index (O(R)), builds one row per new round and
+  simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` resolves rounds from the first one until the state is
@@ -35,8 +36,6 @@ from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
 from .expr import Expr, TOP, TRUE, Verdict
 from .store import Memory
-
-_MOV_SIMPLIFY_CAP = 12  # eager construction-time simplification bound
 
 Row = Mapping[str, Expr]
 
@@ -110,17 +109,11 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
 
     The condition to reach q' at round t+1 disjoins, over the transitions
     into q', the source state's condition at t conjoined with the label
-    encoded at t+1.  New entries are built with folding constructors and
-    simplified eagerly while their atom count stays within
-    ``_MOV_SIMPLIFY_CAP``; entries already present at the target key are
-    merged with disjunction.
-
-    The atom count of a new entry is taken over the union of its parts' atom
-    sets, an over-approximation built incrementally round by round.  A
-    condition that was not built in this call is walked once, and the walk
-    stops after ``_MOV_SIMPLIFY_CAP + 1`` distinct atoms: a union holding
-    such a truncated set is over the cap anyway, and a union of sets within
-    the cap is exact, so every decision is the one a full walk would give.
+    encoded at t+1; an entry already present at the target key is merged with
+    disjunction.  New entries are built with folding constructors and
+    simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound up
+    to which :func:`expr.simplify` rebuilds a sum of products; the atom count
+    is a walk that stops after ``DNF_ATOMS + 1`` atoms.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -130,15 +123,6 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     names = frozenset(monitor_names)
     a = p.automaton
     table = dict(p.table)
-    atom_sets: dict[tuple[int, str], frozenset[ex.Atom]] = {}
-
-    def atoms_at(t: int, q: str, cond: Expr) -> frozenset[ex.Atom]:
-        cached = atom_sets.get((t, q))
-        if cached is None:
-            cached = frozenset(ex.atoms_upto(cond, _MOV_SIMPLIFY_CAP))
-            atom_sets[(t, q)] = cached
-        return cached
-
     for t in range(ts_round, te):
         src = table.get(t, {})
         targets = sorted({tr.dst for q in src for tr in a.outgoing(q)})
@@ -148,25 +132,17 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
         old = table.get(t + 1, {})
         row = dict(old)
         for qprime in targets:
-            parts = []
-            support: frozenset[ex.Atom] = frozenset()
-            for tr, label_atoms in a.by_destination[qprime]:
-                src_cond = src.get(tr.src)
-                if src_cond is None:
-                    continue
-                parts.append(ex.conj(src_cond, ex.encode(tr.label, enc)))
-                support |= atoms_at(t, tr.src, src_cond)
-                support |= frozenset(enc.apply(atom) for atom in label_atoms)
-            cond = ex.disj_all(parts)
+            cond = ex.disj_all(
+                ex.conj(src[tr.src], ex.encode(tr.label, enc))
+                for tr in a.by_destination[qprime]
+                if tr.src in src
+            )
             prior = old.get(qprime)
             if prior is not None:
                 cond = ex.disj(prior, cond)
-                support |= atoms_at(t + 1, qprime, prior)
-            if len(support) <= _MOV_SIMPLIFY_CAP:
+            if len(ex.atoms_upto(cond, ex.DNF_ATOMS)) <= ex.DNF_ATOMS:
                 cond = ex.simplify(cond)
-                support = frozenset(ex.atoms_of(cond))
             row[qprime] = cond
-            atom_sets[(t + 1, qprime)] = support
         table[t + 1] = row
     if ts_round < p.last_round():  # rounds added inside a gap go into place
         table = dict(sorted(table.items()))
@@ -260,13 +236,6 @@ def drop_resolved(p: EHE, m: Memory, step=None) -> EHE:
     table: dict[int, Row] = {t_star: {q_star: TRUE}}
     table.update((t, row) for t, row in p.table.items() if t > t_star)
     return EHE(p.automaton, table)
-
-
-def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:
-    """CvRDT-law comparison: same keys, Boolean-equivalent conditions."""
-    if set(p1.entries) != set(p2.entries):
-        return False
-    return all(ex.equivalent(p1.entries[k], p2.entries[k]) for k in p1.entries)
 
 
 def dump(p: EHE) -> str:

@@ -3,7 +3,9 @@
 Expressions are immutable trees that may share subtrees; every traversal here
 is iterative and memoizes on node identity so shared structure is visited
 once.  Exact Boolean decisions use bitmask truth tables up to ``EXACT_ATOMS``
-atoms.  Above it :func:`simplify` only folds, :func:`equivalent` raises
+atoms, and :func:`simplify` rebuilds a sum of products up to ``DNF_ATOMS``
+atoms, the bound ``ehe.mov`` reads to decide which new entries to simplify.
+Above ``EXACT_ATOMS`` :func:`simplify` only folds, :func:`equivalent` raises
 ``ThresholdExceeded``, and only :func:`eval_expr` searches: through
 :func:`decide_constant`, a budgeted branching satisfiability check whose
 exhaustion is logged on the ``demon`` logger.  The lexer is shared with the
@@ -27,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import ParseError, ThresholdExceeded
 
 EXACT_ATOMS = 16  # atom limit for truth-table decisions
-_DNF_ATOM_CAP = 8
+DNF_ATOMS = 8  # atom limit for sum-of-products rebuilds
 _SAT_NODE_BUDGET = 200_000
 _QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
 
@@ -589,7 +591,7 @@ def simplify(e: Expr) -> Expr:
         return TRUE
     if table == 0:
         return FALSE
-    if k <= _DNF_ATOM_CAP:
+    if k <= DNF_ATOMS:
         terms = qm_cover(table, k)
         if _cover_size(terms) <= tree_size(f):
             return _dnf_from_cover(terms, atoms)

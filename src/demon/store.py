@@ -108,13 +108,6 @@ def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
     return Memory(merge_with(m1.entries, m2.entries, _replace_max))
 
 
-def memory_merge_all(memories: Iterable[Memory], strict: bool = False) -> Memory:
-    out = EMPTY_MEMORY
-    for m in memories:
-        out = memory_merge(out, m, strict=strict)
-    return out
-
-
 def mem_from_event(evt: Event, enc: Encoder) -> Memory:
     """Convert an event into a memory, encoding each proposition with ``enc``."""
     return Memory({enc.apply(plain(ap)): verdict for ap, verdict in evt.observations})

@@ -1,0 +1,79 @@
+"""Oracles and constructions that only the tests use: exhaustive trace
+enumeration, the one-monitor wrapping of a centralized specification,
+entrywise encoding comparison, folded memory merges, label-size and
+placement counts."""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from demon import analysis as an
+from demon import expr as ex
+from demon.automaton import DecentralizedSpec, DecentralizedTrace, Specification, normalize
+from demon.ehe import EHE
+from demon.expr import BOTTOM, TOP, Verdict
+from demon.store import EMPTY_MEMORY, Event, Memory, memory_merge
+
+
+def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:
+    """CvRDT-law comparison: same keys, Boolean-equivalent conditions."""
+    if set(p1.entries) != set(p2.entries):
+        return False
+    return all(ex.equivalent(p1.entries[k], p2.entries[k]) for k in p1.entries)
+
+
+def memory_merge_all(memories: Iterable[Memory], strict: bool = False) -> Memory:
+    out = EMPTY_MEMORY
+    for m in memories:
+        out = memory_merge(out, m, strict=strict)
+    return out
+
+
+def max_label_size(a: Specification) -> int:
+    """Largest atom count over the labels of the normalized automaton."""
+    n = normalize(a)
+    return max((ex.tree_size(t.label)[0] for t in n.transitions), default=0)
+
+
+def centralized_as_decentralized(a: Specification, component: str = "sys") -> DecentralizedSpec:
+    """Wrap a centralized specification as the one-monitor special case."""
+    aps = sorted(
+        {atom.name for t in a.transitions for atom in ex.atoms_of(t.label)}
+    )
+    return DecentralizedSpec(
+        monitor_labels=("g",),
+        monitors={"g": a},
+        components=(component,),
+        attach={"g": component},
+        root="g",
+        ap_owner={ap: component for ap in aps},
+    )
+
+
+def enumerate_full_traces(
+    ap_owner: Mapping[str, str],
+    components: Sequence[str],
+    max_len: int,
+) -> Iterator[DecentralizedTrace]:
+    """All decentralized traces up to ``max_len`` in which every proposition
+    is observed every round."""
+    aps = sorted(ap_owner)
+    assignments = list(itertools.product((TOP, BOTTOM), repeat=len(aps)))
+    comps = tuple(components)
+    for n in range(0, max_len + 1):
+        for rounds in itertools.product(assignments, repeat=n):
+            events: dict[tuple[int, str], Event] = {}
+            for t, assign in enumerate(rounds, start=1):
+                per_comp: dict[str, set[tuple[str, Verdict]]] = {}
+                for ap, value in zip(aps, assign):
+                    per_comp.setdefault(ap_owner[ap], set()).add((ap, value))
+                for comp, obs in per_comp.items():
+                    events[(t, comp)] = Event(frozenset(obs))
+            yield DecentralizedTrace(comps, n, events)
+
+
+def count_compatible(net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]) -> int:
+    """Number of total compatible assignments extending the constraint
+    (exhaustive)."""
+    return sum(1 for _ in an._compatible_assignments(net, sys, constraint))

@@ -15,7 +15,6 @@ from demon import ltl as lt
 from demon import metrics as mt
 from demon import traces as tg
 from demon.automaton import (
-    centralized_as_decentralized,
     decentralized_run,
     reconstruct_global,
     run,
@@ -23,6 +22,7 @@ from demon.automaton import (
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import random_spec, random_trace
+from helpers import centralized_as_decentralized, entrywise_equivalent
 
 T, B, U = ex.TOP, ex.BOTTOM, ex.UNKNOWN
 
@@ -131,9 +131,9 @@ def test_criterion_3_cvrdt_laws():
             eh.inc(p, Memory({a: rng.choice((T, B)) for a in part}))
             for part in parts
         )
-        assert eh.entrywise_equivalent(eh.merge(p1, p1), p1)
-        assert eh.entrywise_equivalent(eh.merge(p1, p2), eh.merge(p2, p1))
-        assert eh.entrywise_equivalent(
+        assert entrywise_equivalent(eh.merge(p1, p1), p1)
+        assert entrywise_equivalent(eh.merge(p1, p2), eh.merge(p2, p1))
+        assert entrywise_equivalent(
             eh.merge(eh.merge(p1, p2), p3), eh.merge(p1, eh.merge(p2, p3))
         )
     _report("3 (CvRDT laws for memories and EHEs)")

@@ -8,6 +8,7 @@ from demon import expr as ex
 from demon.automaton import make_spec
 
 from conftest import random_spec
+from helpers import count_compatible
 
 
 @pytest.fixture
@@ -169,7 +170,7 @@ class TestCompatibility:
                 assert _direct_check(net, sysg, constraint, sol)
 
     def test_count_all_matches_bruteforce(self, fig5_net, fig5_sys):
-        count = an.count_compatible(fig5_net, fig5_sys, {"m0": "c0", "m2": "c2"})
+        count = count_compatible(fig5_net, fig5_sys, {"m0": "c0", "m2": "c2"})
         brute = sum(
             1
             for sol in _all_total(fig5_net, fig5_sys, {"m0": "c0", "m2": "c2"})

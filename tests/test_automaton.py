@@ -8,11 +8,9 @@ from demon.automaton import (
     DecentralizedSpec,
     DecentralizedTrace,
     Specification,
-    centralized_as_decentralized,
     decentralized_run,
     dspec_from_dict,
     dspec_to_dict,
-    enumerate_full_traces,
     load_spec_file,
     make_spec,
     normalize,
@@ -33,6 +31,7 @@ from demon.errors import (
 from demon.store import Event
 
 from conftest import random_spec, random_trace
+from helpers import centralized_as_decentralized, enumerate_full_traces
 
 T, B = ex.TOP, ex.BOTTOM
 

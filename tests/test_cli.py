@@ -86,6 +86,13 @@ class TestGenTraces:
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "'components'" in err
 
+    @pytest.mark.parametrize("distributions", [["normal"], {"kind": "normal"}])
+    def test_distributions_must_be_objects(self, tmp_path, capsys, distributions):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"components": 2, "distributions": distributions}))
+        code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and "'distributions'" in err
+
     def test_non_numeric_distribution_parameter_named(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({
@@ -147,6 +154,26 @@ class TestCheck:
                                "--system", str(sysg), "--constraint", str(cons))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("network, constraint, named", [
+        ({"nodes": ["m0"], "edges": []}, ["m0", "c0"], "cons.json"),  # not an object
+        ({"nodes": ["m0"], "edges": []}, {"m0": ["c0"]}, "cons.json"),
+        ({"nodes": "abc", "edges": []}, {}, "'nodes'"),  # read as a, b, c
+        ({"nodes": [1, 2], "edges": []}, {}, "'nodes'"),
+        ({"nodes": ["a", "b"], "edges": ["ab"]}, {}, "'edges'"),  # read as a -> b
+        (["m0"], {}, "net.json"),
+    ])
+    def test_malformed_compatibility_input_named(self, tmp_path, capsys, network,
+                                                 constraint, named):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(network))
+        sysg = tmp_path / "sys.json"
+        sysg.write_text(json.dumps({"nodes": ["c0"], "edges": []}))
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(constraint))
+        code, _, err = run_cli(capsys, "check", "compatibility", "--network", str(net),
+                               "--system", str(sysg), "--constraint", str(cons))
+        assert code == 2 and named in err
+
     def test_validate(self, fig1_file, capsys):
         code, out, _ = run_cli(capsys, "check", "validate", "--spec", fig1_file)
         assert code == 0 and json.loads(out)["valid"]
@@ -191,6 +218,14 @@ class TestRun:
         monkeypatch.setattr(cli.engine, "simulate", broken)
         with pytest.raises(KeyError):
             cli.main(["run", "--spec", fig1_file, "--trace", trace_file, "--algorithm", "orch"])
+
+    def test_non_text_ltl_key_named(self, tmp_path, trace_file, capsys):
+        spec = tmp_path / "phi.json"
+        spec.write_text(json.dumps({"ltl": 5}))
+        for alg in ("orch", "chor"):
+            code, _, err = run_cli(capsys, "run", "--spec", str(spec),
+                                   "--trace", trace_file, "--algorithm", alg)
+            assert code == 2 and "phi.json" in err and "'ltl'" in err
 
     def test_chor_from_ltl_text(self, tmp_path, capsys):
         ltl = tmp_path / "phi.ltl"
@@ -281,6 +316,27 @@ class TestExperiment:
         assert len((work / "results.csv").read_text().splitlines()) == 1 + 4 * 3
         assert len(calls) == 4  # one per algorithm and spec, not one per trace
 
+    def test_non_text_ltl_key_skipped_once_per_run(self, tmp_path, fig1, capsys):
+        cfg = self._write_experiment(tmp_path, fig1)
+        (tmp_path / "spec.json").write_text(json.dumps({"ltl": 5}))
+        code, _, err = run_cli(capsys, "experiment", str(cfg))
+        assert code == 0 and err.count("skipping") == 2 * 2 and "'ltl'" in err
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--strict")
+        assert code == 2 and "'ltl'" in err
+
+    def test_each_trace_loaded_once(self, tmp_path, capsys, monkeypatch):
+        import shutil
+
+        work = tmp_path / "experiment"
+        shutil.copytree(Path(__file__).resolve().parent.parent / "fixtures" / "experiment", work)
+        real = cli.traces.load
+        calls = []
+        monkeypatch.setattr(cli.traces, "load", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run_cli(capsys, "experiment", str(work / "config.json"))
+        assert code == 0
+        assert len((work / "results.csv").read_text().splitlines()) == 1 + 4 * 3
+        assert len(calls) == 3  # one per trace, not one per algorithm and spec
+
 
 class TestLtlSpecInput:
     def test_ltl_file_drives_every_algorithm(self, tmp_path, capsys):
@@ -331,6 +387,12 @@ class TestExperimentTraceSources:
         cfg.write_text(json.dumps({"algorithms": [], "specs": [], "traces": []}))
         code, _, err = run_cli(capsys, "experiment", str(cfg))
         assert code == 2 and "at least one" in err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(["orch"]))
+        code, _, err = run_cli(capsys, "experiment", str(cfg))
+        assert code == 2 and "exp.json" in err
 
     def test_non_integer_option_named(self, tmp_path, capsys):
         self.check_bad_option_named(tmp_path, capsys, "comm_delay", "x")

@@ -1,12 +1,14 @@
 """Differential test: all four algorithms against the reference semantics
 on random formulas and traces, over the delay and active-monitor grid."""
 
+import hashlib
 import itertools
 import random
 
 from demon import analysis as an
 from demon import engine as en
 from demon import ltl as lt
+from demon import metrics as mt
 from demon import traces as tg
 from demon.automaton import decentralized_run, reconstruct_global, step
 from demon.expr import UNKNOWN
@@ -38,11 +40,11 @@ def choreography_verdict(phi, tr):
     return decentralized_run(en.assemble_choreography(tree, tr.components, owner), tr)
 
 
-def check_cases(seed, cases, components, lengths):
-    """Run ``cases`` seeded cases, cycling through the grid, and return how
-    many had a final reference verdict."""
+def draw_cases(seed, cases, components, lengths):
+    """Yield ``cases`` seeded cases, cycling through the grid and the system
+    graphs: (case index, formula, trace, system graph, comm_delay,
+    initial_active)."""
     rng = random.Random(seed)
-    finals = 0
     for i in range(cases):
         comm_delay, initial_active = GRID[i % len(GRID)]
         ncomp = rng.randint(*components)
@@ -53,13 +55,27 @@ def check_cases(seed, cases, components, lengths):
             components=ncomp, aps_per_component=aps, length=rng.randint(*lengths),
             distribution=dist, seed=rng.randrange(2**31),
         ))
+        system = GRAPHS[i // len(GRID) % len(GRAPHS)](list(tr.components))
+        yield i, phi, tr, system, comm_delay, initial_active
+
+
+def sim_config(alg, comm_delay, initial_active):
+    return en.SimConfig(alg, comm_delay=comm_delay, initial_active=initial_active,
+                        timeout_slack=5 * comm_delay)
+
+
+def check_cases(seed, cases, components, lengths):
+    """Run ``cases`` seeded cases, cycling through the grid, and return how
+    many had a final reference verdict."""
+    finals = 0
+    for i, phi, tr, system, comm_delay, initial_active in draw_cases(
+        seed, cases, components, lengths
+    ):
         spec = lt.synthesize(phi)
         centralized = centralized_verdict(spec, tr)
         finals += centralized.is_final
-        system = GRAPHS[i // len(GRID) % len(GRAPHS)](list(tr.components))
         for alg in en.ALGORITHMS:
-            cfg = en.SimConfig(alg, comm_delay=comm_delay, initial_active=initial_active,
-                               timeout_slack=5 * comm_delay)
+            cfg = sim_config(alg, comm_delay, initial_active)
             if alg == "chor":
                 expected = choreography_verdict(phi, tr)
                 result = en.simulate(cfg, phi, system, tr)
@@ -80,3 +96,28 @@ def test_algorithms_agree_with_reference_over_parameter_grid():
 def test_five_components_and_longer_traces_agree_with_reference():
     finals = check_cases(1903, WIDE_CASES, components=(5, 5), lengths=(31, 60))
     assert finals >= WIDE_CASES // 2, finals
+
+
+GRID_PIN_CASES = 48  # |C| = 2..5, L = 1..60
+# SHA-256 of the sorted metrics rows of every algorithm on the cases below; any
+# change to what a run computes (verdict, stop round or a summary figure) under
+# any grid parameter changes it.
+GRID_ROWS_SHA256 = "ad34174d39f1759ccf083b20bd230d022c1a3832e611b37ec398d6caddf6ee83"
+
+
+def test_grid_metrics_rows_pinned():
+    rows = []
+    for i, phi, tr, system, comm_delay, initial_active in draw_cases(
+        31, GRID_PIN_CASES, components=(2, 5), lengths=(1, 60)
+    ):
+        spec = lt.synthesize(phi)
+        for alg in en.ALGORITHMS:
+            result = en.simulate(sim_config(alg, comm_delay, initial_active),
+                                 phi if alg == "chor" else spec, system, tr)
+            rows.append(",".join(mt.csv_row(
+                alg, len(system.nodes), f"case-{i}", f"d{comm_delay}-a{initial_active}",
+                result.verdict, result.stop_round, mt.summarize(result.record),
+            )))
+    assert len(rows) == 4 * GRID_PIN_CASES
+    digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+    assert digest == GRID_ROWS_SHA256

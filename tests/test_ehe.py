@@ -5,11 +5,12 @@ import pytest
 from demon import ehe as eh
 from demon import expr as ex
 from demon import metrics as mt
-from demon.automaton import reconstruct_global, run
+from demon.automaton import Transition, reconstruct_global, run
 from demon.errors import AutomatonMismatch, UndefinedRound
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import random_spec, random_trace
+from helpers import entrywise_equivalent, max_label_size
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -55,10 +56,10 @@ class TestConstruction:
     def test_to_expr(self, fig1):
         a, b = ex.plain("a"), ex.plain("b")
         into_q1 = fig1.by_destination["q1"]
-        assert [(tr.src, atoms) for tr, atoms in into_q1] == [
-            ("q0", frozenset({a, b})),
-            ("q1", frozenset()),
-        ]
+        assert into_q1 == (
+            Transition("q0", ex.Or(ex.Var(a), ex.Var(b)), "q1"),
+            Transition("q1", ex.TRUE, "q1"),
+        )
         assert fig1.by_destination is fig1.by_destination  # built once
         p = eh.mov(eh.init(fig1), 0, 1)
         a1, b1 = ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))
@@ -124,12 +125,12 @@ class TestMergeInc:
 
     def test_merge_idempotent(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
-        assert eh.entrywise_equivalent(eh.merge(p, p), p)
+        assert entrywise_equivalent(eh.merge(p, p), p)
 
     def test_merge_with_init_keeps_entries(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
         merged = eh.merge(p, eh.init(fig1))
-        assert eh.entrywise_equivalent(merged, p)
+        assert entrywise_equivalent(merged, p)
 
     def test_merge_rejects_other_automaton(self, fig1, fig2):
         with pytest.raises(AutomatonMismatch):
@@ -137,13 +138,13 @@ class TestMergeInc:
 
     def test_inc_empty_memory(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
-        assert eh.entrywise_equivalent(eh.inc(p, Memory()), p)
+        assert entrywise_equivalent(eh.inc(p, Memory()), p)
 
     def test_inc_idempotent(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
         m = timed_mem(**{"1_a": B})
         once = eh.inc(p, m)
-        assert eh.entrywise_equivalent(eh.inc(once, m), once)
+        assert entrywise_equivalent(eh.inc(once, m), once)
 
     def test_memory_obsolescence(self, fig1):
         rng = random.Random(23)
@@ -256,8 +257,6 @@ def test_entry_support_bounded_by_delay_times_label_size():
     # Over d encoded rounds every entry can mention at most d * L distinct
     # atoms, with L the largest label of the normalized automaton.
     rng = random.Random(555)
-    from demon.automaton import max_label_size
-
     for _ in range(40):
         spec, _ = random_spec(rng, max_states=5, max_aps=3)
         d = rng.randint(1, 6)
@@ -344,9 +343,9 @@ class TestTable:
 
 
 def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
-    # mov walks a condition it did not build only until it has seen
-    # _MOV_SIMPLIFY_CAP + 1 atoms; it must simplify exactly the entries a full
-    # walk would have it simplify, and build the same encodings.
+    # mov walks a new entry only until it has seen ex.DNF_ATOMS + 1 atoms; it
+    # must simplify exactly the entries a full walk would have it simplify,
+    # and build the same encodings.
     full_walk = ex.atoms_upto
     real_simplify = ex.simplify
 
@@ -372,3 +371,18 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
     capped = runs()
     monkeypatch.setattr(ex, "atoms_upto", lambda e, limit=None: full_walk(e))
     assert runs() == capped
+
+
+def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
+    # Above DNF_ATOMS atoms simplify builds no sum of products, so mov leaves
+    # such entries as its folding constructors built them.
+    real_simplify = ex.simplify
+    seen = []
+    monkeypatch.setattr(
+        ex, "simplify", lambda e: seen.append(len(ex.atoms_of(e))) or real_simplify(e)
+    )
+    rng = random.Random(7)
+    for _ in range(20):
+        spec, _ = random_spec(rng, max_states=5, max_aps=4)
+        eh.mov(eh.init(spec), 0, 6)
+    assert seen and max(seen) <= ex.DNF_ATOMS, sorted(set(seen))

@@ -11,9 +11,10 @@ from demon.store import (
     Memory,
     mem_from_event,
     memory_merge,
-    memory_merge_all,
     merge_with,
 )
+
+from helpers import memory_merge_all
 
 
 class TestMergeWith:
