@@ -15,7 +15,8 @@ and S states per row:
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` resolves rounds from the first one until the state is
-  unknown, then keeps the rows after the last known round.
+  unknown, then keeps the rows after the last known round; a caller may
+  share one ``memo`` with the resolution that came before it.
 - ``merge`` disjoins shared entries row by row; rounds present in only one
   operand are kept as they are, so the table may have gaps.
 
@@ -220,10 +221,11 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
     return EHE(p.automaton, table)
 
 
-def drop_resolved(p: EHE, m: Memory, step=None) -> EHE:
+def drop_resolved(p: EHE, m: Memory, step=None, memo: Optional[dict[int, Expr]] = None) -> EHE:
     """Garbage collection: find the greatest round whose state is known,
-    drop everything before it, and rebase that entry to TRUE."""
-    memo: dict[int, Expr] = {}
+    drop everything before it, and rebase that entry to TRUE; ``p`` itself
+    when no round is known.  ``memo`` is as in :func:`sreach`."""
+    memo = {} if memo is None else memo
     resolved: Optional[tuple[int, str]] = None
     for t in p.table:
         q = sreach(p, m, t, step=step, memo=memo)

@@ -95,6 +95,7 @@ class ChorState:
     kill_set: set[str] = field(default_factory=set)
     terminated: bool = False
     t_kn: int = 0
+    prefix_evals: int = 0  # what each _resolve would spend on the dropped rows
 
 
 MonitorState = Union[ForwarderState, MainState, MigrationState, ChorState]
@@ -287,11 +288,12 @@ def _resolve(
     t: int,
     rounds: Iterable[int],
     step: mt.Step,
+    memo: Optional[dict[int, ex.Expr]] = None,
 ) -> Optional[Verdict]:
     """Resolve the automaton state at each of ``rounds`` in turn, advancing
     ``state.t_kn`` (and recording its delay) past every newly known round.
     Stops at the first unresolved round; returns the first final verdict."""
-    memo: dict[int, ex.Expr] = {}
+    memo = {} if memo is None else memo
     for r in rounds:
         q = eh.sreach(state.ehe, state.memory, r, step=step, memo=memo)
         if q is None:
@@ -335,11 +337,41 @@ def orchestration_round(
     end = state.ehe.last_round()
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
-    verdict = _resolve(state, t, range(state.t_kn, t + 1), step)
+    memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
+    verdict = _resolve(state, t, range(state.t_kn, t + 1), step, memo)
     if verdict is None:
-        state.ehe = eh.drop_resolved(state.ehe, state.memory, step=step)
+        kept = eh.drop_resolved(state.ehe, state.memory, step=step, memo=memo)
+        if kept is not state.ehe:
+            # Without inc, kept rows still reach the dropped history: fold them (uncounted,
+            # as orch never sends its encoding), then forget the atoms folded in.
+            table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
+                     for r, row in kept.table.items()}
+            kept = eh.EHE(kept.automaton, table)
+            state.memory = _prune(state.memory, kept.last_round())
+        state.ehe = kept
         step.gc = _footprint(state.ehe)
     return state, [], verdict
+
+
+def _prune(m: Memory, last: int) -> Memory:
+    """``m`` less its atoms up to round ``last``, once no entry names them
+    (all folded under ``m``, or the encoding restarts); ``mov`` adds later ones."""
+    return Memory({a: v for a, v in m.items() if a.t > last})
+
+
+def _drop_prefix(state: ChorState) -> None:
+    """Drop the leading rows before ``t_kn`` (never the last) of constants with one
+    TRUE: every later ``_resolve`` would pass each at the cost ``prefix_evals`` keeps."""
+    rows = list(state.ehe.table.items())
+    drop = 0
+    while drop < len(rows) - 1 and rows[drop][0] < state.t_kn:
+        conds = [c for _, c in sorted(rows[drop][1].items())]
+        if not all(isinstance(c, ex.Const) for c in conds) or conds.count(ex.TRUE) != 1:
+            break
+        state.prefix_evals += conds.index(ex.TRUE) + 1
+        drop += 1
+    if drop:
+        state.ehe = eh.EHE(state.ehe.automaton, dict(rows[drop:]))
 
 
 def _footprint(p: eh.EHE) -> tuple[int, int, int]:
@@ -441,8 +473,13 @@ def choreography_round(
         if end < t:
             state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
         state.ehe = eh.inc(state.ehe, state.memory, step=step)
+        step.evaluations += state.prefix_evals
         found = _resolve(state, t, state.ehe.rounds(), step)
         if found is None:
+            _drop_prefix(state)
+            if not state.respawn:  # respawned instances re-read memory from their anchor
+                state.memory = _prune(state.memory, state.ehe.last_round())
+            step.gc = _footprint(state.ehe)
             break
         if not state.respawn:
             # The root reports the system verdict and stops monitoring.
@@ -466,10 +503,9 @@ def choreography_round(
         automaton = state.ehe.automaton
         state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
         state.t_kn = anchor
+        state.prefix_evals = 0
         state.kill_set = set()
-        state.memory = Memory(
-            {a: v for a, v in state.memory.items() if a.t > anchor}
-        )
+        state.memory = _prune(state.memory, anchor)
     return state, outbox, None
 
 

@@ -1,7 +1,8 @@
 """Oracles and constructions that only the tests use: exhaustive trace
 enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
-placement counts."""
+placement counts, expression DAG sizes, and a simulation that shows each
+monitor's state after every round."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from demon import analysis as an
+from demon import engine as en
 from demon import expr as ex
 from demon.automaton import DecentralizedSpec, DecentralizedTrace, Specification, normalize
 from demon.ehe import EHE
@@ -77,3 +79,42 @@ def count_compatible(net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]
     """Number of total compatible assignments extending the constraint
     (exhaustive)."""
     return sum(1 for _ in an._compatible_assignments(net, sys, constraint))
+
+
+def dag_nodes(exprs: Iterable[ex.Expr]) -> int:
+    """Distinct nodes, by identity, of the DAG under ``exprs``.  Iterative:
+    encodings can nest thousands of levels deep."""
+    seen: set[int] = set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, ex.Not):
+            stack.append(node.operand)
+        elif isinstance(node, (ex.And, ex.Or)):
+            stack += (node.left, node.right)
+    return len(seen)
+
+
+_ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
+              "migrr": "migration_round", "chor": "choreography_round"}
+
+
+def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.SimRun:
+    """``engine.simulate`` that calls ``observe(state)`` after each monitor's
+    round, with the monitor state as that round left it."""
+    name = _ROUND_FNS[cfg.algorithm]
+    inner = getattr(en, name)
+
+    def round_fn(state, *args):
+        out = inner(state, *args)
+        observe(state)
+        return out
+
+    setattr(en, name, round_fn)
+    try:
+        return en.simulate(cfg, spec_input, system, tr)
+    finally:
+        setattr(en, name, inner)

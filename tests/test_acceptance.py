@@ -381,7 +381,7 @@ def test_criterion_10_choreography_agreement():
         "F ({0} && ({1} || {2}))",
     ]
     names = sorted(owner)
-    checked = 0
+    checked = recorded = 0
     kill_verdict_sizes_ok = True
     while checked < 40:
         phi = lt.parse_ltl(rng.choice(shapes).format(*rng.sample(names, 3)))
@@ -397,9 +397,16 @@ def test_criterion_10_choreography_agreement():
         for kind in ("verdict", "kill"):
             sizes = {n for s in r.record.steps for k, n in s.sent if k == kind}
             assert len(sizes) <= 1, (kind, sizes)
+        # Criterion 13 (choreography part): the same bound after each drop of
+        # the resolved prefix.
+        gcs = [s.gc for s in r.record.steps if s.gc is not None]
+        assert all(entries <= span * nstates for entries, span, nstates in gcs)
         checked += 1
+        recorded += bool(gcs)
+    assert recorded >= checked // 2, recorded  # runs that resolve at once record none
     _report("10 (CHOR agrees with the decentralized-run reference)")
     _report("11 (CHOR verdict/kill message sizes constant)")
+    _report("13 (CHOR EHE size bound after garbage collection)")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from demon.automaton import decentralized_run, reconstruct_global, step
 from demon.expr import UNKNOWN
 
 from conftest import load_module
+from helpers import dag_nodes, simulate_observed
 
 synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
 
@@ -121,3 +122,23 @@ def test_grid_metrics_rows_pinned():
     assert len(rows) == 4 * GRID_PIN_CASES
     digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
     assert digest == GRID_ROWS_SHA256
+
+
+def test_orch_encoding_stays_small_on_long_wide_case():
+    # Case 0 of this draw (five F obligations, L=47) runs orch for 52 rounds
+    # without a verdict.  The rows that garbage collection keeps are folded
+    # under the memory, so they stop reaching the dropped history; unfolded,
+    # the main monitor's encoding grew to 114,405 DAG nodes.
+    _, phi, tr, system, comm_delay, initial_active = next(
+        draw_cases(2024, 12, (5, 5), (31, 60))
+    )
+    largest = [0]
+
+    def observe(state):
+        if state.name == "m0":
+            largest[0] = max(largest[0], dag_nodes(state.ehe.entries.values()))
+
+    cfg = sim_config("orch", comm_delay, initial_active)
+    result = simulate_observed(cfg, lt.synthesize(phi), system, tr, observe)
+    assert result.verdict is centralized_verdict(lt.synthesize(phi), tr)
+    assert largest[0] < 1000, largest[0]

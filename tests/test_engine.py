@@ -16,10 +16,12 @@ from demon.automaton import (
     reconstruct_global,
     run,
 )
+from demon.ehe import EHE
 from demon.errors import IncompatiblePlacement, InvalidParameters
-from demon.store import Event
+from demon.store import EMPTY_MEMORY, Event
 
 from conftest import random_spec, random_trace
+from helpers import simulate_observed
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -320,3 +322,67 @@ def test_long_run_metrics_rows_pinned():
     assert len(rows) == 8
     digest = hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
     assert digest == LONG_ROWS_SHA256
+
+
+BOUNDED_PHI = "G (a0 || a1 || a2)"
+
+
+def _rotating_trace(length):
+    """Each round exactly one of a0, a1, a2 holds, so the formula never resolves."""
+    comps = ("c0", "c1", "c2")
+    return DecentralizedTrace(comps, length, {
+        (t, f"c{i}"): Event.of((f"a{i}", T if t % 3 == i else B))
+        for t in range(1, length + 1) for i in range(3)
+    })
+
+
+def _state_peaks(alg, length):
+    """(largest encoding of any monitor, largest memory of monitor m0) over
+    every round of a run that never resolves.  m0 is the orch main monitor
+    and the chor root."""
+    phi = lt.parse_ltl(BOUNDED_PHI)
+    tr = _rotating_trace(length)
+    peaks = [0, 0]
+
+    def observe(state):
+        if hasattr(state, "ehe"):
+            peaks[0] = max(peaks[0], len(state.ehe))
+            if state.name == "m0":
+                peaks[1] = max(peaks[1], len(state.memory))
+
+    r = simulate_observed(en.SimConfig(alg), phi if alg == "chor" else lt.synthesize(phi),
+                          complete(tr.components), tr, observe)
+    assert r.verdict is ex.UNKNOWN and r.stop_round == length + 5
+    return tuple(peaks)
+
+
+@pytest.mark.parametrize("alg", en.ALGORITHMS)
+def test_monitor_state_bounded_in_rounds(alg):
+    # Tripling the run length must not grow the encodings, nor the memory of
+    # the orch main monitor and the chor root.  migr/migrr memory is the
+    # known unbounded case: two active encodings can name the same atoms, so
+    # neither may forget them, and it is not checked here.
+    short, long = _state_peaks(alg, 60), _state_peaks(alg, 180)
+    assert short[0] == long[0], (short, long)
+    if alg in ("orch", "chor"):
+        assert long[1] <= short[1], (short, long)
+
+
+def test_chor_prefix_drop_keeps_open_rows(fig1):
+    # A leading row before t_kn that holds only constants, one of them TRUE,
+    # resolves the same way at the same cost on every later round, so it goes
+    # and its cost is kept.  A row with an open entry still costs inc a
+    # simplification, so it stays, and with it every row after it.
+    F, TR, x = ex.FALSE, ex.TRUE, ex.Var(ex.timed(2, "a"))
+
+    def dropped(table, t_kn):
+        state = en.ChorState("m0", "A", t_mon=1, memory=EMPTY_MEMORY, ehe=EHE(fig1, table),
+                             refs=frozenset(), corefs=frozenset(), respawn=False, t_kn=t_kn)
+        en._drop_prefix(state)
+        return state.ehe.first_round(), state.prefix_evals
+
+    closed = {1: {"q0": F, "q1": TR}, 2: {"q0": TR}, 3: {"q0": TR, "q1": F}}
+    assert dropped(closed, 5) == (3, 3)  # never the last row
+    assert dropped(closed, 2) == (2, 2)  # only rows before t_kn
+    assert dropped({1: {"q0": TR}, 2: {"q0": TR, "q1": x}, 3: {"q0": TR}}, 3) == (2, 1)
+    assert dropped({1: {"q0": TR, "q1": TR}, 2: {"q0": TR}}, 2) == (1, 0)
