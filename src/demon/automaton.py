@@ -108,18 +108,14 @@ class ValidationReport:
 
 def validate(a: Specification) -> ValidationReport:
     """Check determinism (no two co-satisfiable labels per state) and
-    completeness (outgoing labels disjoin to a tautology) by enumeration."""
+    completeness (outgoing labels disjoin to a tautology), exactly."""
     report = ValidationReport()
     for q in a.states:
         out = a.outgoing(q)
-        tables, full = ex.truth_tables([t.label for t in out], f"labels of state {q!r}")
-        for (t1, b1), (t2, b2) in itertools.combinations(zip(out, tables), 2):
-            if b1 & b2:
+        for t1, t2 in itertools.combinations(out, 2):
+            if ex.decide_constant(ex.conj(t1.label, t2.label)) is not BOTTOM:
                 report.determinism.append((q, t1.label, t2.label))
-        combined = 0
-        for b in tables:
-            combined |= b
-        if combined != full:
+        if ex.decide_constant(ex.disj_all(t.label for t in out)) is not TOP:
             report.completeness.append(q)
     return report
 
@@ -377,6 +373,8 @@ def dspec_to_dict(d: DecentralizedSpec) -> dict:
 
 def dspec_from_dict(data: dict) -> DecentralizedSpec:
     try:
+        if not isinstance(data["monitors"], dict):
+            raise SpecificationError("key 'monitors' must map monitor names to specifications")
         monitors = {name: spec_from_dict(spec) for name, spec in data["monitors"].items()}
         components = data.get("components")
         if components is None:
@@ -396,6 +394,10 @@ def dspec_from_dict(data: dict) -> DecentralizedSpec:
 def load_spec_file(path: str) -> Specification | DecentralizedSpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SpecificationError(
+            f"specification file {path} must hold a JSON object, got {type(data).__name__}"
+        )
     if "monitors" in data:
         return dspec_from_dict(data)
     return spec_from_dict(data)

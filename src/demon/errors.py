@@ -5,10 +5,6 @@ class DemonError(Exception):
     """Base class for all library errors."""
 
 
-class ThresholdExceeded(DemonError):
-    """An exact Boolean decision was requested above the configured atom limit."""
-
-
 class ConflictingObservation(DemonError):
     """The same proposition was reported with incompatible values or owners."""
 

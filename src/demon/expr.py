@@ -2,15 +2,14 @@
 
 Expressions are immutable trees that may share subtrees; every traversal here
 is iterative and memoizes on node identity so shared structure is visited
-once.  Exact Boolean decisions use bitmask truth tables up to ``EXACT_ATOMS``
-atoms, and :func:`simplify` rebuilds a sum of products up to ``DNF_ATOMS``
-atoms, the bound ``ehe.mov`` reads to decide which new entries to simplify.
-Above ``EXACT_ATOMS`` :func:`simplify` only folds, :func:`equivalent` raises
-``ThresholdExceeded``, and only :func:`eval_expr` searches: through
-:func:`decide_constant`, a budgeted branching satisfiability check whose
-exhaustion is logged on the ``demon`` logger.  The lexer is shared with the
-LTL formula parser, and the LTL canonical form is decided through
-:func:`truth_table`, :func:`qm_cover` and :func:`fold`.
+once.  The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
+and :func:`equivalent`, build a reduced ordered BDD for each call and accept
+any atom count.  :func:`simplify` decides constants by bitmask truth tables up
+to ``EXACT_ATOMS`` atoms and only folds above it; it rebuilds a sum of
+products up to ``DNF_ATOMS`` atoms, the bound ``ehe.mov`` reads to decide
+which new entries to simplify.  The lexer is shared with the LTL formula
+parser, and the LTL canonical form is decided through :func:`truth_table`,
+:func:`qm_cover` and :func:`fold`.
 
 The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
@@ -24,13 +23,12 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import ParseError, ThresholdExceeded
+from .errors import ParseError
 
-EXACT_ATOMS = 16  # atom limit for truth-table decisions
+EXACT_ATOMS = 16  # atom limit for simplify's truth tables
 DNF_ATOMS = 8  # atom limit for sum-of-products rebuilds
-_SAT_NODE_BUDGET = 200_000
 _QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
 
 
@@ -426,69 +424,86 @@ def truth_table(e: Expr, atoms: list[Atom]) -> int:
     )
 
 
-class _Budget:
-    __slots__ = ("left",)
+class _Bdd:
+    """Reduced ordered binary decision diagram (Bryant, IEEE Trans. Computers
+    1986) of ``e``, built for one decision and dropped; ``root`` is its node.
 
-    def __init__(self, n: int):
-        self.left = n
+    Nodes are ints: 0 is FALSE, 1 is TRUE, and ``nodes[n]`` of any other node
+    is (variable, low, high), taking ``low`` when the variable is false.
+    Variables are atoms in chronological (round, kind, name) order, which
+    keeps a round's monitor references next to its propositions, unlike
+    :meth:`Atom.sort_key`.  The unique table makes equal functions one node."""
 
+    def __init__(self, e: Expr):
+        atoms = sorted(atoms_upto(e), key=lambda a: (a.t, _KIND_RANK[a.kind], a.name))
+        index = {a: i for i, a in enumerate(atoms)}
+        self.nodes = [(len(atoms), 0, 0), (len(atoms), 1, 1)]  # below every variable
+        self.unique: dict[tuple[int, int, int], int] = {}
+        self.root = bottom_up(
+            e,
+            {},
+            lambda node: self.node((index[node.atom], 0, 1)),
+            lambda node: 1 if node.value is TOP else 0,
+            self.negate,
+            lambda node, l, r: self.ite(l, r, 0) if isinstance(node, And) else self.ite(l, 1, r),
+        )
 
-class _BudgetExhausted(Exception):
-    pass
+    def node(self, key: tuple[int, int, int]) -> int:
+        if key[1] == key[2]:
+            return key[1]
+        n = self.unique.get(key)
+        if n is None:
+            n = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return n
 
+    def negate(self, n: int) -> int:
+        v, low, high = self.nodes[n]  # a variable's complement needs no walk
+        return self.node((v, 1, 0)) if (low, high) == (0, 1) else self.ite(n, 0, 1)
 
-def _satisfiable(e: Expr, budget: _Budget) -> bool:
-    """Branching satisfiability with folding as unit propagation; ``e`` must
-    already be folded.  Branches on the chronologically first atom, which
-    collapses the per-round structure of execution encodings quickly."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Const):
-            if node.value is TOP:
-                return True
-            continue
-        if budget.left <= 0:
-            raise _BudgetExhausted
-        budget.left -= 1
-        atom = atoms_of(node)[0]
-        stack.append(rewrite_fold(node, {atom: BOTTOM}))
-        stack.append(rewrite_fold(node, {atom: TOP}))
-    return False
+    def ite(self, f: int, g: int, h: int) -> int:
+        """Node of "if f then g else h": the apply operation in the form that
+        covers and (f, g, 0), or (f, 1, g) and not (f, 0, 1).  Iterative, as
+        the walk goes as deep as there are variables."""
+        nodes = self.nodes
+        memo: dict[tuple[int, int, int], int] = {}
+        root = (f, g, h)
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            f, g, h = key
+            if key in memo:
+                stack.pop()
+            elif f < 2 or g == h or (g, h) == (1, 0):
+                memo[key] = h if f == 0 else g if f == 1 or g == h else f
+                stack.pop()
+            else:
+                (vf, f0, f1), (vg, g0, g1), (vh, h0, h1) = nodes[f], nodes[g], nodes[h]
+                top = min(vf, vg, vh)  # cofactor on the first variable tested
+                if vf != top:
+                    f0 = f1 = f
+                if vg != top:
+                    g0 = g1 = g
+                if vh != top:
+                    h0 = h1 = h
+                lo, hi = (f0, g0, h0), (f1, g1, h1)
+                if lo in memo and hi in memo:
+                    memo[key] = self.node((top, memo[lo], memo[hi]))
+                    stack.pop()
+                else:
+                    stack += (lo, hi)
+        return memo[root]
 
 
 def decide_constant(e: Expr) -> Optional[Verdict]:
-    """Tautology/contradiction decision for a folded, constant-free ``e``.
+    """Tautology/contradiction decision for ``e``, exact at every size.
 
     Returns TOP for tautologies, BOTTOM for unsatisfiable expressions, and
-    None otherwise.  Exact (truth table) up to the atom threshold; above it
-    a budgeted branching check runs, and blowing the budget reports None,
-    so oversized undetermined conditions resolve later instead of stalling.
-    """
-    atoms = atoms_of(e)
-    k = len(atoms)
-    if k <= EXACT_ATOMS:
-        table = truth_table(e, atoms)
-        full = (1 << (1 << k)) - 1
-        if table == full:
-            return TOP
-        if table == 0:
-            return BOTTOM
-        return None
-    budget = _Budget(_SAT_NODE_BUDGET)
-    try:
-        if not _satisfiable(e, budget):
-            return BOTTOM
-        if not _satisfiable(fold(Not(e)), budget):
-            return TOP
-    except _BudgetExhausted:
-        import logging  # here, not at the top: importing it adds 0.6 MB to every process
-
-        logging.getLogger("demon").debug(
-            "undecided: SAT budget of %d nodes exhausted on %d atoms", _SAT_NODE_BUDGET, k
-        )
-        return None
-    return None
+    None otherwise."""
+    if isinstance(e, Var) or (isinstance(e, Not) and isinstance(e.operand, Var)):
+        return None  # a literal, the most common open condition: no BDD needed
+    root = _Bdd(e).root
+    return TOP if root == 1 else BOTTOM if root == 0 else None
 
 
 Cover = tuple[tuple[tuple[int, bool], ...], ...]
@@ -608,22 +623,9 @@ def eval_expr(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Verdic
     return verdict if verdict is not None else UNKNOWN
 
 
-def truth_tables(exprs: Sequence[Expr], what: str) -> tuple[list[int], int]:
-    """Truth tables of ``exprs`` over the union of their atoms, and the table
-    of TRUE.  Raises ``ThresholdExceeded``, naming ``what``, above
-    ``EXACT_ATOMS`` atoms."""
-    atoms = sorted({a for e in exprs for a in atoms_upto(e)}, key=Atom.sort_key)
-    if len(atoms) > EXACT_ATOMS:
-        raise ThresholdExceeded(
-            f"{what} over {len(atoms)} atoms exceeds threshold {EXACT_ATOMS}"
-        )
-    return [truth_table(e, atoms) for e in exprs], (1 << (1 << len(atoms))) - 1
-
-
 def equivalent(e1: Expr, e2: Expr) -> bool:
-    """Exact Boolean-function equality over the union of both atom sets."""
-    (t1, t2), _ = truth_tables((e1, e2), "equivalence")
-    return t1 == t2
+    """Exact Boolean-function equality: ``e1`` xor ``e2`` is unsatisfiable."""
+    return decide_constant(Or(And(e1, Not(e2)), And(Not(e1), e2))) is BOTTOM
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ States of synthesized automata are canonically simplified formulas.  Every
 Boolean-level decision goes through :mod:`demon.expr`: a Boolean level
 becomes an expression over its simplified temporal/atomic leaves, each an
 atom named by its text, which is rebuilt from its truth-table cover (or only
-folded above ``_BOOL_TABLE_CAP`` leaves).  This keeps the progression closure
+folded above ``expr.DNF_ATOMS`` leaves).  This keeps the progression closure
 finite for the supported fragment.  Formulas share the expression lexer.
 """
 
@@ -27,8 +27,6 @@ from .errors import (
 )
 from .expr import BOTTOM, TOP, Verdict
 from .store import Memory
-
-_BOOL_TABLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def simplify_ltl(phi: Ltl) -> Ltl:
 def _bool_canonical(phi: Ltl) -> Ltl:
     """The Boolean level of ``phi`` over its simplified leaves, each simplified
     once and named by its text: the sum of products of its truth-table cover,
-    or, above ``_BOOL_TABLE_CAP`` distinct leaves, its constant folding."""
+    or, above ``expr.DNF_ATOMS`` distinct leaves, its constant folding."""
     leaves: dict[str, Ltl] = {}
 
     def skeleton(n: Ltl) -> ex.Expr:
@@ -288,7 +286,7 @@ def _bool_canonical(phi: Ltl) -> Ltl:
         return ex.Var(ex.Atom("ap", 0, text))
 
     e = skeleton(phi)
-    if len(leaves) > _BOOL_TABLE_CAP:
+    if len(leaves) > ex.DNF_ATOMS:
         return ex.bottom_up(
             ex.fold(e),
             {},

@@ -26,7 +26,6 @@ from demon.errors import (
     ConflictingObservation,
     RoundBudgetExceeded,
     SpecificationError,
-    ThresholdExceeded,
 )
 from demon.store import Event
 
@@ -239,14 +238,15 @@ class TestJson:
             spec_from_dict({"states": ["q0"]})
 
 
-def test_validate_threshold():
-    def one_state(n_atoms):
-        labels = " && ".join(f"x{i}" for i in range(n_atoms))
-        return make_spec(
-            ["q0"], "q0", [("q0", labels, "q0"), ("q0", f"!({labels})", "q0")],
-            {"q0": "unknown"},
-        )
+def test_validate_any_width():
+    def one_state(*edges):
+        return make_spec(["q0"], "q0", [("q0", e, "q0") for e in edges], {"q0": "unknown"})
 
-    assert validate(one_state(16)).ok
-    with pytest.raises(ThresholdExceeded):
-        validate(one_state(17))
+    for n_atoms in (16, 17, 40):
+        labels = " && ".join(f"x{i}" for i in range(n_atoms))
+        assert validate(one_state(labels, f"!({labels})")).ok
+        overlapping = validate(one_state(labels, f"!({labels}) || x0"))
+        assert [q for q, _, _ in overlapping.determinism] == ["q0"]
+        assert overlapping.completeness == []
+        incomplete = validate(one_state(labels, f"!({labels}) && x0"))
+        assert incomplete.determinism == [] and incomplete.completeness == ["q0"]

@@ -76,3 +76,15 @@ def test_traced_simplify_counts_every_qm_cover_call():
         second = ex.simplify(e)
     assert first == second
     assert tracing.counts()["expr.qm_cover"] == 2
+
+
+def test_traced_decide_constant_counts_a_decided_condition():
+    # No benchmark workload hands decide_constant a condition it decides, so
+    # this is what shows the ``decided`` gauge is wired to the result.
+    a = ex.Var(ex.plain("a"))
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        assert ex.eval_expr(ex.Or(a, ex.Not(a)), {}) is ex.TOP
+        assert ex.eval_expr(ex.And(a, ex.Var(ex.plain("b"))), {}) is ex.UNKNOWN
+    assert tracing.counts()["expr.decide_constant"] == 2
+    assert tracing.gauges["expr.decide_constant.decided"] == 1

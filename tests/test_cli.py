@@ -184,6 +184,27 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "monitorability", "--spec", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["validate", "monitorability"])
+    @pytest.mark.parametrize("content, named", [
+        (5, "JSON object"),
+        ({"monitors": 5}, "'monitors'"),
+    ])
+    def test_spec_of_wrong_shape_named(self, tmp_path, capsys, mode, content, named):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(content))
+        code, _, err = run_cli(capsys, "check", mode, "--spec", str(p))
+        assert code == 2 and err.startswith("error:") and named in err
+
+    def test_validate_wide_labels(self, tmp_path, capsys):
+        labels = " && ".join(f"x{i}" for i in range(17))
+        spec = {"states": ["q0"], "initial": "q0", "verdicts": {"q0": "unknown"},
+                "transitions": [{"from": "q0", "to": "q0", "label": labels},
+                                {"from": "q0", "to": "q0", "label": f"!({labels})"}]}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "check", "validate", "--spec", str(p))
+        assert code == 0 and json.loads(out)["valid"] is True
+
 
 class TestRun:
     def test_orch_csv(self, fig1_file, trace_file, capsys):

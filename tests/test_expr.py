@@ -1,4 +1,3 @@
-import logging
 import random
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from demon import ehe as eh
 from demon import expr as ex
 from demon.automaton import make_spec
-from demon.errors import ParseError, ThresholdExceeded
+from demon.errors import ParseError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
@@ -174,10 +173,13 @@ class TestEquivalent:
     def test_complement(self):
         assert not ex.equivalent(A, ex.Not(A))
 
-    def test_threshold(self):
-        wide = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(20))
-        with pytest.raises(ThresholdExceeded):
-            ex.equivalent(wide, wide)
+    def test_any_width(self):
+        for n in (17, 40):
+            xs = [ex.Var(ex.plain(f"x{i}")) for i in range(n)]
+            wide = ex.conj_all(xs)
+            assert ex.equivalent(wide, ex.conj_all(reversed(xs)))
+            assert ex.equivalent(ex.Not(wide), ex.disj_all(ex.Not(x) for x in xs))
+            assert not ex.equivalent(wide, ex.conj_all(xs[1:]))
 
 
 class TestParser:
@@ -206,8 +208,8 @@ class TestParser:
 
 
 @st.composite
-def exprs(draw):
-    atoms = [ex.plain(n) for n in "abcd"]
+def exprs(draw, names="abcd"):
+    atoms = [ex.plain(n) for n in names]
     node = draw(
         st.recursive(
             st.sampled_from([ex.Var(a) for a in atoms] + [ex.TRUE, ex.FALSE]),
@@ -228,6 +230,16 @@ def test_simplify_equivalence_property(e):
     assert ex.equivalent(e, ex.simplify(e))
 
 
+@given(exprs("abcdefgh"), exprs("abcdefgh"))
+@settings(max_examples=150, deadline=None)
+def test_bdd_decisions_match_truth_tables(e1, e2):
+    atoms = ex.atoms_of(ex.And(e1, e2))
+    t1, t2 = ex.truth_table(e1, atoms), ex.truth_table(e2, atoms)
+    full = (1 << (1 << len(atoms))) - 1
+    assert ex.decide_constant(e1) is {full: ex.TOP, 0: ex.BOTTOM}.get(t1)
+    assert ex.equivalent(e1, e2) == (t1 == t2)
+
+
 @given(exprs(), st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
 def test_rewrite_idempotence_property(e, seed):
@@ -242,8 +254,26 @@ def test_exact_threshold_boundary():
 
     assert ex.equivalent(wide(16), wide(16))
     assert ex.simplify(ex.Or(wide(16), ex.Not(wide(16)))) is ex.TRUE
-    with pytest.raises(ThresholdExceeded):
-        ex.equivalent(wide(17), wide(17))
+    # Above EXACT_ATOMS simplify only folds; the decisions stay exact.
+    w = wide(17)
+    assert ex.equivalent(w, w)
+    assert isinstance(ex.simplify(ex.Or(w, ex.Not(w))), ex.Or)
+    assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
+
+
+def test_wide_parity_tautology_decided():
+    xs = [ex.Var(ex.plain(f"x{i}")) for i in range(20)]
+    parity = xs[0]
+    for x in xs[1:]:
+        parity = ex.Or(ex.And(parity, ex.Not(x)), ex.And(ex.Not(parity), x))
+    assert ex.eval_expr(ex.Or(parity, ex.Not(parity)), Memory()) is ex.TOP
+    assert ex.eval_expr(ex.And(parity, ex.Not(parity)), Memory()) is ex.BOTTOM
+    assert ex.eval_expr(parity, Memory()) is ex.UNKNOWN
+
+
+def test_decision_deeper_than_recursion_limit():
+    w = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(1500))
+    assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
 
 
 def test_deep_expressions_do_not_overflow():
@@ -321,13 +351,3 @@ def test_atoms_upto_on_deep_chain():
     assert ex.atoms_upto(deep, 40) == exact
     capped = ex.atoms_upto(deep, 12)
     assert len(capped) == 13 and capped <= exact
-
-
-def test_exhausted_sat_budget_is_logged(monkeypatch, caplog):
-    wide = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(ex.EXACT_ATOMS + 1))
-    monkeypatch.setattr(ex, "_SAT_NODE_BUDGET", 1)
-    with caplog.at_level(logging.DEBUG, logger="demon"):
-        assert ex.decide_constant(wide) is None
-    [record] = [r for r in caplog.records if r.name == "demon"]
-    assert record.levelno == logging.DEBUG
-    assert "17 atoms" in record.getMessage() and "budget of 1 " in record.getMessage()

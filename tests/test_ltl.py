@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -53,7 +54,7 @@ class TestParser:
 
 
 class TestCanonicalSimplification:
-    # More than _BOOL_TABLE_CAP distinct leaves, so the Boolean level is folded
+    # More than ex.DNF_ATOMS distinct leaves, so the Boolean level is folded
     # rather than rebuilt from its truth table.  It holds a repeated leaf, the
     # constants, double negations, a leaf that simplifies to a constant
     # (F true, G false) and one that simplifies to a Boolean level (false U ...).
@@ -204,6 +205,29 @@ class TestSynthesize:
                     q = run_one(aut, q, bits[i], bits[i + 1])
                     assert (current == lt.LTRUE) == (aut.verdicts[q] is T)
                     assert (current == lt.LFALSE) == (aut.verdicts[q] is B)
+
+    def test_wide_boolean_level_folded_quickly(self):
+        # Twelve distinct temporal leaves, more than ex.DNF_ATOMS: the Boolean
+        # level is folded, not covered (a 12-leaf cover took seconds), and the
+        # automaton still agrees with progression on every prefix.
+        phi = lt.parse_ltl(
+            "X a && F b || G a && X b || (a U b) && F a || !G b && X X a"
+            " || (b U a) && X X b || F (a && b) && G (a || b)"
+        )
+        start = time.perf_counter()
+        lt.simplify_ltl(phi)
+        assert time.perf_counter() - start < 0.5
+        aut = lt.synthesize(phi)
+        rng = random.Random(12)
+        for _ in range(40):
+            current = lt.simplify_ltl(phi)
+            q = aut.initial
+            for _ in range(6):
+                va, vb = rng.choice((T, B)), rng.choice((T, B))
+                current = lt.progress(current, pmem(a=va, b=vb))
+                q = run_one(aut, q, va, vb)
+                assert (current == lt.LTRUE) == (aut.verdicts[q] is T)
+                assert (current == lt.LFALSE) == (aut.verdicts[q] is B)
 
 
 def run_one(aut, q, va, vb):
