@@ -11,7 +11,8 @@ and S states per row:
   ``at`` is O(1) and ``states_at`` is O(S log S).
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)), builds one row per new round and
-  simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms.
+  simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms; the atom
+  count is the walk that ``expr.simplify`` then reuses.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` resolves rounds from the first one until the state is
@@ -113,8 +114,9 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     encoded at t+1; an entry already present at the target key is merged with
     disjunction.  New entries are built with folding constructors and
     simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound up
-    to which :func:`expr.simplify` rebuilds a sum of products; the atom count
-    is a walk that stops after ``DNF_ATOMS + 1`` atoms.
+    to which :func:`expr.simplify` rebuilds a sum of products; the count,
+    :func:`expr.dnf_sized`, is taken before folding and is the walk that
+    :func:`expr.simplify` reuses.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -141,7 +143,7 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
             prior = old.get(qprime)
             if prior is not None:
                 cond = ex.disj(prior, cond)
-            if len(ex.atoms_upto(cond, ex.DNF_ATOMS)) <= ex.DNF_ATOMS:
+            if ex.dnf_sized(cond):
                 cond = ex.simplify(cond)
             row[qprime] = cond
         table[t + 1] = row

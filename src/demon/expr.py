@@ -6,21 +6,25 @@ once.  The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
 and :func:`equivalent`, build a reduced ordered BDD for each call and accept
 any atom count.  :func:`simplify` decides constants by bitmask truth tables up
 to ``EXACT_ATOMS`` atoms and only folds above it; it rebuilds a sum of
-products up to ``DNF_ATOMS`` atoms, the bound ``ehe.mov`` reads to decide
-which new entries to simplify.  The lexer is shared with the LTL formula
-parser, and the LTL canonical form is decided through :func:`truth_table`,
-:func:`qm_cover` and :func:`fold`.
+products up to ``DNF_ATOMS`` atoms.  An input that is already folded and has
+at most ``DNF_ATOMS`` atoms, nearly every input in practice, costs one walk:
+it checks that folding would change nothing and collects the atoms, the
+truth table and the tree size together.  :func:`dnf_sized` is that walk's
+atom bound, which ``ehe.mov`` asks before it simplifies a new entry.  The
+lexer is shared with the LTL formula parser, and the LTL canonical form is
+decided through :func:`truth_table`, :func:`qm_cover` and :func:`fold`.
 
 The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
 (at most ``EXACT_ATOMS + 1`` counts), and Quine-McCluskey covers per
 ``(table, k)`` in a least-recently-used cache of ``_QM_CACHE_SIZE`` entries.
+The one exception is the last walk, kept with the expression it walked so
+that :func:`dnf_sized` and the :func:`simplify` call after it walk once.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -231,12 +235,11 @@ def encode(e: Expr, enc: Encoder) -> Expr:
 
 def atoms_of(e: Expr) -> list[Atom]:
     """Distinct atoms of ``e`` in atom order."""
-    return sorted(atoms_upto(e), key=Atom.sort_key)
+    return sorted(atom_set(e), key=Atom.sort_key)
 
 
-def atoms_upto(e: Expr, limit: float = math.inf) -> set[Atom]:
-    """Distinct atoms of ``e`` when there are at most ``limit`` of them;
-    otherwise the walk stops at the first ``limit + 1`` it meets."""
+def atom_set(e: Expr) -> set[Atom]:
+    """Distinct atoms of ``e``."""
     seen: set[Atom] = set()
     visited: set[int] = set()
     stack = [e]
@@ -247,8 +250,6 @@ def atoms_upto(e: Expr, limit: float = math.inf) -> set[Atom]:
         visited.add(id(node))
         if isinstance(node, Var):
             seen.add(node.atom)
-            if len(seen) > limit:
-                break
         elif isinstance(node, Not):
             stack.append(node.operand)
         elif isinstance(node, (And, Or)):
@@ -432,21 +433,57 @@ class _Bdd:
     is (variable, low, high), taking ``low`` when the variable is false.
     Variables are atoms in chronological (round, kind, name) order, which
     keeps a round's monitor references next to its propositions, unlike
-    :meth:`Atom.sort_key`.  The unique table makes equal functions one node."""
+    :meth:`Atom.sort_key`.  The unique table makes equal functions one node.
+
+    Each maximal chain of one connective is built as a whole: its operands
+    are combined from the latest top variable down, so each step puts a
+    diagram below a new top variable instead of copying the diagram built so
+    far to reach its bottom (as a left-nested ``conj_all`` would)."""
 
     def __init__(self, e: Expr):
-        atoms = sorted(atoms_upto(e), key=lambda a: (a.t, _KIND_RANK[a.kind], a.name))
+        atoms = sorted(atom_set(e), key=lambda a: (a.t, _KIND_RANK[a.kind], a.name))
         index = {a: i for i, a in enumerate(atoms)}
         self.nodes = [(len(atoms), 0, 0), (len(atoms), 1, 1)]  # below every variable
         self.unique: dict[tuple[int, int, int], int] = {}
-        self.root = bottom_up(
-            e,
-            {},
-            lambda node: self.node((index[node.atom], 0, 1)),
-            lambda node: 1 if node.value is TOP else 0,
-            self.negate,
-            lambda node, l, r: self.ite(l, r, 0) if isinstance(node, And) else self.ite(l, 1, r),
-        )
+        memo: dict[int, int] = {}
+        chains: dict[int, list[Expr]] = {}  # id of a chain's top -> its operands
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            if isinstance(node, Const):
+                memo[id(node)] = 1 if node.value is TOP else 0
+            elif isinstance(node, Var):
+                memo[id(node)] = self.node((index[node.atom], 0, 1))
+            elif isinstance(node, Not):
+                if id(node.operand) not in memo:
+                    stack.append(node.operand)
+                    continue
+                memo[id(node)] = self.negate(memo[id(node.operand)])
+            else:
+                operands = chains.get(id(node))
+                if operands is None:
+                    operands = chains[id(node)] = _chain_operands(node, memo)
+                    missing = [op for op in operands if id(op) not in memo]
+                    if missing:
+                        stack += missing
+                        continue
+                memo[id(node)] = self.combine(
+                    isinstance(node, And), [memo[id(op)] for op in operands]
+                )
+            stack.pop()
+        self.root = memo[id(e)]
+
+    def combine(self, conjunction: bool, operands: list[int]) -> int:
+        """Conjunction or disjunction of ``operands``, latest top variable first."""
+        nodes = self.nodes
+        operands.sort(key=lambda n: nodes[n][0], reverse=True)
+        acc = operands[0]
+        for n in operands[1:]:
+            acc = self.ite(n, acc, 0) if conjunction else self.ite(n, 1, acc)
+        return acc
 
     def node(self, key: tuple[int, int, int]) -> int:
         if key[1] == key[2]:
@@ -493,6 +530,26 @@ class _Bdd:
                 else:
                     stack += (lo, hi)
         return memo[root]
+
+
+def _chain_operands(top: Expr, memo: dict[int, int]) -> list[Expr]:
+    """Distinct operands of the maximal chain of ``top``'s connective under
+    it: the walk goes down through children of that connective that have no
+    diagram in ``memo`` yet."""
+    cls = type(top)
+    out: list[Expr] = []
+    seen = {id(top)}
+    todo = [top.right, top.left]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) is cls and id(node) not in memo:
+            todo += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def decide_constant(e: Expr) -> Optional[Verdict]:
@@ -586,31 +643,162 @@ def _dnf_from_cover(terms: Cover, atoms: list[Atom]) -> Expr:
     )
 
 
+def _is_literal(e: Expr) -> bool:
+    """Whether ``e`` is a constant, an atom or a negated atom, which
+    :func:`fold` and :func:`simplify` return unchanged."""
+    return isinstance(e, (Const, Var)) or (isinstance(e, Not) and isinstance(e.operand, Var))
+
+
+Walk = tuple[bool, list[Atom], int, tuple[int, int]]
+
+# The last expression walked, held so that its identity stays unique, and its
+# walk: ``ehe.mov`` asks :func:`dnf_sized` before it calls :func:`simplify`
+# on the same entry, and the two share one walk.
+_last_walk: tuple[Optional[Expr], Optional[Walk]] = (None, None)
+
+
+def _walk_of(e: Expr) -> Optional[Walk]:
+    """:func:`_walk` of ``e``, reusing the previous call's when ``e`` is the
+    expression it walked."""
+    global _last_walk
+    last = _last_walk
+    if last[0] is e:
+        return last[1]
+    walk = _walk(e)
+    _last_walk = (e, walk)
+    return walk
+
+
+def _walk(e: Expr) -> Optional[Walk]:
+    """One iterative post-order walk of ``e`` for :func:`simplify`.
+
+    Returns None as soon as a ``DNF_ATOMS + 1``-th distinct atom appears.
+    Otherwise returns (``fixpoint``, atoms, table, size): whether :func:`fold`
+    would return ``e`` itself (no constant below the root, no negation over
+    a negation or a constant, no AND/OR over one child object), the atoms in
+    discovery order, the truth table over them (bit j is row j, in which
+    atom i takes bit i of j) and the :func:`tree_size`."""
+    cols = _columns(DNF_ATOMS)
+    full = (1 << (1 << DNF_ATOMS)) - 1
+    index: dict[Atom, int] = {}
+    memo: dict[int, tuple[int, int, int]] = {}  # id -> (table, leaves, operators)
+    fixpoint = True
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Var:
+            i = index.get(node.atom)
+            if i is None:
+                i = len(index)
+                if i == DNF_ATOMS:
+                    return None
+                index[node.atom] = i
+            memo[id(node)] = (cols[i], 1, 0)
+        elif cls is Not:
+            sub = memo.get(id(node.operand))
+            if sub is None:
+                stack.append(node.operand)
+                continue
+            if type(node.operand) in (Not, Const):
+                fixpoint = False
+            memo[id(node)] = (full ^ sub[0], sub[1], sub[2] + 1)
+        elif cls is Const:
+            fixpoint = False  # the root is never walked when it is a literal
+            memo[id(node)] = (full if node.value is TOP else 0, 0, 0)
+        else:
+            l, r = memo.get(id(node.left)), memo.get(id(node.right))
+            if l is None or r is None:
+                if r is None:
+                    stack.append(node.right)
+                if l is None:
+                    stack.append(node.left)
+                continue
+            if node.left is node.right:
+                fixpoint = False
+            table = l[0] & r[0] if cls is And else l[0] | r[0]
+            memo[id(node)] = (table, l[1] + r[1], l[2] + r[2] + 1)
+        stack.pop()
+    table, leaves, ops = memo[id(e)]
+    return fixpoint, list(index), table & ((1 << (1 << len(index))) - 1), (leaves, ops)
+
+
+def dnf_sized(e: Expr) -> bool:
+    """Whether ``e`` as built, before any folding, has at most ``DNF_ATOMS``
+    atoms: the bound up to which :func:`simplify` rebuilds a sum of products.
+    The count is the walk :func:`simplify` makes, stopped after the
+    ``DNF_ATOMS + 1``-th atom, and a :func:`simplify` call on ``e`` that
+    follows reuses it."""
+    return _walk_of(e) is not None
+
+
+def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
+    """``table`` over ``atoms`` re-indexed over the same atoms in
+    :meth:`Atom.sort_key` order: one delta swap of the table's bits per pair
+    of variables exchanged."""
+    order = sorted(atoms, key=Atom.sort_key)
+    if order == atoms:
+        return table, atoms
+    cols = _columns(len(atoms))
+    current = list(atoms)
+    for j, atom in enumerate(order):
+        i = current.index(atom, j)
+        if i == j:
+            continue
+        # rows with variable j set and variable i clear trade places with
+        # the rows that differ from them in exactly those two bits
+        shift = (1 << i) - (1 << j)
+        moved = (table ^ (table >> shift)) & cols[j] & ~cols[i]
+        table ^= moved ^ (moved << shift)
+        current[i], current[j] = current[j], current[i]
+    return table, order
+
+
 def simplify(e: Expr) -> Expr:
     """Return an expression Boolean-equivalent to ``e``; never searches.
 
-    Within the atom threshold tautologies become TRUE, contradictions FALSE,
-    and small expressions are rebuilt as an irredundant sum of products when
-    that is no larger.  Above it the expression is only folded.  Results
-    other than TRUE/FALSE are constant-free.
+    Up to ``EXACT_ATOMS`` atoms tautologies become TRUE and contradictions
+    FALSE; up to ``DNF_ATOMS`` atoms the expression is rebuilt as an
+    irredundant sum of products when that is no larger.  Otherwise the
+    result is :func:`fold` of ``e``, which is ``e`` itself when folding
+    changes nothing.  Results other than TRUE/FALSE are constant-free.
+
+    An input that is already folded and has at most ``DNF_ATOMS`` atoms is
+    walked once (:func:`_walk`).  Others are folded first, and inputs of more
+    than ``DNF_ATOMS`` atoms go through :func:`atoms_of` and
+    :func:`truth_table`.
     """
-    f = fold(e)
-    if isinstance(f, (Const, Var)) or (isinstance(f, Not) and isinstance(f.operand, Var)):
-        return f
-    atoms = atoms_of(f)
+    if _is_literal(e):
+        return e
+    walk = _walk_of(e)
+    if walk is None or not walk[0]:
+        f = fold(e)
+        if f is not e:
+            if _is_literal(f):
+                return f
+            e, walk = f, _walk_of(f)
+    if walk is None:
+        atoms = atoms_of(e)
+        if len(atoms) > EXACT_ATOMS:
+            return e
+        table = truth_table(e, atoms)
+    else:
+        _, atoms, table, size = walk
     k = len(atoms)
-    if k > EXACT_ATOMS:
-        return f
-    table = truth_table(f, atoms)
     if table == (1 << (1 << k)) - 1:
         return TRUE
     if table == 0:
         return FALSE
-    if k <= DNF_ATOMS:
-        terms = qm_cover(table, k)
-        if _cover_size(terms) <= tree_size(f):
-            return _dnf_from_cover(terms, atoms)
-    return f
+    if walk is None:
+        return e
+    table, atoms = _sort_variables(table, atoms)
+    terms = qm_cover(table, k)
+    if _cover_size(terms) <= size:
+        return _dnf_from_cover(terms, atoms)
+    return e
 
 
 def eval_expr(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Verdict:

@@ -1,8 +1,9 @@
 """Oracles and constructions that only the tests use: exhaustive trace
 enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
-placement counts, expression DAG sizes, and a simulation that shows each
-monitor's state after every round."""
+placement counts, expression DAG sizes, a simulation that shows each
+monitor's state after every round, and the four-walk simplifier that
+``expr.simplify`` must agree with."""
 
 from __future__ import annotations
 
@@ -118,3 +119,26 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.
         return en.simulate(cfg, spec_input, system, tr)
     finally:
         setattr(en, name, inner)
+
+
+def reference_simplify(e: ex.Expr) -> ex.Expr:
+    """``expr.simplify`` as four separate walks: fold, atoms, truth table and
+    tree size.  ``expr.simplify`` must return a structurally equal result,
+    and ``e`` itself exactly when this does."""
+    f = ex.fold(e)
+    if isinstance(f, (ex.Const, ex.Var)) or (isinstance(f, ex.Not) and isinstance(f.operand, ex.Var)):
+        return f
+    atoms = ex.atoms_of(f)
+    k = len(atoms)
+    if k > ex.EXACT_ATOMS:
+        return f
+    table = ex.truth_table(f, atoms)
+    if table == (1 << (1 << k)) - 1:
+        return ex.TRUE
+    if table == 0:
+        return ex.FALSE
+    if k <= ex.DNF_ATOMS:
+        terms = ex.qm_cover(table, k)
+        if ex._cover_size(terms) <= ex.tree_size(f):
+            return ex._dnf_from_cover(terms, atoms)
+    return f

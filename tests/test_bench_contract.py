@@ -9,11 +9,13 @@ import inspect
 import pytest
 
 from demon import analysis as an
+from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
 from demon import metrics as mt
 from demon import traces as tg
+from demon.automaton import make_spec
 
 from conftest import load_module
 
@@ -88,3 +90,18 @@ def test_traced_decide_constant_counts_a_decided_condition():
         assert ex.eval_expr(ex.And(a, ex.Var(ex.plain("b"))), {}) is ex.UNKNOWN
     assert tracing.counts()["expr.decide_constant"] == 2
     assert tracing.gauges["expr.decide_constant.decided"] == 1
+
+
+def test_traced_mov_records_its_simplifications():
+    # mov asks expr.dnf_sized and then calls expr.simplify on each new entry
+    # of at most DNF_ATOMS atoms; the call must go through the module
+    # attribute the tracer wraps.  All six new entries here are that small.
+    spec = make_spec(["q0", "q1"], "q0",
+                     [("q0", "a && b", "q1"), ("q0", "!a || !b", "q0"), ("q1", "true", "q1")],
+                     {"q0": "unknown", "q1": "top"})
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        p = eh.mov(eh.init(spec), 0, 3)
+    assert len(p.entries) == 7
+    assert tracing.counts()["ehe.mov"] == 1
+    assert tracing.counts()["expr.simplify"] == 6

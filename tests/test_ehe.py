@@ -343,10 +343,10 @@ class TestTable:
 
 
 def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
-    # mov walks a new entry only until it has seen ex.DNF_ATOMS + 1 atoms; it
-    # must simplify exactly the entries a full walk would have it simplify,
-    # and build the same encodings.
-    full_walk = ex.atoms_upto
+    # mov's gate, ex.dnf_sized, walks a new entry only until it has seen
+    # ex.DNF_ATOMS + 1 atoms; it must simplify exactly the entries a full
+    # atom count would have it simplify, and build the same encodings.
+    full_walk = ex.atom_set
     real_simplify = ex.simplify
 
     def runs():
@@ -369,7 +369,7 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
         return len(calls), dumps
 
     capped = runs()
-    monkeypatch.setattr(ex, "atoms_upto", lambda e, limit=None: full_walk(e))
+    monkeypatch.setattr(ex, "dnf_sized", lambda e: len(full_walk(e)) <= ex.DNF_ATOMS)
     assert runs() == capped
 
 

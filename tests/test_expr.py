@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from demon.errors import ParseError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
+from helpers import reference_simplify
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -276,6 +279,18 @@ def test_decision_deeper_than_recursion_limit():
     assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
 
 
+@pytest.mark.parametrize("name", ["x{}", "x{:04d}"])
+def test_decision_on_long_chain_is_fast(name):
+    # A left-nested conjunction whose newest atom is last in variable order
+    # (zero-padded names) once cost a copy of the diagram per atom: seconds.
+    w = ex.conj_all(ex.Var(ex.plain(name.format(i))) for i in range(1500))
+    start = time.perf_counter()
+    assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
+    assert ex.decide_constant(ex.And(w, ex.Not(w))) is ex.BOTTOM
+    assert ex.decide_constant(w) is None
+    assert time.perf_counter() - start < 1.0
+
+
 def test_deep_expressions_do_not_overflow():
     # chains far deeper than the interpreter recursion limit
     deep = ex.Var(ex.plain("x0"))
@@ -327,27 +342,89 @@ def test_truth_table_columns_cached_per_atom_count():
                                                                   0b11110000]
 
 
-def test_atoms_upto_exact_within_limit_and_truncated_above():
-    rng = random.Random(11)
-    for _ in range(300):
-        atoms = [ex.plain(f"x{i}") for i in range(rng.randint(1, 10))]
-        e = random_expr(rng, atoms, depth=6)
-        limit = rng.randint(0, 8)
-        exact = set(ex.atoms_of(e))
-        got = ex.atoms_upto(e, limit)
-        if len(exact) <= limit:
-            assert got == exact
-        else:
-            assert len(got) == limit + 1 and got <= exact
-    assert ex.atoms_upto(e) == set(ex.atoms_of(e))
-
-
-def test_atoms_upto_on_deep_chain():
+def test_atoms_of_on_deep_chain():
     deep = ex.Var(ex.plain("x0"))
     for i in range(1, 10_000):
         deep = ex.And(deep, ex.Var(ex.plain(f"x{i % 40}")))
     exact = set(ex.atoms_of(deep))
     assert len(exact) == 40
-    assert ex.atoms_upto(deep, 40) == exact
-    capped = ex.atoms_upto(deep, 12)
-    assert len(capped) == 13 and capped <= exact
+    assert ex.atom_set(deep) == exact
+    assert not ex.dnf_sized(deep)
+    narrow = ex.Var(ex.plain("x0"))
+    for i in range(1, 10_000):
+        narrow = ex.And(narrow, ex.Var(ex.plain(f"x{i % 8}")))
+    assert ex.dnf_sized(narrow)
+
+
+@st.composite
+def dags(draw):
+    """Expressions over 1-24 atoms of all three kinds, grown one node at a
+    time over the latest node.  A binary node takes as its other child the
+    next unused atom or any earlier node, so subtrees are shared and the atom
+    count reaches past ``EXACT_ATOMS``.  About half are built with the
+    folding constructors; the others with the raw ones, plus inner
+    constants, double negations and connectives over one child object."""
+    n = draw(st.integers(1, 24))
+    kinds = (lambda i: ex.timed(i % 3, f"p{i}"), lambda i: ex.monref(i % 2, f"m{i}"),
+             lambda i: ex.plain(f"a{i}"))
+    unused = [ex.Var(kinds[draw(st.integers(0, 2))](i)) for i in range(n)]
+    pool = [unused.pop()]
+    raw = draw(st.booleans())
+    make = {"and": ex.And, "or": ex.Or, "not": ex.Not} if raw else \
+        {"and": ex.conj, "or": ex.disj, "not": ex.neg}
+    ops = ["and", "or", "not"] + (["const", "notnot", "same"] if raw else [])
+    for _ in range(draw(st.integers(0, 3 * n + 4))):
+        x = pool[-1]
+        op = draw(st.sampled_from(ops))
+        if op in ("and", "or"):
+            fresh = unused and draw(st.integers(0, 3)) > 0
+            y = unused.pop() if fresh else pool[draw(st.integers(0, len(pool) - 1))]
+            node = make[op](x, y)
+        elif op == "not":
+            node = make[op](x)
+        elif op == "const":
+            node = draw(st.sampled_from([ex.And, ex.Or]))(x, draw(st.sampled_from([ex.TRUE, ex.FALSE])))
+        elif op == "notnot":
+            node = ex.Not(ex.Not(x))
+        else:
+            node = ex.And(x, x) if draw(st.booleans()) else ex.Or(x, x)
+        pool.append(node)
+    return pool[-1]
+
+
+@given(st.one_of(dags(), exprs(), exprs("abcdefgh")))
+@settings(max_examples=400, deadline=None)
+def test_simplify_matches_four_walk_reference(e):
+    expected = reference_simplify(e)
+    for _ in range(2):  # a fresh walk, then the one dnf_sized left behind
+        got = ex.simplify(e)
+        assert got == expected
+        assert (got is e) == (expected is e)
+        assert ex.dnf_sized(e) == (len(ex.atom_set(e)) <= ex.DNF_ATOMS)
+
+
+def test_folded_small_input_is_walked_once(monkeypatch):
+    a, b, c, d = (ex.Var(ex.timed(1, n)) for n in "abcd")
+    rebuilt = ex.Or(ex.And(a, b), ex.And(ex.And(a, b), c))
+    kept = ex.And(ex.Or(a, b), ex.Or(c, d))  # its sum of products is larger
+    octet = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(8))
+    cases = [rebuilt, kept, ex.Or(b, ex.Not(b)), ex.And(ex.Not(c), c), octet]
+    expected = [reference_simplify(e) for e in cases]
+    for name in ("fold", "atoms_of", "truth_table", "tree_size"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert [ex.simplify(e) for e in cases] == expected
+    assert expected[0] == ex.And(a, b) and expected[1] is kept
+    assert expected[2:4] == [ex.TRUE, ex.FALSE]
+
+
+def test_variable_sort_matches_truth_table_over_every_order():
+    rng = random.Random(5)
+    pool = [ex.monref(1, "m"), ex.timed(2, "a"), ex.plain("z"), ex.timed(1, "b"), ex.plain("c")]
+    for k in range(1, 6):
+        atoms = pool[:k]
+        ordered = sorted(atoms, key=ex.Atom.sort_key)
+        for e in [random_expr(rng, atoms, depth=5) for _ in range(4)]:
+            want = ex.truth_table(e, ordered)
+            for order in itertools.permutations(atoms):
+                got = ex._sort_variables(ex.truth_table(e, list(order)), list(order))
+                assert got == (want, ordered), (k, order)
