@@ -349,14 +349,22 @@ def spec_to_dict(a: Specification) -> dict:
     }
 
 
+def _mapping(data: dict, key: str, what: str) -> dict:
+    """``data[key]``, which must be a JSON object mapping ``what``."""
+    value = data[key]
+    if not isinstance(value, dict):
+        raise SpecificationError(f"key {key!r} must map {what}, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> Specification:
     try:
-        return make_spec(
-            data["states"],
-            data["initial"],
-            [(t["from"], t["label"], t["to"]) for t in data["transitions"]],
-            data["verdicts"],
-        )
+        verdicts = _mapping(data, "verdicts", "states to verdicts")
+        transitions = [(t["from"], t["label"], t["to"]) for t in data["transitions"]]
+        for _, label, _ in transitions:
+            if not isinstance(label, str):
+                raise SpecificationError(f"transition key 'label' must be a string, got {label!r}")
+        return make_spec(data["states"], data["initial"], transitions, verdicts)
     except (KeyError, TypeError) as exc:
         raise SpecificationError(f"malformed specification object: {exc}") from exc
 
@@ -373,19 +381,20 @@ def dspec_to_dict(d: DecentralizedSpec) -> dict:
 
 def dspec_from_dict(data: dict) -> DecentralizedSpec:
     try:
-        if not isinstance(data["monitors"], dict):
-            raise SpecificationError("key 'monitors' must map monitor names to specifications")
-        monitors = {name: spec_from_dict(spec) for name, spec in data["monitors"].items()}
+        specs = _mapping(data, "monitors", "monitor names to specifications")
+        monitors = {name: spec_from_dict(spec) for name, spec in specs.items()}
+        attach = _mapping(data, "attach", "monitor names to components")
+        ap_owner = _mapping(data, "ap_owner", "propositions to components")
         components = data.get("components")
         if components is None:
-            components = sorted(set(data["attach"].values()) | set(data["ap_owner"].values()))
+            components = sorted(set(attach.values()) | set(ap_owner.values()))
         return DecentralizedSpec(
             monitor_labels=tuple(sorted(monitors)),
             monitors=monitors,
             components=tuple(components),
-            attach=dict(data["attach"]),
+            attach=dict(attach),
             root=data["root"],
-            ap_owner=dict(data["ap_owner"]),
+            ap_owner=dict(ap_owner),
         )
     except (KeyError, TypeError) as exc:
         raise SpecificationError(f"malformed decentralized specification: {exc}") from exc

@@ -114,9 +114,10 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     encoded at t+1; an entry already present at the target key is merged with
     disjunction.  New entries are built with folding constructors and
     simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound up
-    to which :func:`expr.simplify` rebuilds a sum of products; the count,
-    :func:`expr.dnf_sized`, is taken before folding and is the walk that
-    :func:`expr.simplify` reuses.
+    to which :func:`expr.simplify` rebuilds a sum of products.  The folding
+    constructors make each entry the fold fixpoint that
+    :func:`expr.simplify` expects; the count, :func:`expr.dnf_sized`, is the
+    walk that :func:`expr.simplify` reuses.
     """
     _row(p, ts_round)
     if te < ts_round:

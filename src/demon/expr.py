@@ -4,15 +4,16 @@ Expressions are immutable trees that may share subtrees; every traversal here
 is iterative and memoizes on node identity so shared structure is visited
 once.  The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
 and :func:`equivalent`, build a reduced ordered BDD for each call and accept
-any atom count.  :func:`simplify` decides constants by bitmask truth tables up
-to ``EXACT_ATOMS`` atoms and only folds above it; it rebuilds a sum of
-products up to ``DNF_ATOMS`` atoms.  An input that is already folded and has
-at most ``DNF_ATOMS`` atoms, nearly every input in practice, costs one walk:
-it checks that folding would change nothing and collects the atoms, the
-truth table and the tree size together.  :func:`dnf_sized` is that walk's
-atom bound, which ``ehe.mov`` asks before it simplifies a new entry.  The
-lexer is shared with the LTL formula parser, and the LTL canonical form is
-decided through :func:`truth_table`, :func:`qm_cover` and :func:`fold`.
+any atom count.  :func:`simplify` takes a fold fixpoint, as the folding
+constructors and :func:`rewrite_fold` build, and gets every truth table it
+needs from one walk, :func:`_walk`, that also collects the atoms and the tree
+size.  It decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of
+products up to ``DNF_ATOMS`` atoms, where nearly every input in practice
+lies and costs one walk.  :func:`dnf_sized` is that walk's atom bound, which
+``ehe.mov`` asks before it simplifies a new entry.  The lexer is shared with
+the LTL formula parser, and the LTL canonical form is decided through the
+same walk and :func:`qm_cover`.  :func:`truth_table` and :func:`tree_size`
+remain as the references the tests compare the walk against.
 
 The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
@@ -133,10 +134,6 @@ class Or(Expr):
 
 TRUE = Const(TOP)
 FALSE = Const(BOTTOM)
-
-
-def var(atom: Atom) -> Expr:
-    return Var(atom)
 
 
 def neg(e: Expr) -> Expr:
@@ -411,7 +408,10 @@ def _columns(k: int) -> tuple[int, ...]:
 
 
 def truth_table(e: Expr, atoms: list[Atom]) -> int:
-    """Truth column of ``e`` over ``atoms`` packed into an int (bit j = row j)."""
+    """Truth column of ``e`` over ``atoms`` packed into an int (bit j = row j).
+
+    The reference the tests compare :func:`_walk`'s tables against; the
+    library itself builds its tables with :func:`_walk`."""
     k = len(atoms)
     full = (1 << (1 << k)) - 1
     columns = dict(zip(atoms, _columns(k)))
@@ -649,7 +649,7 @@ def _is_literal(e: Expr) -> bool:
     return isinstance(e, (Const, Var)) or (isinstance(e, Not) and isinstance(e.operand, Var))
 
 
-Walk = tuple[bool, list[Atom], int, tuple[int, int]]
+Walk = tuple[list[Atom], int, tuple[int, int]]
 
 # The last expression walked, held so that its identity stays unique, and its
 # walk: ``ehe.mov`` asks :func:`dnf_sized` before it calls :func:`simplify`
@@ -669,20 +669,18 @@ def _walk_of(e: Expr) -> Optional[Walk]:
     return walk
 
 
-def _walk(e: Expr) -> Optional[Walk]:
-    """One iterative post-order walk of ``e`` for :func:`simplify`.
+def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
+    """One iterative post-order walk of ``e`` over truth tables of ``width``
+    columns.
 
-    Returns None as soon as a ``DNF_ATOMS + 1``-th distinct atom appears.
-    Otherwise returns (``fixpoint``, atoms, table, size): whether :func:`fold`
-    would return ``e`` itself (no constant below the root, no negation over
-    a negation or a constant, no AND/OR over one child object), the atoms in
-    discovery order, the truth table over them (bit j is row j, in which
-    atom i takes bit i of j) and the :func:`tree_size`."""
-    cols = _columns(DNF_ATOMS)
-    full = (1 << (1 << DNF_ATOMS)) - 1
+    Returns None as soon as a ``width + 1``-th distinct atom appears.
+    Otherwise returns (atoms, table, size): the atoms in discovery order, the
+    truth table over them (bit j is row j, in which atom i takes bit i of j)
+    and the :func:`tree_size`."""
+    cols = _columns(width)
+    full = (1 << (1 << width)) - 1
     index: dict[Atom, int] = {}
     memo: dict[int, tuple[int, int, int]] = {}  # id -> (table, leaves, operators)
-    fixpoint = True
     stack = [e]
     while stack:
         node = stack[-1]
@@ -694,7 +692,7 @@ def _walk(e: Expr) -> Optional[Walk]:
             i = index.get(node.atom)
             if i is None:
                 i = len(index)
-                if i == DNF_ATOMS:
+                if i == width:
                     return None
                 index[node.atom] = i
             memo[id(node)] = (cols[i], 1, 0)
@@ -703,11 +701,8 @@ def _walk(e: Expr) -> Optional[Walk]:
             if sub is None:
                 stack.append(node.operand)
                 continue
-            if type(node.operand) in (Not, Const):
-                fixpoint = False
             memo[id(node)] = (full ^ sub[0], sub[1], sub[2] + 1)
         elif cls is Const:
-            fixpoint = False  # the root is never walked when it is a literal
             memo[id(node)] = (full if node.value is TOP else 0, 0, 0)
         else:
             l, r = memo.get(id(node.left)), memo.get(id(node.right))
@@ -717,21 +712,18 @@ def _walk(e: Expr) -> Optional[Walk]:
                 if l is None:
                     stack.append(node.left)
                 continue
-            if node.left is node.right:
-                fixpoint = False
             table = l[0] & r[0] if cls is And else l[0] | r[0]
             memo[id(node)] = (table, l[1] + r[1], l[2] + r[2] + 1)
         stack.pop()
     table, leaves, ops = memo[id(e)]
-    return fixpoint, list(index), table & ((1 << (1 << len(index))) - 1), (leaves, ops)
+    return list(index), table & ((1 << (1 << len(index))) - 1), (leaves, ops)
 
 
 def dnf_sized(e: Expr) -> bool:
-    """Whether ``e`` as built, before any folding, has at most ``DNF_ATOMS``
-    atoms: the bound up to which :func:`simplify` rebuilds a sum of products.
-    The count is the walk :func:`simplify` makes, stopped after the
-    ``DNF_ATOMS + 1``-th atom, and a :func:`simplify` call on ``e`` that
-    follows reuses it."""
+    """Whether ``e`` has at most ``DNF_ATOMS`` atoms: the bound up to which
+    :func:`simplify` rebuilds a sum of products.  The count is the walk
+    :func:`simplify` makes, stopped after the ``DNF_ATOMS + 1``-th atom, and
+    a :func:`simplify` call on ``e`` that follows reuses it."""
     return _walk_of(e) is not None
 
 
@@ -760,39 +752,31 @@ def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
 def simplify(e: Expr) -> Expr:
     """Return an expression Boolean-equivalent to ``e``; never searches.
 
-    Up to ``EXACT_ATOMS`` atoms tautologies become TRUE and contradictions
+    ``e`` is expected to be a fold fixpoint (:func:`fold` returns it
+    unchanged), as the folding constructors and :func:`rewrite_fold` build;
+    any other input gets an equivalent result that may keep constants.  Up
+    to ``EXACT_ATOMS`` atoms tautologies become TRUE and contradictions
     FALSE; up to ``DNF_ATOMS`` atoms the expression is rebuilt as an
     irredundant sum of products when that is no larger.  Otherwise the
-    result is :func:`fold` of ``e``, which is ``e`` itself when folding
-    changes nothing.  Results other than TRUE/FALSE are constant-free.
-
-    An input that is already folded and has at most ``DNF_ATOMS`` atoms is
-    walked once (:func:`_walk`).  Others are folded first, and inputs of more
-    than ``DNF_ATOMS`` atoms go through :func:`atoms_of` and
-    :func:`truth_table`.
+    result is ``e`` itself.  The truth table comes from :func:`_walk` over
+    ``DNF_ATOMS`` columns, or over exactly as many as the :func:`atom_set`
+    of a wider input holds.
     """
     if _is_literal(e):
         return e
     walk = _walk_of(e)
-    if walk is None or not walk[0]:
-        f = fold(e)
-        if f is not e:
-            if _is_literal(f):
-                return f
-            e, walk = f, _walk_of(f)
     if walk is None:
-        atoms = atoms_of(e)
-        if len(atoms) > EXACT_ATOMS:
+        k = len(atom_set(e))
+        if k > EXACT_ATOMS:
             return e
-        table = truth_table(e, atoms)
-    else:
-        _, atoms, table, size = walk
+        walk = _walk(e, k)
+    atoms, table, size = walk
     k = len(atoms)
     if table == (1 << (1 << k)) - 1:
         return TRUE
     if table == 0:
         return FALSE
-    if walk is None:
+    if k > DNF_ATOMS:
         return e
     table, atoms = _sort_variables(table, atoms)
     terms = qm_cover(table, k)

@@ -295,15 +295,15 @@ def _bool_canonical(phi: Ltl) -> Ltl:
             LNot,
             lambda n, l, r: (LAnd if isinstance(n, ex.And) else LOr)(l, r),
         )
-    ordered = sorted(leaves)
-    atoms = [ex.Atom("ap", 0, text) for text in ordered]
-    table = ex.truth_table(e, atoms)
+    atoms, table, _ = ex._walk(e)
+    table, atoms = ex._sort_variables(table, atoms)  # leaves in text order
     if table == (1 << (1 << len(atoms))) - 1:
         return LTRUE
     if table == 0:
         return LFALSE
+    ordered = [leaves[a.name] for a in atoms]
     return _chain(LOr, [
-        _chain(LAnd, [leaves[ordered[i]] if pos else LNot(leaves[ordered[i]]) for i, pos in term])
+        _chain(LAnd, [ordered[i] if pos else LNot(ordered[i]) for i, pos in term])
         for term in sorted(ex.qm_cover(table, len(atoms)))
     ])
 

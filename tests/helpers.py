@@ -123,8 +123,9 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.
 
 def reference_simplify(e: ex.Expr) -> ex.Expr:
     """``expr.simplify`` as four separate walks: fold, atoms, truth table and
-    tree size.  ``expr.simplify`` must return a structurally equal result,
-    and ``e`` itself exactly when this does."""
+    tree size.  On a fold fixpoint, the input ``expr.simplify`` expects,
+    ``expr.simplify`` must return a structurally equal result, and ``e``
+    itself exactly when this does."""
     f = ex.fold(e)
     if isinstance(f, (ex.Const, ex.Var)) or (isinstance(f, ex.Not) and isinstance(f.operand, ex.Var)):
         return f

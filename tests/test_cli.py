@@ -188,6 +188,12 @@ class TestCheck:
     @pytest.mark.parametrize("content, named", [
         (5, "JSON object"),
         ({"monitors": 5}, "'monitors'"),
+        ({"states": ["q"], "initial": "q", "transitions": [], "verdicts": ["unknown"]},
+         "'verdicts'"),
+        ({"states": ["q"], "initial": "q", "verdicts": {"q": "unknown"},
+          "transitions": [{"from": "q", "to": "q", "label": ["a", "b"]}]}, "'label'"),
+        ({"monitors": {}, "attach": "c0", "root": "m", "ap_owner": {}}, "'attach'"),
+        ({"monitors": {}, "attach": {}, "root": "m", "ap_owner": "c0"}, "'ap_owner'"),
     ])
     def test_spec_of_wrong_shape_named(self, tmp_path, capsys, mode, content, named):
         p = tmp_path / "spec.json"

@@ -7,6 +7,7 @@ import random
 
 from demon import analysis as an
 from demon import engine as en
+from demon import expr as ex
 from demon import ltl as lt
 from demon import metrics as mt
 from demon import traces as tg
@@ -97,6 +98,28 @@ def test_algorithms_agree_with_reference_over_parameter_grid():
 def test_five_components_and_longer_traces_agree_with_reference():
     finals = check_cases(1903, WIDE_CASES, components=(5, 5), lengths=(31, 60))
     assert finals >= WIDE_CASES // 2, finals
+
+
+def test_every_simplify_input_is_a_fold_fixpoint(monkeypatch):
+    # simplify expects an input that fold returns unchanged; every caller in
+    # the library, synthesis included, must hand it one.
+    real = ex.simplify
+    seen = []
+
+    def checked(e):
+        seen.append(e)
+        assert ex.fold(e) is e, ex.to_text(e)  # literals included
+        return real(e)
+
+    monkeypatch.setattr(ex, "simplify", checked)
+    cases = list(draw_cases(7, len(GRID), components=(3, 4), lengths=(10, 30)))
+    assert (3, 2) in {(d, a) for *_, d, a in cases}
+    for _, phi, tr, system, comm_delay, initial_active in cases:
+        spec = lt.synthesize(phi)
+        for alg in en.ALGORITHMS:
+            en.simulate(sim_config(alg, comm_delay, initial_active),
+                        phi if alg == "chor" else spec, system, tr)
+    assert len(seen) > 100, len(seen)
 
 
 GRID_PIN_CASES = 48  # |C| = 2..5, L = 1..60

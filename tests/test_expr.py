@@ -92,7 +92,7 @@ class TestSimplify:
         rng = random.Random(13)
         atoms = [ex.plain(n) for n in "abc"]
         for _ in range(300):
-            s = ex.simplify(random_expr(rng, atoms))
+            s = ex.simplify(ex.fold(random_expr(rng, atoms)))
             if s not in (ex.TRUE, ex.FALSE):
                 assert const_leaves(s) == 0
 
@@ -395,12 +395,13 @@ def dags(draw):
 @given(st.one_of(dags(), exprs(), exprs("abcdefgh")))
 @settings(max_examples=400, deadline=None)
 def test_simplify_matches_four_walk_reference(e):
-    expected = reference_simplify(e)
+    f = ex.fold(e)
+    expected = reference_simplify(f)
     for _ in range(2):  # a fresh walk, then the one dnf_sized left behind
-        got = ex.simplify(e)
+        got = ex.simplify(f)
         assert got == expected
-        assert (got is e) == (expected is e)
-        assert ex.dnf_sized(e) == (len(ex.atom_set(e)) <= ex.DNF_ATOMS)
+        assert (got is f) == (expected is f)
+        assert ex.dnf_sized(f) == (len(ex.atom_set(f)) <= ex.DNF_ATOMS)
 
 
 def test_folded_small_input_is_walked_once(monkeypatch):
@@ -415,6 +416,25 @@ def test_folded_small_input_is_walked_once(monkeypatch):
     assert [ex.simplify(e) for e in cases] == expected
     assert expected[0] == ex.And(a, b) and expected[1] is kept
     assert expected[2:4] == [ex.TRUE, ex.FALSE]
+
+
+def test_folded_input_of_any_width_skips_reference_walks(monkeypatch):
+    def wide(n):
+        return ex.conj_all(ex.Var(ex.timed(i % 3, f"x{i}")) for i in range(n))
+
+    cases = []
+    for n in (8, 12, 16, 17, 30):  # up to DNF_ATOMS, up to EXACT_ATOMS, above
+        w = wide(n)
+        cases += [ex.disj(w, ex.neg(w)), ex.conj(w, ex.neg(w)), ex.disj(w.left, ex.neg(w.right))]
+    assert all(ex.fold(e) is e for e in cases)
+    expected = [reference_simplify(e) for e in cases]
+    for name in ("fold", "atoms_of", "truth_table"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    got = [ex.simplify(e) for e in cases]
+    assert got == expected
+    assert [g is e for g, e in zip(got, cases)] == [x is e for x, e in zip(expected, cases)]
+    assert got[3:9] == [ex.TRUE, ex.FALSE, cases[5], ex.TRUE, ex.FALSE, cases[8]]
+    assert got[9:] == cases[9:]  # above EXACT_ATOMS: returned as given
 
 
 def test_variable_sort_matches_truth_table_over_every_order():
