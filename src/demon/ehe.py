@@ -7,17 +7,16 @@ keeps the rounds in ascending order.  Rows are never mutated once built, so
 encodings derived from one another share them.  With R rounds, E entries
 and S states per row:
 
-- ``rounds`` is O(R); ``first_round``, ``last_round`` and ``len`` are O(1);
-  ``at`` is O(1) and ``states_at`` is O(S log S).
+- ``rounds`` and ``len`` are O(R); ``first_round`` and ``last_round`` are
+  O(1); ``at`` is O(1) and ``states_at`` is O(S log S).
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)), builds one row per new round and
   simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms; the atom
   count is the walk that ``expr.simplify`` then reuses.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
-- ``drop_resolved`` resolves rounds from the first one until the state is
-  unknown, then keeps the rows after the last known round; a caller may
-  share one ``memo`` with the resolution that came before it.
+- ``drop_resolved`` keeps the rows after the last known round, which the
+  caller's resolution found: it searches nothing and copies O(R) rows.
 - ``merge`` disjoins shared entries row by row; rounds present in only one
   operand are kept as they are, so the table may have gaps.
 
@@ -30,7 +29,7 @@ state.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import expr as ex
@@ -46,10 +45,6 @@ Row = Mapping[str, Expr]
 class EHE:
     automaton: Specification
     table: Mapping[int, Row]  # round -> {state: condition}, rounds ascending
-    size: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size", sum(map(len, self.table.values())))
 
     @property
     def entries(self) -> Mapping[tuple[int, str], Expr]:
@@ -72,7 +67,7 @@ class EHE:
         return sorted(self.table.get(t, ()))
 
     def __len__(self) -> int:
-        return self.size
+        return sum(map(len, self.table.values()))
 
 
 class _Entries(Mapping):
@@ -91,7 +86,7 @@ class _Entries(Mapping):
                 yield t, q
 
     def __len__(self) -> int:
-        return self._p.size
+        return len(self._p)
 
 
 def init(a: Specification) -> EHE:
@@ -174,8 +169,9 @@ def sreach(
     return None
 
 
-def verdict_at(p: EHE, m: Memory, t: int, memo: Optional[dict[int, Expr]] = None) -> Verdict:
-    q = sreach(p, m, t, memo=memo)
+def verdict_at(p: EHE, m: Memory, t: int) -> Verdict:
+    """The verdict of the state :func:`sreach` finds at round t, or UNKNOWN."""
+    q = sreach(p, m, t)
     return p.automaton.verdict_of(q) if q is not None else ex.UNKNOWN
 
 
@@ -224,17 +220,10 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
     return EHE(p.automaton, table)
 
 
-def drop_resolved(p: EHE, m: Memory, step=None, memo: Optional[dict[int, Expr]] = None) -> EHE:
-    """Garbage collection: find the greatest round whose state is known,
-    drop everything before it, and rebase that entry to TRUE; ``p`` itself
-    when no round is known.  ``memo`` is as in :func:`sreach`."""
-    memo = {} if memo is None else memo
-    resolved: Optional[tuple[int, str]] = None
-    for t in p.table:
-        q = sreach(p, m, t, step=step, memo=memo)
-        if q is None:
-            break  # state resolution is monotone: later rounds cannot resolve
-        resolved = (t, q)
+def drop_resolved(p: EHE, resolved: Optional[tuple[int, str]]) -> EHE:
+    """Garbage collection at the last round ``t`` resolved to ``q`` (found by a
+    caller that resolved from the first round up to the first open one): drop
+    the rounds before ``t`` and rebase ``(t, q)`` to TRUE; ``p`` when None."""
     if resolved is None:
         return p
     t_star, q_star = resolved

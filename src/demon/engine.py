@@ -185,7 +185,10 @@ def setup(
         for comp in comps:  # fill up deterministically
             if comp not in ranked:
                 ranked.append(comp)
-        active = set(ranked[: min(cfg.initial_active, len(comps))])
+        if cfg.initial_active > len(comps):
+            msg = f"initial_active {cfg.initial_active} exceeds the {len(comps)} components"
+            raise InvalidParameters(msg)
+        active = set(ranked[: cfg.initial_active])
         states = {
             f"m_{comp}": MigrationState(
                 f"m_{comp}", comp, is_active=comp in active,
@@ -286,25 +289,28 @@ def assemble_choreography(
 def _resolve(
     state: Union[MainState, MigrationState, ChorState],
     t: int,
-    rounds: Iterable[int],
     step: mt.Step,
     memo: Optional[dict[int, ex.Expr]] = None,
-) -> Optional[Verdict]:
-    """Resolve the automaton state at each of ``rounds`` in turn, advancing
+) -> tuple[Optional[Verdict], Optional[tuple[int, str]]]:
+    """Resolve the automaton state at each encoded round in turn, advancing
     ``state.t_kn`` (and recording its delay) past every newly known round.
-    Stops at the first unresolved round; returns the first final verdict."""
+    Stops at the first unresolved round or final verdict; returns that verdict
+    (or None) and the last resolved ``(round, state)`` (None when the first
+    round is open), where :func:`ehe.drop_resolved` cuts."""
     memo = {} if memo is None else memo
-    for r in rounds:
+    last = None
+    for r in state.ehe.rounds():
         q = eh.sreach(state.ehe, state.memory, r, step=step, memo=memo)
         if q is None:
-            return None
+            break
+        last = (r, q)
         if r > state.t_kn:
             step.delays += (t - r,)
             state.t_kn = r
         v = state.ehe.automaton.verdict_of(q)
         if v.is_final:
-            return v
-    return None
+            return v, last
+    return None, last
 
 
 def orchestration_round(
@@ -338,9 +344,11 @@ def orchestration_round(
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
     memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
-    verdict = _resolve(state, t, range(state.t_kn, t + 1), step, memo)
+    evals = step.evaluations
+    verdict, last = _resolve(state, t, step, memo)
     if verdict is None:
-        kept = eh.drop_resolved(state.ehe, state.memory, step=step, memo=memo)
+        step.evaluations += step.evaluations - evals  # conv_e charges GC for these rows too
+        kept = eh.drop_resolved(state.ehe, last)
         if kept is not state.ehe:
             # Without inc, kept rows still reach the dropped history: fold them (uncounted,
             # as orch never sends its encoding), then forget the atoms folded in.
@@ -409,10 +417,12 @@ def migration_round(
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
     state.ehe = eh.inc(state.ehe, state.memory, step=step)
-    verdict = _resolve(state, t, state.ehe.rounds(), step)
+    evals = step.evaluations
+    verdict, last = _resolve(state, t, step)
     if verdict is not None:
         return state, [], verdict
-    state.ehe = eh.drop_resolved(state.ehe, state.memory, step=step)
+    step.evaluations += step.evaluations - evals  # conv_e charges GC for these rows too
+    state.ehe = eh.drop_resolved(state.ehe, last)
     step.gc = _footprint(state.ehe)
     if setup.cfg.algorithm == "migr":
         owners = _obligation_owners(state.ehe, setup.ap_owner)
@@ -474,7 +484,7 @@ def choreography_round(
             state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
         state.ehe = eh.inc(state.ehe, state.memory, step=step)
         step.evaluations += state.prefix_evals
-        found = _resolve(state, t, state.ehe.rounds(), step)
+        found, _ = _resolve(state, t, step)
         if found is None:
             _drop_prefix(state)
             if not state.respawn:  # respawned instances re-read memory from their anchor

@@ -2,15 +2,17 @@
 enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
 placement counts, expression DAG sizes, a simulation that shows each
-monitor's state after every round, and the four-walk simplifier that
-``expr.simplify`` must agree with."""
+monitor's state after every round, the four-walk simplifier that
+``expr.simplify`` must agree with, and the search for the last resolved
+round that garbage collection cuts at."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from demon import analysis as an
+from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
 from demon.automaton import DecentralizedSpec, DecentralizedTrace, Specification, normalize
@@ -143,3 +145,16 @@ def reference_simplify(e: ex.Expr) -> ex.Expr:
         if ex._cover_size(terms) <= ex.tree_size(f):
             return ex._dnf_from_cover(terms, atoms)
     return f
+
+
+def last_resolved(p: EHE, m: Memory) -> Optional[tuple[int, str]]:
+    """The last ``(round, state)`` that ``sreach`` resolves under ``m``,
+    searching from the first round until a round is open; None when the
+    first round is open.  ``ehe.drop_resolved`` cuts there."""
+    resolved = None
+    for t in p.rounds():
+        q = eh.sreach(p, m, t)
+        if q is None:
+            break
+        resolved = (t, q)
+    return resolved

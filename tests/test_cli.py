@@ -246,6 +246,17 @@ class TestRun:
         with pytest.raises(KeyError):
             cli.main(["run", "--spec", fig1_file, "--trace", trace_file, "--algorithm", "orch"])
 
+    def test_active_above_component_count_exit_2(self, fig1_file, trace_file, capsys):
+        for alg in ("migr", "migrr"):
+            code, out, err = run_cli(capsys, "run", "--spec", fig1_file, "--trace", trace_file,
+                                     "--algorithm", alg, "--active", "99")
+            assert code == 2 and out == ""
+            assert "initial_active 99" in err and "2 components" in err
+            # the trace has two components: both may start active
+            code, out, _ = run_cli(capsys, "run", "--spec", fig1_file, "--trace", trace_file,
+                                   "--algorithm", alg, "--active", "2", "--format", "json")
+            assert code == 0 and json.loads(out)["verdict"] == "top"
+
     def test_non_text_ltl_key_named(self, tmp_path, trace_file, capsys):
         spec = tmp_path / "phi.json"
         spec.write_text(json.dumps({"ltl": 5}))
@@ -321,6 +332,17 @@ class TestExperiment:
         cfg.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "experiment", str(cfg), "--strict")
         assert code == 2
+
+    def test_active_above_component_count_skipped_per_run(self, tmp_path, fig1, capsys):
+        cfg = self._write_experiment(tmp_path, fig1)
+        data = json.loads(cfg.read_text())
+        data["active"] = 99
+        cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "experiment", str(cfg))
+        assert code == 0 and err.count("skipping migr/") == 2  # orch has no active count
+        assert "initial_active 99" in err
+        rows = list(csv.reader((tmp_path / "results.csv").open()))
+        assert [r[0] for r in rows[1:]] == ["orch", "orch"]
 
     def test_bad_spec_skipped_once_per_run(self, tmp_path, fig1, capsys):
         cfg = self._write_experiment(tmp_path, fig1)

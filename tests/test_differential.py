@@ -6,6 +6,7 @@ import itertools
 import random
 
 from demon import analysis as an
+from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
@@ -120,6 +121,48 @@ def test_every_simplify_input_is_a_fold_fixpoint(monkeypatch):
             en.simulate(sim_config(alg, comm_delay, initial_active),
                         phi if alg == "chor" else spec, system, tr)
     assert len(seen) > 100, len(seen)
+
+
+def test_each_row_resolved_once_per_round(monkeypatch):
+    # Resolution and garbage collection share one pass: no (step, round) pair
+    # reaches sreach twice, yet a step that collects garbage counts the pass's
+    # evaluations twice, once for each.  And the main orch monitor's encoding
+    # starts at its last known round after every round without a verdict.
+    real = eh.sreach
+    searched = []
+    evaluated = {}  # id(step) -> evaluations made inside sreach
+
+    def recorded(p, m, t, step=None, memo=None):
+        searched.append((id(step), t))
+        before = step.evaluations
+        q = real(p, m, t, step=step, memo=memo)
+        evaluated[id(step)] = evaluated.get(id(step), 0) + step.evaluations - before
+        return q
+
+    monkeypatch.setattr(eh, "sreach", recorded)
+    cases = list(draw_cases(11, 12, components=(2, 4), lengths=(5, 30)))
+    for _, phi, tr, system, *_ in cases:
+        spec = lt.synthesize(phi)
+        for alg, comm_delay, initial_active in itertools.product(
+            ("orch", "migr", "migrr"), (1, 3), (1, 2)
+        ):
+            searched.clear()
+            evaluated.clear()
+            kept = []  # (first round, t_kn) of m0 after each of its rounds
+
+            def observe(state):
+                if state.name == "m0":
+                    kept.append((state.ehe.first_round(), state.t_kn))
+
+            cfg = sim_config(alg, comm_delay, initial_active)
+            result = simulate_observed(cfg, spec, system, tr, observe)
+            assert searched and len(set(searched)) == len(searched), (alg, cfg)
+            for st in result.record.steps:
+                counted = evaluated.get(id(st), 0) * (1 if st.gc is None else 2)
+                assert st.evaluations == counted, (cfg, st)
+            if alg == "orch" and result.verdict.is_final:
+                kept.pop()  # m0 runs last in its round: the verdict round keeps its rows
+            assert all(first == t_kn for first, t_kn in kept), (cfg, kept)
 
 
 GRID_PIN_CASES = 48  # |C| = 2..5, L = 1..60

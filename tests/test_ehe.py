@@ -10,7 +10,7 @@ from demon.errors import AutomatonMismatch, UndefinedRound
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import random_spec, random_trace
-from helpers import entrywise_equivalent, max_label_size
+from helpers import entrywise_equivalent, last_resolved, max_label_size
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -166,7 +166,7 @@ class TestDropResolved:
     def test_drop_after_resolution(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
         m = timed_mem(**{"1_a": B, "1_b": B})  # round 1 resolves to q0, round 2 open
-        dropped = eh.drop_resolved(p, m)
+        dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dropped.rounds() == [1, 2]
         assert dropped.entries[(1, "q0")] == ex.TRUE
         assert set(dropped.states_at(1)) == {"q0"}
@@ -176,20 +176,20 @@ class TestDropResolved:
         # the whole encoding collapses to its last round.
         p = eh.mov(eh.init(fig1), 0, 2)
         m = timed_mem(**{"1_a": T, "1_b": B})
-        dropped = eh.drop_resolved(p, m)
+        dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dict(dropped.entries) == {(2, "q1"): ex.TRUE}
 
     def test_no_resolution_unchanged(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 2)
         m = timed_mem(**{"2_a": T})  # resolves nothing contiguously beyond 0
-        dropped = eh.drop_resolved(p, m)
+        dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dropped.rounds() == [0, 1, 2]
         assert dropped.entries[(0, "q0")] == ex.TRUE
 
     def test_fully_resolved_single_entry(self, fig1):
         p = eh.mov(eh.init(fig1), 0, 1)
         m = timed_mem(**{"1_a": T, "1_b": T})
-        dropped = eh.drop_resolved(p, m)
+        dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dict(dropped.entries) == {(1, "q1"): ex.TRUE}
 
 
@@ -303,7 +303,7 @@ class TestTable:
                     row = {rng.choice(spec.states): ex.TRUE}
                     p = eh.merge(p, eh.EHE(spec, {p.last_round() + rng.randint(1, 3): row}))
                 else:
-                    p = eh.drop_resolved(p, m)
+                    p = eh.drop_resolved(p, last_resolved(p, m))
                 assert_table_consistent(p)
                 encodings.append(p)
 

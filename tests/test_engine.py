@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from demon import analysis as an
+from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
@@ -18,10 +19,10 @@ from demon.automaton import (
 )
 from demon.ehe import EHE
 from demon.errors import IncompatiblePlacement, InvalidParameters
-from demon.store import EMPTY_MEMORY, Event
+from demon.store import EMPTY_MEMORY, Event, Memory
 
 from conftest import random_spec, random_trace
-from helpers import simulate_observed
+from helpers import last_resolved, simulate_observed
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -80,6 +81,37 @@ class TestSetup:
         disconnected = an.Graph.of(("A", "B"), [("A", "B")])
         with pytest.raises(IncompatiblePlacement):
             en.setup(en.SimConfig("orch"), fig1, disconnected, {"a": "A", "b": "B"})
+
+    @pytest.mark.parametrize("alg", ["migr", "migrr"])
+    def test_initial_active_above_component_count_rejected(self, fig1, alg):
+        system, owner = complete(("A", "B")), {"a": "A", "b": "B"}
+        with pytest.raises(InvalidParameters, match=r"initial_active 3 .* 2 components"):
+            en.setup(en.SimConfig(alg, initial_active=3), fig1, system, owner)
+        st = en.setup(en.SimConfig(alg, initial_active=2), fig1, system, owner)
+        assert all(s.is_active for s in st.states.values())
+
+
+def test_resolve_returns_where_garbage_collection_cuts():
+    # Without a final verdict, the last (round, state) _resolve resolved is the
+    # one the search from the first round up to the first open round finds.
+    rng = random.Random(1212)
+    seen = set()
+    for _ in range(150):
+        spec, aps = random_spec(rng, max_states=4, max_aps=3)
+        n = rng.randint(1, 6)
+        p = eh.mov(eh.init(spec), 0, n)
+        atoms = [ex.timed(t, a) for t in range(1, n + 1) for a in aps]
+        if rng.random() < 0.5:
+            p = eh.inc(p, Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.3}))
+        if rng.random() < 0.4:  # start past round 0, so the first round may be open
+            p = EHE(spec, dict(list(p.table.items())[rng.randint(1, n):]))
+        m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.5})
+        state = en.MigrationState("m_c", "c", is_active=True, memory=m, ehe=p)
+        verdict, last = en._resolve(state, n, mt.Step(n, "m_c", "c"))
+        if verdict is None:
+            assert last == last_resolved(p, m)
+            seen.add("none" if last is None else "cut" if last[0] < n else "all")
+    assert seen == {"none", "cut", "all"}, seen
 
 
 class TestOrchestration:
