@@ -4,9 +4,7 @@ round-based simulator for the classic algorithm families."""
 
 from .expr import (
     Atom,
-    Encoder,
     Expr,
-    IDENTITY,
     Verdict,
     TOP,
     BOTTOM,
@@ -17,7 +15,6 @@ from .expr import (
     parse_expr,
     simplify,
     to_text,
-    ts,
 )
 from .store import Event, Memory, mem_from_event, memory_merge, merge_with
 from .automaton import (

@@ -20,8 +20,8 @@ from .errors import (
     RoundBudgetExceeded,
     SpecificationError,
 )
-from .expr import BOTTOM, IDENTITY, TOP, UNKNOWN, Expr, Verdict
-from .store import EMPTY_EVENT, Event, Memory, mem_from_event, memory_merge
+from .expr import BOTTOM, TOP, UNKNOWN, Expr, Verdict
+from .store import EMPTY_EVENT, Event, Memory, memory_merge
 
 VERDICT_NAMES = {"top": TOP, "bottom": BOTTOM, "unknown": UNKNOWN}
 
@@ -132,6 +132,11 @@ def normalize(a: Specification) -> Specification:
     return Specification(a.states, a.initial, transitions, dict(a.verdicts))
 
 
+def _plain_memory(evt: Event) -> Memory:
+    """An event's memory over plain atoms, which unstamped labels read."""
+    return Memory({ex.plain(ap): verdict for ap, verdict in evt.observations})
+
+
 def step(
     a: Specification,
     q: str,
@@ -142,7 +147,7 @@ def step(
     label) leave the state unchanged, the latter flagged as "stuck"."""
     if evt.is_empty:
         return q
-    memory = mem_from_event(evt, IDENTITY)
+    memory = _plain_memory(evt)
     satisfied = [
         t for t in a.outgoing(q) if ex.eval_expr(t.label, memory) is TOP
     ]
@@ -302,7 +307,7 @@ def decentralized_run(d: DecentralizedSpec, tr: DecentralizedTrace) -> Verdict:
         evt = tr.at(i, d.attach[label])
         if evt.is_empty:
             return q
-        memory = mem_from_event(evt, IDENTITY)
+        memory = _plain_memory(evt)
         refs: set[str] = set()
         for t in spec.outgoing(q):
             refs |= ex.dep(t.label, d.monitor_labels)

@@ -84,6 +84,8 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     aps_per_component = _int_option(config, "aps_per_component", 2)
     length = _int_option(config, "length", 60)
     count = _int_option(config, "count", 1)
+    if count < 0:
+        raise DemonError(f"config key 'count' must be >= 0, got {count}")
     base_seed = _int_option(config, "seed", 0)
     distributions = config["distributions"]
     if not (isinstance(distributions, list) and all(isinstance(d, dict) for d in distributions)):

@@ -104,15 +104,15 @@ def _row(p: EHE, t: int) -> Row:
 def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EHE:
     """Extend the encoding one round at a time from ``ts_round`` to ``te``.
 
-    The condition to reach q' at round t+1 disjoins, over the transitions
-    into q', the source state's condition at t conjoined with the label
-    encoded at t+1; an entry already present at the target key is merged with
-    disjunction.  New entries are built with folding constructors and
-    simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound up
-    to which :func:`expr.simplify` rebuilds a sum of products.  The folding
-    constructors make each entry the fold fixpoint that
-    :func:`expr.simplify` expects; the count, :func:`expr.dnf_sized`, is the
-    walk that :func:`expr.simplify` reuses.
+    The condition to reach q' at round t+1 disjoins, over the transitions into
+    q', the source state's condition at t conjoined with the label stamped at
+    t+1 by :func:`expr.encode`; an entry already present at the target key is
+    merged with disjunction.  New entries are built with folding constructors
+    and simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound
+    up to which :func:`expr.simplify` rebuilds a sum of products.  The folding
+    constructors make each entry the fold fixpoint that :func:`expr.simplify`
+    expects; the count, :func:`expr.dnf_sized`, is the walk that
+    :func:`expr.simplify` reuses.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -127,12 +127,11 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
         targets = sorted({tr.dst for q in src for tr in a.outgoing(q)})
         if not targets:
             continue
-        enc = ex.ts(t + 1, names)
         old = table.get(t + 1, {})
         row = dict(old)
         for qprime in targets:
             cond = ex.disj_all(
-                ex.conj(src[tr.src], ex.encode(tr.label, enc))
+                ex.conj(src[tr.src], ex.encode(tr.label, t + 1, names))
                 for tr in a.by_destination[qprime]
                 if tr.src in src
             )

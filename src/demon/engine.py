@@ -154,10 +154,14 @@ def setup(
 ) -> Setup:
     """Create the monitor network, placements, and initial monitor states.
 
-    Raises IncompatiblePlacement when the produced placement fails the
-    compatibility check against the system graph.
+    Raises InvalidParameters when ``initial_active`` exceeds the component
+    count, for every algorithm, and IncompatiblePlacement when the produced
+    placement fails the compatibility check against the system graph.
     """
     comps = sorted(system.nodes)
+    if cfg.initial_active > len(comps):
+        msg = f"initial_active {cfg.initial_active} exceeds the {len(comps)} components"
+        raise InvalidParameters(msg)
     if cfg.algorithm == "orch":
         spec = _expect_spec(spec_input)
         main_comp = comps[0]
@@ -185,9 +189,6 @@ def setup(
         for comp in comps:  # fill up deterministically
             if comp not in ranked:
                 ranked.append(comp)
-        if cfg.initial_active > len(comps):
-            msg = f"initial_active {cfg.initial_active} exceeds the {len(comps)} components"
-            raise InvalidParameters(msg)
         active = set(ranked[: cfg.initial_active])
         states = {
             f"m_{comp}": MigrationState(
@@ -262,6 +263,12 @@ def assemble_choreography(
         name = f"m{m.id}"
         monitors[name] = lt.synthesize(m.formula)
         attach[name] = m.component
+    clashes = sorted(
+        {ap for m in tree.all_monitors() for ap in lt.prop_occurrences(m.formula)}
+        & monitors.keys()
+    )
+    if clashes:
+        raise SpecificationError(f"propositions {clashes} are named like generated monitors")
     used_aps = {
         atom.name
         for spec in monitors.values()
@@ -330,7 +337,7 @@ def orchestration_round(
                     sender=state.name,
                     receiver=state.main,
                     sent_at=t,
-                    memory=mem_from_event(obs, ex.ts(t)),
+                    memory=mem_from_event(obs, t),
                 )
             )
         return state, outbox, None
@@ -339,7 +346,7 @@ def orchestration_round(
     for msg in inbox:
         state.memory = memory_merge(state.memory, msg.memory)
     if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, ex.ts(t)))
+        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
     end = state.ehe.last_round()
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
@@ -403,7 +410,7 @@ def migration_round(
 ) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
     assert isinstance(state, MigrationState)
     if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, ex.ts(t)))
+        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
     for msg in inbox:
         if state.is_active:
             state.ehe = eh.merge(state.ehe, msg.ehe)
@@ -472,7 +479,7 @@ def choreography_round(
         state.terminated = True
         return state, outbox, None
     if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, ex.ts(t)))
+        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
 
     mon_names = setup.monitor_names
     while True:

@@ -2,7 +2,9 @@
 
 Expressions are immutable trees that may share subtrees; every traversal here
 is iterative and memoizes on node identity so shared structure is visited
-once.  The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
+once.  Labels are over plain atoms; :func:`encode` stamps each with the round
+it is read at, a proposition as <t,ap> and a monitor name as <t,&m>.
+The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
 and :func:`equivalent`, build a reduced ordered BDD for each call and accept
 any atom count.  :func:`simplify` takes a fold fixpoint, as the folding
 constructors and :func:`rewrite_fold` build, and gets every truth table it
@@ -179,55 +181,27 @@ def disj_all(parts: Iterable[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Encoders
+# Structural traversals
 
 
-@dataclass(frozen=True)
-class Encoder:
-    """Maps plain atoms into the atom alphabet used by a monitoring algorithm.
+def encode(e: Expr, t: int, monitor_names: frozenset[str] = frozenset()) -> Expr:
+    """Stamp every plain atom of ``e`` with round ``t``: <t,&m> for a name in
+    ``monitor_names``, <t,ap> for any other.  Structure is unchanged."""
 
-    The identity encoder leaves propositions untouched.  The timestamping
-    encoder tags propositions with a round number and turns names listed in
-    ``monitor_names`` into monitor references.
-    """
+    def leaf(node: Var) -> Var:
+        if node.atom.kind != "ap":
+            raise ValueError(f"encode expects plain atoms, got {node.atom}")
+        name = node.atom.name
+        return Var(monref(t, name) if name in monitor_names else timed(t, name))
 
-    kind: str  # "identity" | "timestamp"
-    t: int = 0
-    monitor_names: frozenset[str] = frozenset()
-
-    def apply(self, atom: Atom) -> Atom:
-        if self.kind == "identity":
-            return atom
-        if atom.kind != "ap":
-            raise ValueError(f"timestamp encoder expects plain atoms, got {atom}")
-        if atom.name in self.monitor_names:
-            return monref(self.t, atom.name)
-        return timed(self.t, atom.name)
-
-
-IDENTITY = Encoder("identity")
-
-
-def ts(t: int, monitor_names: Iterable[str] = ()) -> Encoder:
-    return Encoder("timestamp", t, frozenset(monitor_names))
-
-
-def encode(e: Expr, enc: Encoder) -> Expr:
-    """Re-encode every leaf of ``e`` with ``enc``; structure is unchanged."""
-    if enc.kind == "identity":
-        return e
     return bottom_up(
         e,
         {},
-        lambda node: Var(enc.apply(node.atom)),
+        leaf,
         lambda node: node,
         Not,
         lambda node, l, r: And(l, r) if isinstance(node, And) else Or(l, r),
     )
-
-
-# ---------------------------------------------------------------------------
-# Structural traversals
 
 
 def atoms_of(e: Expr) -> list[Atom]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 from .errors import ConflictingObservation
-from .expr import Atom, Encoder, Verdict, VERDICT_RANK, plain
+from .expr import Atom, Verdict, VERDICT_RANK, timed
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -108,6 +108,6 @@ def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
     return Memory(merge_with(m1.entries, m2.entries, _replace_max))
 
 
-def mem_from_event(evt: Event, enc: Encoder) -> Memory:
-    """Convert an event into a memory, encoding each proposition with ``enc``."""
-    return Memory({enc.apply(plain(ap)): verdict for ap, verdict in evt.observations})
+def mem_from_event(evt: Event, t: int) -> Memory:
+    """The memory of an event observed at round ``t``, each ap stamped <t,ap>."""
+    return Memory({timed(t, ap): verdict for ap, verdict in evt.observations})

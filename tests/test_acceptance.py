@@ -59,7 +59,7 @@ def test_criterion_1_and_2_ehe_soundness_and_determinism():
         memo: dict = {}
         spot_round = rng.randint(1, n)
         for k in range(1, n + 1):
-            memory = memory_merge(memory, mem_from_event(glob[k - 1], ex.ts(k)))
+            memory = memory_merge(memory, mem_from_event(glob[k - 1], k))
             q_auto = run(spec, glob[:k]) if k == spot_round else _step_into(
                 spec, q_auto, glob[k - 1]
             )

@@ -63,6 +63,11 @@ class TestGenTraces:
         }))
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "error" in err
+        cfg.write_text(json.dumps({
+            "components": 2, "count": -3, "distributions": [{"kind": "normal"}],
+        }))
+        code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and out == "" and "'count'" in err
 
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
@@ -247,7 +252,7 @@ class TestRun:
             cli.main(["run", "--spec", fig1_file, "--trace", trace_file, "--algorithm", "orch"])
 
     def test_active_above_component_count_exit_2(self, fig1_file, trace_file, capsys):
-        for alg in ("migr", "migrr"):
+        for alg in ("orch", "migr", "migrr"):
             code, out, err = run_cli(capsys, "run", "--spec", fig1_file, "--trace", trace_file,
                                      "--algorithm", alg, "--active", "99")
             assert code == 2 and out == ""
@@ -264,6 +269,20 @@ class TestRun:
             code, _, err = run_cli(capsys, "run", "--spec", str(spec),
                                    "--trace", trace_file, "--algorithm", alg)
             assert code == 2 and "phi.json" in err and "'ltl'" in err
+
+    def test_proposition_named_like_chor_monitor_exit_2(self, tmp_path, capsys):
+        # chor delegates one operand of the && to a monitor named m1, whose
+        # verdict the proposition m1 would otherwise be read as.
+        ltl = tmp_path / "phi.ltl"
+        ltl.write_text("F (m1 && b)\n")
+        trace_path = tmp_path / "tr.csv"
+        trace_path.write_text("t,component,ap,value\n1,c0,m1,1\n1,c1,b,0\n"
+                              "2,c0,m1,0\n2,c1,b,1\n3,c0,m1,0\n3,c1,b,0\n")
+        args = ("run", "--spec", str(ltl), "--trace", str(trace_path), "--format", "json")
+        code, out, err = run_cli(capsys, *args, "--algorithm", "chor")
+        assert code == 2 and out == "" and "'m1'" in err
+        code, out, _ = run_cli(capsys, *args, "--algorithm", "orch")
+        assert code == 1 and json.loads(out)["verdict"] == "unknown"
 
     def test_chor_from_ltl_text(self, tmp_path, capsys):
         ltl = tmp_path / "phi.ltl"
@@ -339,10 +358,10 @@ class TestExperiment:
         data["active"] = 99
         cfg.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "experiment", str(cfg))
-        assert code == 0 and err.count("skipping migr/") == 2  # orch has no active count
+        assert code == 0 and err.count("skipping orch/") == 2 and err.count("skipping migr/") == 2
         assert "initial_active 99" in err
         rows = list(csv.reader((tmp_path / "results.csv").open()))
-        assert [r[0] for r in rows[1:]] == ["orch", "orch"]
+        assert rows[1:] == []
 
     def test_bad_spec_skipped_once_per_run(self, tmp_path, fig1, capsys):
         cfg = self._write_experiment(tmp_path, fig1)

@@ -204,7 +204,7 @@ class TestSoundness:
             p = eh.mov(eh.init(spec), 0, n)
             mem = Memory()
             for k in range(1, n + 1):
-                mem = memory_merge(mem, mem_from_event(glob[k - 1], ex.ts(k)))
+                mem = memory_merge(mem, mem_from_event(glob[k - 1], k))
             assert eh.sreach(p, mem, n) == run(spec, glob)
 
     def test_future_observation_resolves_early_round(self, fig1):

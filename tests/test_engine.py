@@ -82,13 +82,15 @@ class TestSetup:
         with pytest.raises(IncompatiblePlacement):
             en.setup(en.SimConfig("orch"), fig1, disconnected, {"a": "A", "b": "B"})
 
-    @pytest.mark.parametrize("alg", ["migr", "migrr"])
+    @pytest.mark.parametrize("alg", ["orch", "migr", "migrr", "chor"])
     def test_initial_active_above_component_count_rejected(self, fig1, alg):
         system, owner = complete(("A", "B")), {"a": "A", "b": "B"}
+        spec = lt.parse_ltl("F (a && b)") if alg == "chor" else fig1
         with pytest.raises(InvalidParameters, match=r"initial_active 3 .* 2 components"):
-            en.setup(en.SimConfig(alg, initial_active=3), fig1, system, owner)
-        st = en.setup(en.SimConfig(alg, initial_active=2), fig1, system, owner)
-        assert all(s.is_active for s in st.states.values())
+            en.setup(en.SimConfig(alg, initial_active=3), spec, system, owner)
+        st = en.setup(en.SimConfig(alg, initial_active=2), spec, system, owner)
+        if alg.startswith("migr"):
+            assert all(s.is_active for s in st.states.values())
 
 
 def test_resolve_returns_where_garbage_collection_cuts():

@@ -26,28 +26,29 @@ def const_leaves(e):
 
 
 class TestEncode:
-    def test_identity(self):
-        e = ex.Or(A, B)
-        assert ex.encode(e, ex.IDENTITY) is e
-
     def test_timestamp(self):
         e = ex.Or(A, B)
-        enc = ex.encode(e, ex.ts(1))
+        enc = ex.encode(e, 1)
         assert enc == ex.Or(ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b")))
 
     def test_timestamp_negated(self):
-        assert ex.encode(ex.Not(B), ex.ts(2)) == ex.Not(ex.Var(ex.timed(2, "b")))
+        assert ex.encode(ex.Not(B), 2) == ex.Not(ex.Var(ex.timed(2, "b")))
 
     def test_monitor_reference(self):
         e = ex.And(ex.Var(ex.plain("m1")), A)
-        enc = ex.encode(e, ex.ts(3, {"m1"}))
+        enc = ex.encode(e, 3, {"m1"})
         assert enc == ex.And(ex.Var(ex.monref(3, "m1")), ex.Var(ex.timed(3, "a")))
 
     def test_distinct_rounds_share_no_atoms(self):
         e = ex.Or(A, ex.Not(B))
-        a1 = set(ex.atoms_of(ex.encode(e, ex.ts(1))))
-        a2 = set(ex.atoms_of(ex.encode(e, ex.ts(2))))
+        a1 = set(ex.atoms_of(ex.encode(e, 1)))
+        a2 = set(ex.atoms_of(ex.encode(e, 2)))
         assert not a1 & a2
+
+    def test_stamped_atom_rejected(self):
+        for atom in (ex.timed(1, "a"), ex.monref(1, "m1")):
+            with pytest.raises(ValueError, match="plain atoms"):
+                ex.encode(ex.And(ex.Var(atom), A), 2, {"m1"})
 
 
 class TestRewrite:

@@ -85,16 +85,12 @@ class TestMemoryMerge:
 
 
 class TestMemFromEvent:
-    def test_identity_encoding(self):
-        m = mem_from_event(Event.of(("a", ex.TOP), ("b", ex.BOTTOM)), ex.IDENTITY)
-        assert m == Memory({ex.plain("a"): ex.TOP, ex.plain("b"): ex.BOTTOM})
-
     def test_timestamp_encoding(self):
-        m = mem_from_event(Event.of(("a", ex.TOP), ("b", ex.BOTTOM)), ex.ts(1))
+        m = mem_from_event(Event.of(("a", ex.TOP), ("b", ex.BOTTOM)), 1)
         assert m == Memory({ex.timed(1, "a"): ex.TOP, ex.timed(1, "b"): ex.BOTTOM})
 
     def test_empty_event(self):
-        assert mem_from_event(Event(), ex.ts(4)) == EMPTY_MEMORY
+        assert mem_from_event(Event(), 4) == EMPTY_MEMORY
 
 
 def _random_memory(rng, atoms, allow_unknown=True):
