@@ -43,7 +43,7 @@ from .analysis import (
 )
 from .ltl import Ltl, net_chor, parse_ltl, progress, synthesize
 from .engine import SimConfig, SimRun, simulate
-from .metrics import MetricsRecord, convergence, size_of, summarize
+from .metrics import MetricsRecord, size_of, summarize
 from .traces import TraceGenConfig, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

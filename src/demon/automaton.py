@@ -134,7 +134,7 @@ def normalize(a: Specification) -> Specification:
 
 def _plain_memory(evt: Event) -> Memory:
     """An event's memory over plain atoms, which unstamped labels read."""
-    return Memory({ex.plain(ap): verdict for ap, verdict in evt.observations})
+    return {ex.plain(ap): verdict for ap, verdict in evt.observations}
 
 
 def step(
@@ -314,7 +314,7 @@ def decentralized_run(d: DecentralizedSpec, tr: DecentralizedTrace) -> Verdict:
         for ref in sorted(refs):
             q_final = run_from(ref, i)
             verdict = d.monitors[ref].verdict_of(q_final)
-            memory = memory_merge(memory, Memory({ex.plain(ref): verdict}))
+            memory = memory_merge(memory, {ex.plain(ref): verdict})
         satisfied = [
             t for t in spec.outgoing(q) if ex.eval_expr(t.label, memory) is TOP
         ]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,9 +70,10 @@ def _distribution_from(data: dict) -> traces.Distribution:
     if unknown:
         raise DemonError(f"unknown {kind} distribution parameters {unknown}")
     for key, value in params.items():
-        if not isinstance(value, (int, float)):
-            raise DemonError(f"{kind} distribution parameter {key!r} must be a number, "
-                             f"got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise DemonError(f"{kind} distribution parameter {key!r} must be a finite "
+                             f"number, got {value!r}")
     return cls(**params)
 
 

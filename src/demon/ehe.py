@@ -9,6 +9,8 @@ and S states per row:
 
 - ``rounds`` and ``len`` are O(R); ``first_round`` and ``last_round`` are
   O(1); ``at`` is O(1) and ``states_at`` is O(S log S).
+- ``entries`` builds the flat ``{(round, state): condition}`` dict on each
+  call, in O(E); hot paths read the rows of ``table`` instead.
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)), builds one row per new round and
   simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms; the atom
@@ -17,8 +19,10 @@ and S states per row:
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
   caller's resolution found: it searches nothing and copies O(R) rows.
-- ``merge`` disjoins shared entries row by row; rounds present in only one
-  operand are kept as they are, so the table may have gaps.
+- ``merge`` is :func:`store.merge_with` over rounds, whose shared rows merge
+  through :func:`store.merge_with` over states with a simplified
+  disjunction; a row present in only one operand is kept as it is, so the
+  table may have gaps.
 
 Entries are extended round by round from the automaton's transitions,
 merged pointwise with disjunction (which makes the structure a CvRDT), and
@@ -30,13 +34,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import expr as ex
 from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
 from .expr import Expr, TOP, TRUE, Verdict
-from .store import Memory
+from .store import Memory, merge_with
 
 Row = Mapping[str, Expr]
 
@@ -47,9 +51,9 @@ class EHE:
     table: Mapping[int, Row]  # round -> {state: condition}, rounds ascending
 
     @property
-    def entries(self) -> Mapping[tuple[int, str], Expr]:
-        """Read-only ``(round, state) -> condition`` view of the table."""
-        return _Entries(self)
+    def entries(self) -> dict[tuple[int, str], Expr]:
+        """The flat ``(round, state) -> condition`` dict, built on each call."""
+        return {(t, q): cond for t, row in self.table.items() for q, cond in row.items()}
 
     def rounds(self) -> list[int]:
         return list(self.table)
@@ -68,25 +72,6 @@ class EHE:
 
     def __len__(self) -> int:
         return sum(map(len, self.table.values()))
-
-
-class _Entries(Mapping):
-    __slots__ = ("_p",)
-
-    def __init__(self, p: EHE) -> None:
-        self._p = p
-
-    def __getitem__(self, key: tuple[int, str]) -> Expr:
-        t, q = key
-        return self._p.table[t][q]
-
-    def __iter__(self) -> Iterator[tuple[int, str]]:
-        for t, row in self._p.table.items():
-            for q in row:
-                yield t, q
-
-    def __len__(self) -> int:
-        return len(self._p)
 
 
 def init(a: Specification) -> EHE:
@@ -178,18 +163,12 @@ def merge(p1: EHE, p2: EHE) -> EHE:
     """Pointwise disjunction on shared keys, union elsewhere."""
     if not (p1.automaton is p2.automaton or p1.automaton == p2.automaton):
         raise AutomatonMismatch("cannot merge encodings of different automata")
-    table: dict[int, Row] = {}
-    for t in sorted(p1.table.keys() | p2.table.keys()):
-        row1, row2 = p1.table.get(t), p2.table.get(t)
-        if row1 is None or row2 is None:
-            table[t] = row2 if row1 is None else row1
-            continue
-        row = dict(row1)
-        for q, cond in row2.items():
-            prior = row.get(q)
-            row[q] = cond if prior is None else ex.simplify(ex.disj(prior, cond))
-        table[t] = row
-    return EHE(p1.automaton, table)
+    table = merge_with(p1.table, p2.table, _merge_rows)
+    return EHE(p1.automaton, dict(sorted(table.items())))
+
+
+def _merge_rows(row1: Row, row2: Row) -> Row:
+    return merge_with(row1, row2, lambda c1, c2: ex.simplify(ex.disj(c1, c2)))
 
 
 def inc(p: EHE, m: Memory, step=None) -> EHE:
@@ -234,6 +213,7 @@ def drop_resolved(p: EHE, resolved: Optional[tuple[int, str]]) -> EHE:
 def dump(p: EHE) -> str:
     """Tabular debug rendering: one (round, state, expression) row per entry."""
     lines = ["t\tq\te"]
-    for (t, q) in sorted(p.entries):
-        lines.append(f"{t}\t{q}\t{ex.to_text(p.entries[(t, q)])}")
+    entries = p.entries
+    for (t, q) in sorted(entries):
+        lines.append(f"{t}\t{q}\t{ex.to_text(entries[(t, q)])}")
     return "\n".join(lines)

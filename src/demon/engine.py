@@ -135,7 +135,8 @@ def _obligation_owners(p: eh.EHE, ap_owner: Mapping[str, str]) -> list[str]:
     """Components owning the timed atoms of ``p``, earliest obligation first:
     atoms ordered by (round, name), each component listed once."""
     atoms = sorted(
-        {a for cond in p.entries.values() for a in ex.atoms_of(cond) if a.kind == "tap"},
+        {a for row in p.table.values() for cond in row.values() for a in ex.atoms_of(cond)
+         if a.kind == "tap"},
         key=lambda a: (a.t, a.name),
     )
     owners: list[str] = []
@@ -371,7 +372,7 @@ def orchestration_round(
 def _prune(m: Memory, last: int) -> Memory:
     """``m`` less its atoms up to round ``last``, once no entry names them
     (all folded under ``m``, or the encoding restarts); ``mov`` adds later ones."""
-    return Memory({a: v for a, v in m.items() if a.t > last})
+    return {a: v for a, v in m.items() if a.t > last}
 
 
 def _drop_prefix(state: ChorState) -> None:
@@ -469,8 +470,7 @@ def choreography_round(
             state.kill_set.add(msg.sender)
         elif msg.kind == "verdict":
             state.memory = memory_merge(
-                state.memory,
-                Memory({ex.monref(msg.verdict_round, msg.sender): msg.verdict}),
+                state.memory, {ex.monref(msg.verdict_round, msg.sender): msg.verdict}
             )
     if state.refs and state.kill_set >= state.refs:
         # Every referring monitor dropped this one: cascade and stop.
@@ -539,8 +539,13 @@ def simulate(
     """Run one monitoring algorithm over a decentralized trace.
 
     Rounds proceed to trace length plus the timeout slack; a final verdict
-    reported by any monitor stops the run at the end of its round.
+    reported by any monitor stops the run at the end of its round.  Raises
+    InvalidParameters when ``system`` lacks a trace component, whose
+    observations no monitor would read.
     """
+    missing = sorted(set(tr.components) - set(system.nodes))
+    if missing:
+        raise InvalidParameters(f"trace components {missing} are not in the system graph")
     st = setup(cfg, spec_input, system, tr.observed_owner())
     record = mt.MetricsRecord(components=tuple(sorted(system.nodes)))
     horizon = tr.length + cfg.timeout_slack

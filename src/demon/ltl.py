@@ -384,7 +384,7 @@ def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
         leaves = atomic_leaves(f)
         successors: dict[str, list[tuple[Verdict, ...]]] = {}
         for bits in itertools.product((TOP, BOTTOM), repeat=len(leaves)):
-            memory = Memory({ex.plain(nm): v for nm, v in zip(leaves, bits)})
+            memory = {ex.plain(nm): v for nm, v in zip(leaves, bits)}
             successors.setdefault(register(progress(f, memory)), []).append(bits)
         for succ_name in sorted(successors):
             # one successor takes every assignment; with more, no label is constant

@@ -49,8 +49,9 @@ def memory_size(m: Memory) -> int:
 
 def ehe_size(p: EHE) -> int:
     total = 0
-    for (t, q), cond in p.entries.items():
-        total += INT_BYTES + len(q) * CHAR_BYTES + expr_size(cond)
+    for row in p.table.values():
+        for q, cond in row.items():
+            total += INT_BYTES + len(q) * CHAR_BYTES + expr_size(cond)
     return total
 
 
@@ -58,7 +59,7 @@ def size_of(value) -> int:
     """Byte size of a memory, EHE, expression, or message under the model."""
     from .engine import Message  # local import; engine depends on metrics
 
-    if isinstance(value, Memory):
+    if isinstance(value, dict):
         return memory_size(value)
     if isinstance(value, EHE):
         return ehe_size(value)
@@ -130,6 +131,9 @@ def _work_table(rec: MetricsRecord) -> dict[int, list[int]]:
 
 
 def _distance(table: Mapping[int, list[int]], rec: MetricsRecord) -> float:
+    """Convergence, the load-balance distance: mean over rounds of the squared
+    gaps between each component's work share and the even share 1/|C|.
+    Rounds with no work at all contribute 0."""
     ncomp = len(rec.components)
     total = 0.0
     for t in sorted(table):
@@ -137,18 +141,6 @@ def _distance(table: Mapping[int, list[int]], rec: MetricsRecord) -> float:
         if s_t:
             total += sum((s_c / s_t - 1.0 / ncomp) ** 2 for s_c in table[t])
     return total / max(rec.run_length, 1)
-
-
-def convergence(rec: MetricsRecord, counter: str = "simplifications") -> float:
-    """Load-balance distance: mean over rounds of the squared gaps between
-    each component's work share and the even share 1/|C|.
-
-    Rounds with no work at all contribute 0.
-    """
-    table = _work_table(rec)
-    for s in rec.steps:
-        table[s.t][rec.components.index(s.component)] += getattr(s, counter)
-    return _distance(table, rec)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Partial-function stores: the generic merge operator, memories, and events.
 
-Memories are the CvRDT the monitors replicate: merging keeps, per atom, the
-highest verdict under the order UNKNOWN < BOTTOM < TOP, so merges are
-idempotent, commutative and associative.
+Memories are plain dicts from atoms to verdicts and are the CvRDT the
+monitors replicate: :func:`memory_merge` is :func:`merge_with` keeping, per
+atom, the highest verdict under the order UNKNOWN < BOTTOM < TOP, so merges
+are idempotent, commutative and associative.  Encodings merge through the
+same :func:`merge_with` (see :func:`ehe.merge`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Mapping, TypeVar
 
 from .errors import ConflictingObservation
 from .expr import Atom, Verdict, VERDICT_RANK, timed
@@ -65,32 +67,10 @@ class Event:
 EMPTY_EVENT = Event()
 
 
-@dataclass(frozen=True)
-class Memory:
-    """Partial map from atoms to verdicts; the value store of every monitor."""
+Memory = dict[Atom, Verdict]  # partial map from atoms to verdicts: every monitor's value store
 
-    entries: Mapping[Atom, Verdict] = field(default_factory=dict)
-
-    def get(self, atom: Atom, default: Optional[Verdict] = None) -> Optional[Verdict]:
-        return self.entries.get(atom, default)
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Memory) and dict(self.entries) == dict(other.entries)
-
-    def items(self) -> Iterable[tuple[Atom, Verdict]]:
-        return self.entries.items()
-
-    def domain(self) -> set[Atom]:
-        return set(self.entries)
-
-
-EMPTY_MEMORY = Memory()
+# Memories are never changed once built, so this one is shared freely.
+EMPTY_MEMORY: Memory = {}
 
 
 def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
@@ -105,9 +85,9 @@ def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
             mine = m1.get(atom)
             if mine is not None and mine.is_final and verdict.is_final and mine is not verdict:
                 raise ConflictingObservation(f"conflicting final verdicts for {atom}")
-    return Memory(merge_with(m1.entries, m2.entries, _replace_max))
+    return merge_with(m1, m2, _replace_max)
 
 
 def mem_from_event(evt: Event, t: int) -> Memory:
     """The memory of an event observed at round ``t``, each ap stamped <t,ap>."""
-    return Memory({timed(t, ap): verdict for ap, verdict in evt.observations})
+    return {timed(t, ap): verdict for ap, verdict in evt.observations}

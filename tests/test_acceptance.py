@@ -418,7 +418,7 @@ def test_criterion_12_convergence_formula():
     rec.run_length = 1
     rec.steps = [mt.Step(1, "mA", "A", simplifications=3),
                  mt.Step(1, "mB", "B", simplifications=1)]
-    assert abs(mt.convergence(rec) - 0.125) < 1e-12
+    assert abs(mt.summarize(rec).convergence_simplifications - 0.125) < 1e-12
 
     for ncomp in (2, 3, 4, 6):
         comps = tuple(f"c{i}" for i in range(ncomp))
@@ -426,7 +426,7 @@ def test_criterion_12_convergence_formula():
         rec.run_length = 3
         rec.steps = [mt.Step(t, "mc0", "c0", simplifications=5) for t in (1, 2, 3)]
         expected = (1 - 1 / ncomp) ** 2 + (ncomp - 1) * (1 / ncomp) ** 2
-        assert abs(mt.convergence(rec) - expected) < 1e-12
+        assert abs(mt.summarize(rec).convergence_simplifications - expected) < 1e-12
     _report("12 (convergence formula hand values)")
 
 

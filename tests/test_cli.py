@@ -68,6 +68,11 @@ class TestGenTraces:
         }))
         code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and out == "" and "'count'" in err
+        for kind, key, value in (("normal", "sigma2", float("nan")), ("beta", "alpha", True)):
+            cfg.write_text(json.dumps({"components": 2,
+                                       "distributions": [{"kind": kind, key: value}]}))
+            code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+            assert code == 2 and out == "" and f"'{key}'" in err
 
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
@@ -261,6 +266,18 @@ class TestRun:
             code, out, _ = run_cli(capsys, "run", "--spec", fig1_file, "--trace", trace_file,
                                    "--algorithm", alg, "--active", "2", "--format", "json")
             assert code == 0 and json.loads(out)["verdict"] == "top"
+
+    def test_system_missing_trace_components_exit_2(self, tmp_path, capsys):
+        # Before, orch/migr/migrr ran with c1 and c2 unread and reported unknown.
+        experiment = Path(__file__).resolve().parent.parent / "fixtures" / "experiment"
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"nodes": ["c0"], "edges": []}))
+        for alg in ("orch", "migr", "migrr", "chor"):
+            code, out, err = run_cli(capsys, "run", "--spec", str(experiment / "spec.ltl"),
+                                     "--trace", str(experiment / "trace_normal.csv"),
+                                     "--algorithm", alg, "--system", str(system))
+            assert code == 2 and out == "", alg
+            assert "['c1', 'c2']" in err, (alg, err)
 
     def test_non_text_ltl_key_named(self, tmp_path, trace_file, capsys):
         spec = tmp_path / "phi.json"

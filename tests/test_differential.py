@@ -11,6 +11,7 @@ from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
 from demon import metrics as mt
+from demon import store
 from demon import traces as tg
 from demon.automaton import decentralized_run, reconstruct_global, step
 from demon.expr import UNKNOWN
@@ -94,6 +95,7 @@ def check_cases(seed, cases, components, lengths):
 def test_algorithms_agree_with_reference_over_parameter_grid():
     finals = check_cases(1903, CASES, components=(2, 4), lengths=(1, 30))
     assert finals >= CASES // 2, finals
+    assert store.EMPTY_MEMORY == {}  # shared by every monitor's initial state, never changed
 
 
 def test_five_components_and_longer_traces_agree_with_reference():

@@ -49,22 +49,22 @@ def record_with(simp, components=("A", "B"), run_length=1):
 class TestConvergence:
     def test_balanced_round_contributes_zero(self):
         rec = record_with({(1, "A"): 2, (1, "B"): 2})
-        assert mt.convergence(rec) == 0.0
+        assert mt.summarize(rec).convergence_simplifications == 0.0
 
     def test_hand_value(self):
         rec = record_with({(1, "A"): 3, (1, "B"): 1})
-        assert abs(mt.convergence(rec) - 0.125) < 1e-12
+        assert abs(mt.summarize(rec).convergence_simplifications - 0.125) < 1e-12
 
     def test_all_on_one_component(self):
         for ncomp in (2, 3, 5):
             comps = tuple(f"c{i}" for i in range(ncomp))
             rec = record_with({(1, "c0"): 7}, components=comps)
             expected = (1 - 1 / ncomp) ** 2 + (ncomp - 1) * (1 / ncomp) ** 2
-            assert abs(mt.convergence(rec) - expected) < 1e-12
+            assert abs(mt.summarize(rec).convergence_simplifications - expected) < 1e-12
 
     def test_idle_round_contributes_zero(self):
         rec = record_with({(1, "A"): 3, (1, "B"): 1}, run_length=2)
-        assert abs(mt.convergence(rec) - 0.125 / 2) < 1e-12
+        assert abs(mt.summarize(rec).convergence_simplifications - 0.125 / 2) < 1e-12
 
 
 class TestSummarize:

@@ -81,7 +81,7 @@ class TestMemoryMerge:
         for _ in range(100):
             m1 = _random_memory(rng, atoms)
             m2 = _random_memory(rng, atoms)
-            assert memory_merge(m1, m2).domain() >= m1.domain()
+            assert memory_merge(m1, m2).keys() >= m1.keys()
 
 
 class TestMemFromEvent:
@@ -122,7 +122,7 @@ def test_merge_commutative_without_conflicts(m1, m2):
         and m1.get(a).is_final
         and m2.get(a).is_final
         and m1.get(a) is not m2.get(a)
-        for a in m1.domain() | m2.domain()
+        for a in m1.keys() | m2.keys()
     )
     if not conflict:
         assert memory_merge(m1, m2) == memory_merge(m2, m1)
