@@ -19,6 +19,8 @@ class Graph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        if len(set(self.nodes)) < len(self.nodes):
+            raise SpecificationError(f"graph nodes {list(self.nodes)} repeat a name")
         for a, b in self.edges:
             if a not in self.nodes or b not in self.nodes:
                 raise SpecificationError(f"edge ({a!r}, {b!r}) uses unknown node")

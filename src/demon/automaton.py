@@ -228,6 +228,9 @@ class DecentralizedTrace:
     events: Mapping[tuple[int, str], Event]
 
     def __post_init__(self) -> None:
+        if self.length < 0 or len(set(self.components)) < len(self.components):
+            raise SpecificationError(f"trace needs distinct components and a length >= 0, "
+                                     f"got {list(self.components)} and {self.length}")
         owner: dict[str, str] = {}
         for (t, comp), evt in self.events.items():
             if not 1 <= t <= self.length:

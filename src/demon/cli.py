@@ -271,6 +271,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     if not (algorithms and specs and sources):
         raise DemonError("experiment needs at least one algorithm, spec, and trace source")
+    out_path = config.get("output")
+    if out_path is not None and not isinstance(out_path, str):
+        raise DemonError(f"config key 'output' must be a file name, got {out_path!r}")
     trace_paths = _trace_paths(base, sources)
     params = {
         "comm_delay": _int_option(config, "comm_delay", 1),
@@ -309,7 +312,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     )
                 )
     rows.sort()
-    out_path = config.get("output")
     if out_path:
         with open(str(base / out_path), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -42,14 +42,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Message:
+    """What ``sender`` sends in round ``sent_at``, with one payload: a memory
+    (``mem`` from an ``orch`` forwarder; ``verdict`` from a ``chor`` monitor,
+    the one entry ``<t,&sender> ↦ v``), an encoding (``ehe``), or nothing
+    (``kill``)."""
+
     kind: str  # "mem" | "ehe" | "verdict" | "kill"
     sender: str
     receiver: str
     sent_at: int
-    memory: Optional[Memory] = None
-    ehe: Optional[eh.EHE] = None
-    verdict_round: int = 0
-    verdict: Optional[Verdict] = None
+    payload: Union[Memory, eh.EHE, None] = None
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +91,8 @@ class ChorState:
     t_mon: int
     memory: Memory
     ehe: eh.EHE
-    refs: frozenset[str]  # parents notified of verdicts
+    refs: frozenset[str]  # parents notified of verdicts; none at the root
     corefs: frozenset[str]  # children sending verdicts here
-    respawn: bool
     kill_set: set[str] = field(default_factory=set)
     terminated: bool = False
     t_kn: int = 0
@@ -222,7 +223,6 @@ def setup(
                 ehe=eh.init(dspec.monitors[name]),
                 refs=frozenset(refs[name]),
                 corefs=frozenset(corefs[name]),
-                respawn=(m.id != 0),
             )
         result = Setup(
             cfg,
@@ -328,24 +328,16 @@ def orchestration_round(
     inbox: list[Message],
     step: mt.Step,
     setup: Setup,
-) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
+) -> tuple[list[Message], Optional[Verdict]]:
     if isinstance(state, ForwarderState):
-        outbox = []
-        if not obs.is_empty:
-            outbox.append(
-                Message(
-                    "mem",
-                    sender=state.name,
-                    receiver=state.main,
-                    sent_at=t,
-                    memory=mem_from_event(obs, t),
-                )
-            )
-        return state, outbox, None
+        if obs.is_empty:
+            return [], None
+        return [Message("mem", sender=state.name, receiver=state.main, sent_at=t,
+                        payload=mem_from_event(obs, t))], None
 
     assert isinstance(state, MainState)
     for msg in inbox:
-        state.memory = memory_merge(state.memory, msg.memory)
+        state.memory = memory_merge(state.memory, msg.payload)
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, t))
     end = state.ehe.last_round()
@@ -359,20 +351,15 @@ def orchestration_round(
         kept = eh.drop_resolved(state.ehe, last)
         if kept is not state.ehe:
             # Without inc, kept rows still reach the dropped history: fold them (uncounted,
-            # as orch never sends its encoding), then forget the atoms folded in.
+            # as orch never sends its encoding), then forget the memory: every atom is
+            # stamped at or before t, and folded in.
             table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
                      for r, row in kept.table.items()}
             kept = eh.EHE(kept.automaton, table)
-            state.memory = _prune(state.memory, kept.last_round())
+            state.memory = EMPTY_MEMORY
         state.ehe = kept
         step.gc = _footprint(state.ehe)
-    return state, [], verdict
-
-
-def _prune(m: Memory, last: int) -> Memory:
-    """``m`` less its atoms up to round ``last``, once no entry names them
-    (all folded under ``m``, or the encoding restarts); ``mov`` adds later ones."""
-    return {a: v for a, v in m.items() if a.t > last}
+    return [], verdict
 
 
 def _drop_prefix(state: ChorState) -> None:
@@ -408,19 +395,19 @@ def migration_round(
     inbox: list[Message],
     step: mt.Step,
     setup: Setup,
-) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
+) -> tuple[list[Message], Optional[Verdict]]:
     assert isinstance(state, MigrationState)
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, t))
     for msg in inbox:
         if state.is_active:
-            state.ehe = eh.merge(state.ehe, msg.ehe)
+            state.ehe = eh.merge(state.ehe, msg.payload)
         else:
-            state.ehe = msg.ehe
+            state.ehe = msg.payload
             state.is_active = True
-        state.t_kn = max(state.t_kn, msg.ehe.first_round())
+        state.t_kn = max(state.t_kn, msg.payload.first_round())
     if not state.is_active:
-        return state, [], None
+        return [], None
     end = state.ehe.last_round()
     if end < t:
         state.ehe = eh.mov(state.ehe, end, t)
@@ -428,7 +415,7 @@ def migration_round(
     evals = step.evaluations
     verdict, last = _resolve(state, t, step)
     if verdict is not None:
-        return state, [], verdict
+        return [], verdict
     step.evaluations += step.evaluations - evals  # conv_e charges GC for these rows too
     state.ehe = eh.drop_resolved(state.ehe, last)
     step.gc = _footprint(state.ehe)
@@ -437,19 +424,11 @@ def migration_round(
         target = owners[0] if owners else state.component
     else:
         target = _round_robin(sorted(set(setup.placements.values())), state.component)
-    outbox: list[Message] = []
-    if target != state.component:
-        state.is_active = False
-        outbox.append(
-            Message(
-                "ehe",
-                sender=state.name,
-                receiver=f"m_{target}",
-                sent_at=t,
-                ehe=state.ehe,
-            )
-        )
-    return state, outbox, None
+    if target == state.component:
+        return [], None
+    state.is_active = False
+    return [Message("ehe", sender=state.name, receiver=f"m_{target}", sent_at=t,
+                    payload=state.ehe)], None
 
 
 def choreography_round(
@@ -459,25 +438,23 @@ def choreography_round(
     inbox: list[Message],
     step: mt.Step,
     setup: Setup,
-) -> tuple[MonitorState, list[Message], Optional[Verdict]]:
+) -> tuple[list[Message], Optional[Verdict]]:
     assert isinstance(state, ChorState)
     name = state.name
     if state.terminated:
-        return state, [], None
+        return [], None
     outbox: list[Message] = []
     for msg in inbox:
         if msg.kind == "kill":
             state.kill_set.add(msg.sender)
-        elif msg.kind == "verdict":
-            state.memory = memory_merge(
-                state.memory, {ex.monref(msg.verdict_round, msg.sender): msg.verdict}
-            )
+        else:
+            state.memory = memory_merge(state.memory, msg.payload)
     if state.refs and state.kill_set >= state.refs:
         # Every referring monitor dropped this one: cascade and stop.
         for child in sorted(state.corefs):
             outbox.append(Message("kill", sender=name, receiver=child, sent_at=t))
         state.terminated = True
-        return state, outbox, None
+        return outbox, None
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, t))
 
@@ -494,27 +471,20 @@ def choreography_round(
         found, _ = _resolve(state, t, step)
         if found is None:
             _drop_prefix(state)
-            if not state.respawn:  # respawned instances re-read memory from their anchor
-                state.memory = _prune(state.memory, state.ehe.last_round())
+            if not state.refs:  # the root has folded in every atom, all stamped <= t
+                state.memory = EMPTY_MEMORY
             step.gc = _footprint(state.ehe)
             break
-        if not state.respawn:
+        if not state.refs:
             # The root reports the system verdict and stops monitoring.
             for child in sorted(state.corefs):
                 outbox.append(Message("kill", sender=name, receiver=child, sent_at=t))
             state.terminated = True
-            return state, outbox, found
+            return outbox, found
+        payload = {ex.monref(state.t_mon, name): found}
         for parent in sorted(state.refs - state.kill_set):
-            outbox.append(
-                Message(
-                    "verdict",
-                    sender=name,
-                    receiver=parent,
-                    sent_at=t,
-                    verdict_round=state.t_mon,
-                    verdict=found,
-                )
-            )
+            outbox.append(Message("verdict", sender=name, receiver=parent, sent_at=t,
+                                  payload=payload))
         anchor = state.t_mon
         state.t_mon = anchor + 1
         automaton = state.ehe.automaton
@@ -522,8 +492,8 @@ def choreography_round(
         state.t_kn = anchor
         state.prefix_evals = 0
         state.kill_set = set()
-        state.memory = _prune(state.memory, anchor)
-    return state, outbox, None
+        state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
+    return outbox, None
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +538,7 @@ def simulate(
         for name in sorted(st.states):
             step = mt.Step(t, name, st.placements[name])
             obs = tr.at(t, step.component)
-            _, outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
+            outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
             if outbox:
                 step.sent = tuple((msg.kind, mt.size_of(msg)) for msg in outbox)
                 pending.extend(outbox)

@@ -8,7 +8,7 @@ is a fold over those steps."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from . import expr as ex
@@ -56,24 +56,20 @@ def ehe_size(p: EHE) -> int:
 
 
 def size_of(value) -> int:
-    """Byte size of a memory, EHE, expression, or message under the model."""
+    """Byte size of a memory, EHE, expression, or message under the model.  A
+    message costs its payload's size, or its sender's id when it has none."""
     from .engine import Message  # local import; engine depends on metrics
 
+    if isinstance(value, Message):
+        if value.payload is None:
+            return len(value.sender) * CHAR_BYTES
+        value = value.payload
     if isinstance(value, dict):
         return memory_size(value)
     if isinstance(value, EHE):
         return ehe_size(value)
     if isinstance(value, Expr):
         return expr_size(value)
-    if isinstance(value, Message):
-        if value.kind == "mem":
-            return memory_size(value.memory)
-        if value.kind == "ehe":
-            return ehe_size(value.ehe)
-        if value.kind == "verdict":
-            return len(value.sender) * CHAR_BYTES + INT_BYTES + VERDICT_BYTES
-        assert value.kind == "kill"
-        return len(value.sender) * CHAR_BYTES
     raise TypeError(f"no size defined for {type(value).__name__}")
 
 
@@ -145,26 +141,20 @@ def _distance(table: Mapping[int, list[int]], rec: MetricsRecord) -> float:
 
 @dataclass(frozen=True)
 class Summary:
-    average_delay: float
-    messages_per_round: float
-    data_per_round: float
-    data_per_message: float
-    critical_simplifications: float
-    max_simplifications: int
-    convergence_simplifications: float
-    convergence_evaluations: float
+    """A run's figures; each field declares its column in the CSV row and the
+    JSON summary, in field order."""
+
+    average_delay: float = field(metadata={"column": "delay"})
+    messages_per_round: float = field(metadata={"column": "msgs"})
+    data_per_round: float = field(metadata={"column": "data"})
+    data_per_message: float = field(metadata={"column": "msg_size"})
+    critical_simplifications: float = field(metadata={"column": "s_crit"})
+    max_simplifications: int = field(metadata={"column": "s_max"})
+    convergence_simplifications: float = field(metadata={"column": "conv_s"})
+    convergence_evaluations: float = field(metadata={"column": "conv_e"})
 
     def as_dict(self) -> dict:
-        return {
-            "delay": self.average_delay,
-            "msgs": self.messages_per_round,
-            "data": self.data_per_round,
-            "msg_size": self.data_per_message,
-            "s_crit": self.critical_simplifications,
-            "s_max": self.max_simplifications,
-            "conv_s": self.convergence_simplifications,
-            "conv_e": self.convergence_evaluations,
-        }
+        return {f.metadata["column"]: getattr(self, f.name) for f in fields(self)}
 
 
 def summarize(rec: MetricsRecord) -> Summary:
@@ -197,22 +187,8 @@ def summarize(rec: MetricsRecord) -> Summary:
     )
 
 
-CSV_HEADER = [
-    "algorithm",
-    "components",
-    "spec",
-    "trace",
-    "verdict",
-    "stop_round",
-    "delay",
-    "msgs",
-    "data",
-    "msg_size",
-    "s_crit",
-    "s_max",
-    "conv_s",
-    "conv_e",
-]
+CSV_HEADER = ["algorithm", "components", "spec", "trace", "verdict", "stop_round",
+              *(f.metadata["column"] for f in fields(Summary))]
 
 
 def csv_row(
@@ -224,20 +200,6 @@ def csv_row(
     stop_round: int,
     summary: Summary,
 ) -> list[str]:
-    d = summary.as_dict()
-    return [
-        algorithm,
-        str(ncomp),
-        spec_id,
-        trace_id,
-        verdict.value,
-        str(stop_round),
-        f"{d['delay']:.6f}",
-        f"{d['msgs']:.6f}",
-        f"{d['data']:.6f}",
-        f"{d['msg_size']:.6f}",
-        f"{d['s_crit']:.6f}",
-        str(d["s_max"]),
-        f"{d['conv_s']:.6f}",
-        f"{d['conv_e']:.6f}",
-    ]
+    figures = [format(getattr(summary, f.name), "d" if f.type == "int" else ".6f")
+               for f in fields(summary)]  # ``f.type`` is a string: annotations are lazy
+    return [algorithm, str(ncomp), spec_id, trace_id, verdict.value, str(stop_round), *figures]

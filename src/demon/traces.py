@@ -145,13 +145,15 @@ def _declared_shape(text: str) -> tuple[tuple[str, ...], int]:
     """Component list and length from the JSON of a leading ``#`` line."""
     try:
         meta = json.loads(text)
-        components = tuple(meta["components"])
-        length = meta["length"]
+        components, length = meta["components"], meta["length"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad trace metadata line: {exc}", 1) from None
-    if not all(isinstance(c, str) for c in components) or not isinstance(length, int):
-        raise ParseError("trace metadata needs string components and an integer length", 1)
-    return components, length
+    if not (isinstance(components, list) and all(isinstance(c, str) for c in components)):
+        raise ParseError(f"trace metadata 'components' must be a list of names, "
+                         f"got {components!r}", 1)
+    if isinstance(length, bool) or not isinstance(length, int):
+        raise ParseError(f"trace metadata 'length' must be an integer, got {length!r}", 1)
+    return tuple(components), length
 
 
 def load(path: str) -> DecentralizedTrace:

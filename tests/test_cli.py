@@ -171,6 +171,7 @@ class TestCheck:
         ({"nodes": [1, 2], "edges": []}, {}, "'nodes'"),
         ({"nodes": ["a", "b"], "edges": ["ab"]}, {}, "'edges'"),  # read as a -> b
         (["m0"], {}, "net.json"),
+        ({"nodes": ["m0", "m0"], "edges": []}, {}, "['m0', 'm0']"),
     ])
     def test_malformed_compatibility_input_named(self, tmp_path, capsys, network,
                                                  constraint, named):
@@ -278,6 +279,20 @@ class TestRun:
                                      "--algorithm", alg, "--system", str(system))
             assert code == 2 and out == "", alg
             assert "['c1', 'c2']" in err, (alg, err)
+
+    def test_system_repeated_node_exit_2(self, tmp_path, capsys):
+        # Before, the run exited 0 with components 4, msgs 3.0 and conv_e 0.75
+        # (3, 2.0 and 0.667 with the nodes listed once).
+        experiment = Path(__file__).resolve().parent.parent / "fixtures" / "experiment"
+        nodes = ["c0", "c0", "c1", "c2"]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(
+            {"nodes": nodes, "edges": [[a, b] for a in nodes for b in nodes if a != b]}))
+        code, out, err = run_cli(capsys, "run", "--spec", str(experiment / "spec.ltl"),
+                                 "--trace", str(experiment / "trace_normal.csv"),
+                                 "--algorithm", "orch", "--system", str(system))
+        assert code == 2 and out == ""
+        assert "['c0', 'c0', 'c1', 'c2']" in err
 
     def test_non_text_ltl_key_named(self, tmp_path, trace_file, capsys):
         spec = tmp_path / "phi.json"
@@ -488,6 +503,7 @@ class TestExperimentTraceSources:
         ("specs", 5),
         ("traces", [5]),
         ("algorithms", "orch"),
+        ("output", 5),
     ])
     def test_bad_option_named(self, tmp_path, capsys, key, value):
         self.check_bad_option_named(tmp_path, capsys, key, value)

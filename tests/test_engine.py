@@ -411,7 +411,7 @@ def test_chor_prefix_drop_keeps_open_rows(fig1):
 
     def dropped(table, t_kn):
         state = en.ChorState("m0", "A", t_mon=1, memory=EMPTY_MEMORY, ehe=EHE(fig1, table),
-                             refs=frozenset(), corefs=frozenset(), respawn=False, t_kn=t_kn)
+                             refs=frozenset(), corefs=frozenset(), t_kn=t_kn)
         en._drop_prefix(state)
         return state.ehe.first_round(), state.prefix_evals
 

@@ -26,11 +26,10 @@ class TestSizes:
         assert mt.size_of(msg) == 3
 
     def test_verdict_size(self):
-        msg = Message(
-            "verdict", sender="m1", receiver="m0", sent_at=3,
-            verdict_round=2, verdict=ex.TOP,
-        )
+        verdict = {ex.monref(2, "m1"): ex.TOP}
+        msg = Message("verdict", sender="m1", receiver="m0", sent_at=3, payload=verdict)
         assert mt.size_of(msg) == 2 + 4 + 1
+        assert mt.size_of(verdict) == mt.size_of(msg)
 
     def test_ehe_size(self, fig1):
         p = eh.init(fig1)

@@ -1,11 +1,13 @@
+import json
 import random
+import re
 
 import pytest
 
 from demon import expr as ex
 from demon import traces as tg
 from demon.automaton import DecentralizedTrace, reconstruct_global
-from demon.errors import ConflictingObservation, InvalidParameters, ParseError
+from demon.errors import ConflictingObservation, DemonError, InvalidParameters, ParseError
 from demon.store import Event
 
 
@@ -86,6 +88,20 @@ class TestRoundTrip:
         assert tg.load(str(path)) == DecentralizedTrace(("c0",), 1, tr.events)
         path.write_text("# {\"components\": [\"c0\"]}\n" + body)
         with pytest.raises(ParseError):
+            tg.load(str(path))
+
+    # Each was accepted before; the comments say how a run then read it.
+    @pytest.mark.parametrize("components, length, named", [
+        ("c0c1", 3, "'c0c1'"),  # read as the characters c, 0, c, 1
+        (["c0"], -3, "-3"),  # ran 2 rounds
+        (["c0"], True, "True"),  # ran as length 1
+        (["c0", "c0", "c1"], 3, "['c0', 'c0', 'c1']"),  # counted 3 components
+    ])
+    def test_malformed_metadata_named(self, tmp_path, components, length, named):
+        path = tmp_path / "meta.csv"
+        meta = json.dumps({"components": components, "length": length})
+        path.write_text(f"# {meta}\nt,component,ap,value\n")
+        with pytest.raises(DemonError, match=re.escape(named)):
             tg.load(str(path))
 
     def test_bad_verdict_token(self, tmp_path):
