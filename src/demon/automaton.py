@@ -69,6 +69,11 @@ class Specification:
             grouped[t.dst].append(t)
         return {q: tuple(group) for q, group in grouped.items()}
 
+    @cached_property
+    def row_templates(self) -> dict:
+        """``ehe.mov``'s unstamped rows by constant source row and monitor names."""
+        return {}
+
     def outgoing(self, q: str) -> tuple[Transition, ...]:
         return self.by_source.get(q, ())
 

@@ -12,9 +12,10 @@ and S states per row:
 - ``entries`` builds the flat ``{(round, state): condition}`` dict on each
   call, in O(E); hot paths read the rows of ``table`` instead.
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
-- ``mov`` copies the row index (O(R)), builds one row per new round and
-  simplifies each new entry of at most ``expr.DNF_ATOMS`` atoms; the atom
-  count is the walk that ``expr.simplify`` then reuses.
+- ``mov`` copies the row index (O(R)) and adds one row per new round: after
+  a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
+  entry, and otherwise simplifies each new entry of up to ``expr.DNF_ATOMS``
+  atoms.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -98,6 +99,12 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     constructors make each entry the fold fixpoint that :func:`expr.simplify`
     expects; the count, :func:`expr.dnf_sized`, is the walk that
     :func:`expr.simplify` reuses.
+
+    A new row after a row of constants has every atom at t+1 and depends only
+    on the source row and the monitor names: the first one built is kept
+    unstamped in ``automaton.row_templates`` and later ones re-stamp it, one
+    :func:`expr.encode` walk per entry.  One round for all atoms keeps the
+    :meth:`expr.Atom.sort_key` order :func:`expr.simplify` follows.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -109,27 +116,38 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     table = dict(p.table)
     for t in range(ts_round, te):
         src = table.get(t, {})
-        targets = sorted({tr.dst for q in src for tr in a.outgoing(q)})
-        if not targets:
-            continue
-        old = table.get(t + 1, {})
-        row = dict(old)
-        for qprime in targets:
-            cond = ex.disj_all(
-                ex.conj(src[tr.src], ex.encode(tr.label, t + 1, names))
-                for tr in a.by_destination[qprime]
-                if tr.src in src
-            )
-            prior = old.get(qprime)
-            if prior is not None:
-                cond = ex.disj(prior, cond)
-            if ex.dnf_sized(cond):
-                cond = ex.simplify(cond)
-            row[qprime] = cond
-        table[t + 1] = row
+        if t + 1 in table or not all(type(c) is ex.Const for c in src.values()):
+            row = _next_row(a, src, t + 1, table.get(t + 1, {}), names)
+        else:
+            template = a.row_templates.get(key := (frozenset(src.items()), names))
+            if template is None:
+                row = _next_row(a, src, t + 1, {}, names)
+                a.row_templates[key] = {q: ex.unstamp(c) for q, c in row.items()}
+            else:
+                row = {q: ex.encode(c, t + 1, names) for q, c in template.items()}
+        if row:
+            table[t + 1] = row
     if ts_round < p.last_round():  # rounds added inside a gap go into place
         table = dict(sorted(table.items()))
     return EHE(a, table)
+
+
+def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str]) -> Row:
+    """Row ``t`` reached from ``src``, the row at t-1, disjoined into ``old``."""
+    row = dict(old)
+    for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
+        cond = ex.disj_all(
+            ex.conj(src[tr.src], ex.encode(tr.label, t, names))
+            for tr in a.by_destination[qprime]
+            if tr.src in src
+        )
+        prior = old.get(qprime)
+        if prior is not None:
+            cond = ex.disj(prior, cond)
+        if ex.dnf_sized(cond):
+            cond = ex.simplify(cond)
+        row[qprime] = cond
+    return row
 
 
 def sreach(

@@ -135,9 +135,10 @@ class SimRun:
 def _obligation_owners(p: eh.EHE, ap_owner: Mapping[str, str]) -> list[str]:
     """Components owning the timed atoms of ``p``, earliest obligation first:
     atoms ordered by (round, name), each component listed once."""
+    visited: set[int] = set()
     atoms = sorted(
-        {a for row in p.table.values() for cond in row.values() for a in ex.atoms_of(cond)
-         if a.kind == "tap"},
+        {a for row in p.table.values() for cond in row.values()
+         for a in ex.atom_set(cond, visited) if a.kind == "tap"},
         key=lambda a: (a.t, a.name),
     )
     owners: list[str] = []

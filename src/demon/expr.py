@@ -194,14 +194,17 @@ def encode(e: Expr, t: int, monitor_names: frozenset[str] = frozenset()) -> Expr
         name = node.atom.name
         return Var(monref(t, name) if name in monitor_names else timed(t, name))
 
-    return bottom_up(
-        e,
-        {},
-        leaf,
-        lambda node: node,
-        Not,
-        lambda node, l, r: And(l, r) if isinstance(node, And) else Or(l, r),
-    )
+    return _relabel(e, leaf)
+
+
+def unstamp(e: Expr) -> Expr:
+    """``e`` with every atom plain, as :func:`encode` takes it."""
+    return _relabel(e, lambda node: Var(plain(node.atom.name)))
+
+
+def _relabel(e: Expr, leaf) -> Expr:
+    """``e`` with each atom node replaced by ``leaf(node)``; sharing kept."""
+    return bottom_up(e, {}, leaf, lambda node: node, Not, lambda node, l, r: type(node)(l, r))
 
 
 def atoms_of(e: Expr) -> list[Atom]:
@@ -209,10 +212,11 @@ def atoms_of(e: Expr) -> list[Atom]:
     return sorted(atom_set(e), key=Atom.sort_key)
 
 
-def atom_set(e: Expr) -> set[Atom]:
-    """Distinct atoms of ``e``."""
+def atom_set(e: Expr, visited: Optional[set[int]] = None) -> set[Atom]:
+    """Distinct atoms of ``e`` outside the nodes in ``visited``, to which
+    every node walked is added: calls sharing it walk shared subtrees once."""
     seen: set[Atom] = set()
-    visited: set[int] = set()
+    visited = set() if visited is None else visited
     stack = [e]
     while stack:
         node = stack.pop()

@@ -30,12 +30,12 @@ def atom_size(a: Atom) -> int:
     return INT_BYTES + name  # timestamped atoms carry a round number
 
 
-def expr_size(e: Expr) -> int:
-    """Serialized size: per-atom cost plus one byte per operator node and a
-    verdict byte per constant (tree size, shared subtrees counted repeatedly)."""
+def expr_size(e: Expr, memo: Optional[dict] = None) -> int:
+    """Serialized size: per-atom cost plus one byte per operator node and a verdict
+    byte per constant (tree size, shared subtrees counted repeatedly; ``memo``)."""
     return ex.bottom_up(
         e,
-        {},
+        {} if memo is None else memo,
         lambda node: atom_size(node.atom),
         lambda _: VERDICT_BYTES,
         lambda n: 1 + n,
@@ -49,9 +49,10 @@ def memory_size(m: Memory) -> int:
 
 def ehe_size(p: EHE) -> int:
     total = 0
+    memo: dict = {}
     for row in p.table.values():
         for q, cond in row.items():
-            total += INT_BYTES + len(q) * CHAR_BYTES + expr_size(cond)
+            total += INT_BYTES + len(q) * CHAR_BYTES + expr_size(cond, memo)
     return total
 
 

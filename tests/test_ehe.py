@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from demon import ehe as eh
 from demon import expr as ex
+from demon import ltl as lt
 from demon import metrics as mt
-from demon.automaton import Transition, reconstruct_global, run
+from demon.automaton import Specification, Transition, make_spec, reconstruct_global, run
 from demon.errors import AutomatonMismatch, UndefinedRound
 from demon.store import Memory, mem_from_event, memory_merge
 
-from conftest import random_spec, random_trace
-from helpers import entrywise_equivalent, last_resolved, max_label_size
+from conftest import load_module, random_spec, random_trace
+from helpers import dag_nodes, entrywise_equivalent, last_resolved, max_label_size
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -386,3 +388,98 @@ def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
         spec, _ = random_spec(rng, max_states=5, max_aps=4)
         eh.mov(eh.init(spec), 0, 6)
     assert seen and max(seen) <= ex.DNF_ATOMS, sorted(set(seen))
+
+
+def _random_formula_automata():
+    """One automaton per ``random_formula`` shape, over two or three
+    components, with at most four states: the constant rows of more states
+    are too many to try one by one."""
+    synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
+
+    def shape(phi):
+        if isinstance(phi, lt.Until):
+            return "until"
+        if isinstance(phi, lt.Finally):
+            return "finally_or" if isinstance(phi.operand, lt.LOr) else "finally_and"
+        return "and_of_finally"
+
+    rng, found = random.Random(0), {}
+    while len(found) < 4:
+        phi = synthetic.random_formula(rng, rng.choice((2, 3)), 1)
+        a = lt.synthesize(phi)
+        if len(a.states) <= 4:
+            found.setdefault(shape(phi), a)
+    return [(found[k], frozenset()) for k in sorted(found)]
+
+
+def _chor_style_automaton():
+    """Labels over a proposition ``z`` and a monitor ``m1``: ``z`` sorts after
+    ``m1`` as plain atoms and before it once stamped, which changes the
+    order of the sums of products that simplify rebuilds."""
+    a = make_spec(
+        ["q0", "q1", "q2"],
+        "q0",
+        [("q0", "z && !m1", "q1"), ("q0", "m1 && !z", "q1"),
+         ("q0", "z && m1 || !z && !m1", "q0"),
+         ("q1", "z || m1", "q2"), ("q1", "!z && !m1", "q1"), ("q2", "true", "q2")],
+        {"q0": "unknown", "q1": "unknown", "q2": "top"},
+    )
+    return a, frozenset({"m1"})
+
+
+def _constant_rows(states):
+    """Every non-empty row of constants over ``states``."""
+    for present in range(1, len(states) + 1):
+        for keys in itertools.combinations(states, present):
+            for values in itertools.product((ex.TRUE, ex.FALSE), repeat=present):
+                yield dict(zip(keys, values))
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_template_rows_match_direct_build(a, names):
+    # The first mov from a constant row builds the row and keeps it as a
+    # template; later rounds stamp the template again.  Each stamped row must
+    # be the row a cold automaton builds at that round, sharing included.
+    def fresh():
+        return Specification(a.states, a.initial, a.transitions, a.verdicts)
+
+    for src in _constant_rows(a.states):
+        eh.mov(eh.EHE(a, {2: src}), 2, 3, names)  # builds the template
+        for t in (6, 41):
+            warm = eh.mov(eh.EHE(a, {t: src}), t, t + 1, names).table[t + 1]
+            cold = eh.mov(eh.EHE(fresh(), {t: src}), t, t + 1, names).table[t + 1]
+            assert list(warm) == list(cold)
+            for q in cold:
+                assert ex.to_text(warm[q]) == ex.to_text(cold[q]), (src, t, q)
+                assert ex.tree_size(warm[q]) == ex.tree_size(cold[q])
+                assert dag_nodes([warm[q]]) == dag_nodes([cold[q]])
+            assert dag_nodes(warm.values()) == dag_nodes(cold.values())
+
+
+def test_chor_style_automaton_needs_stamped_templates():
+    # Simplifying the template over plain atoms would order m1 before z.
+    a, names = _chor_style_automaton()
+    row = eh.mov(eh.EHE(a, {4: {"q0": ex.TRUE}}), 4, 5, names).table[5]
+    plain_first = ex.simplify(ex.unstamp(ex.disj_all(
+        ex.encode(tr.label, 5, names) for tr in a.by_destination["q0"] if tr.src == "q0"
+    )))
+    assert ex.to_text(ex.encode(plain_first, 5, names)) != ex.to_text(row["q0"])
+
+
+def test_mov_from_constant_rows_is_stamping_only(fig1, monkeypatch):
+    # After one round has built the template, mov over constant source rows
+    # neither walks for simplify nor simplifies.
+    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 0, 1)
+    eh.mov(eh.EHE(fig1, {0: {"q1": ex.TRUE}}), 0, 1)
+    calls = []
+    real_simplify, real_walk = ex.simplify, ex._walk
+    monkeypatch.setattr(ex, "simplify", lambda e: calls.append(e) or real_simplify(e))
+    monkeypatch.setattr(ex, "_walk", lambda *args: calls.append(args) or real_walk(*args))
+    for t in range(1, 40):
+        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t, t + 1).table[t + 1]
+        assert ex.to_text(row["q1"]) == f"<{t + 1},a> || <{t + 1},b>"
+    p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 5, 60)
+    assert p.rounds() == list(range(5, 61))
+    assert calls == []
+    assert len(fig1.row_templates) == 2
+

@@ -402,6 +402,46 @@ def test_monitor_state_bounded_in_rounds(alg):
         assert long[1] <= short[1], (short, long)
 
 
+@pytest.mark.parametrize("text", ["G (a0 || a2 || a4)", "F (a0 && a3)", "(a1 || a2) U a5"])
+def test_simulate_on_a_warm_automaton_repeats_its_rows(text):
+    # The first runs build the automaton's row templates and the second
+    # ones stamp them; the metrics rows must not tell the two apart.
+    phi = lt.parse_ltl(text)
+    spec = lt.synthesize(phi)
+    tr = tg.generate(tg.TraceGenConfig(
+        components=3, aps_per_component=2, length=40,
+        distribution=tg.Binomial(n=100, p=0.9), seed=3,
+    ))
+    system = complete(tr.components)
+
+    def rows():
+        out = []
+        for alg in en.ALGORITHMS:
+            r = en.simulate(en.SimConfig(alg, comm_delay=2), phi if alg == "chor" else spec,
+                            system, tr)
+            out.append(mt.csv_row(alg, 3, text, "t", r.verdict, r.stop_round,
+                                  mt.summarize(r.record)))
+        return out
+
+    cold = rows()
+    assert spec.row_templates
+    assert rows() == cold
+
+
+def test_row_templates_bounded_by_states():
+    # One template per constant source row that a run meets: G (a || b) over
+    # 300 rounds that never resolve meets a handful, not one per round.
+    phi = lt.parse_ltl("G (a || b)")
+    spec = lt.synthesize(phi)
+    tr = DecentralizedTrace(("c0", "c1"), 300, {
+        (t, f"c{i}"): Event.of((ap, T if t % 2 == i else B))
+        for t in range(1, 301) for i, ap in enumerate("ab")
+    })
+    r = en.simulate(en.SimConfig("orch"), spec, complete(tr.components), tr)
+    assert r.verdict is ex.UNKNOWN
+    assert 0 < len(spec.row_templates) <= len(spec.states)
+
+
 def test_chor_prefix_drop_keeps_open_rows(fig1):
     # A leading row before t_kn that holds only constants, one of them TRUE,
     # resolves the same way at the same cost on every later round, so it goes
