@@ -177,29 +177,20 @@ def _spec_input_for(algorithm: str, spec_path: str):
 
     LTL inputs (plain text or {"ltl": ...} JSON) drive every algorithm:
     choreography consumes the formula, the others its synthesized automaton.
-    Automaton JSON only fits the centralized algorithms.
+    An automaton JSON fits the centralized algorithms, and a decentralized
+    specification JSON fits choreography; ``engine.setup`` rejects a mismatch.
     """
     text = Path(spec_path).read_text(encoding="utf-8").strip()
-    formula = None
-    if text.startswith("{"):
-        data = json.loads(text)
-        if "ltl" in data:
-            if not isinstance(data["ltl"], str):
-                raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
-                                 f"string, got {data['ltl']!r}")
-            formula = lt.parse_ltl(data["ltl"])
-    else:
+    if not text.startswith("{"):
         formula = lt.parse_ltl(text)
-    if algorithm == "chor":
-        if formula is None:
-            raise DemonError("choreography requires an LTL formula input")
-        return formula
-    if formula is not None:
-        return lt.synthesize(formula)
-    spec = load_spec_file(spec_path)
-    if isinstance(spec, DecentralizedSpec):
-        raise DemonError(f"algorithm {algorithm!r} needs a centralized specification")
-    return spec
+    elif "ltl" in (data := json.loads(text)):
+        if not isinstance(data["ltl"], str):
+            raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
+                             f"string, got {data['ltl']!r}")
+        formula = lt.parse_ltl(data["ltl"])
+    else:
+        return load_spec_file(spec_path)
+    return formula if algorithm == "chor" else lt.synthesize(formula)
 
 
 def _sim_config(args: argparse.Namespace, algorithm: str) -> engine.SimConfig:
@@ -345,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("run", help="one monitoring run")
-    p.add_argument("--spec", required=True, help="automaton JSON or LTL text file")
+    p.add_argument("--spec", required=True,
+                   help="LTL text file (any algorithm), automaton JSON (orch/migr/migrr) "
+                        "or decentralized-specification JSON (chor)")
     p.add_argument("--trace", required=True, help="trace CSV file")
     p.add_argument("--algorithm", required=True, choices=list(engine.ALGORITHMS))
     p.add_argument("--system", help="system graph file (default: complete)")

@@ -151,15 +151,25 @@ def _obligation_owners(p: eh.EHE, ap_owner: Mapping[str, str]) -> list[str]:
 
 def setup(
     cfg: SimConfig,
-    spec_input: Union[Specification, lt.Ltl],
+    spec_input: Union[Specification, DecentralizedSpec, lt.Ltl],
     system: analysis.Graph,
     ap_owner: Mapping[str, str],
 ) -> Setup:
     """Create the monitor network, placements, and initial monitor states.
 
+    ``orch``/``migr``/``migrr`` take a centralized specification. ``chor``
+    takes a decentralized one, or an LTL formula that ``net_chor`` and
+    :func:`assemble_choreography` turn into one; it places each monitor that
+    the root reaches in the monitor dependency graph on its ``attach``
+    component, with a channel from every referenced monitor to its referrer.
+
     Raises InvalidParameters when ``initial_active`` exceeds the component
-    count, for every algorithm, and IncompatiblePlacement when the produced
-    placement fails the compatibility check against the system graph.
+    count, for every algorithm; SpecificationError for the wrong kind of
+    specification and, under ``chor``, for a cyclic dependency graph, a
+    monitor attached to a component outside ``system``, or a proposition that
+    ``ap_owner`` (the trace) puts on another component than the spec does;
+    and IncompatiblePlacement when the produced placement fails the
+    compatibility check against the system graph.
     """
     comps = sorted(system.nodes)
     if cfg.initial_active > len(comps):
@@ -201,38 +211,38 @@ def setup(
             for comp in comps
         }
         result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner))
-    else:  # choreography
-        phi = _expect_ltl(spec_input)
-        tree = lt.net_chor(phi, ap_owner)
-        dspec = assemble_choreography(tree, comps, ap_owner)
-        placements = {f"m{m.id}": m.component for m in tree.all_monitors()}
-        edges = {(f"m{child}", f"m{parent}") for child, parent in tree.edges}
-        network = analysis.Graph.of(sorted(placements), edges)
-        refs: dict[str, set[str]] = {name: set() for name in placements}
-        corefs: dict[str, set[str]] = {name: set() for name in placements}
-        for child, parent in tree.edges:
-            refs[f"m{child}"].add(f"m{parent}")
-            corefs[f"m{parent}"].add(f"m{child}")
-        states = {}
-        for m in tree.all_monitors():
-            name = f"m{m.id}"
-            states[name] = ChorState(
+    else:  # choreography: the network is the reversed monitor dependency graph
+        d = spec_input
+        if isinstance(d, lt.Ltl):
+            d = assemble_choreography(lt.net_chor(d, ap_owner), comps, ap_owner)
+        elif not isinstance(d, DecentralizedSpec):
+            raise SpecificationError("choreography requires an LTL formula or a "
+                                     "decentralized specification")
+        deps = analysis.mdg(d)
+        if analysis.has_cycle(deps):
+            raise SpecificationError("the monitor dependency graph has a cycle")
+        placements = {m: d.attach[m] for m in sorted(analysis.compute_reach(deps)[d.root])}
+        unplaced = sorted(set(placements.values()) - set(comps))
+        if unplaced:
+            raise SpecificationError(f"monitors attached to {unplaced} outside the system graph")
+        moved = sorted(ap for ap, c in d.ap_owner.items() if ap_owner.get(ap, c) != c)
+        if moved:
+            raise SpecificationError(f"the trace observes {moved} off their ap_owner component")
+        edges = {(child, parent) for parent, child in deps.edges if parent in placements}
+        states = {
+            name: ChorState(
                 name=name,
-                component=m.component,
+                component=comp,
                 t_mon=1,
                 memory=EMPTY_MEMORY,
-                ehe=eh.init(dspec.monitors[name]),
-                refs=frozenset(refs[name]),
-                corefs=frozenset(corefs[name]),
+                ehe=eh.init(d.monitors[name]),
+                refs=frozenset(p for c, p in edges if c == name),
+                corefs=frozenset(c for c, p in edges if p == name),
             )
-        result = Setup(
-            cfg,
-            network,
-            placements,
-            states,
-            ap_owner=dict(ap_owner),
-            monitor_names=frozenset(placements),
-        )
+            for name, comp in placements.items()
+        }
+        result = Setup(cfg, analysis.Graph.of(placements, edges), placements, states,
+                       ap_owner=dict(ap_owner), monitor_names=frozenset(placements))
     rm = analysis.compute_reach(result.network)
     rs = analysis.compute_reach(system)
     if not analysis.verify_compatible(result.placements, rm, rs):
@@ -245,12 +255,6 @@ def setup(
 def _expect_spec(spec_input) -> Specification:
     if not isinstance(spec_input, Specification):
         raise SpecificationError("this algorithm requires a centralized specification")
-    return spec_input
-
-
-def _expect_ltl(spec_input) -> lt.Ltl:
-    if not isinstance(spec_input, lt.Ltl):
-        raise SpecificationError("choreography requires an LTL formula input")
     return spec_input
 
 
@@ -503,7 +507,7 @@ def choreography_round(
 
 def simulate(
     cfg: SimConfig,
-    spec_input: Union[Specification, lt.Ltl],
+    spec_input: Union[Specification, DecentralizedSpec, lt.Ltl],
     system: analysis.Graph,
     tr: DecentralizedTrace,
 ) -> SimRun:

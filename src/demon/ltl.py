@@ -463,7 +463,6 @@ class MonitorData:
 class MonitorDataTree:
     root: MonitorData
     extras: tuple[MonitorData, ...]
-    edges: tuple[tuple[int, int], ...]  # (child id, parent id)
 
     def all_monitors(self) -> list[MonitorData]:
         return [self.root, *self.extras]
@@ -481,12 +480,12 @@ def net_chor(phi: Ltl, ap_owner: Mapping[str, str]) -> MonitorDataTree:
     host = choose(phi, ap_owner)
     counter = itertools.count(1)
 
-    def netx(f: Ltl, id_c: int, c_h: str) -> tuple[Ltl, list[MonitorData], list[tuple[int, int]]]:
+    def netx(f: Ltl, c_h: str) -> tuple[Ltl, list[MonitorData]]:
         if isinstance(f, (LTrue, LFalse, Prop, MonPlaceholder)):
-            return f, [], []
+            return f, []
         if isinstance(f, (LNot, Next, Finally, Globally)):
-            inner, extras, edges = netx(f.operand, id_c, c_h)
-            return type(f)(inner), extras, edges
+            inner, extras = netx(f.operand, c_h)
+            return type(f)(inner), extras
         assert isinstance(f, (LAnd, LOr, Until))
         left_props = bool(prop_occurrences(f.left))
         right_props = bool(prop_occurrences(f.right))
@@ -495,33 +494,16 @@ def net_chor(phi: Ltl, ap_owner: Mapping[str, str]) -> MonitorDataTree:
         else:
             c1 = c2 = c_h  # an operand without propositions cannot move
         if c1 == c_h and c2 == c_h:
-            lf, ln, le = netx(f.left, id_c, c_h)
-            rf, rn, re_ = netx(f.right, id_c, c_h)
-            return type(f)(lf, rf), ln + rn, le + re_
-        if c1 == c_h:  # delegate the right operand
-            id_n = next(counter)
-            lf, ln, le = netx(f.left, id_c, c_h)
-            rf, rn, re_ = netx(f.right, id_n, c2)
-            child = MonitorData(id_n, rf, c2)
-            return (
-                type(f)(lf, MonPlaceholder(id_n)),
-                ln + rn + [child],
-                le + re_ + [(id_n, id_c)],
-            )
-        # delegate the left operand
+            lf, ln = netx(f.left, c_h)
+            rf, rn = netx(f.right, c_h)
+            return type(f)(lf, rf), ln + rn
         id_n = next(counter)
-        lf, ln, le = netx(f.left, id_n, c1)
-        rf, rn, re_ = netx(f.right, id_c, c_h)
-        child = MonitorData(id_n, lf, c1)
-        return (
-            type(f)(MonPlaceholder(id_n), rf),
-            ln + rn + [child],
-            le + re_ + [(id_n, id_c)],
-        )
+        lf, ln = netx(f.left, c1)
+        rf, rn = netx(f.right, c2)
+        if c1 == c_h:  # delegate the right operand
+            return type(f)(lf, MonPlaceholder(id_n)), ln + rn + [MonitorData(id_n, rf, c2)]
+        return type(f)(MonPlaceholder(id_n), rf), ln + rn + [MonitorData(id_n, lf, c1)]
 
-    formula, extras, edges = netx(phi, 0, host)
-    return MonitorDataTree(
-        root=MonitorData(0, formula, host),
-        extras=tuple(sorted(extras, key=lambda m: m.id)),
-        edges=tuple(sorted(edges)),
-    )
+    formula, extras = netx(phi, host)
+    return MonitorDataTree(MonitorData(0, formula, host),
+                           tuple(sorted(extras, key=lambda m: m.id)))

@@ -460,6 +460,78 @@ class TestLtlSpecInput:
         assert code == 2 and "formula" in err
 
 
+class TestDecentralizedSpecInput:
+    FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+    SPEC = str(FIXTURES / "decentralized_shared.json")
+    TRACE = str(FIXTURES / "decentralized_shared.csv")
+
+    def _variant(self, tmp_path, change):
+        data = json.loads(Path(self.SPEC).read_text())
+        change(data)
+        p = tmp_path / "variant.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def test_chor_runs_hand_written_spec(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--spec", self.SPEC, "--trace", self.TRACE,
+                               "--algorithm", "chor", "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "top"
+
+    def test_centralized_algorithms_reject_it(self, capsys):
+        for spec, trace in ((self.SPEC, self.TRACE),
+                            (str(self.FIXTURES / "decentralized_eventually.json"), self.TRACE)):
+            for alg in ("orch", "migr", "migrr"):
+                code, out, err = run_cli(capsys, "run", "--spec", spec, "--trace", trace,
+                                         "--algorithm", alg)
+                assert code == 2 and out == "" and "centralized specification" in err
+
+    def test_cyclic_spec_exit_2(self, tmp_path, capsys):
+        def cycle(data):  # m2 also waits for m0, which references m2
+            data["monitors"]["m2"]["transitions"][0]["label"] = "a2 && m0"
+            data["monitors"]["m2"]["transitions"][1]["label"] = "!a2 || !m0"
+
+        code, out, err = run_cli(capsys, "run", "--spec", self._variant(tmp_path, cycle),
+                                 "--trace", self.TRACE, "--algorithm", "chor")
+        assert code == 2 and out == "" and "cycle" in err
+
+    def test_proposition_on_other_component_exit_2(self, tmp_path, capsys):
+        # The trace observes a1 on c1; a spec that reads it on c0 would never see it.
+        def move(data):
+            data["ap_owner"]["a1"] = "c0"
+            data["attach"]["m1"] = "c0"
+
+        code, out, err = run_cli(capsys, "run", "--spec", self._variant(tmp_path, move),
+                                 "--trace", self.TRACE, "--algorithm", "chor")
+        assert code == 2 and out == "" and "['a1']" in err
+
+    def test_attach_outside_system_exit_2(self, tmp_path, capsys):
+        def extend(data):
+            data["components"].append("c3")
+            data["attach"]["m2"] = "c3"
+            data["ap_owner"]["a2"] = "c3"
+
+        system = tmp_path / "system.json"
+        nodes = ["c0", "c1", "c2"]
+        system.write_text(json.dumps(
+            {"nodes": nodes, "edges": [[a, b] for a in nodes for b in nodes if a != b]}))
+        trace = tmp_path / "tr.csv"
+        trace.write_text("".join(line for line in Path(self.TRACE).open()
+                                 if ",a2," not in line))
+        code, out, err = run_cli(capsys, "run", "--spec", self._variant(tmp_path, extend),
+                                 "--trace", str(trace), "--algorithm", "chor",
+                                 "--system", str(system))
+        assert code == 2 and out == "" and "['c3']" in err
+
+    def test_experiment_runs_it_under_chor_only(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"algorithms": ["orch", "chor"], "specs": [self.SPEC],
+                                   "traces": [self.TRACE]}))
+        code, out, err = run_cli(capsys, "experiment", str(cfg))
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and [row[0] for row in rows[1:]] == ["chor"]
+        assert rows[1][4] == "top" and err.count("skipping orch") == 1
+
+
 class TestExperimentTraceSources:
     def test_directory_as_trace_source(self, tmp_path, fig1, capsys):
         spec = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 """Differential test: all four algorithms against the reference semantics
-on random formulas and traces, over the delay and active-monitor grid."""
+on random formulas and traces, over the delay and active-monitor grid, and
+``chor`` on hand-written decentralized specifications."""
 
 import hashlib
 import itertools
@@ -13,10 +14,17 @@ from demon import ltl as lt
 from demon import metrics as mt
 from demon import store
 from demon import traces as tg
-from demon.automaton import decentralized_run, reconstruct_global, step
+from demon.automaton import (
+    DecentralizedSpec,
+    decentralized_run,
+    load_spec_file,
+    make_spec,
+    reconstruct_global,
+    step,
+)
 from demon.expr import UNKNOWN
 
-from conftest import load_module
+from conftest import ROOT, load_module
 from helpers import dag_nodes, simulate_observed
 
 synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
@@ -210,3 +218,94 @@ def test_orch_encoding_stays_small_on_long_wide_case():
     result = simulate_observed(cfg, lt.synthesize(phi), system, tr, observe)
     assert result.verdict is centralized_verdict(lt.synthesize(phi), tr)
     assert largest[0] < 1000, largest[0]
+
+
+# A hand-written hierarchical specification: the root m0 (on c0) and the
+# middle monitor m1 (on c1) both reference the shared monitor m2 (on c2).
+SHARED = load_spec_file(str(ROOT / "fixtures" / "decentralized_shared.json"))
+SHARED_DEPS = frozenset({("m0", "m1"), ("m0", "m2"), ("m1", "m2")})
+
+
+def _split(rng, names, targets):
+    """(label, target) pairs that send each assignment of ``names`` to a random
+    target, one label per target drawn. At least two targets are drawn, so no
+    label is constant: past the trace end, where nothing is observed, no
+    transition can be taken (the simulator runs on into the timeout slack,
+    the reference semantics stop at the trace end)."""
+    groups = {}
+    while len(groups) < 2:
+        groups = {}
+        for values in itertools.product((True, False), repeat=len(names)):
+            groups.setdefault(rng.choice(targets), []).append(values)
+    return [
+        (ex.to_text(ex.simplify(ex.disj_all(
+            ex.conj_all(ex.Var(ex.plain(n)) if v else ex.Not(ex.Var(ex.plain(n)))
+                        for n, v in zip(names, vs))
+            for vs in group
+        ))), dst)
+        for dst, group in groups.items()
+    ]
+
+
+def random_monitor(rng, names, open_states, loops):
+    """Monitor over ``names`` with ``open_states`` unknown states q0, q1, ...
+    and absorbing top/bottom states. Each open state moves only forward
+    (staying put too when ``loops``), so without loops it resolves within
+    ``open_states`` rounds of a full trace."""
+    states = [f"q{i}" for i in range(open_states)] + ["top", "bottom"]
+    transitions = [("top", "true", "top"), ("bottom", "true", "bottom")]
+    for i, q in enumerate(states[:open_states]):
+        transitions += [(q, label, dst)
+                        for label, dst in _split(rng, names, states[i + (not loops):])]
+    verdicts = {q: "unknown" for q in states[:open_states]}
+    return make_spec(states, "q0", transitions, {**verdicts, "top": "top", "bottom": "bottom"})
+
+
+def random_shared_spec(rng):
+    """A random specification of SHARED's shape. The referenced monitors
+    resolve at their anchor round on a full trace, so no reference stays
+    unknown; the root may loop and end without a verdict."""
+    while True:
+        monitors = {
+            "m0": random_monitor(rng, ["a0", "m1", "m2"], rng.randint(1, 3), loops=True),
+            "m1": random_monitor(rng, ["a1", "m2"], 1, loops=False),
+            "m2": random_monitor(rng, ["a2"], 1, loops=False),
+        }
+        d = DecentralizedSpec(SHARED.monitor_labels, monitors, SHARED.components,
+                              SHARED.attach, "m0", SHARED.ap_owner)
+        if an.mdg(d).edges == SHARED_DEPS:
+            return d
+
+
+def check_decentralized(d, rng, traces):
+    """Run ``chor`` on ``d`` over ``traces`` seeded full traces at comm_delay
+    1-3 against the reference semantics; return the verdicts seen."""
+    seen = []
+    for _ in range(traces):
+        _, dist = rng.choice(synthetic.DISTRIBUTIONS)
+        tr = tg.generate(tg.TraceGenConfig(
+            components=3, aps_per_component=1, length=rng.randint(1, 12),
+            distribution=dist, seed=rng.randrange(2**31),
+        ))
+        expected = decentralized_run(d, tr)
+        for comm_delay in (1, 2, 3):
+            result = en.simulate(sim_config("chor", comm_delay, 1), d,
+                                 an.complete_graph(tr.components), tr)
+            assert result.verdict is expected, (an.mdg(d).edges, tr, comm_delay)
+            seen.append(expected)
+    return seen
+
+
+def test_hand_written_specification_agrees_with_reference():
+    assert an.mdg(SHARED).edges == SHARED_DEPS
+    seen = check_decentralized(SHARED, random.Random(41), 60)
+    assert {ex.TOP, ex.BOTTOM} <= set(seen), seen
+
+
+def test_random_specifications_of_shared_shape_agree_with_reference():
+    rng = random.Random(43)
+    seen = []
+    for _ in range(24):
+        seen += check_decentralized(random_shared_spec(rng), rng, 5)
+    assert len(seen) == 24 * 5 * 3
+    assert min(seen.count(v) for v in (ex.TOP, ex.BOTTOM, UNKNOWN)) >= 24, seen

@@ -76,6 +76,31 @@ class TestSetup:
         assert sorted(st.placements) == ["m0"]
         assert st.network.edges == frozenset()
 
+    def test_chor_runs_only_referenced_monitors(self):
+        # net_chor delegates a2 to m1, but `!(a0 && a0)` makes the root's
+        # automaton constant, so synthesis drops the placeholder.  Before, m1
+        # still ran and its verdict and kill counted as msgs 2.0.
+        phi = lt.parse_ltl("F a0 || a2 || !(a0 && a0)")
+        owner = {"a0": "c0", "a1": "c1", "a2": "c2"}
+        tree = lt.net_chor(phi, owner)
+        assert [m.id for m in tree.extras] == [1]
+        st = en.setup(en.SimConfig("chor"), phi, complete(("c0", "c1", "c2")), owner)
+        assert set(st.states) == {"m0"} and st.network.edges == frozenset()
+        tr = tg.generate(tg.TraceGenConfig(components=3, aps_per_component=1, length=6,
+                                           seed=1, distribution=tg.Beta(alpha=2, beta=2)))
+        assert tr.observed_owner() == owner
+        r = en.simulate(en.SimConfig("chor"), phi, complete(tr.components), tr)
+        dspec = en.assemble_choreography(tree, tr.components, owner)
+        assert r.verdict is decentralized_run(dspec, tr)
+        assert mt.summarize(r.record).messages_per_round == 0
+
+    def test_chor_network_is_reversed_dependency_graph(self, fig4):
+        st = en.setup(en.SimConfig("chor"), fig4, complete(("c0", "c1")),
+                      {"a0": "c0", "b0": "c1"})
+        assert st.network.edges == frozenset({("m1", "m0")})
+        assert st.states["m1"].refs == {"m0"} and st.states["m0"].corefs == {"m1"}
+        assert st.monitor_names == {"m0", "m1"}
+
     def test_incompatible_placement(self, fig1):
         # no channel from B to A: the forwarder cannot reach the main monitor
         disconnected = an.Graph.of(("A", "B"), [("A", "B")])

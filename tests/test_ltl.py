@@ -7,6 +7,7 @@ import time
 import pytest
 
 from demon import analysis as an
+from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
 from demon.automaton import spec_to_dict, validate, verdict_equivalent
@@ -294,21 +295,27 @@ class TestScoreChooseSplit:
         assert lt.split(l, r, "c0", OWNER) == ("c0", "c1")
 
 
+def _deps(tree):
+    """Monitor dependency edges (referrer, referenced) of the assembled tree."""
+    dspec = en.assemble_choreography(tree, ("c0", "c1"), OWNER)
+    return set(an.mdg(dspec).edges)
+
+
 class TestNetChor:
     def test_simple_split(self):
         tree = lt.net_chor(lt.parse_ltl("F (a0 || b0)"), OWNER)
         assert tree.root.id == 0 and tree.root.component == "c0"
         assert len(tree.extras) == 1 and tree.extras[0].component == "c1"
-        assert tree.edges == ((1, 0),)
+        assert _deps(tree) == {("m0", "m1")}
         assert lt.MonPlaceholder(1) in _leaves(tree.root.formula)
 
     def test_single_component_no_split(self):
         tree = lt.net_chor(lt.parse_ltl("F (a0 && a1)"), OWNER)
-        assert tree.extras == () and tree.edges == ()
+        assert tree.extras == () and _deps(tree) == set()
 
     def test_two_sided_split(self):
         tree = lt.net_chor(lt.parse_ltl("(a0 && a1) || (b0 && b1)"), OWNER)
-        assert len(tree.extras) == 1 and len(tree.edges) == 1
+        assert len(tree.extras) == 1 and len(_deps(tree)) == 1
 
     def test_edge_count_equals_splits(self):
         rng = random.Random(61)
@@ -317,12 +324,14 @@ class TestNetChor:
             if not lt.prop_occurrences(phi):
                 continue
             tree = lt.net_chor(phi, OWNER)
-            assert len(tree.edges) == len(tree.extras)
-            placeholders = {
-                p.ref for m in tree.all_monitors() for p in _leaves(m.formula)
-                if isinstance(p, lt.MonPlaceholder)
-            }
-            assert placeholders == {m.id for m in tree.extras}
+            placeholders = [
+                (f"m{m.id}", f"m{p.ref}") for m in tree.all_monitors()
+                for p in _leaves(m.formula) if isinstance(p, lt.MonPlaceholder)
+            ]
+            # every delegated subformula leaves exactly one placeholder behind
+            assert sorted(ref for _, ref in placeholders) == sorted(
+                f"m{m.id}" for m in tree.extras)
+            assert _deps(tree) == set(placeholders)
 
     def test_monitor_formulas_are_local(self):
         rng = random.Random(67)
