@@ -14,8 +14,8 @@ and S states per row:
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
   a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
-  entry, and otherwise simplifies each new entry of up to ``expr.DNF_ATOMS``
-  atoms.
+  entry, and otherwise makes one ``expr.simplify`` call per new entry,
+  bounded at ``expr.DNF_ATOMS`` atoms.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -94,11 +94,10 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     q', the source state's condition at t conjoined with the label stamped at
     t+1 by :func:`expr.encode`; an entry already present at the target key is
     merged with disjunction.  New entries are built with folding constructors
-    and simplified when they have at most ``expr.DNF_ATOMS`` atoms, the bound
-    up to which :func:`expr.simplify` rebuilds a sum of products.  The folding
-    constructors make each entry the fold fixpoint that :func:`expr.simplify`
-    expects; the count, :func:`expr.dnf_sized`, is the walk that
-    :func:`expr.simplify` reuses.
+    and simplified by one :func:`expr.simplify` call bounded at
+    ``expr.DNF_ATOMS`` atoms, the bound up to which it rebuilds a sum of
+    products; a wider entry stays as built.  The folding constructors make
+    each entry the fold fixpoint that :func:`expr.simplify` expects.
 
     A new row after a row of constants has every atom at t+1 and depends only
     on the source row and the monitor names: the first one built is kept
@@ -144,9 +143,7 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
         prior = old.get(qprime)
         if prior is not None:
             cond = ex.disj(prior, cond)
-        if ex.dnf_sized(cond):
-            cond = ex.simplify(cond)
-        row[qprime] = cond
+        row[qprime] = ex.simplify(cond, ex.DNF_ATOMS)
     return row
 
 

@@ -45,7 +45,8 @@ class Message:
     """What ``sender`` sends in round ``sent_at``, with one payload: a memory
     (``mem`` from an ``orch`` forwarder; ``verdict`` from a ``chor`` monitor,
     the one entry ``<t,&sender> ↦ v``), an encoding (``ehe``), or nothing
-    (``kill``)."""
+    (``kill``, sent by the ``chor`` root in the round whose verdict ends the
+    run, so counted but never delivered)."""
 
     kind: str  # "mem" | "ehe" | "verdict" | "kill"
     sender: str
@@ -93,8 +94,6 @@ class ChorState:
     ehe: eh.EHE
     refs: frozenset[str]  # parents notified of verdicts; none at the root
     corefs: frozenset[str]  # children sending verdicts here
-    kill_set: set[str] = field(default_factory=set)
-    terminated: bool = False
     t_kn: int = 0
     prefix_evals: int = 0  # what each _resolve would spend on the dropped rows
 
@@ -446,20 +445,9 @@ def choreography_round(
 ) -> tuple[list[Message], Optional[Verdict]]:
     assert isinstance(state, ChorState)
     name = state.name
-    if state.terminated:
-        return [], None
     outbox: list[Message] = []
     for msg in inbox:
-        if msg.kind == "kill":
-            state.kill_set.add(msg.sender)
-        else:
-            state.memory = memory_merge(state.memory, msg.payload)
-    if state.refs and state.kill_set >= state.refs:
-        # Every referring monitor dropped this one: cascade and stop.
-        for child in sorted(state.corefs):
-            outbox.append(Message("kill", sender=name, receiver=child, sent_at=t))
-        state.terminated = True
-        return outbox, None
+        state.memory = memory_merge(state.memory, msg.payload)
     if not obs.is_empty:
         state.memory = memory_merge(state.memory, mem_from_event(obs, t))
 
@@ -481,13 +469,12 @@ def choreography_round(
             step.gc = _footprint(state.ehe)
             break
         if not state.refs:
-            # The root reports the system verdict and stops monitoring.
+            # The verdict ends the run: the kills are counted, never delivered.
             for child in sorted(state.corefs):
                 outbox.append(Message("kill", sender=name, receiver=child, sent_at=t))
-            state.terminated = True
             return outbox, found
         payload = {ex.monref(state.t_mon, name): found}
-        for parent in sorted(state.refs - state.kill_set):
+        for parent in sorted(state.refs):
             outbox.append(Message("verdict", sender=name, receiver=parent, sent_at=t,
                                   payload=payload))
         anchor = state.t_mon
@@ -496,7 +483,6 @@ def choreography_round(
         state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
         state.t_kn = anchor
         state.prefix_evals = 0
-        state.kill_set = set()
         state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
     return outbox, None
 

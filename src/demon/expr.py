@@ -11,18 +11,17 @@ constructors and :func:`rewrite_fold` build, and gets every truth table it
 needs from one walk, :func:`_walk`, that also collects the atoms and the tree
 size.  It decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of
 products up to ``DNF_ATOMS`` atoms, where nearly every input in practice
-lies and costs one walk.  :func:`dnf_sized` is that walk's atom bound, which
-``ehe.mov`` asks before it simplifies a new entry.  The lexer is shared with
-the LTL formula parser, and the LTL canonical form is decided through the
-same walk and :func:`qm_cover`.  :func:`truth_table` and :func:`tree_size`
+lies and costs one walk.  A caller may bound the atoms it simplifies:
+``ehe.mov`` passes ``DNF_ATOMS`` and leaves a wider new entry as built, after
+one walk that stops at its ``DNF_ATOMS + 1``-th atom.  The lexer is shared
+with the LTL formula parser, and the LTL canonical form is decided through
+the same walk and :func:`qm_cover`.  :func:`truth_table` and :func:`tree_size`
 remain as the references the tests compare the walk against.
 
 The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
 (at most ``EXACT_ATOMS + 1`` counts), and Quine-McCluskey covers per
 ``(table, k)`` in a least-recently-used cache of ``_QM_CACHE_SIZE`` entries.
-The one exception is the last walk, kept with the expression it walked so
-that :func:`dnf_sized` and the :func:`simplify` call after it walk once.
 """
 
 from __future__ import annotations
@@ -629,23 +628,6 @@ def _is_literal(e: Expr) -> bool:
 
 Walk = tuple[list[Atom], int, tuple[int, int]]
 
-# The last expression walked, held so that its identity stays unique, and its
-# walk: ``ehe.mov`` asks :func:`dnf_sized` before it calls :func:`simplify`
-# on the same entry, and the two share one walk.
-_last_walk: tuple[Optional[Expr], Optional[Walk]] = (None, None)
-
-
-def _walk_of(e: Expr) -> Optional[Walk]:
-    """:func:`_walk` of ``e``, reusing the previous call's when ``e`` is the
-    expression it walked."""
-    global _last_walk
-    last = _last_walk
-    if last[0] is e:
-        return last[1]
-    walk = _walk(e)
-    _last_walk = (e, walk)
-    return walk
-
 
 def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
     """One iterative post-order walk of ``e`` over truth tables of ``width``
@@ -697,14 +679,6 @@ def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
     return list(index), table & ((1 << (1 << len(index))) - 1), (leaves, ops)
 
 
-def dnf_sized(e: Expr) -> bool:
-    """Whether ``e`` has at most ``DNF_ATOMS`` atoms: the bound up to which
-    :func:`simplify` rebuilds a sum of products.  The count is the walk
-    :func:`simplify` makes, stopped after the ``DNF_ATOMS + 1``-th atom, and
-    a :func:`simplify` call on ``e`` that follows reuses it."""
-    return _walk_of(e) is not None
-
-
 def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
     """``table`` over ``atoms`` re-indexed over the same atoms in
     :meth:`Atom.sort_key` order: one delta swap of the table's bits per pair
@@ -727,25 +701,29 @@ def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
     return table, order
 
 
-def simplify(e: Expr) -> Expr:
+def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     """Return an expression Boolean-equivalent to ``e``; never searches.
 
     ``e`` is expected to be a fold fixpoint (:func:`fold` returns it
     unchanged), as the folding constructors and :func:`rewrite_fold` build;
-    any other input gets an equivalent result that may keep constants.  Up
-    to ``EXACT_ATOMS`` atoms tautologies become TRUE and contradictions
-    FALSE; up to ``DNF_ATOMS`` atoms the expression is rebuilt as an
-    irredundant sum of products when that is no larger.  Otherwise the
-    result is ``e`` itself.  The truth table comes from :func:`_walk` over
-    ``DNF_ATOMS`` columns, or over exactly as many as the :func:`atom_set`
-    of a wider input holds.
+    any other input gets an equivalent result that may keep constants.  An
+    input of more than ``max_atoms`` atoms (at most ``EXACT_ATOMS``, the
+    default) is returned as given.  Up to that bound tautologies become TRUE
+    and contradictions FALSE, and up to ``DNF_ATOMS`` atoms the expression is
+    rebuilt as an irredundant sum of products when that is no larger;
+    otherwise the result is ``e`` itself.  The truth table comes from
+    :func:`_walk` over at most ``DNF_ATOMS`` columns, or over exactly as many
+    as the :func:`atom_set` of a wider input holds, which a bound of
+    ``DNF_ATOMS`` or less never counts.
     """
     if _is_literal(e):
         return e
-    walk = _walk_of(e)
+    walk = _walk(e, min(max_atoms, DNF_ATOMS))
     if walk is None:
+        if max_atoms <= DNF_ATOMS:
+            return e
         k = len(atom_set(e))
-        if k > EXACT_ATOMS:
+        if k > max_atoms:
             return e
         walk = _walk(e, k)
     atoms, table, size = walk

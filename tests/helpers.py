@@ -123,17 +123,17 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.
         setattr(en, name, inner)
 
 
-def reference_simplify(e: ex.Expr) -> ex.Expr:
-    """``expr.simplify`` as four separate walks: fold, atoms, truth table and
-    tree size.  On a fold fixpoint, the input ``expr.simplify`` expects,
-    ``expr.simplify`` must return a structurally equal result, and ``e``
-    itself exactly when this does."""
+def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:
+    """``expr.simplify(e, max_atoms)`` as four separate walks: fold, atoms,
+    truth table and tree size.  On a fold fixpoint, the input
+    ``expr.simplify`` expects, ``expr.simplify`` must return a structurally
+    equal result, and ``e`` itself exactly when this does."""
     f = ex.fold(e)
     if isinstance(f, (ex.Const, ex.Var)) or (isinstance(f, ex.Not) and isinstance(f.operand, ex.Var)):
         return f
     atoms = ex.atoms_of(f)
     k = len(atoms)
-    if k > ex.EXACT_ATOMS:
+    if k > max_atoms:
         return f
     table = ex.truth_table(f, atoms)
     if table == (1 << (1 << k)) - 1:

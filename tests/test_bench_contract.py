@@ -93,9 +93,8 @@ def test_traced_decide_constant_counts_a_decided_condition():
 
 
 def test_traced_mov_records_its_simplifications():
-    # mov asks expr.dnf_sized and then calls expr.simplify on each new entry
-    # of at most DNF_ATOMS atoms; the call must go through the module
-    # attribute the tracer wraps.  All six new entries here are that small.
+    # mov calls expr.simplify, bounded at DNF_ATOMS atoms, once on each new
+    # entry; the call must go through the module attribute the tracer wraps.
     spec = make_spec(["q0", "q1"], "q0",
                      [("q0", "a && b", "q1"), ("q0", "!a || !b", "q0"), ("q1", "true", "q1")],
                      {"q0": "unknown", "q1": "top"})

@@ -9,6 +9,8 @@ from demon import expr as ex
 from demon import traces as tg
 from demon.automaton import dspec_to_dict, spec_to_dict
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 
 @pytest.fixture
 def fig1_file(fig1, tmp_path):
@@ -103,6 +105,12 @@ class TestGenTraces:
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "'distributions'" in err
 
+    def test_unknown_distribution_kind_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"components": 2, "distributions": [{"kind": "poisson"}]}))
+        code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and out == "" and "unknown distribution kind 'poisson'" in err
+
     def test_non_numeric_distribution_parameter_named(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({
@@ -130,6 +138,28 @@ class TestCheck:
         p.write_text(json.dumps(dspec_to_dict(fig4)))
         code, out, _ = run_cli(capsys, "check", "monitorability", "--spec", str(p))
         assert code == 0
+
+    def test_decentralized_validate(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "validate", "--spec",
+                               str(FIXTURES / "decentralized_shared.json"))
+        assert code == 0 and json.loads(out)["valid"] is True
+
+    def test_decentralized_not_monitorable_exit_1(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "decentralized_shared.json").read_text())
+        cyclic = json.loads(json.dumps(data))  # m2 also waits for m0, which references m2
+        cyclic["monitors"]["m2"]["transitions"][0]["label"] = "a2 && m0"
+        cyclic["monitors"]["m2"]["transitions"][1]["label"] = "!a2 || !m0"
+        stuck = json.loads(json.dumps(data))  # m1 never leaves p0, an unknown state
+        stuck["monitors"]["m1"] = {
+            "initial": "p0", "states": ["p0"], "verdicts": {"p0": "unknown"},
+            "transitions": [{"from": "p0", "label": "a1 || m2", "to": "p0"},
+                            {"from": "p0", "label": "!a1 && !m2", "to": "p0"}]}
+        for spec, witnesses in ((cyclic, {"__dependency_cycle__": True}), (stuck, {"m1": ["p0"]})):
+            p = tmp_path / "spec.json"
+            p.write_text(json.dumps(spec))
+            code, out, _ = run_cli(capsys, "check", "monitorability", "--spec", str(p))
+            assert code == 1 and json.loads(out) == {"monitorable": False,
+                                                     "witnesses": witnesses}
 
     def test_compatibility(self, tmp_path, capsys):
         net = tmp_path / "net.json"
@@ -294,6 +324,25 @@ class TestRun:
         assert code == 2 and out == ""
         assert "['c0', 'c0', 'c1', 'c2']" in err
 
+    @pytest.mark.parametrize("row, named", [
+        ("1,c0,a0,1,9", "line 2: expected 4 fields, got 5"),
+        ("x,c0,a0,1", "line 2: bad round number 'x'"),
+        ("0,c0,a0,1", "line 2: round numbers start at 1, got 0"),
+    ])
+    def test_malformed_trace_row_exit_2(self, fig1_file, tmp_path, capsys, row, named):
+        trace_path = tmp_path / "tr.csv"
+        trace_path.write_text(f"t,component,ap,value\n{row}\n")
+        code, out, err = run_cli(capsys, "run", "--spec", fig1_file,
+                                 "--trace", str(trace_path), "--algorithm", "orch")
+        assert code == 2 and out == "" and named in err
+
+    def test_blank_trace_row_skipped(self, tmp_path):
+        rows = ["t,component,ap,value", "1,c0,a0,0", "2,c0,a0,1"]
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        blank.write_text("\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+        assert tg.load(str(blank)) == tg.load(str(plain))
+
     def test_non_text_ltl_key_named(self, tmp_path, trace_file, capsys):
         spec = tmp_path / "phi.json"
         spec.write_text(json.dumps({"ltl": 5}))
@@ -454,6 +503,17 @@ class TestLtlSpecInput:
             verdicts[alg] = json.loads(out)["verdict"]
         assert set(verdicts.values()) == {"top"}
 
+    def test_ltl_key_matches_formula_text(self, tmp_path, capsys):
+        as_json, as_text = tmp_path / "phi.json", tmp_path / "phi.ltl"
+        as_json.write_text(json.dumps({"ltl": "F (a0 && a2)"}))
+        as_text.write_text("F (a0 && a2)\n")
+        trace = str(FIXTURES / "decentralized_shared.csv")
+        for alg in ("orch", "chor"):
+            outputs = [run_cli(capsys, "run", "--spec", str(spec), "--trace", trace,
+                               "--algorithm", alg, "--format", "json")
+                       for spec in (as_json, as_text)]
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, alg
+
     def test_chor_rejects_automaton_input(self, fig1_file, trace_file, capsys):
         code, _, err = run_cli(capsys, "run", "--spec", fig1_file,
                                "--trace", trace_file, "--algorithm", "chor")
@@ -461,7 +521,6 @@ class TestLtlSpecInput:
 
 
 class TestDecentralizedSpecInput:
-    FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
     SPEC = str(FIXTURES / "decentralized_shared.json")
     TRACE = str(FIXTURES / "decentralized_shared.csv")
 
@@ -479,7 +538,7 @@ class TestDecentralizedSpecInput:
 
     def test_centralized_algorithms_reject_it(self, capsys):
         for spec, trace in ((self.SPEC, self.TRACE),
-                            (str(self.FIXTURES / "decentralized_eventually.json"), self.TRACE)):
+                            (str(FIXTURES / "decentralized_eventually.json"), self.TRACE)):
             for alg in ("orch", "migr", "migrr"):
                 code, out, err = run_cli(capsys, "run", "--spec", spec, "--trace", trace,
                                          "--algorithm", alg)
@@ -594,25 +653,23 @@ class TestExperimentTraceSources:
 
 
 class TestShippedFixtures:
-    FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
     def test_specs_load_and_check(self, capsys):
         code, out, _ = run_cli(capsys, "check", "monitorability",
-                               "--spec", str(self.FIXTURES / "eventually_any.json"))
+                               "--spec", str(FIXTURES / "eventually_any.json"))
         assert code == 0
         code, _, _ = run_cli(capsys, "check", "monitorability",
-                             "--spec", str(self.FIXTURES / "never_concludes.json"))
+                             "--spec", str(FIXTURES / "never_concludes.json"))
         assert code == 1
         code, _, _ = run_cli(capsys, "check", "monitorability",
-                             "--spec", str(self.FIXTURES / "decentralized_eventually.json"))
+                             "--spec", str(FIXTURES / "decentralized_eventually.json"))
         assert code == 0
 
     def test_placement_fixture(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "compatibility",
-            "--network", str(self.FIXTURES / "monitor_network.json"),
-            "--system", str(self.FIXTURES / "system_path.json"),
-            "--constraint", str(self.FIXTURES / "placement_constraint.json"),
+            "--network", str(FIXTURES / "monitor_network.json"),
+            "--system", str(FIXTURES / "system_path.json"),
+            "--constraint", str(FIXTURES / "placement_constraint.json"),
         )
         assert code == 0 and json.loads(out)["assignment"]["m1"] in {"c2", "c3"}
 
@@ -620,7 +677,7 @@ class TestShippedFixtures:
         import shutil
 
         work = tmp_path / "experiment"
-        shutil.copytree(self.FIXTURES / "experiment", work)
+        shutil.copytree(FIXTURES / "experiment", work)
         code, _, _ = run_cli(capsys, "experiment", str(work / "config.json"))
         assert code == 0
         rows = (work / "results.csv").read_text().splitlines()

@@ -117,10 +117,10 @@ def test_every_simplify_input_is_a_fold_fixpoint(monkeypatch):
     real = ex.simplify
     seen = []
 
-    def checked(e):
+    def checked(e, max_atoms=ex.EXACT_ATOMS):
         seen.append(e)
         assert ex.fold(e) is e, ex.to_text(e)  # literals included
-        return real(e)
+        return real(e, max_atoms)
 
     monkeypatch.setattr(ex, "simplify", checked)
     cases = list(draw_cases(7, len(GRID), components=(3, 4), lengths=(10, 30)))
@@ -309,3 +309,28 @@ def test_random_specifications_of_shared_shape_agree_with_reference():
         seen += check_decentralized(random_shared_spec(rng), rng, 5)
     assert len(seen) == 24 * 5 * 3
     assert min(seen.count(v) for v in (ex.TOP, ex.BOTTOM, UNKNOWN)) >= 24, seen
+
+
+def test_monitor_anchored_past_current_round_waits():
+    # m1 starts in its final state, so each round it reports at once and
+    # re-anchors its next instance at the following round, past the current
+    # one: chor must leave that instance for the next round.
+    m1 = make_spec(["top"], "top", [("top", "true", "top")], {"top": "top"})
+    m0 = make_spec(["q0", "qT"], "q0",
+                   [("q0", "a0 && m1", "qT"), ("q0", "!(a0 && m1)", "q0"), ("qT", "true", "qT")],
+                   {"q0": "unknown", "qT": "top"})
+    d = DecentralizedSpec(("m0", "m1"), {"m0": m0, "m1": m1}, ("c0",),
+                          {"m0": "c0", "m1": "c0"}, "m0", {"a0": "c0"})
+    rng = random.Random(47)
+    seen = []
+    for length in range(1, 11):
+        for _ in range(4):
+            tr = tg.generate(tg.TraceGenConfig(components=1, aps_per_component=1,
+                                               length=length, seed=rng.randrange(2**31)))
+            expected = decentralized_run(d, tr)
+            for comm_delay in (1, 2, 3):
+                result = en.simulate(sim_config("chor", comm_delay, 1), d,
+                                     an.complete_graph(tr.components), tr)
+                assert result.verdict is expected, (tr, comm_delay)
+                seen.append(expected)
+    assert len(seen) == 120 and {ex.TOP, UNKNOWN} <= set(seen), seen

@@ -345,18 +345,25 @@ class TestTable:
 
 
 def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
-    # mov's gate, ex.dnf_sized, walks a new entry only until it has seen
-    # ex.DNF_ATOMS + 1 atoms; it must simplify exactly the entries a full
-    # atom count would have it simplify, and build the same encodings.
-    full_walk = ex.atom_set
+    # mov's simplify call, bounded at ex.DNF_ATOMS, walks a new entry only
+    # until it has seen ex.DNF_ATOMS + 1 atoms; it must rebuild exactly the
+    # entries a gate on a full atom count would, and build the same encodings.
     real_simplify = ex.simplify
 
-    def runs():
+    def full_count(e, max_atoms=ex.EXACT_ATOMS):
+        return real_simplify(e) if len(ex.atom_set(e)) <= max_atoms else e
+
+    def runs(simplify):
         rng = random.Random(99)
-        calls = []
-        monkeypatch.setattr(
-            ex, "simplify", lambda e: calls.append(e) or real_simplify(e)
-        )
+        rebuilt = []
+
+        def recorded(e, *bound):
+            out = simplify(e, *bound)
+            if out is not e:
+                rebuilt.append(ex.to_text(e))
+            return out
+
+        monkeypatch.setattr(ex, "simplify", recorded)
         dumps = []
         for _ in range(12):
             spec, aps = random_spec(rng, max_states=4, max_aps=3)
@@ -368,26 +375,33 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
                     m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.2})
                     p = eh.inc(p, m)
                 dumps.append(eh.dump(p))
-        return len(calls), dumps
+        return rebuilt, dumps
 
-    capped = runs()
-    monkeypatch.setattr(ex, "dnf_sized", lambda e: len(full_walk(e)) <= ex.DNF_ATOMS)
-    assert runs() == capped
+    capped = runs(real_simplify)
+    assert capped[0]
+    assert runs(full_count) == capped
 
 
 def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
-    # Above DNF_ATOMS atoms simplify builds no sum of products, so mov leaves
-    # such entries as its folding constructors built them.
+    # Above DNF_ATOMS atoms simplify builds no sum of products, so mov bounds
+    # every call there and leaves wider entries as its folding constructors
+    # built them.
     real_simplify = ex.simplify
-    seen = []
-    monkeypatch.setattr(
-        ex, "simplify", lambda e: seen.append(len(ex.atoms_of(e))) or real_simplify(e)
-    )
+    calls = []
+
+    def recorded(e, *bound):
+        out = real_simplify(e, *bound)
+        calls.append((bound, len(ex.atom_set(e)), out is e))
+        return out
+
     rng = random.Random(7)
-    for _ in range(20):
-        spec, _ = random_spec(rng, max_states=5, max_aps=4)
+    specs = [random_spec(rng, max_states=5, max_aps=4)[0] for _ in range(20)]
+    monkeypatch.setattr(ex, "simplify", recorded)
+    for spec in specs:
         eh.mov(eh.init(spec), 0, 6)
-    assert seen and max(seen) <= ex.DNF_ATOMS, sorted(set(seen))
+    assert calls and {bound for bound, _, _ in calls} == {(ex.DNF_ATOMS,)}
+    wide = [kept for _, k, kept in calls if k > ex.DNF_ATOMS]
+    assert wide and all(wide), len(wide)
 
 
 def _random_formula_automata():
@@ -473,7 +487,7 @@ def test_mov_from_constant_rows_is_stamping_only(fig1, monkeypatch):
     eh.mov(eh.EHE(fig1, {0: {"q1": ex.TRUE}}), 0, 1)
     calls = []
     real_simplify, real_walk = ex.simplify, ex._walk
-    monkeypatch.setattr(ex, "simplify", lambda e: calls.append(e) or real_simplify(e))
+    monkeypatch.setattr(ex, "simplify", lambda *args: calls.append(args) or real_simplify(*args))
     monkeypatch.setattr(ex, "_walk", lambda *args: calls.append(args) or real_walk(*args))
     for t in range(1, 40):
         row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t, t + 1).table[t + 1]

@@ -350,11 +350,12 @@ def test_atoms_of_on_deep_chain():
     exact = set(ex.atoms_of(deep))
     assert len(exact) == 40
     assert ex.atom_set(deep) == exact
-    assert not ex.dnf_sized(deep)
     narrow = ex.Var(ex.plain("x0"))
     for i in range(1, 10_000):
         narrow = ex.And(narrow, ex.Var(ex.plain(f"x{i % 8}")))
-    assert ex.dnf_sized(narrow)
+    for bound in (ex.DNF_ATOMS, ex.EXACT_ATOMS):
+        assert ex.simplify(deep, bound) is deep
+        assert ex.simplify(narrow, bound) == reference_simplify(narrow, bound)
 
 
 @st.composite
@@ -397,12 +398,12 @@ def dags(draw):
 @settings(max_examples=400, deadline=None)
 def test_simplify_matches_four_walk_reference(e):
     f = ex.fold(e)
-    expected = reference_simplify(f)
-    for _ in range(2):  # a fresh walk, then the one dnf_sized left behind
-        got = ex.simplify(f)
+    for bound in (ex.DNF_ATOMS, ex.EXACT_ATOMS):
+        expected = reference_simplify(f, bound)
+        got = ex.simplify(f, bound)
         assert got == expected
         assert (got is f) == (expected is f)
-        assert ex.dnf_sized(f) == (len(ex.atom_set(f)) <= ex.DNF_ATOMS)
+    assert ex.simplify(f) == got
 
 
 def test_folded_small_input_is_walked_once(monkeypatch):
