@@ -71,7 +71,8 @@ class Specification:
 
     @cached_property
     def row_templates(self) -> dict:
-        """``ehe.mov``'s unstamped rows by constant source row and monitor names."""
+        """``ehe.mov``'s :class:`ehe.Template` by constant source row and monitor
+        names: the unstamped row and the rows of constants it steps to."""
         return {}
 
     def outgoing(self, q: str) -> tuple[Transition, ...]:

@@ -15,7 +15,9 @@ and S states per row:
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
   a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
   entry, and otherwise makes one ``expr.simplify`` call per new entry,
-  bounded at ``expr.DNF_ATOMS`` atoms.
+  bounded at ``expr.DNF_ATOMS`` atoms.  The last new row, when its source
+  holds only constants and the round's memory decides it, is a cached row
+  of constants found with one memory lookup per atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -35,13 +37,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import expr as ex
 from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
-from .expr import Expr, TOP, TRUE, Verdict
-from .store import Memory, merge_with
+from .expr import Expr, TOP, TRUE, UNKNOWN, Verdict
+from .store import EMPTY_MEMORY, Memory, merge_with
 
 Row = Mapping[str, Expr]
 
@@ -87,7 +89,28 @@ def _row(p: EHE, t: int) -> Row:
     return row
 
 
-def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EHE:
+def is_constant_row(row: Row) -> bool:
+    """Whether every condition of ``row`` is a constant."""
+    return all(type(c) is ex.Const for c in row.values())
+
+
+class Template(NamedTuple):
+    """The row ``mov`` builds after one row of constants, kept per automaton.
+
+    ``row`` has plain atoms and ``atoms`` lists their names.  ``steps`` maps
+    the verdicts a memory gives those atoms once stamped (UNKNOWN where it
+    gives none) to the row of constants the stamped row folds to under them,
+    or to None when some entry stays open."""
+
+    row: Row
+    atoms: tuple[str, ...]
+    steps: dict[tuple[Verdict, ...], Optional[Row]]
+
+
+def mov(
+    p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = (),
+    memory: Memory = EMPTY_MEMORY,
+) -> EHE:
     """Extend the encoding one round at a time from ``ts_round`` to ``te``.
 
     The condition to reach q' at round t+1 disjoins, over the transitions into
@@ -104,6 +127,13 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     unstamped in ``automaton.row_templates`` and later ones re-stamp it, one
     :func:`expr.encode` walk per entry.  One round for all atoms keeps the
     :meth:`expr.Atom.sort_key` order :func:`expr.simplify` follows.
+
+    The row at ``te`` is the one the caller folds under ``memory`` in the same
+    round (:func:`inc`, or the engine's resolution).  When it comes from a
+    template and ``memory`` decides every entry, it is that row of constants,
+    cached in the template's ``steps`` and found again with one memory lookup
+    per template atom, without stamping or folding.  Rows before ``te`` never
+    see the memory.
     """
     _row(p, ts_round)
     if te < ts_round:
@@ -115,20 +145,44 @@ def mov(p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = ()) -> EH
     table = dict(p.table)
     for t in range(ts_round, te):
         src = table.get(t, {})
-        if t + 1 in table or not all(type(c) is ex.Const for c in src.values()):
+        if t + 1 in table or not is_constant_row(src):
             row = _next_row(a, src, t + 1, table.get(t + 1, {}), names)
         else:
-            template = a.row_templates.get(key := (frozenset(src.items()), names))
-            if template is None:
-                row = _next_row(a, src, t + 1, {}, names)
-                a.row_templates[key] = {q: ex.unstamp(c) for q, c in row.items()}
-            else:
-                row = {q: ex.encode(c, t + 1, names) for q, c in template.items()}
+            row = _row_after_constants(a, src, t + 1, names, memory if t + 1 == te else None)
         if row:
             table[t + 1] = row
     if ts_round < p.last_round():  # rounds added inside a gap go into place
         table = dict(sorted(table.items()))
     return EHE(a, table)
+
+
+def _row_after_constants(
+    a: Specification, src: Row, t: int, names: frozenset[str], memory: Optional[Memory]
+) -> Row:
+    """Row ``t`` after ``src``, a row of constants: the automaton's template
+    stamped at ``t``, or the row of constants ``memory`` folds that to."""
+    key = (frozenset(src.items()), names)
+    template = a.row_templates.get(key)
+    if template is None:
+        row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, {}, names).items()}
+        visited: set[int] = set()
+        atoms = sorted({x.name for c in row.values() for x in ex.atom_set(c, visited)})
+        template = a.row_templates[key] = Template(row, tuple(atoms), {})
+    if memory is not None:
+        verdicts = tuple(memory.get(ex.stamp(n, t, names), UNKNOWN) for n in template.atoms)
+        if verdicts not in template.steps:
+            memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
+            row = _stamp(template, t, names)
+            folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
+            template.steps[verdicts] = folded if is_constant_row(folded) else None
+        decided = template.steps[verdicts]
+        if decided is not None:
+            return decided
+    return _stamp(template, t, names)
+
+
+def _stamp(template: Template, t: int, names: frozenset[str]) -> Row:
+    return {q: ex.encode(c, t, names) for q, c in template.row.items()}
 
 
 def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str]) -> Row:
@@ -198,7 +252,7 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
     memo: dict[int, Expr] = {}
     table: dict[int, Row] = {}
     for t, row in p.table.items():
-        if all(isinstance(cond, ex.Const) for cond in row.values()):
+        if is_constant_row(row):
             table[t] = row
             continue
         new: dict[str, Expr] = {}

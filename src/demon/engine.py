@@ -346,7 +346,7 @@ def orchestration_round(
         state.memory = memory_merge(state.memory, mem_from_event(obs, t))
     end = state.ehe.last_round()
     if end < t:
-        state.ehe = eh.mov(state.ehe, end, t)
+        state.ehe = eh.mov(state.ehe, end, t, memory=state.memory)
     memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
     evals = step.evaluations
     verdict, last = _resolve(state, t, step, memo)
@@ -372,8 +372,9 @@ def _drop_prefix(state: ChorState) -> None:
     rows = list(state.ehe.table.items())
     drop = 0
     while drop < len(rows) - 1 and rows[drop][0] < state.t_kn:
-        conds = [c for _, c in sorted(rows[drop][1].items())]
-        if not all(isinstance(c, ex.Const) for c in conds) or conds.count(ex.TRUE) != 1:
+        row = rows[drop][1]
+        conds = [c for _, c in sorted(row.items())]
+        if not eh.is_constant_row(row) or conds.count(ex.TRUE) != 1:
             break
         state.prefix_evals += conds.index(ex.TRUE) + 1
         drop += 1
@@ -414,7 +415,7 @@ def migration_round(
         return [], None
     end = state.ehe.last_round()
     if end < t:
-        state.ehe = eh.mov(state.ehe, end, t)
+        state.ehe = eh.mov(state.ehe, end, t, memory=state.memory)
     state.ehe = eh.inc(state.ehe, state.memory, step=step)
     evals = step.evaluations
     verdict, last = _resolve(state, t, step)
@@ -458,7 +459,7 @@ def choreography_round(
             break  # instance anchored past the current round: nothing to do yet
         end = state.ehe.last_round()
         if end < t:
-            state.ehe = eh.mov(state.ehe, end, t, monitor_names=mon_names)
+            state.ehe = eh.mov(state.ehe, end, t, mon_names, state.memory)
         state.ehe = eh.inc(state.ehe, state.memory, step=step)
         step.evaluations += state.prefix_evals
         found, _ = _resolve(state, t, step)

@@ -190,10 +190,14 @@ def encode(e: Expr, t: int, monitor_names: frozenset[str] = frozenset()) -> Expr
     def leaf(node: Var) -> Var:
         if node.atom.kind != "ap":
             raise ValueError(f"encode expects plain atoms, got {node.atom}")
-        name = node.atom.name
-        return Var(monref(t, name) if name in monitor_names else timed(t, name))
+        return Var(stamp(node.atom.name, t, monitor_names))
 
     return _relabel(e, leaf)
+
+
+def stamp(name: str, t: int, monitor_names: frozenset[str] = frozenset()) -> Atom:
+    """The atom :func:`encode` stamps a plain ``name`` to at round ``t``."""
+    return monref(t, name) if name in monitor_names else timed(t, name)
 
 
 def unstamp(e: Expr) -> Expr:

@@ -16,13 +16,15 @@ from demon import store
 from demon import traces as tg
 from demon.automaton import (
     DecentralizedSpec,
+    DecentralizedTrace,
     decentralized_run,
     load_spec_file,
     make_spec,
     reconstruct_global,
     step,
 )
-from demon.expr import UNKNOWN
+from demon.expr import BOTTOM, TOP, UNKNOWN
+from demon.store import Event
 
 from conftest import ROOT, load_module
 from helpers import dag_nodes, simulate_observed
@@ -173,6 +175,51 @@ def test_each_row_resolved_once_per_round(monkeypatch):
             if alg == "orch" and result.verdict.is_final:
                 kept.pop()  # m0 runs last in its round: the verdict round keeps its rows
             assert all(first == t_kn for first, t_kn in kept), (cfg, kept)
+
+
+GLOBALLY_CASES = 8
+
+
+def draw_globally_cases(seed, cases):
+    """Yield ``cases`` seeded cases of the ``long`` benchmark's shape, G over a
+    disjunction of one proposition per component, with |C| 2-4 and L <= 60:
+    (formula, full trace).  Every proposition turns false at one drawn round
+    and stays false, so each case ends in BOTTOM."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        comps = tuple(f"c{i}" for i in range(rng.randint(2, 4)))
+        length = rng.randint(1, 60)
+        falls = rng.randint(1, length)
+        tr = DecentralizedTrace(comps, length, {
+            (t, c): Event.of((f"a{i}", TOP if t < falls and rng.random() < 0.7 else BOTTOM))
+            for t in range(1, length + 1) for i, c in enumerate(comps)
+        })
+        yield lt.parse_ltl(f"G ({' || '.join(f'a{i}' for i in range(len(comps)))})"), tr
+
+
+def test_globally_formulas_agree_with_reference_over_parameter_grid():
+    # The round whose propositions are all false moves a chor monitor to its
+    # bottom state from a row of constants: its memory decides that row, which
+    # comes from the template's cached step.
+    decided_bottom = 0
+    for n, (phi, tr) in enumerate(draw_globally_cases(1905, GLOBALLY_CASES)):
+        spec = lt.synthesize(phi)
+        owner = tr.observed_owner()
+        d = en.assemble_choreography(lt.net_chor(phi, owner), tr.components, owner)
+        assert centralized_verdict(spec, tr) is BOTTOM
+        assert choreography_verdict(phi, tr) is BOTTOM
+        system = GRAPHS[n % len(GRAPHS)](list(tr.components))
+        for (comm_delay, initial_active), alg in itertools.product(GRID, en.ALGORITHMS):
+            result = en.simulate(sim_config(alg, comm_delay, initial_active),
+                                 d if alg == "chor" else spec, system, tr)
+            assert result.verdict is BOTTOM, (n, alg, comm_delay, initial_active)
+        decided_bottom += sum(
+            any(a.verdict_of(q) is BOTTOM and c is ex.TRUE for q, c in row.items())
+            for a in (spec, *d.monitors.values())
+            for template in a.row_templates.values()
+            for row in template.steps.values() if row is not None
+        )
+    assert decided_bottom
 
 
 GRID_PIN_CASES = 48  # |C| = 2..5, L = 1..60

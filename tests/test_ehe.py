@@ -497,3 +497,87 @@ def test_mov_from_constant_rows_is_stamping_only(fig1, monkeypatch):
     assert calls == []
     assert len(fig1.row_templates) == 2
 
+
+def _inc_view(p, m):
+    """What the metrics can see of ``inc(p, m)``: each entry's text, tree
+    size and DAG size, the encoding's DAG size, and the simplifications."""
+    step = mt.Step(0, "m", "c")
+    entries = eh.inc(p, m, step=step).entries
+    per_entry = [(k, ex.to_text(c), ex.tree_size(c), dag_nodes([c]))
+                 for k, c in sorted(entries.items())]
+    return per_entry, dag_nodes(entries.values()), step.simplifications
+
+
+def _round_memories(row, t):
+    """Memories over the atoms of ``row``, all stamped at ``t``: each atom
+    absent, TOP or BOTTOM, beside verdicts for the same names at t-1 and
+    t+1 that the row never reads."""
+    atoms = sorted(set().union(*map(ex.atom_set, row.values())), key=ex.Atom.sort_key)
+    for values in itertools.product((None, T, B), repeat=len(atoms)):
+        m = {ex.Atom(x.kind, r, x.name): v for x in atoms for r, v in ((t - 1, T), (t + 1, B))}
+        m.update((x, v) for x, v in zip(atoms, values) if v is not None)
+        yield m
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_mov_under_the_round_memory_matches_inc_of_the_stamped_row(a, names):
+    # Given the memory inc folds under next, mov may hand over the row of
+    # constants that inc folds the stamped row to.  After inc nothing the
+    # metrics read may tell the two apart: the first call fills the cached
+    # step, the second finds it.
+    t, decided = 6, 0
+    for src in _constant_rows(a.states):
+        p = eh.EHE(a, {t: src})
+        row = eh.mov(p, t, t + 1, names).table.get(t + 1, {})
+        for m in _round_memories(row, t + 1):
+            expected = _inc_view(eh.mov(p, t, t + 1, names), m)
+            for _ in range(2):
+                moved = eh.mov(p, t, t + 1, names, memory=m)
+                assert _inc_view(moved, m) == expected, (src, m)
+            if not eh.is_constant_row(row):
+                decided += eh.is_constant_row(moved.table[t + 1])
+    assert decided
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_mov_under_a_memory_builds_earlier_rows_as_without_it(a, names):
+    # Only the last new row may use the memory: the rows before it are
+    # built exactly as without one.
+    rng, t = random.Random(5), 3
+    for src in _constant_rows(a.states):
+        p = eh.EHE(a, {t: src})
+        plain = eh.mov(p, t, t + 3, names)
+        atoms = {x for row in plain.table.values() for c in row.values() for x in ex.atom_set(c)}
+        for _ in range(4):
+            m = {x: rng.choice((T, B)) for x in atoms if rng.random() < 0.7}
+            moved = eh.mov(p, t, t + 3, names, memory=m)
+            assert moved.rounds() == plain.rounds()
+            for r in (t + 1, t + 2):
+                got, want = moved.table.get(r, {}), plain.table.get(r, {})
+                assert list(got) == list(want)
+                for q in want:
+                    assert ex.to_text(got[q]) == ex.to_text(want[q])
+                    assert ex.tree_size(got[q]) == ex.tree_size(want[q])
+                assert dag_nodes(got.values()) == dag_nodes(want.values())
+            assert _inc_view(moved, m) == _inc_view(plain, m)
+
+
+def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
+    # Once a memory pattern has decided the row after {q0: TRUE}, the same
+    # pattern at any later round is a cached row: no stamping, folding or
+    # simplification.
+    def memory(t):
+        return {ex.timed(t, "a"): T, ex.timed(t - 1, "b"): B, ex.timed(t + 1, "a"): B}
+
+    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 0, 1, memory=memory(1))
+    calls = []
+    for name in ("encode", "rewrite_fold", "simplify", "_walk"):
+        real = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *args, real=real, name=name, **kw: (
+            calls.append(name) or real(*args, **kw)))
+    for t in range(1, 40):
+        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t, t + 1, memory=memory(t + 1)).table
+        assert row[t + 1] == {"q0": ex.FALSE, "q1": ex.TRUE}
+    assert calls == []
+    (template,) = [v for k, v in fig1.row_templates.items() if ("q0", ex.TRUE) in k[0]]
+    assert template.steps == {(T, ex.UNKNOWN): {"q0": ex.FALSE, "q1": ex.TRUE}}

@@ -427,6 +427,38 @@ def test_monitor_state_bounded_in_rounds(alg):
         assert long[1] <= short[1], (short, long)
 
 
+def _expression_calls(alg, length, monkeypatch):
+    """``encode``, ``rewrite_fold`` and ``simplify`` calls of one run over
+    ``_rotating_trace(length)`` on a freshly synthesized automaton."""
+    phi = lt.parse_ltl(BOUNDED_PHI)
+    tr = _rotating_trace(length)
+    owner = tr.observed_owner()
+    if alg == "chor":
+        spec = en.assemble_choreography(lt.net_chor(phi, owner), tr.components, owner)
+    else:
+        spec = lt.synthesize(phi)
+    calls = [0]
+    with monkeypatch.context() as patched:
+        for name in ("encode", "rewrite_fold", "simplify"):
+            def counted(*args, real=getattr(ex, name), **kwargs):
+                calls[0] += 1
+                return real(*args, **kwargs)
+            patched.setattr(ex, name, counted)
+        r = en.simulate(en.SimConfig(alg), spec, complete(tr.components), tr)
+    assert r.verdict is ex.UNKNOWN and r.stop_round == length + 5
+    return calls[0]
+
+
+@pytest.mark.parametrize("alg", en.ALGORITHMS)
+def test_expression_work_linear_in_rounds(alg, monkeypatch):
+    # Wall-time ratios on a shared host are too noisy to show linear scaling;
+    # the expression calls a run makes are not.  Four times the rounds may
+    # cost at most four times the calls, plus a few for the warm-up rounds.
+    short = _expression_calls(alg, 100, monkeypatch)
+    long = _expression_calls(alg, 400, monkeypatch)
+    assert long <= 4 * short + 50, (short, long)
+
+
 @pytest.mark.parametrize("text", ["G (a0 || a2 || a4)", "F (a0 && a3)", "(a1 || a2) U a5"])
 def test_simulate_on_a_warm_automaton_repeats_its_rows(text):
     # The first runs build the automaton's row templates and the second
@@ -465,6 +497,11 @@ def test_row_templates_bounded_by_states():
     r = en.simulate(en.SimConfig("orch"), spec, complete(tr.components), tr)
     assert r.verdict is ex.UNKNOWN
     assert 0 < len(spec.row_templates) <= len(spec.states)
+    # The rows the round's memory decides are kept per memory pattern: at
+    # most absent, TOP or BOTTOM for each atom of the template.
+    assert any(template.steps for template in spec.row_templates.values())
+    for template in spec.row_templates.values():
+        assert len(template.steps) <= 3 ** len(template.atoms)
 
 
 def test_chor_prefix_drop_keeps_open_rows(fig1):
