@@ -15,9 +15,12 @@ and S states per row:
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
   a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
   entry, and otherwise makes one ``expr.simplify`` call per new entry,
-  bounded at ``expr.DNF_ATOMS`` atoms.  The last new row, when its source
-  holds only constants and the round's memory decides it, is a cached row
-  of constants found with one memory lookup per atom and no walk.
+  bounded at ``expr.DNF_ATOMS`` atoms.  Only transitions out of a source
+  whose condition is not FALSE are stamped; a successor of dead sources
+  alone keeps a FALSE entry, which ``sreach`` still evaluates.  The last
+  new row, when its source holds only constants and the round's memory
+  decides it, is a cached row of constants found with one memory lookup
+  per atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -186,13 +189,18 @@ def _stamp(template: Template, t: int, names: frozenset[str]) -> Row:
 
 
 def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str]) -> Row:
-    """Row ``t`` reached from ``src``, the row at t-1, disjoined into ``old``."""
+    """Row ``t`` reached from ``src``, the row at t-1, disjoined into ``old``.
+
+    Every successor of a state in ``src`` gets an entry, but only labels of
+    transitions from a source that is not FALSE are stamped and conjoined: a
+    FALSE source would add FALSE, which leaves the disjunction the same
+    object.  A successor of FALSE sources alone gets FALSE."""
     row = dict(old)
     for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
         cond = ex.disj_all(
             ex.conj(src[tr.src], ex.encode(tr.label, t, names))
             for tr in a.by_destination[qprime]
-            if tr.src in src
+            if src.get(tr.src, ex.FALSE) is not ex.FALSE
         )
         prior = old.get(qprime)
         if prior is not None:

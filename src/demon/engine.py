@@ -98,7 +98,8 @@ class ChorState:
     prefix_evals: int = 0  # what each _resolve would spend on the dropped rows
 
 
-MonitorState = Union[ForwarderState, MainState, MigrationState, ChorState]
+# Not ``typing.Union``, whose cache would keep this module alive (see traces).
+MonitorState = ForwarderState | MainState | MigrationState | ChorState
 
 
 @dataclass

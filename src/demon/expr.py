@@ -22,6 +22,11 @@ The costly parts of simplification are keyed by the Boolean function rather
 than by node identity: the truth-table column masks are cached per atom count
 (at most ``EXACT_ATOMS + 1`` counts), and Quine-McCluskey covers per
 ``(table, k)`` in a least-recently-used cache of ``_QM_CACHE_SIZE`` entries.
+Atoms are interned by :func:`plain`, :func:`timed` and :func:`monref`, each in
+a least-recently-used cache of ``_ATOM_CACHE_SIZE`` entries; atoms compare by
+value, so an evicted atom made again is an equal one.  Every module-level
+cache is bounded, so a long-lived process does not grow with the rounds it
+has run.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import ParseError
 EXACT_ATOMS = 16  # atom limit for simplify's truth tables
 DNF_ATOMS = 8  # atom limit for sum-of-products rebuilds
 _QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
+_ATOM_CACHE_SIZE = 1 << 16  # interned atoms kept per constructor
 
 
 class Verdict(enum.Enum):
@@ -85,17 +91,17 @@ class Atom:
         return f"<{self.t},&{self.name}>"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ATOM_CACHE_SIZE)
 def plain(ap: str) -> Atom:
     return Atom("ap", 0, ap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ATOM_CACHE_SIZE)
 def timed(t: int, ap: str) -> Atom:
     return Atom("tap", t, ap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ATOM_CACHE_SIZE)
 def monref(t: int, mon_id: str) -> Atom:
     return Atom("mon", t, mon_id)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping
 
 from . import expr as ex
@@ -27,6 +27,8 @@ from .errors import (
 )
 from .expr import BOTTOM, TOP, Verdict
 from .store import Memory
+
+_SYNTH_CACHE_SIZE = 128  # distinct formulas whose automata are kept
 
 
 @dataclass(frozen=True)
@@ -350,6 +352,7 @@ def progress(phi: Ltl, m: Memory) -> Ltl:
     return simplify_ltl(go(phi))
 
 
+@lru_cache(maxsize=_SYNTH_CACHE_SIZE)
 def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
     """Build a deterministic, complete Moore automaton whose states are the
     simplified formulas reachable by progression.
@@ -357,6 +360,11 @@ def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
     Transition labels disjoin the truth assignments (over the state's own
     leaves) that select each successor; the TRUE/FALSE states carry the
     final verdicts.
+
+    Results are kept in a least-recently-used cache of ``_SYNTH_CACHE_SIZE``
+    entries, keyed by the formula's value: equal formulas give the same
+    :class:`Specification`, so its ``row_templates`` carry over from run to
+    run.  ``synthesize.__wrapped__`` builds a fresh one.
     """
     start = simplify_ltl(phi)
     names: dict[Ltl, str] = {}

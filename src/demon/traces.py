@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
 
 from .automaton import DecentralizedTrace
 from .errors import InvalidParameters, ParseError
@@ -51,7 +50,10 @@ class Beta:
             raise InvalidParameters("beta shape parameters must be positive")
 
 
-Distribution = Union[Normal, Binomial, Beta]
+# A union of classes, not ``typing.Union``: typing caches its unions for the
+# life of the process, and the cache would keep this module alive after the
+# package is imported again.
+Distribution = Normal | Binomial | Beta
 
 
 @dataclass(frozen=True)

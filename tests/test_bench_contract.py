@@ -5,6 +5,10 @@ entry count of the encodings its hooks see."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +108,27 @@ def test_traced_mov_records_its_simplifications():
     assert len(p.entries) == 7
     assert tracing.counts()["ehe.mov"] == 1
     assert tracing.counts()["expr.simplify"] == 6
+
+
+def test_reimported_library_leaves_no_old_module_alive():
+    # The benchmark times its set-up by importing the library afresh several
+    # times.  A module-level object held by a process-wide cache, such as a
+    # ``typing.Union`` alias, would keep every old copy resident and set the
+    # peak RSS during set-up.
+    script = """
+import gc, importlib, pkgutil, sys, weakref
+import demon
+names = [f"demon.{m.name}" for m in pkgutil.iter_modules(demon.__path__)]
+old = [weakref.ref(importlib.import_module(n)) for n in names]
+for n in [n for n in sys.modules if n == "demon" or n.startswith("demon.")]:
+    del sys.modules[n]
+del demon
+importlib.import_module("demon.engine")
+gc.collect()
+print(sorted(r().__name__ for r in old if r() is not None))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -407,7 +407,8 @@ def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
 def _random_formula_automata():
     """One automaton per ``random_formula`` shape, over two or three
     components, with at most four states: the constant rows of more states
-    are too many to try one by one."""
+    are too many to try one by one.  Each is synthesized afresh, past the
+    synthesis cache, so every test starts with empty row templates."""
     synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
 
     def shape(phi):
@@ -420,7 +421,7 @@ def _random_formula_automata():
     rng, found = random.Random(0), {}
     while len(found) < 4:
         phi = synthetic.random_formula(rng, rng.choice((2, 3)), 1)
-        a = lt.synthesize(phi)
+        a = lt.synthesize.__wrapped__(phi)
         if len(a.states) <= 4:
             found.setdefault(shape(phi), a)
     return [(found[k], frozenset()) for k in sorted(found)]
@@ -581,3 +582,77 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
     assert calls == []
     (template,) = [v for k, v in fig1.row_templates.items() if ("q0", ex.TRUE) in k[0]]
     assert template.steps == {(T, ex.UNKNOWN): {"q0": ex.FALSE, "q1": ex.TRUE}}
+
+
+def _full_next_row(a, src, t, names):
+    """The row at ``t`` built as ``mov`` once did, stamping and conjoining
+    the label of every transition out of ``src``, FALSE sources included."""
+    row = {}
+    for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
+        cond = ex.disj_all(
+            ex.conj(src[tr.src], ex.encode(tr.label, t, names))
+            for tr in a.by_destination[qprime]
+            if tr.src in src
+        )
+        row[qprime] = ex.simplify(cond, ex.DNF_ATOMS)
+    return row
+
+
+def _mixed_rows(states, t, seed):
+    """Every non-empty row over ``states`` whose entries are FALSE, TRUE or
+    open conditions over atoms at ``t`` that no label reads."""
+    rng = random.Random(seed)
+    u, v = ex.Var(ex.timed(t, "u")), ex.Var(ex.timed(t, "v"))
+    open_conditions = (u, ex.Not(v), ex.conj(u, v), ex.disj(ex.Not(u), v))
+    for present in range(1, len(states) + 1):
+        for keys in itertools.combinations(states, present):
+            for kinds in itertools.product("FTo", repeat=present):
+                yield {
+                    q: ex.FALSE if k == "F" else ex.TRUE if k == "T" else rng.choice(open_conditions)
+                    for q, k in zip(keys, kinds)
+                }
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_mov_skips_dead_sources_as_the_full_builder_would(a, names):
+    # A FALSE source adds nothing to a successor's disjunction, so leaving
+    # its transitions unstamped changes no entry: the key set, the text, the
+    # tree and the sharing all match a row that stamps every transition.
+    # Rows of constants go through the template path and must match too.
+    t, dead_only = 4, 0
+    for src in _mixed_rows(a.states, t, seed=len(a.states)):
+        got = eh.mov(eh.EHE(a, {t: src}), t, t + 1, names).table.get(t + 1, {})
+        want = _full_next_row(a, src, t + 1, names)
+        assert list(got) == list(want), src
+        for q in want:
+            assert ex.to_text(got[q]) == ex.to_text(want[q]), (src, q)
+            assert ex.tree_size(got[q]) == ex.tree_size(want[q])
+            assert dag_nodes([got[q]]) == dag_nodes([want[q]])
+        assert dag_nodes(got.values()) == dag_nodes(want.values())
+        dead_only += sum(
+            all(src.get(tr.src, ex.FALSE) is ex.FALSE for tr in a.by_destination[q])
+            for q in got
+        )
+    assert dead_only  # some successor was reached from FALSE sources only
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_mov_stamps_only_transitions_out_of_live_sources(a, names, monkeypatch):
+    # Rows with an open entry are built directly: one encode per transition
+    # out of a source whose condition is not FALSE, none for the others.
+    calls = [0]
+    real = ex.encode
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "encode", counted)
+    t = 9
+    for src in _mixed_rows(a.states, t, seed=1):
+        if eh.is_constant_row(src):
+            continue
+        calls[0] = 0
+        eh.mov(eh.EHE(a, {t: src}), t, t + 1, names)
+        live = sum(len(a.outgoing(q)) for q, c in src.items() if c is not ex.FALSE)
+        assert calls[0] == live, src

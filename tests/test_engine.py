@@ -430,6 +430,7 @@ def test_monitor_state_bounded_in_rounds(alg):
 def _expression_calls(alg, length, monkeypatch):
     """``encode``, ``rewrite_fold`` and ``simplify`` calls of one run over
     ``_rotating_trace(length)`` on a freshly synthesized automaton."""
+    lt.synthesize.cache_clear()  # no row templates from an earlier run
     phi = lt.parse_ltl(BOUNDED_PHI)
     tr = _rotating_trace(length)
     owner = tr.observed_owner()
@@ -462,7 +463,10 @@ def test_expression_work_linear_in_rounds(alg, monkeypatch):
 @pytest.mark.parametrize("text", ["G (a0 || a2 || a4)", "F (a0 && a3)", "(a1 || a2) U a5"])
 def test_simulate_on_a_warm_automaton_repeats_its_rows(text):
     # The first runs build the automaton's row templates and the second
-    # ones stamp them; the metrics rows must not tell the two apart.
+    # ones stamp them; the metrics rows must not tell the two apart.  Under
+    # chor the monitors' automata come from the synthesis cache the second
+    # time, so their templates are warm too.
+    lt.synthesize.cache_clear()
     phi = lt.parse_ltl(text)
     spec = lt.synthesize(phi)
     tr = tg.generate(tg.TraceGenConfig(
@@ -482,7 +486,10 @@ def test_simulate_on_a_warm_automaton_repeats_its_rows(text):
 
     cold = rows()
     assert spec.row_templates
+    before = lt.synthesize.cache_info()
     assert rows() == cold
+    after = lt.synthesize.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_row_templates_bounded_by_states():

@@ -1,10 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import demon
 from demon import ehe as eh
 from demon import expr as ex
 from demon.automaton import make_spec
@@ -450,3 +453,28 @@ def test_variable_sort_matches_truth_table_over_every_order():
             for order in itertools.permutations(atoms):
                 got = ex._sort_variables(ex.truth_table(e, list(order)), list(order))
                 assert got == (want, ordered), (k, order)
+
+
+def test_every_module_cache_is_bounded():
+    # A cache that outlives a run must not grow with the runs a process makes.
+    sizes = {}
+    for info in pkgutil.iter_modules(demon.__path__):
+        module = importlib.import_module(f"demon.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"expr.plain", "expr.timed", "expr.monref", "expr.qm_cover",
+            "ltl.synthesize"} <= set(sizes)
+    assert all(size is not None for size in sizes.values()), sizes
+
+
+def test_evicted_atoms_come_back_equal():
+    # Atoms compare by value, so an atom made again after its cache entry
+    # is gone is interchangeable with the one made before.
+    before = ex.timed(7, "a"), ex.monref(7, "m1"), ex.plain("a")
+    for cached in (ex.timed, ex.monref, ex.plain):
+        cached.cache_clear()
+    after = ex.timed(7, "a"), ex.monref(7, "m1"), ex.plain("a")
+    assert after == before and all(x is not y for x, y in zip(after, before))
+    assert {ex.Var(x) for x in before} == {ex.Var(x) for x in after}
+    assert ex.eval_expr(ex.Var(after[0]), {before[0]: ex.TOP}) is ex.TOP

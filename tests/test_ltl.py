@@ -183,6 +183,19 @@ class TestSynthesize:
             aut = lt.synthesize(phi)
             assert validate(aut).ok
 
+    @pytest.mark.parametrize("text", sorted(SYNTHESIZED_SHA256))
+    def test_equal_formulas_share_one_automaton(self, text):
+        # Synthesis is cached by the formula's value: a formula parsed again
+        # from its own text gives the same automaton, equal to a fresh one.
+        phi = lt.parse_ltl(text)
+        again = lt.parse_ltl(lt.ltl_text(phi))
+        assert again == phi and again is not phi
+        aut = lt.synthesize(phi)
+        assert lt.synthesize(again) is aut
+        fresh = lt.synthesize.__wrapped__(phi)
+        assert fresh is not aut and fresh == aut
+        assert spec_to_dict(fresh) == spec_to_dict(aut)
+
     def test_state_cap(self):
         deep = lt.parse_ltl("a U (b U (c U (d U (e U f))))")
         with pytest.raises(lt.StateCapExceeded):
