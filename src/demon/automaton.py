@@ -335,18 +335,6 @@ def decentralized_run(d: DecentralizedSpec, tr: DecentralizedTrace) -> Verdict:
     return d.monitors[d.root].verdict_of(final)
 
 
-def verdict_equivalent(
-    d1: DecentralizedSpec,
-    d2: DecentralizedSpec,
-    traces: Iterable[DecentralizedTrace],
-) -> Optional[DecentralizedTrace]:
-    """First trace on which the two specifications disagree, or None."""
-    for tr in traces:
-        if decentralized_run(d1, tr) is not decentralized_run(d2, tr):
-            return tr
-    return None
-
-
 # ---------------------------------------------------------------------------
 # JSON file formats
 

@@ -14,13 +14,14 @@ and S states per row:
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
   a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
-  entry, and otherwise makes one ``expr.simplify`` call per new entry,
-  bounded at ``expr.DNF_ATOMS`` atoms.  Only transitions out of a source
-  whose condition is not FALSE are stamped; a successor of dead sources
-  alone keeps a FALSE entry, which ``sreach`` still evaluates.  The last
-  new row, when its source holds only constants and the round's memory
-  decides it, is a cached row of constants found with one memory lookup
-  per atom and no walk.
+  entry, and otherwise makes one ``expr.simplify`` call, bounded at
+  ``expr.DNF_ATOMS`` atoms, per new entry that holds no wide node; an entry
+  built over a wide source or prior entry is marked wide with no call and
+  no walk.  Only transitions out of a source whose condition is not FALSE
+  are stamped; a successor of dead sources alone keeps a FALSE entry, which
+  ``sreach`` still evaluates.  The last new row, when its source holds only
+  constants and the round's memory decides it, is a cached row of
+  constants found with one memory lookup per atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -122,8 +123,10 @@ def mov(
     merged with disjunction.  New entries are built with folding constructors
     and simplified by one :func:`expr.simplify` call bounded at
     ``expr.DNF_ATOMS`` atoms, the bound up to which it rebuilds a sum of
-    products; a wider entry stays as built.  The folding constructors make
-    each entry the fold fixpoint that :func:`expr.simplify` expects.
+    products; a wider entry stays as built, and one that holds a node
+    already known to be wide is marked wide without the call.  The folding
+    constructors make each entry the fold fixpoint that
+    :func:`expr.simplify` expects.
 
     A new row after a row of constants has every atom at t+1 and depends only
     on the source row and the monitor names: the first one built is kept
@@ -194,18 +197,28 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
     Every successor of a state in ``src`` gets an entry, but only labels of
     transitions from a source that is not FALSE are stamped and conjoined: a
     FALSE source would add FALSE, which leaves the disjunction the same
-    object.  A successor of FALSE sources alone gets FALSE."""
+    object.  A successor of FALSE sources alone gets FALSE.
+
+    An entry that is not a constant and conjoins a wide source (with a label
+    that is not FALSE) or disjoins a wide prior entry holds that node: the
+    folding constructors drop a non-constant operand only when they return a
+    constant.  So it is wide too, and :func:`expr.simplify` would return it
+    as built; it is marked wide instead of simplified."""
     row = dict(old)
     for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
-        cond = ex.disj_all(
-            ex.conj(src[tr.src], ex.encode(tr.label, t, names))
-            for tr in a.by_destination[qprime]
-            if src.get(tr.src, ex.FALSE) is not ex.FALSE
-        )
-        prior = old.get(qprime)
-        if prior is not None:
-            cond = ex.disj(prior, cond)
-        row[qprime] = ex.simplify(cond, ex.DNF_ATOMS)
+        prior = old.get(qprime, ex.FALSE)
+        wide = prior.wide
+        parts = []
+        for tr in a.by_destination[qprime]:
+            source = src.get(tr.src, ex.FALSE)
+            if source is not ex.FALSE:
+                parts.append(ex.conj(source, ex.encode(tr.label, t, names)))
+                wide = wide or (source.wide and parts[-1] is not ex.FALSE)
+        cond = ex.disj(prior, ex.disj_all(parts))
+        if wide and type(cond) is not ex.Const:
+            row[qprime] = ex.learn(cond, "wide")
+        else:
+            row[qprime] = ex.simplify(cond, ex.DNF_ATOMS)
     return row
 
 

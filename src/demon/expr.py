@@ -13,7 +13,11 @@ size.  It decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of
 products up to ``DNF_ATOMS`` atoms, where nearly every input in practice
 lies and costs one walk.  A caller may bound the atoms it simplifies:
 ``ehe.mov`` passes ``DNF_ATOMS`` and leaves a wider new entry as built, after
-one walk that stops at its ``DNF_ATOMS + 1``-th atom.  The lexer is shared
+one walk that stops at its ``DNF_ATOMS + 1``-th atom.  What a walk learns
+that cannot change is kept on the node: ``wide`` (more than ``DNF_ATOMS``
+atoms) and ``settled`` (:func:`simplify` returns the node itself), so later
+calls on the same node return at once; ``ehe.mov`` marks a new entry wide
+when it holds a wide node.  Nothing is interned.  The lexer is shared
 with the LTL formula parser, and the LTL canonical form is decided through
 the same walk and :func:`qm_cover`.  :func:`truth_table` and :func:`tree_size`
 remain as the references the tests compare the walk against.
@@ -107,9 +111,15 @@ def monref(t: int, mon_id: str) -> Atom:
 
 
 class Expr:
-    """Base of the expression node hierarchy."""
+    """Base of the expression node hierarchy.
+
+    ``wide`` and ``settled`` are facts that :func:`simplify` learns about a
+    node and records on it; both default to False here, so a node without
+    them has no instance attribute for them and reads the class default."""
 
     __slots__ = ()
+    wide = False  # more than DNF_ATOMS distinct atoms
+    settled = False  # simplify(node) returns node itself
 
 
 @dataclass(frozen=True)
@@ -725,16 +735,31 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     :func:`_walk` over at most ``DNF_ATOMS`` columns, or over exactly as many
     as the :func:`atom_set` of a wider input holds, which a bound of
     ``DNF_ATOMS`` or less never counts.
+
+    Two facts about ``e`` follow from its structure alone, so once a call
+    learns one it records it on ``e`` for every later call:
+
+    - ``e.wide``, set when a walk over ``DNF_ATOMS`` columns stops short:
+      ``e`` has more than ``DNF_ATOMS`` atoms.  A wide node is returned at
+      once under a bound of ``DNF_ATOMS`` or less, and a wider bound skips
+      straight to the atom count.
+    - ``e.settled``, set when the result at the full bound is ``e`` itself:
+      a non-constant table with no smaller sum of products, or more than
+      ``EXACT_ATOMS`` atoms.  A settled node is returned at once under any
+      bound up to ``EXACT_ATOMS``.
     """
-    if _is_literal(e):
+    if _is_literal(e) or e.settled or (e.wide and max_atoms <= DNF_ATOMS):
         return e
-    walk = _walk(e, min(max_atoms, DNF_ATOMS))
+    width = min(max_atoms, DNF_ATOMS)
+    walk = None if e.wide else _walk(e, width)
     if walk is None:
+        if width == DNF_ATOMS:
+            learn(e, "wide")
         if max_atoms <= DNF_ATOMS:
             return e
         k = len(atom_set(e))
         if k > max_atoms:
-            return e
+            return learn(e, "settled") if k > EXACT_ATOMS else e
         walk = _walk(e, k)
     atoms, table, size = walk
     k = len(atoms)
@@ -743,11 +768,19 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     if table == 0:
         return FALSE
     if k > DNF_ATOMS:
-        return e
+        return learn(e, "settled")
     table, atoms = _sort_variables(table, atoms)
     terms = qm_cover(table, k)
     if _cover_size(terms) <= size:
         return _dnf_from_cover(terms, atoms)
+    return learn(e, "settled")
+
+
+def learn(e: Expr, fact: str) -> Expr:
+    """Record ``fact``, ``"wide"`` or ``"settled"``, on ``e`` and return it.
+    Nodes are frozen, and the fact is not a field: equality, hashing and
+    ``repr`` ignore it."""
+    object.__setattr__(e, fact, True)
     return e
 
 

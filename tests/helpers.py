@@ -1,10 +1,11 @@
 """Oracles and constructions that only the tests use: exhaustive trace
 enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
-placement counts, expression DAG sizes, a simulation that shows each
-monitor's state after every round, the four-walk simplifier that
-``expr.simplify`` must agree with, and the search for the last resolved
-round that garbage collection cuts at."""
+placement counts, expression DAG sizes and fresh structural copies, a
+simulation that shows each monitor's state after every round, the
+four-walk simplifier that ``expr.simplify`` must agree with, the search for
+the last resolved round that garbage collection cuts at, and the first trace
+on which two decentralized specifications disagree."""
 
 from __future__ import annotations
 
@@ -15,7 +16,13 @@ from demon import analysis as an
 from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
-from demon.automaton import DecentralizedSpec, DecentralizedTrace, Specification, normalize
+from demon.automaton import (
+    DecentralizedSpec,
+    DecentralizedTrace,
+    Specification,
+    decentralized_run,
+    normalize,
+)
 from demon.ehe import EHE
 from demon.expr import BOTTOM, TOP, Verdict
 from demon.store import EMPTY_MEMORY, Event, Memory, memory_merge
@@ -101,6 +108,15 @@ def dag_nodes(exprs: Iterable[ex.Expr]) -> int:
     return len(seen)
 
 
+def fresh_copy(e: ex.Expr, memo: Optional[dict] = None) -> ex.Expr:
+    """A structurally equal copy of ``e`` made of new nodes, so it carries
+    none of the facts ``expr.simplify`` records on a node; constants stay the
+    shared ``TRUE`` and ``FALSE``.  Sharing is kept, also across calls that
+    pass one ``memo``."""
+    return ex.bottom_up(e, {} if memo is None else memo, lambda n: ex.Var(n.atom),
+                        lambda n: n, ex.Not, lambda n, l, r: type(n)(l, r))
+
+
 _ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
               "migrr": "migration_round", "chor": "choreography_round"}
 
@@ -158,3 +174,15 @@ def last_resolved(p: EHE, m: Memory) -> Optional[tuple[int, str]]:
             break
         resolved = (t, q)
     return resolved
+
+
+def verdict_equivalent(
+    d1: DecentralizedSpec,
+    d2: DecentralizedSpec,
+    traces: Iterable[DecentralizedTrace],
+) -> Optional[DecentralizedTrace]:
+    """First trace on which the two specifications disagree, or None."""
+    for tr in traces:
+        if decentralized_run(d1, tr) is not decentralized_run(d2, tr):
+            return tr
+    return None

@@ -20,7 +20,6 @@ from demon.automaton import (
     spec_to_dict,
     step,
     validate,
-    verdict_equivalent,
 )
 from demon.errors import (
     ConflictingObservation,
@@ -30,7 +29,7 @@ from demon.errors import (
 from demon.store import Event
 
 from conftest import random_spec, random_trace
-from helpers import centralized_as_decentralized, enumerate_full_traces
+from helpers import centralized_as_decentralized, enumerate_full_traces, verdict_equivalent
 
 T, B = ex.TOP, ex.BOTTOM
 

@@ -12,7 +12,14 @@ from demon.errors import AutomatonMismatch, UndefinedRound
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import load_module, random_spec, random_trace
-from helpers import dag_nodes, entrywise_equivalent, last_resolved, max_label_size
+from helpers import (
+    dag_nodes,
+    entrywise_equivalent,
+    fresh_copy,
+    last_resolved,
+    max_label_size,
+    reference_simplify,
+)
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -402,6 +409,84 @@ def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
     assert calls and {bound for bound, _, _ in calls} == {(ex.DNF_ATOMS,)}
     wide = [kept for _, k, kept in calls if k > ex.DNF_ATOMS]
     assert wide and all(wide), len(wide)
+
+
+def test_entry_holding_a_wide_node_is_marked_not_simplified(monkeypatch):
+    # An entry that conjoins a live wide source, or disjoins a wide prior
+    # entry, holds that node: mov marks it wide and leaves it as built,
+    # without calling simplify.  A FALSE label drops the source, so the
+    # entry it reaches is simplified as usual.
+    spec = make_spec(["q0", "q1", "q2"], "q0",
+                     [("q0", "a", "q1"), ("q0", "!a", "q0"), ("q0", "false", "q2"),
+                      ("q1", "a", "q2"), ("q1", "!a", "q1"), ("q2", "true", "q2")],
+                     {"q0": "unknown", "q1": "unknown", "q2": "top"})
+    w = ex.conj_all(ex.Var(ex.timed(0, f"x{i}")) for i in range(ex.DNF_ATOMS + 1))
+    assert ex.simplify(w, ex.DNF_ATOMS) is w and w.wide
+    small, a1 = ex.Var(ex.timed(0, "y")), ex.Var(ex.timed(1, "a"))
+    real_simplify = ex.simplify
+    calls = []
+
+    def recorded(e, *bound):
+        calls.append(e)
+        return real_simplify(e, *bound)
+
+    monkeypatch.setattr(ex, "simplify", recorded)
+    p = eh.mov(eh.EHE(spec, {0: {"q0": w, "q1": small}}), 0, 1)
+    assert p.table[1] == {"q0": ex.And(w, ex.Not(a1)),
+                          "q1": ex.Or(ex.And(w, a1), ex.And(small, ex.Not(a1))),
+                          "q2": ex.And(small, a1)}
+    assert p.at(1, "q0").left is w and p.at(1, "q1").left.left is w
+    assert p.at(1, "q0").wide and p.at(1, "q1").wide and not p.at(1, "q2").wide
+    assert calls == [ex.And(small, a1)]
+
+    calls.clear()
+    p = eh.mov(eh.EHE(spec, {0: {"q0": small}, 1: {"q1": w}}), 0, 1)
+    assert p.at(1, "q1") == ex.Or(w, ex.And(small, a1)) and p.at(1, "q1").left is w
+    assert p.at(1, "q1").wide and not p.at(1, "q0").wide
+    assert calls == [ex.And(small, ex.Not(a1)), ex.FALSE]
+
+
+def test_mov_rows_match_simplify_on_fact_free_copies(monkeypatch):
+    # Each row that mov adds, between inc rounds, must be the row that it
+    # builds from a fact-free copy of its input when every simplification is
+    # the four-walk reference, which reads and records no facts.
+    real_simplify = ex.simplify
+    calls = []
+
+    def recorded(e, *bound):
+        calls.append(e)
+        return real_simplify(e, *bound)
+
+    rng = random.Random(3)
+    built = 0
+    for _ in range(12):
+        spec, aps = random_spec(rng, max_states=4, max_aps=4)
+        twin = Specification(spec.states, spec.initial, spec.transitions, spec.verdicts)
+        p = eh.init(spec)
+        while p.last_round() < 6:
+            t = p.last_round()
+            te = t + rng.randint(1, 2)
+            memo: dict = {}
+            copy = eh.EHE(twin, {r: {q: fresh_copy(c, memo) for q, c in row.items()}
+                                 for r, row in p.table.items()})
+            monkeypatch.setattr(ex, "simplify", reference_simplify)
+            expected = eh.mov(copy, t, te)
+            monkeypatch.setattr(ex, "simplify", recorded)
+            calls.clear()
+            p = eh.mov(p, t, te)
+            monkeypatch.setattr(ex, "simplify", real_simplify)
+            for r in range(t + 1, te + 1):
+                row, want = p.table[r], expected.table[r]
+                assert eh.dump(eh.EHE(spec, {r: row})) == eh.dump(eh.EHE(spec, {r: want}))
+                assert {q: ex.tree_size(c) for q, c in row.items()} == \
+                    {q: ex.tree_size(c) for q, c in want.items()}
+                built += len(row)
+            built -= len(calls)
+            if rng.random() < 0.4:
+                atoms = [ex.timed(r, a) for r in range(1, te + 1) for a in aps]
+                p = eh.inc(p, Memory({a: rng.choice((T, B)) for a in atoms
+                                      if rng.random() < 0.2}))
+    assert built > 0  # some entries were marked wide instead of simplified
 
 
 def _random_formula_automata():

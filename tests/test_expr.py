@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import pkgutil
@@ -15,7 +16,7 @@ from demon.errors import ParseError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
-from helpers import reference_simplify
+from helpers import fresh_copy, reference_simplify
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -478,3 +479,75 @@ def test_evicted_atoms_come_back_equal():
     assert after == before and all(x is not y for x, y in zip(after, before))
     assert {ex.Var(x) for x in before} == {ex.Var(x) for x in after}
     assert ex.eval_expr(ex.Var(after[0]), {before[0]: ex.TOP}) is ex.TOP
+
+
+def _fold_fixpoint(rng, k):
+    """A fold fixpoint over exactly ``k`` atoms: each atom is one leaf, and
+    random folding constructors join the leaves, sometimes with an earlier
+    node again, so subtrees are shared."""
+    nodes = [ex.Var(ex.timed(i % 3, f"p{i}")) for i in range(k)]
+    built = []
+    while len(nodes) > 1:
+        rng.shuffle(nodes)
+        x, y = nodes.pop(), nodes.pop()
+        node = rng.choice((ex.conj, ex.disj))(ex.neg(x) if rng.random() < 0.3 else x, y)
+        if built and rng.random() < 0.2:
+            node = rng.choice((ex.conj, ex.disj))(node, rng.choice(built))
+        built.append(node)
+        nodes.append(node)
+    return ex.neg(nodes[0]) if rng.random() < 0.3 else nodes[0]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, ex.DNF_ATOMS), (ex.DNF_ATOMS + 1, ex.EXACT_ATOMS),
+                                    (ex.EXACT_ATOMS + 1, 30)])
+def test_recorded_facts_keep_every_simplify_result(lo, hi):
+    # simplify records on a node that it has more than DNF_ATOMS atoms (wide)
+    # or that it is its own result at the full bound (settled), and answers
+    # later calls from those facts.  Every call must give what the four-walk
+    # reference gives on a fact-free copy, and the facts must not show in the
+    # node's value.
+    rng = random.Random(lo)
+    for _ in range(40):
+        e = _fold_fixpoint(rng, rng.randint(lo, hi))
+        assert ex.fold(e) is e
+        bounds = [ex.DNF_ATOMS, ex.EXACT_ATOMS, rng.randint(1, ex.DNF_ATOMS - 1),
+                  rng.randint(ex.DNF_ATOMS + 1, ex.EXACT_ATOMS - 1)]
+        rng.shuffle(bounds)
+        for bound in bounds * 2:  # the second pass reads what the first recorded
+            copy = fresh_copy(e)
+            assert not (copy.wide or copy.settled)
+            expected = reference_simplify(copy, bound)
+            got = ex.simplify(e, bound)
+            assert got == expected
+            assert (got is e) == (expected is copy)
+            again, copy = ex.simplify(got, bound), fresh_copy(got)  # a rebuilt result too
+            assert (again is got) == (reference_simplify(copy, bound) is copy)
+        copy = fresh_copy(e)
+        assert e.wide == (len(ex.atom_set(e)) > ex.DNF_ATOMS)
+        assert e.settled == (not ex._is_literal(e) and reference_simplify(copy) is copy)
+        assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+        assert dataclasses.fields(e) == dataclasses.fields(copy)
+
+
+def test_recorded_fact_answers_without_a_walk(monkeypatch):
+    # Once recorded, a fact decides the calls it covers with no walk and no
+    # atom count: settled nodes under every bound, wide ones under bounds up
+    # to DNF_ATOMS.
+    def chain(n):
+        return ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(n))
+
+    a, b, c, d = (ex.Var(ex.plain(n)) for n in "abcd")
+    kept = ex.And(ex.Or(a, b), ex.Or(c, d))  # its sum of products is larger
+    settled = [kept, chain(12), chain(20)]
+    tautology = ex.Or(chain(12), ex.Not(chain(12)))  # decided only at 9-16 atoms
+    assert [ex.simplify(e) for e in settled] == settled
+    assert ex.simplify(tautology, ex.DNF_ATOMS) is tautology
+    assert ex.simplify(tautology, 11) is tautology  # 12 atoms, over the bound: no fact
+    assert all(e.settled for e in settled)
+    assert tautology.wide and not tautology.settled
+    for name in ("_walk", "atom_set"):
+        monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    for bound in range(1, ex.EXACT_ATOMS + 1):
+        assert all(ex.simplify(e, bound) is e for e in settled)
+    for bound in range(1, ex.DNF_ATOMS + 1):
+        assert ex.simplify(tautology, bound) is tautology
