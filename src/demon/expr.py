@@ -7,24 +7,28 @@ it is read at, a proposition as <t,ap> and a monitor name as <t,&m>.
 The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
 and :func:`equivalent`, build a reduced ordered BDD for each call and accept
 any atom count.  :func:`simplify` takes a fold fixpoint, as the folding
-constructors and :func:`rewrite_fold` build, and gets every truth table it
-needs from one walk, :func:`_walk`, that also collects the atoms and the tree
-size.  It decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of
-products up to ``DNF_ATOMS`` atoms, where nearly every input in practice
-lies and costs one walk.  A caller may bound the atoms it simplifies:
+constructors and :func:`rewrite_fold` build, and makes one walk,
+:func:`_walk`, that collects the atoms, the tree size and a truth table of
+2^``SAMPLED_ATOMS`` rows: exact up to ``SAMPLED_ATOMS`` atoms, and past that a
+fixed sample of assignments that shows most wide conditions to be open.  Only
+a wide input whose sampled rows all agree is walked again, exactly.  It
+decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of products
+up to ``DNF_ATOMS`` atoms.  A caller may bound the atoms it simplifies:
 ``ehe.mov`` passes ``DNF_ATOMS`` and leaves a wider new entry as built, after
-one walk that stops at its ``DNF_ATOMS + 1``-th atom.  What a walk learns
+a walk that stops at its ``DNF_ATOMS + 1``-th atom.  What a walk learns
 that cannot change is kept on the node: ``wide`` (more than ``DNF_ATOMS``
-atoms) and ``settled`` (:func:`simplify` returns the node itself), so later
-calls on the same node return at once; ``ehe.mov`` marks a new entry wide
-when it holds a wide node.  Nothing is interned.  The lexer is shared
-with the LTL formula parser, and the LTL canonical form is decided through
-the same walk and :func:`qm_cover`.  :func:`truth_table` and :func:`tree_size`
-remain as the references the tests compare the walk against.
+atoms) and ``settled`` (:func:`simplify` returns the node itself, as it does
+for a sum of products it rebuilt), so later calls on the same node return at
+once; ``ehe.mov`` marks a new entry wide when it holds a wide node.  Nothing
+is interned.  The lexer is shared with the LTL formula parser, and the LTL
+canonical form is decided through the same walk and :func:`qm_cover`.
+:func:`truth_table` remains as the reference the tests compare the walk
+against.
 
 The costly parts of simplification are keyed by the Boolean function rather
-than by node identity: the truth-table column masks are cached per atom count
-(at most ``EXACT_ATOMS + 1`` counts), and Quine-McCluskey covers per
+than by node identity: the exact truth-table column masks are cached per atom
+count (at most ``EXACT_ATOMS + 1`` counts), the sampled ones are built once
+from a constant seed, and Quine-McCluskey covers are kept per
 ``(table, k)`` in a least-recently-used cache of ``_QM_CACHE_SIZE`` entries.
 Atoms are interned by :func:`plain`, :func:`timed` and :func:`monref`, each in
 a least-recently-used cache of ``_ATOM_CACHE_SIZE`` entries; atoms compare by
@@ -36,6 +40,7 @@ has run.
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -44,6 +49,8 @@ from .errors import ParseError
 
 EXACT_ATOMS = 16  # atom limit for simplify's truth tables
 DNF_ATOMS = 8  # atom limit for sum-of-products rebuilds
+SAMPLED_ATOMS = 9  # atoms a sampled truth table of 2^9 rows holds exactly
+_SAMPLE_SEED = 2005  # fixes the sampled rows past SAMPLED_ATOMS atoms
 _QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
 _ATOM_CACHE_SIZE = 1 << 16  # interned atoms kept per constructor
 
@@ -299,19 +306,6 @@ def bottom_up(e: Expr, memo: dict, var_value, const_value, not_value, bin_value)
     return memo[id(e)]
 
 
-def tree_size(e: Expr) -> tuple[int, int]:
-    """(atom leaves, NOT/AND/OR nodes) of ``e`` as a tree: shared subtrees
-    are counted once per occurrence."""
-    return bottom_up(
-        e,
-        {},
-        lambda _: (1, 0),
-        lambda _: (0, 0),
-        lambda n: (n[0], n[1] + 1),
-        lambda _, l, r: (l[0] + r[0], l[1] + r[1] + 1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rewriting and folding
 
@@ -402,6 +396,17 @@ def _columns(k: int) -> tuple[int, ...]:
             width <<= 1
         out.append(col)
     return tuple(out)
+
+
+# Column i is atom i's column in a sampled table of 2^SAMPLED_ATOMS rows:
+# exact for the first SAMPLED_ATOMS atoms, then fixed pseudo-random up to
+# EXACT_ATOMS.  Each row is a real assignment, so a sampled table that holds
+# both values shows that its function is not constant.
+_SAMPLED_COLUMNS = _columns(SAMPLED_ATOMS) + tuple(map(
+    random.Random(_SAMPLE_SEED).getrandbits,
+    [1 << SAMPLED_ATOMS] * (EXACT_ATOMS - SAMPLED_ATOMS),
+))
+_SAMPLED_FULL = (1 << (1 << SAMPLED_ATOMS)) - 1
 
 
 def truth_table(e: Expr, atoms: list[Atom]) -> int:
@@ -625,7 +630,7 @@ def qm_cover(table: int, k: int) -> Cover:
 
 
 def _cover_size(terms: Cover) -> tuple[int, int]:
-    """``tree_size`` of the DNF that :func:`_dnf_from_cover` builds from a
+    """Tree size, as :func:`_walk` counts it, of the DNF that :func:`_dnf_from_cover` builds from a
     cover of a non-constant function: one leaf per literal, one NOT per
     negative literal, and one fewer AND/OR node than literals."""
     leaves = sum(map(len, terms))
@@ -649,15 +654,25 @@ def _is_literal(e: Expr) -> bool:
 Walk = tuple[list[Atom], int, tuple[int, int]]
 
 
-def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
-    """One iterative post-order walk of ``e`` over truth tables of ``width``
-    columns.
+def _walk(e: Expr, limit: int = DNF_ATOMS, width: Optional[int] = None) -> Optional[Walk]:
+    """One iterative post-order walk of ``e`` over truth tables.
 
-    Returns None as soon as a ``width + 1``-th distinct atom appears.
+    With ``width`` given, atom i takes column i of :func:`_columns` (width):
+    exact tables of 2^width rows, for a ``limit`` of at most ``width``.  By
+    default atom i takes column i of ``_SAMPLED_COLUMNS``: tables of
+    2^``SAMPLED_ATOMS`` rows, exact up to ``SAMPLED_ATOMS`` atoms and a fixed
+    sample of real assignments beyond.
+
+    Returns None as soon as a ``limit + 1``-th distinct atom appears.
     Otherwise returns (atoms, table, size): the atoms in discovery order, the
-    truth table over them (bit j is row j, in which atom i takes bit i of j)
-    and the :func:`tree_size`."""
-    cols = _columns(width)
+    truth table over them (bit j is row j, in which atom i takes bit i of j
+    or, past ``SAMPLED_ATOMS``, bit j of its sampled column) and the tree size
+    as (atom leaves, NOT/AND/OR nodes), shared subtrees counted once per
+    occurrence."""
+    if width is None:
+        cols, width = _SAMPLED_COLUMNS, SAMPLED_ATOMS
+    else:
+        cols = _columns(width)
     full = (1 << (1 << width)) - 1
     index: dict[Atom, int] = {}
     memo: dict[int, tuple[int, int, int]] = {}  # id -> (table, leaves, operators)
@@ -672,7 +687,7 @@ def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
             i = index.get(node.atom)
             if i is None:
                 i = len(index)
-                if i == width:
+                if i == limit:
                     return None
                 index[node.atom] = i
             memo[id(node)] = (cols[i], 1, 0)
@@ -696,7 +711,8 @@ def _walk(e: Expr, width: int = DNF_ATOMS) -> Optional[Walk]:
             memo[id(node)] = (table, l[1] + r[1], l[2] + r[2] + 1)
         stack.pop()
     table, leaves, ops = memo[id(e)]
-    return list(index), table & ((1 << (1 << len(index))) - 1), (leaves, ops)
+    rows = 1 << min(len(index), width)
+    return list(index), table & ((1 << rows) - 1), (leaves, ops)
 
 
 def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
@@ -731,38 +747,44 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     default) is returned as given.  Up to that bound tautologies become TRUE
     and contradictions FALSE, and up to ``DNF_ATOMS`` atoms the expression is
     rebuilt as an irredundant sum of products when that is no larger;
-    otherwise the result is ``e`` itself.  The truth table comes from
-    :func:`_walk` over at most ``DNF_ATOMS`` columns, or over exactly as many
-    as the :func:`atom_set` of a wider input holds, which a bound of
-    ``DNF_ATOMS`` or less never counts.
+    otherwise the result is ``e`` itself.
 
-    Two facts about ``e`` follow from its structure alone, so once a call
-    learns one it records it on ``e`` for every later call:
+    One :func:`_walk` over the sampled columns, stopped at a ``max_atoms +
+    1``-th atom, gives the atoms, the size and the table, which is exact up to
+    ``SAMPLED_ATOMS`` atoms.  Past that, a sampled table that holds both
+    values shows that ``e`` is not constant; only one that reads constant is
+    walked again, over the exact columns of its atom count, so every result
+    is the one an exact table gives.
 
-    - ``e.wide``, set when a walk over ``DNF_ATOMS`` columns stops short:
-      ``e`` has more than ``DNF_ATOMS`` atoms.  A wide node is returned at
-      once under a bound of ``DNF_ATOMS`` or less, and a wider bound skips
-      straight to the atom count.
+    Two facts follow from a node's structure alone, so once a call learns
+    one it records it on the node for every later call:
+
+    - ``e.wide``, set when a walk bounded at ``DNF_ATOMS`` or more finds more
+      than ``DNF_ATOMS`` atoms.  A wide node is returned at once under a
+      bound of ``DNF_ATOMS`` or less.
     - ``e.settled``, set when the result at the full bound is ``e`` itself:
       a non-constant table with no smaller sum of products, or more than
-      ``EXACT_ATOMS`` atoms.  A settled node is returned at once under any
-      bound up to ``EXACT_ATOMS``.
+      ``EXACT_ATOMS`` atoms.  A sum of products that ``simplify`` rebuilds
+      is settled as it is built: walking it gives the same sorted table and
+      cover, and a cover size equal to its own size, so it is its own
+      result.  A settled node is returned at once under any bound up to
+      ``EXACT_ATOMS``; ``simplify`` of its own result returns that object.
     """
     if _is_literal(e) or e.settled or (e.wide and max_atoms <= DNF_ATOMS):
         return e
-    width = min(max_atoms, DNF_ATOMS)
-    walk = None if e.wide else _walk(e, width)
+    walk = _walk(e, max_atoms)
     if walk is None:
-        if width == DNF_ATOMS:
+        if max_atoms >= DNF_ATOMS:
             learn(e, "wide")
-        if max_atoms <= DNF_ATOMS:
-            return e
-        k = len(atom_set(e))
-        if k > max_atoms:
-            return learn(e, "settled") if k > EXACT_ATOMS else e
-        walk = _walk(e, k)
+        return learn(e, "settled") if max_atoms >= EXACT_ATOMS else e
     atoms, table, size = walk
     k = len(atoms)
+    if k > DNF_ATOMS:
+        learn(e, "wide")
+        if k > SAMPLED_ATOMS:
+            if 0 < table < _SAMPLED_FULL:  # sampled rows of both values
+                return learn(e, "settled")
+            atoms, table, size = _walk(e, k, k)  # reads constant: check exactly
     if table == (1 << (1 << k)) - 1:
         return TRUE
     if table == 0:
@@ -772,7 +794,7 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     table, atoms = _sort_variables(table, atoms)
     terms = qm_cover(table, k)
     if _cover_size(terms) <= size:
-        return _dnf_from_cover(terms, atoms)
+        return learn(_dnf_from_cover(terms, atoms), "settled")
     return learn(e, "settled")
 
 

@@ -113,13 +113,6 @@ class MetricsRecord:
         """Bytes sent, by (round, monitor)."""
         return {(s.t, s.monitor): s.bytes_sent for s in self.steps if s.sent}
 
-    def per_round_messages(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.steps:
-            if s.sent:
-                out[s.t] = out.get(s.t, 0) + len(s.sent)
-        return out
-
 
 def _work_table(rec: MetricsRecord) -> dict[int, list[int]]:
     """Work per round, one column per component in ``rec.components``

@@ -1,11 +1,12 @@
 """Oracles and constructions that only the tests use: exhaustive trace
 enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
-placement counts, expression DAG sizes and fresh structural copies, a
-simulation that shows each monitor's state after every round, the
-four-walk simplifier that ``expr.simplify`` must agree with, the search for
-the last resolved round that garbage collection cuts at, and the first trace
-on which two decentralized specifications disagree."""
+placement counts, expression tree and DAG sizes and fresh structural
+copies, messages per round, a simulation that shows each monitor's state
+after every round, the four-walk simplifier that ``expr.simplify`` must
+agree with, the search for the last resolved round that garbage collection
+cuts at, and the first trace on which two decentralized specifications
+disagree."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from demon import analysis as an
 from demon import ehe as eh
 from demon import engine as en
 from demon import expr as ex
+from demon import metrics as mt
 from demon.automaton import (
     DecentralizedSpec,
     DecentralizedTrace,
@@ -45,7 +47,7 @@ def memory_merge_all(memories: Iterable[Memory], strict: bool = False) -> Memory
 def max_label_size(a: Specification) -> int:
     """Largest atom count over the labels of the normalized automaton."""
     n = normalize(a)
-    return max((ex.tree_size(t.label)[0] for t in n.transitions), default=0)
+    return max((tree_size(t.label)[0] for t in n.transitions), default=0)
 
 
 def centralized_as_decentralized(a: Specification, component: str = "sys") -> DecentralizedSpec:
@@ -91,6 +93,19 @@ def count_compatible(net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]
     return sum(1 for _ in an._compatible_assignments(net, sys, constraint))
 
 
+def tree_size(e: ex.Expr) -> tuple[int, int]:
+    """(atom leaves, NOT/AND/OR nodes) of ``e`` as a tree: shared subtrees
+    are counted once per occurrence."""
+    return ex.bottom_up(
+        e,
+        {},
+        lambda _: (1, 0),
+        lambda _: (0, 0),
+        lambda n: (n[0], n[1] + 1),
+        lambda _, l, r: (l[0] + r[0], l[1] + r[1] + 1),
+    )
+
+
 def dag_nodes(exprs: Iterable[ex.Expr]) -> int:
     """Distinct nodes, by identity, of the DAG under ``exprs``.  Iterative:
     encodings can nest thousands of levels deep."""
@@ -117,6 +132,15 @@ def fresh_copy(e: ex.Expr, memo: Optional[dict] = None) -> ex.Expr:
                         lambda n: n, ex.Not, lambda n, l, r: type(n)(l, r))
 
 
+def per_round_messages(record: mt.MetricsRecord) -> dict[int, int]:
+    """Messages sent in each round, summed over the monitors."""
+    out: dict[int, int] = {}
+    for s in record.steps:
+        if s.sent:
+            out[s.t] = out.get(s.t, 0) + len(s.sent)
+    return out
+
+
 _ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
               "migrr": "migration_round", "chor": "choreography_round"}
 
@@ -141,9 +165,12 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.
 
 def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:
     """``expr.simplify(e, max_atoms)`` as four separate walks: fold, atoms,
-    truth table and tree size.  On a fold fixpoint, the input
+    truth table and tree size, all exact.  On a fold fixpoint, the input
     ``expr.simplify`` expects, ``expr.simplify`` must return a structurally
-    equal result, and ``e`` itself exactly when this does."""
+    equal result, and ``e`` itself exactly when this does, with one
+    exception: given a sum of products that it rebuilt itself,
+    ``expr.simplify`` returns that very object, where this returns a fresh
+    equal copy."""
     f = ex.fold(e)
     if isinstance(f, (ex.Const, ex.Var)) or (isinstance(f, ex.Not) and isinstance(f.operand, ex.Var)):
         return f
@@ -158,7 +185,7 @@ def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:
         return ex.FALSE
     if k <= ex.DNF_ATOMS:
         terms = ex.qm_cover(table, k)
-        if ex._cover_size(terms) <= ex.tree_size(f):
+        if ex._cover_size(terms) <= tree_size(f):
             return ex._dnf_from_cover(terms, atoms)
     return f
 

@@ -22,7 +22,7 @@ from demon.automaton import (
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import random_spec, random_trace
-from helpers import centralized_as_decentralized, entrywise_equivalent
+from helpers import centralized_as_decentralized, entrywise_equivalent, per_round_messages
 
 T, B, U = ex.TOP, ex.BOTTOM, ex.UNKNOWN
 
@@ -356,7 +356,7 @@ def test_criterion_10_11_13_agreement_and_invariants():
                     entries, span, nstates = s.gc
                     assert entries <= span * nstates
             if alg == "orch":
-                per_round = r.record.per_round_messages()
+                per_round = per_round_messages(r.record)
                 for t in range(1, min(tr.length, r.stop_round) + 1):
                     assert per_round.get(t, 0) == ncomp - 1
                 delays = [d for s in r.record.steps for d in s.delays]

@@ -19,6 +19,7 @@ from helpers import (
     last_resolved,
     max_label_size,
     reference_simplify,
+    tree_size,
 )
 
 T, B = ex.TOP, ex.BOTTOM
@@ -478,8 +479,8 @@ def test_mov_rows_match_simplify_on_fact_free_copies(monkeypatch):
             for r in range(t + 1, te + 1):
                 row, want = p.table[r], expected.table[r]
                 assert eh.dump(eh.EHE(spec, {r: row})) == eh.dump(eh.EHE(spec, {r: want}))
-                assert {q: ex.tree_size(c) for q, c in row.items()} == \
-                    {q: ex.tree_size(c) for q, c in want.items()}
+                assert {q: tree_size(c) for q, c in row.items()} == \
+                    {q: tree_size(c) for q, c in want.items()}
                 built += len(row)
             built -= len(calls)
             if rng.random() < 0.4:
@@ -551,7 +552,7 @@ def test_template_rows_match_direct_build(a, names):
             assert list(warm) == list(cold)
             for q in cold:
                 assert ex.to_text(warm[q]) == ex.to_text(cold[q]), (src, t, q)
-                assert ex.tree_size(warm[q]) == ex.tree_size(cold[q])
+                assert tree_size(warm[q]) == tree_size(cold[q])
                 assert dag_nodes([warm[q]]) == dag_nodes([cold[q]])
             assert dag_nodes(warm.values()) == dag_nodes(cold.values())
 
@@ -589,7 +590,7 @@ def _inc_view(p, m):
     size and DAG size, the encoding's DAG size, and the simplifications."""
     step = mt.Step(0, "m", "c")
     entries = eh.inc(p, m, step=step).entries
-    per_entry = [(k, ex.to_text(c), ex.tree_size(c), dag_nodes([c]))
+    per_entry = [(k, ex.to_text(c), tree_size(c), dag_nodes([c]))
                  for k, c in sorted(entries.items())]
     return per_entry, dag_nodes(entries.values()), step.simplifications
 
@@ -643,7 +644,7 @@ def test_mov_under_a_memory_builds_earlier_rows_as_without_it(a, names):
                 assert list(got) == list(want)
                 for q in want:
                     assert ex.to_text(got[q]) == ex.to_text(want[q])
-                    assert ex.tree_size(got[q]) == ex.tree_size(want[q])
+                    assert tree_size(got[q]) == tree_size(want[q])
                 assert dag_nodes(got.values()) == dag_nodes(want.values())
             assert _inc_view(moved, m) == _inc_view(plain, m)
 
@@ -711,7 +712,7 @@ def test_mov_skips_dead_sources_as_the_full_builder_would(a, names):
         assert list(got) == list(want), src
         for q in want:
             assert ex.to_text(got[q]) == ex.to_text(want[q]), (src, q)
-            assert ex.tree_size(got[q]) == ex.tree_size(want[q])
+            assert tree_size(got[q]) == tree_size(want[q])
             assert dag_nodes([got[q]]) == dag_nodes([want[q]])
         assert dag_nodes(got.values()) == dag_nodes(want.values())
         dead_only += sum(

@@ -22,7 +22,7 @@ from demon.errors import IncompatiblePlacement, InvalidParameters
 from demon.store import EMPTY_MEMORY, Event, Memory
 
 from conftest import random_spec, random_trace
-from helpers import last_resolved, simulate_observed
+from helpers import last_resolved, per_round_messages, simulate_observed
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -172,7 +172,7 @@ class TestOrchestration:
              for t in range(1, 5) for c, p in (("A", "a"), ("B", "x"), ("C", "y"))},
         )
         r = en.simulate(en.SimConfig("orch"), fig3, complete(("A", "B", "C")), tr)
-        per_round = r.record.per_round_messages()
+        per_round = per_round_messages(r.record)
         for t in range(1, 5):
             assert per_round[t] == 2  # |C| - 1
 
@@ -307,7 +307,7 @@ def test_migration_per_round_messages_bounded_by_active(fig1):
         for m in (1, 2):
             r = en.simulate(en.SimConfig("migrr", initial_active=m), spec,
                             complete(tr.components), tr)
-            per_round = r.record.per_round_messages()
+            per_round = per_round_messages(r.record)
             for idx, active in enumerate(r.record.active_counts, start=1):
                 assert per_round.get(idx, 0) <= max(active, m)
 

@@ -16,7 +16,7 @@ from demon.errors import ParseError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
-from helpers import fresh_copy, reference_simplify
+from helpers import fresh_copy, reference_simplify, tree_size
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -301,7 +301,7 @@ def test_deep_expressions_do_not_overflow():
     deep = ex.Var(ex.plain("x0"))
     for i in range(1, 5000):
         deep = ex.Or(ex.And(deep, ex.Var(ex.plain(f"x{i % 40}"))), ex.Var(ex.plain("y")))
-    assert ex.tree_size(deep) == (9999, 9998)
+    assert tree_size(deep) == (9999, 9998)
     assert ex.rewrite_fold(deep, Memory()) is deep
     m = mem(y=ex.TOP)
     assert ex.eval_expr(deep, m) is ex.TOP  # y short-circuits every level
@@ -336,7 +336,7 @@ def test_qm_cover_cache_matches_uncached_cover():
         assert ex.qm_cover(table, k) is terms
         assert isinstance(terms, tuple) and all(isinstance(t, tuple) for t in terms)
         dnf = ex._dnf_from_cover(terms, atoms)
-        assert ex._cover_size(terms) == ex.tree_size(dnf), (table, k)
+        assert ex._cover_size(terms) == tree_size(dnf), (table, k)
         assert ex.truth_table(dnf, atoms) == table
 
 
@@ -417,7 +417,7 @@ def test_folded_small_input_is_walked_once(monkeypatch):
     octet = ex.conj_all(ex.Var(ex.plain(f"x{i}")) for i in range(8))
     cases = [rebuilt, kept, ex.Or(b, ex.Not(b)), ex.And(ex.Not(c), c), octet]
     expected = [reference_simplify(e) for e in cases]
-    for name in ("fold", "atoms_of", "truth_table", "tree_size"):
+    for name in ("fold", "atoms_of", "truth_table"):
         monkeypatch.setattr(ex, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     assert [ex.simplify(e) for e in cases] == expected
     assert expected[0] == ex.And(a, b) and expected[1] is kept
@@ -520,8 +520,10 @@ def test_recorded_facts_keep_every_simplify_result(lo, hi):
             got = ex.simplify(e, bound)
             assert got == expected
             assert (got is e) == (expected is copy)
-            again, copy = ex.simplify(got, bound), fresh_copy(got)  # a rebuilt result too
-            assert (again is got) == (reference_simplify(copy, bound) is copy)
+            # simplify's own result, a rebuilt sum of products included, is
+            # its own result again: the very object, not a fresh copy
+            again = ex.simplify(got, bound)
+            assert again is got and again == reference_simplify(fresh_copy(got), bound)
         copy = fresh_copy(e)
         assert e.wide == (len(ex.atom_set(e)) > ex.DNF_ATOMS)
         assert e.settled == (not ex._is_literal(e) and reference_simplify(copy) is copy)
@@ -551,3 +553,56 @@ def test_recorded_fact_answers_without_a_walk(monkeypatch):
         assert all(ex.simplify(e, bound) is e for e in settled)
     for bound in range(1, ex.DNF_ATOMS + 1):
         assert ex.simplify(tautology, bound) is tautology
+
+
+def _unsampled_minterm(k, row):
+    """A conjunction of one literal for each of ``k`` > ``SAMPLED_ATOMS``
+    atoms that no sampled row satisfies: the exact literals hold at sampled
+    row ``row`` only, and the first sampled one fails there."""
+    lits = []
+    for i in range(k):
+        x = ex.Var(ex.plain(f"x{i:02d}"))
+        holds = bool(ex._SAMPLED_COLUMNS[i] >> row & 1) == (i < ex.SAMPLED_ATOMS)
+        lits.append(x if holds else ex.Not(x))
+    return ex.conj_all(lits)
+
+
+@pytest.mark.parametrize("k", [10, 12, ex.EXACT_ATOMS])
+def test_sparse_wide_function_is_walked_again_exactly(k, monkeypatch):
+    # The sampled rows of these functions all read one value, although the
+    # functions are not constant: simplify must walk them again over exact
+    # columns and give what the exact reference gives.  A tautology or a
+    # contradiction reads constant on every row, so it takes the same path.
+    one = _unsampled_minterm(k, (1 << ex.SAMPLED_ATOMS) - 1)
+    open_cases = [one, ex.neg(one), ex.disj(one, _unsampled_minterm(k, 0))]
+    constant_cases = [ex.disj(one, ex.neg(one)), ex.conj(one, ex.neg(one))]
+    real_walk = ex._walk
+    for e in open_cases + constant_cases:
+        assert ex.fold(e) is e
+        assert real_walk(e, k)[1] in (0, ex._SAMPLED_FULL)
+    walks = []
+    monkeypatch.setattr(ex, "_walk", lambda e, *args: walks.append(args) or real_walk(e, *args))
+    for e in open_cases:
+        copy = fresh_copy(e)
+        expected = reference_simplify(copy)
+        got = ex.simplify(e)
+        assert got == expected and (got is e) == (expected is copy)
+        assert got is e and e.settled
+    assert [ex.simplify(e) for e in constant_cases] == [ex.TRUE, ex.FALSE]
+    assert walks == [(ex.EXACT_ATOMS,), (k, k)] * 5
+
+
+@pytest.mark.parametrize("n", [ex.DNF_ATOMS + 2, ex.EXACT_ATOMS, ex.EXACT_ATOMS + 1])
+def test_wide_open_node_takes_one_walk(n, monkeypatch):
+    # A node past SAMPLED_ATOMS atoms whose sampled rows hold both values is
+    # open: the first call at the full bound settles it after one walk, with
+    # no atom count; so is a node past EXACT_ATOMS atoms.
+    e = ex.disj(ex.Var(ex.plain("x00")),
+                ex.conj_all(ex.Var(ex.plain(f"x{i:02d}")) for i in range(1, n)))
+    real_walk = ex._walk
+    walks = []
+    monkeypatch.setattr(ex, "_walk", lambda *args: walks.append(args) or real_walk(*args))
+    monkeypatch.setattr(ex, "atom_set", lambda *args: pytest.fail("atom_set called"))
+    assert ex.simplify(e) is e
+    assert walks == [(e, ex.EXACT_ATOMS)]
+    assert e.wide and e.settled
