@@ -5,6 +5,16 @@ reads its component's observations for the round, processes delivered
 messages, computes, and emits messages that become available ``comm_delay``
 rounds later.  Four algorithms are provided: orchestration, migration with
 the earliest-obligation and round-robin heuristics, and choreography.
+
+All four share one monitor state and one round step, the general
+decentralized algorithm: take in the inbox (a memory merges into the
+memory, an encoding into the encoding, or activates it) and the
+observation, ``mov`` the encoding to the round and fold it with ``inc``,
+resolve, collect garbage and send.  Per algorithm, ``orch`` runs no ``inc``
+and its monitors with no encoding forward their observations; ``orch``,
+``migr`` and ``migrr`` cut at the last resolved state, while ``chor`` drops
+only a constant prefix and respawns after each verdict; ``migr`` and
+``migrr`` hand the encoding off.
 """
 
 from __future__ import annotations
@@ -56,50 +66,28 @@ class Message:
 
 
 # ---------------------------------------------------------------------------
-# Monitor states
+# Monitor state
 
 
 @dataclass
-class ForwarderState:
+class MonitorState:
+    """One monitor under any algorithm.  An ``orch`` forwarder and an idle
+    ``migr``/``migrr`` monitor hold no encoding."""
+
     name: str
     component: str
-    main: str
+    ehe: Optional[eh.EHE] = None
+    memory: Memory = field(default_factory=dict)
+    refs: frozenset[str] = frozenset()  # sent to: the orch main monitor, or chor parents
+    corefs: frozenset[str] = frozenset()  # chor children sending verdicts here
+    t_kn: int = 0  # last round resolved
+    t_mon: int = 1  # round the chor instance is anchored at
+    prefix_evals: int = 0  # what each _resolve would spend on the rows chor dropped
 
-
-@dataclass
-class MainState:
-    name: str
-    component: str
-    t_kn: int
-    memory: Memory
-    ehe: eh.EHE
-
-
-@dataclass
-class MigrationState:
-    name: str
-    component: str
-    is_active: bool
-    memory: Memory
-    ehe: eh.EHE
-    t_kn: int = 0
-
-
-@dataclass
-class ChorState:
-    name: str
-    component: str
-    t_mon: int
-    memory: Memory
-    ehe: eh.EHE
-    refs: frozenset[str]  # parents notified of verdicts; none at the root
-    corefs: frozenset[str]  # children sending verdicts here
-    t_kn: int = 0
-    prefix_evals: int = 0  # what each _resolve would spend on the dropped rows
-
-
-# Not ``typing.Union``, whose cache would keep this module alive (see traces).
-MonitorState = ForwarderState | MainState | MigrationState | ChorState
+    @property
+    def is_active(self) -> bool:
+        """Whether the monitor holds an encoding."""
+        return self.ehe is not None
 
 
 @dataclass
@@ -177,40 +165,22 @@ def setup(
         raise InvalidParameters(msg)
     if cfg.algorithm == "orch":
         spec = _expect_spec(spec_input)
-        main_comp = comps[0]
-        placements = {"m0": main_comp}
-        states: dict[str, MonitorState] = {
-            "m0": MainState("m0", main_comp, t_kn=0, memory=EMPTY_MEMORY, ehe=eh.init(spec))
-        }
-        edges = set()
+        states = {"m0": MonitorState("m0", comps[0], eh.init(spec))}
         for comp in comps[1:]:
-            name = f"f_{comp}"
-            placements[name] = comp
-            states[name] = ForwarderState(name, comp, "m0")
-            edges.add((name, "m0"))
-        network = analysis.Graph.of(sorted(placements), edges)
-        result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner))
+            states[f"f_{comp}"] = MonitorState(f"f_{comp}", comp, refs=frozenset({"m0"}))
+        edges = {(name, "m0") for name in states if name != "m0"}
     elif cfg.algorithm in ("migr", "migrr"):
         spec = _expect_spec(spec_input)
-        placements = {f"m_{comp}": comp for comp in comps}
-        network = analysis.complete_graph(tuple(sorted(placements)))
+        ranked = []  # migr: earliest obligation first, after one move from the start
         if cfg.algorithm == "migr":
-            # earliest-obligation preference after one move from the start
             ranked = _obligation_owners(eh.mov(eh.init(spec), 0, 1), ap_owner)
-        else:
-            ranked = []
-        for comp in comps:  # fill up deterministically
-            if comp not in ranked:
-                ranked.append(comp)
+        ranked += [comp for comp in comps if comp not in ranked]  # fill up deterministically
         active = set(ranked[: cfg.initial_active])
         states = {
-            f"m_{comp}": MigrationState(
-                f"m_{comp}", comp, is_active=comp in active,
-                memory=EMPTY_MEMORY, ehe=eh.init(spec),
-            )
+            f"m_{comp}": MonitorState(f"m_{comp}", comp, eh.init(spec) if comp in active else None)
             for comp in comps
         }
-        result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner))
+        edges = {(a, b) for a in states for b in states if a != b}
     else:  # choreography: the network is the reversed monitor dependency graph
         d = spec_input
         if isinstance(d, lt.Ltl):
@@ -230,19 +200,15 @@ def setup(
             raise SpecificationError(f"the trace observes {moved} off their ap_owner component")
         edges = {(child, parent) for parent, child in deps.edges if parent in placements}
         states = {
-            name: ChorState(
-                name=name,
-                component=comp,
-                t_mon=1,
-                memory=EMPTY_MEMORY,
-                ehe=eh.init(d.monitors[name]),
-                refs=frozenset(p for c, p in edges if c == name),
-                corefs=frozenset(c for c, p in edges if p == name),
-            )
+            name: MonitorState(name, comp, eh.init(d.monitors[name]),
+                               refs=frozenset(p for c, p in edges if c == name),
+                               corefs=frozenset(c for c, p in edges if p == name))
             for name, comp in placements.items()
         }
-        result = Setup(cfg, analysis.Graph.of(placements, edges), placements, states,
-                       ap_owner=dict(ap_owner), monitor_names=frozenset(placements))
+    placements = {name: state.component for name, state in states.items()}
+    names = frozenset(states) if cfg.algorithm == "chor" else frozenset()
+    result = Setup(cfg, analysis.Graph.of(sorted(states), edges), placements, states,
+                   dict(ap_owner), names)
     rm = analysis.compute_reach(result.network)
     rs = analysis.compute_reach(system)
     if not analysis.verify_compatible(result.placements, rm, rs):
@@ -300,7 +266,7 @@ def assemble_choreography(
 
 
 def _resolve(
-    state: Union[MainState, MigrationState, ChorState],
+    state: MonitorState,
     t: int,
     step: mt.Step,
     memo: Optional[dict[int, ex.Expr]] = None,
@@ -326,7 +292,7 @@ def _resolve(
     return None, last
 
 
-def orchestration_round(
+def _monitor_round(
     state: MonitorState,
     t: int,
     obs: Event,
@@ -334,40 +300,109 @@ def orchestration_round(
     step: mt.Step,
     setup: Setup,
 ) -> tuple[list[Message], Optional[Verdict]]:
-    if isinstance(state, ForwarderState):
-        if obs.is_empty:
-            return [], None
-        return [Message("mem", sender=state.name, receiver=state.main, sent_at=t,
-                        payload=mem_from_event(obs, t))], None
-
-    assert isinstance(state, MainState)
+    """One monitor's round under any algorithm (see the module docstring).  A
+    monitor with no encoding keeps its memory, or forwards its observation."""
     for msg in inbox:
-        state.memory = memory_merge(state.memory, msg.payload)
+        if msg.kind == "ehe":  # merged into the encoding, or activating it
+            state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
+            state.t_kn = max(state.t_kn, msg.payload.first_round())
+        else:
+            state.memory = memory_merge(state.memory, msg.payload)
     if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
-    end = state.ehe.last_round()
-    if end < t:
-        state.ehe = eh.mov(state.ehe, end, t, memory=state.memory)
-    memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
-    evals = step.evaluations
-    verdict, last = _resolve(state, t, step, memo)
-    if verdict is None:
-        step.evaluations += step.evaluations - evals  # conv_e charges GC for these rows too
+        mem = mem_from_event(obs, t)
+        if state.ehe is None and state.refs:  # an orch forwarder keeps nothing
+            (main,) = state.refs
+            return [Message("mem", state.name, main, t, mem)], None
+        state.memory = memory_merge(state.memory, mem)
+    alg = setup.cfg.algorithm
+    outbox: list[Message] = []
+    # a chor instance respawned past the current round waits for its round
+    while state.ehe is not None and state.ehe.first_round() <= t:
+        end = state.ehe.last_round()
+        if end < t:
+            state.ehe = eh.mov(state.ehe, end, t, setup.monitor_names, state.memory)
+        if alg != "orch":
+            state.ehe = eh.inc(state.ehe, state.memory, step=step)
+        memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
+        step.evaluations += state.prefix_evals
+        evals = step.evaluations
+        verdict, last = _resolve(state, t, step, memo)
+        if verdict is None:
+            _collect_garbage(state, alg, last, step, step.evaluations - evals, memo)
+            if alg in ("migr", "migrr"):
+                outbox += _hand_off(state, t, setup)
+            break
+        if not state.refs:
+            # The verdict ends the run: the chor root's kills are counted, never delivered.
+            return outbox + [Message("kill", state.name, child, t)
+                             for child in sorted(state.corefs)], verdict
+        # A chor verdict goes to the parents, and a fresh instance starts at the next round.
+        payload = {ex.monref(state.t_mon, state.name): verdict}
+        outbox += [Message("verdict", state.name, ref, t, payload) for ref in sorted(state.refs)]
+        anchor = state.t_mon
+        state.t_mon = anchor + 1
+        automaton = state.ehe.automaton
+        state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
+        state.t_kn = anchor
+        state.prefix_evals = 0
+        state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
+    return outbox, None
+
+
+# simulate calls each algorithm's round by its name, looked up when it runs, so a
+# wrapper installed under one name sees only that algorithm's rounds.
+orchestration_round = migration_round = choreography_round = _monitor_round
+ROUND_NAMES = {"orch": "orchestration_round", "migr": "migration_round",
+               "migrr": "migration_round", "chor": "choreography_round"}
+
+
+def _collect_garbage(
+    state: MonitorState,
+    alg: str,
+    last: Optional[tuple[int, str]],
+    step: mt.Step,
+    evals: int,
+    memo: dict[int, ex.Expr],
+) -> None:
+    """Cut the encoding after an unresolved round and record its footprint.
+    ``chor`` drops only its constant prefix, and its root forgets its memory,
+    folded in by ``inc``.  The others drop the rounds before ``last``, and
+    conv_e charges the ``evals`` that found it once more.  ``orch``'s kept rows
+    still reach the dropped history: it folds them (uncounted, as it never sends
+    them) and forgets its memory, whose atoms are all stamped by now."""
+    if alg == "chor":
+        _drop_prefix(state)
+        if not state.refs:
+            state.memory = EMPTY_MEMORY
+    else:
+        step.evaluations += evals
         kept = eh.drop_resolved(state.ehe, last)
-        if kept is not state.ehe:
-            # Without inc, kept rows still reach the dropped history: fold them (uncounted,
-            # as orch never sends its encoding), then forget the memory: every atom is
-            # stamped at or before t, and folded in.
+        if alg == "orch" and kept is not state.ehe:
             table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
                      for r, row in kept.table.items()}
             kept = eh.EHE(kept.automaton, table)
             state.memory = EMPTY_MEMORY
         state.ehe = kept
-        step.gc = _footprint(state.ehe)
-    return [], verdict
+    p = state.ehe
+    step.gc = len(p), p.last_round() - p.first_round() + 1, len(p.automaton.states)
 
 
-def _drop_prefix(state: ChorState) -> None:
+def _hand_off(state: MonitorState, t: int, setup: Setup) -> list[Message]:
+    """Send the encoding on to the owner of its earliest obligation (``migr``)
+    or the next component (``migrr``), unless that is this monitor's own."""
+    if setup.cfg.algorithm == "migr":
+        owners = _obligation_owners(state.ehe, setup.ap_owner)
+        target = owners[0] if owners else state.component
+    else:
+        comps = sorted(set(setup.placements.values()))
+        target = comps[(comps.index(state.component) + 1) % len(comps)]
+    if target == state.component:
+        return []
+    payload, state.ehe = state.ehe, None
+    return [Message("ehe", state.name, f"m_{target}", t, payload)]
+
+
+def _drop_prefix(state: MonitorState) -> None:
     """Drop the leading rows before ``t_kn`` (never the last) of constants with one
     TRUE: every later ``_resolve`` would pass each at the cost ``prefix_evals`` keeps."""
     rows = list(state.ehe.table.items())
@@ -381,112 +416,6 @@ def _drop_prefix(state: ChorState) -> None:
         drop += 1
     if drop:
         state.ehe = eh.EHE(state.ehe.automaton, dict(rows[drop:]))
-
-
-def _footprint(p: eh.EHE) -> tuple[int, int, int]:
-    """(entries, round span, automaton states) of an encoding."""
-    span = p.last_round() - p.first_round() + 1 if p.table else 0
-    return len(p), span, len(p.automaton.states)
-
-
-def _round_robin(components: list[str], own: str) -> str:
-    i = components.index(own)
-    return components[(i + 1) % len(components)]
-
-
-def migration_round(
-    state: MonitorState,
-    t: int,
-    obs: Event,
-    inbox: list[Message],
-    step: mt.Step,
-    setup: Setup,
-) -> tuple[list[Message], Optional[Verdict]]:
-    assert isinstance(state, MigrationState)
-    if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
-    for msg in inbox:
-        if state.is_active:
-            state.ehe = eh.merge(state.ehe, msg.payload)
-        else:
-            state.ehe = msg.payload
-            state.is_active = True
-        state.t_kn = max(state.t_kn, msg.payload.first_round())
-    if not state.is_active:
-        return [], None
-    end = state.ehe.last_round()
-    if end < t:
-        state.ehe = eh.mov(state.ehe, end, t, memory=state.memory)
-    state.ehe = eh.inc(state.ehe, state.memory, step=step)
-    evals = step.evaluations
-    verdict, last = _resolve(state, t, step)
-    if verdict is not None:
-        return [], verdict
-    step.evaluations += step.evaluations - evals  # conv_e charges GC for these rows too
-    state.ehe = eh.drop_resolved(state.ehe, last)
-    step.gc = _footprint(state.ehe)
-    if setup.cfg.algorithm == "migr":
-        owners = _obligation_owners(state.ehe, setup.ap_owner)
-        target = owners[0] if owners else state.component
-    else:
-        target = _round_robin(sorted(set(setup.placements.values())), state.component)
-    if target == state.component:
-        return [], None
-    state.is_active = False
-    return [Message("ehe", sender=state.name, receiver=f"m_{target}", sent_at=t,
-                    payload=state.ehe)], None
-
-
-def choreography_round(
-    state: MonitorState,
-    t: int,
-    obs: Event,
-    inbox: list[Message],
-    step: mt.Step,
-    setup: Setup,
-) -> tuple[list[Message], Optional[Verdict]]:
-    assert isinstance(state, ChorState)
-    name = state.name
-    outbox: list[Message] = []
-    for msg in inbox:
-        state.memory = memory_merge(state.memory, msg.payload)
-    if not obs.is_empty:
-        state.memory = memory_merge(state.memory, mem_from_event(obs, t))
-
-    mon_names = setup.monitor_names
-    while True:
-        base = state.ehe.first_round()
-        if base > t:
-            break  # instance anchored past the current round: nothing to do yet
-        end = state.ehe.last_round()
-        if end < t:
-            state.ehe = eh.mov(state.ehe, end, t, mon_names, state.memory)
-        state.ehe = eh.inc(state.ehe, state.memory, step=step)
-        step.evaluations += state.prefix_evals
-        found, _ = _resolve(state, t, step)
-        if found is None:
-            _drop_prefix(state)
-            if not state.refs:  # the root has folded in every atom, all stamped <= t
-                state.memory = EMPTY_MEMORY
-            step.gc = _footprint(state.ehe)
-            break
-        if not state.refs:
-            # The verdict ends the run: the kills are counted, never delivered.
-            for child in sorted(state.corefs):
-                outbox.append(Message("kill", sender=name, receiver=child, sent_at=t))
-            return outbox, found
-        payload = {ex.monref(state.t_mon, name): found}
-        for parent in sorted(state.refs):
-            outbox.append(Message("verdict", sender=name, receiver=parent, sent_at=t,
-                                  payload=payload))
-        anchor = state.t_mon
-        state.t_mon = anchor + 1
-        automaton = state.ehe.automaton
-        state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
-        state.t_kn = anchor
-        state.prefix_evals = 0
-        state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
-    return outbox, None
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +444,7 @@ def simulate(
     pending: list[Message] = []  # in send order
     reported: Optional[Verdict] = None
     stop_round = max(horizon, 1)
-    if cfg.algorithm == "orch":
-        round_fn = orchestration_round
-    elif cfg.algorithm == "chor":
-        round_fn = choreography_round
-    else:
-        round_fn = migration_round
+    round_fn = globals()[ROUND_NAMES[cfg.algorithm]]
 
     for t in range(1, horizon + 1):
         due = [m for m in pending if m.sent_at + cfg.comm_delay <= t]
@@ -538,14 +462,6 @@ def simulate(
             record.steps.append(step)
             if verdict is not None and verdict.is_final and reported is None:
                 reported = verdict
-        if cfg.algorithm in ("migr", "migrr"):
-            record.active_counts.append(
-                sum(
-                    1
-                    for s in st.states.values()
-                    if isinstance(s, MigrationState) and s.is_active
-                )
-            )
         if reported is not None:
             stop_round = t
             break

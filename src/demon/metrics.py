@@ -100,7 +100,6 @@ class MetricsRecord:
 
     components: tuple[str, ...]
     steps: list[Step] = field(default_factory=list)
-    active_counts: list[int] = field(default_factory=list)
     run_length: int = 0
 
     @property

@@ -3,10 +3,10 @@ enumeration, the one-monitor wrapping of a centralized specification,
 entrywise encoding comparison, folded memory merges, label-size and
 placement counts, expression tree and DAG sizes and fresh structural
 copies, messages per round, a simulation that shows each monitor's state
-after every round, the four-walk simplifier that ``expr.simplify`` must
-agree with, the search for the last resolved round that garbage collection
-cuts at, and the first trace on which two decentralized specifications
-disagree."""
+after every round and one that counts the active monitors per round, the
+four-walk simplifier that ``expr.simplify`` must agree with, the search for
+the last resolved round that garbage collection cuts at, and the first trace
+on which two decentralized specifications disagree."""
 
 from __future__ import annotations
 
@@ -141,14 +141,10 @@ def per_round_messages(record: mt.MetricsRecord) -> dict[int, int]:
     return out
 
 
-_ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
-              "migrr": "migration_round", "chor": "choreography_round"}
-
-
 def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.SimRun:
     """``engine.simulate`` that calls ``observe(state)`` after each monitor's
     round, with the monitor state as that round left it."""
-    name = _ROUND_FNS[cfg.algorithm]
+    name = en.ROUND_NAMES[cfg.algorithm]
     inner = getattr(en, name)
 
     def round_fn(state, *args):
@@ -161,6 +157,19 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.
         return en.simulate(cfg, spec_input, system, tr)
     finally:
         setattr(en, name, inner)
+
+
+def active_counts(cfg: en.SimConfig, spec_input, system, tr) -> tuple[en.SimRun, list[int]]:
+    """``engine.simulate`` and the number of monitors holding an encoding at
+    the end of each round.  No message arrives in the round it is sent, so a
+    monitor's state after its own step is its state at the end of the round;
+    the run records one step per observed state, in the same order."""
+    seen: list[bool] = []
+    run = simulate_observed(cfg, spec_input, system, tr, lambda s: seen.append(s.is_active))
+    counts: dict[int, int] = {}
+    for step, active in zip(run.record.steps, seen):
+        counts[step.t] = counts.get(step.t, 0) + active
+    return run, list(counts.values())
 
 
 def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:

@@ -22,7 +22,12 @@ from demon.automaton import (
 from demon.store import Memory, mem_from_event, memory_merge
 
 from conftest import random_spec, random_trace
-from helpers import centralized_as_decentralized, entrywise_equivalent, per_round_messages
+from helpers import (
+    active_counts,
+    centralized_as_decentralized,
+    entrywise_equivalent,
+    per_round_messages,
+)
 
 T, B, U = ex.TOP, ex.BOTTOM, ex.UNKNOWN
 
@@ -347,7 +352,7 @@ def test_criterion_10_11_13_agreement_and_invariants():
         system = an.complete_graph(tr.components)
         ncomp = len(tr.components)
         for alg in ("orch", "migr", "migrr"):
-            r = en.simulate(en.SimConfig(alg), spec, system, tr)
+            r, active = active_counts(en.SimConfig(alg), spec, system, tr)
             assert r.verdict is oracle, (alg, oracle, r.verdict)
             # Criterion 13: every garbage collection stays within the
             # observed round span times the state count.
@@ -365,7 +370,7 @@ def test_criterion_10_11_13_agreement_and_invariants():
                 assert all(d <= 1 for d in delays)
                 assert sum(s.simplifications for s in r.record.steps) == 0
             if alg == "migr":
-                assert all(n <= 1 for n in r.record.active_counts)
+                assert all(n <= 1 for n in active)
     assert final_oracles >= 60, final_oracles
     _report("10 (ORCH/MIGR/MIGRR agree with the centralized oracle)")
     _report("11 (ORCH message/delay/simplification and MIGR active bounds)")

@@ -1,7 +1,8 @@
 """What the benchmark under ``bench/`` reads from the library: the module
-attributes its tracer wraps, the round argument of the round functions, the
-per-(round, monitor) message and byte mappings of a run's record, and the
-entry count of the encodings its hooks see."""
+attributes its tracer wraps, the round argument of the round functions and
+the one round name each algorithm's calls go through, the per-(round,
+monitor) message and byte mappings of a run's record, and the entry count of
+the encodings its hooks see."""
 
 import importlib
 import inspect
@@ -56,6 +57,31 @@ def test_record_message_totals_match_summary(alg):
     assert sum(data.values()) / n == summary.data_per_round
     if alg == "orch":
         assert sum(messages.values()) > 0
+
+
+# The round name the benchmark's metrics read for each algorithm, written out
+# here rather than taken from engine.ROUND_NAMES, so the test pins it.
+ROUND_OF = {"orch": "orchestration_round", "migr": "migration_round",
+            "migrr": "migration_round", "chor": "choreography_round"}
+
+
+@pytest.mark.parametrize("alg", en.ALGORITHMS)
+def test_traced_rounds_land_under_their_algorithm(alg):
+    # The engine.*_round metrics and each algorithm's step_growth read the
+    # calls made through that algorithm's round name; a simulate that bound
+    # its round at import, or called one shared body directly, would zero them.
+    phi = lt.parse_ltl("F (a0 && a2 && a4)")
+    tr = tg.generate(tg.TraceGenConfig(components=3, length=8, seed=3))
+    spec_input = phi if alg == "chor" else lt.synthesize(phi)
+    with tracer.Tracer() as tracing:
+        tracing.run_id = 0
+        r = en.simulate(en.SimConfig(alg), spec_input, an.complete_graph(tr.components), tr)
+    counts = tracing.counts()
+    for name in tracer.ROUND_FUNCTIONS:
+        calls = counts[f"engine.{name}"]
+        assert calls > 0 if name == ROUND_OF[alg] else calls == 0, (alg, name, calls)
+    # step_growth reads the host time of every round
+    assert sorted(t for run, t in tracing.round_s if run == 0) == list(range(1, r.stop_round + 1))
 
 
 def test_traced_merge_reads_entry_count():

@@ -19,10 +19,10 @@ from demon.automaton import (
 )
 from demon.ehe import EHE
 from demon.errors import IncompatiblePlacement, InvalidParameters
-from demon.store import EMPTY_MEMORY, Event, Memory
+from demon.store import Event, Memory
 
-from conftest import random_spec, random_trace
-from helpers import last_resolved, per_round_messages, simulate_observed
+from conftest import load_module, random_spec, random_trace
+from helpers import active_counts, last_resolved, per_round_messages, simulate_observed
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -133,7 +133,7 @@ def test_resolve_returns_where_garbage_collection_cuts():
         if rng.random() < 0.4:  # start past round 0, so the first round may be open
             p = EHE(spec, dict(list(p.table.items())[rng.randint(1, n):]))
         m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.5})
-        state = en.MigrationState("m_c", "c", is_active=True, memory=m, ehe=p)
+        state = en.MonitorState("m_c", "c", p, m)
         verdict, last = en._resolve(state, n, mt.Step(n, "m_c", "c"))
         if verdict is None:
             assert last == last_resolved(p, m)
@@ -184,8 +184,8 @@ class TestMigration:
             spec, aps = random_spec(rng, max_states=4, max_aps=3,
                                     absorbing_finals=True, require_final=True)
             tr = random_trace(rng, aps, 3, 8)
-            r = en.simulate(en.SimConfig("migr"), spec, complete(tr.components), tr)
-            assert all(n <= 1 for n in r.record.active_counts)
+            _, active = active_counts(en.SimConfig("migr"), spec, complete(tr.components), tr)
+            assert all(n <= 1 for n in active)
 
     def test_round_robin_always_migrates(self, fig3):
         tr = DecentralizedTrace(
@@ -291,9 +291,9 @@ class TestMultipleActiveMonitors:
             aps = ["p0", "p1", "p2"]
         tr = random_trace(rng, aps[:3], 3, 8)
         cfg = en.SimConfig("migr", initial_active=2)
-        r = en.simulate(cfg, spec, complete(tr.components), tr)
-        assert all(n <= 2 for n in r.record.active_counts)
-        assert r.record.active_counts[0] <= 2
+        _, active = active_counts(cfg, spec, complete(tr.components), tr)
+        assert all(n <= 2 for n in active)
+        assert active[0] <= 2
 
 
 def test_migration_per_round_messages_bounded_by_active(fig1):
@@ -305,10 +305,10 @@ def test_migration_per_round_messages_bounded_by_active(fig1):
             continue
         tr = random_trace(rng, aps, 3, 8)
         for m in (1, 2):
-            r = en.simulate(en.SimConfig("migrr", initial_active=m), spec,
-                            complete(tr.components), tr)
+            r, counts = active_counts(en.SimConfig("migrr", initial_active=m), spec,
+                                      complete(tr.components), tr)
             per_round = per_round_messages(r.record)
-            for idx, active in enumerate(r.record.active_counts, start=1):
+            for idx, active in enumerate(counts, start=1):
                 assert per_round.get(idx, 0) <= max(active, m)
 
 
@@ -361,6 +361,47 @@ LONG_DELAYS = (1, 3)
 LONG_ROWS_SHA256 = "6723c006d2ba048be4c427929d200e2fcf06dfc1b4d1a267a3a19471c398b2c7"
 
 
+STEP_GRID_SEED = 2306  # both sizes draw all four formula shapes
+# SHA-256 of every Step of every run below, with its verdict and stop round:
+# the CSV digests see only summaries, so this is the one check on each
+# step's garbage-collection footprint, delays and sends.
+STEP_STREAM_SHA256 = "e91d621f80dd8527020575a6220ed2892a282d1b31f917d15d184c341b3f0e17"
+
+
+def _step_grid_configs():
+    """Every algorithm at comm_delay 1 and 3, and migr/migrr with one and two
+    active monitors."""
+    for alg in en.ALGORITHMS:
+        for delay in (1, 3):
+            for active in ((1, 2) if alg in ("migr", "migrr") else (1,)):
+                yield en.SimConfig(alg, comm_delay=delay, initial_active=active,
+                                   timeout_slack=5 * delay)
+
+
+def test_step_stream_pinned():
+    synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
+    rng = random.Random(STEP_GRID_SEED)
+    digest = hashlib.sha256()
+    runs = 0
+    for ncomp in (3, 5):
+        for _ in range(5):
+            phi = synthetic.random_formula(rng, ncomp, 2)
+            _, dist = rng.choice(synthetic.DISTRIBUTIONS)
+            tr = tg.generate(tg.TraceGenConfig(components=ncomp, length=12, distribution=dist,
+                                               seed=rng.randrange(2**31)))
+            spec = lt.synthesize(phi)
+            for cfg in _step_grid_configs():
+                r = en.simulate(cfg, phi if cfg.algorithm == "chor" else spec,
+                                complete(tr.components), tr)
+                digest.update(repr((cfg, r.verdict.value, r.stop_round)).encode())
+                for s in r.record.steps:
+                    digest.update(repr((s.t, s.monitor, s.component, s.evaluations,
+                                        s.simplifications, s.delays, s.gc, s.sent)).encode())
+                runs += 1
+    assert runs == 120
+    assert digest.hexdigest() == STEP_STREAM_SHA256
+
+
 def test_long_run_metrics_rows_pinned():
     phi = lt.parse_ltl(LONG_PHI)
     spec = lt.synthesize(phi)
@@ -404,7 +445,7 @@ def _state_peaks(alg, length):
     peaks = [0, 0]
 
     def observe(state):
-        if hasattr(state, "ehe"):
+        if state.is_active:
             peaks[0] = max(peaks[0], len(state.ehe))
             if state.name == "m0":
                 peaks[1] = max(peaks[1], len(state.memory))
@@ -519,8 +560,7 @@ def test_chor_prefix_drop_keeps_open_rows(fig1):
     F, TR, x = ex.FALSE, ex.TRUE, ex.Var(ex.timed(2, "a"))
 
     def dropped(table, t_kn):
-        state = en.ChorState("m0", "A", t_mon=1, memory=EMPTY_MEMORY, ehe=EHE(fig1, table),
-                             refs=frozenset(), corefs=frozenset(), t_kn=t_kn)
+        state = en.MonitorState("m0", "A", EHE(fig1, table), t_kn=t_kn)
         en._drop_prefix(state)
         return state.ehe.first_round(), state.prefix_evals
 
