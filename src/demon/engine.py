@@ -10,17 +10,19 @@ All four share one monitor state and one round step, the general
 decentralized algorithm: take in the inbox (a memory merges into the
 memory, an encoding into the encoding, or activates it) and the
 observation, ``mov`` the encoding to the round and fold it with ``inc``,
-resolve, collect garbage and send.  Per algorithm, ``orch`` runs no ``inc``
-and its monitors with no encoding forward their observations; ``orch``,
-``migr`` and ``migrr`` cut at the last resolved state, while ``chor`` drops
-only a constant prefix and respawns after each verdict; ``migr`` and
-``migrr`` hand the encoding off.
+resolve, collect garbage and send.  Each algorithm's ``Policy`` says what
+differs: ``orch`` runs no ``inc``; ``orch``, ``migr`` and ``migrr`` cut at
+the last resolved state, while ``chor`` drops only a constant prefix; ``migr``
+and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
+one with no encoding forwards its observations to its ref (an ``orch``
+forwarder), and one with a verdict sends it to its refs and respawns (a
+``chor`` monitor below the root), or with no refs ends the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import analysis, ehe as eh, ltl as lt, metrics as mt
 from . import expr as ex
@@ -88,6 +90,16 @@ class MonitorState:
     def is_active(self) -> bool:
         """Whether the monitor holds an encoding."""
         return self.ehe is not None
+
+
+@dataclass(frozen=True)
+class Policy:
+    """What one algorithm changes in the shared round."""
+
+    inc: bool = True  # fold the encoding with inc every round
+    cut: bool = True  # cut at the last resolved state, or (chor) drop a constant prefix
+    # the component the encoding goes to next (migr, migrr), if it moves at all
+    hand_off: Optional[Callable[[MonitorState, Setup], str]] = None
 
 
 @dataclass
@@ -165,19 +177,25 @@ def setup(
         raise InvalidParameters(msg)
     if cfg.algorithm == "orch":
         spec = _expect_spec(spec_input)
-        states = {"m0": MonitorState("m0", comps[0], eh.init(spec))}
+        states = {"m0": MonitorState("m0", comps[0], ehe=eh.init(spec))}
         for comp in comps[1:]:
             states[f"f_{comp}"] = MonitorState(f"f_{comp}", comp, refs=frozenset({"m0"}))
         edges = {(name, "m0") for name in states if name != "m0"}
     elif cfg.algorithm in ("migr", "migrr"):
         spec = _expect_spec(spec_input)
-        ranked = []  # migr: earliest obligation first, after one move from the start
         if cfg.algorithm == "migr":
+            # earliest-obligation preference after one move from the start
             ranked = _obligation_owners(eh.mov(eh.init(spec), 0, 1), ap_owner)
-        ranked += [comp for comp in comps if comp not in ranked]  # fill up deterministically
+        else:
+            ranked = []
+        for comp in comps:  # fill up deterministically
+            if comp not in ranked:
+                ranked.append(comp)
         active = set(ranked[: cfg.initial_active])
         states = {
-            f"m_{comp}": MonitorState(f"m_{comp}", comp, eh.init(spec) if comp in active else None)
+            f"m_{comp}": MonitorState(
+                f"m_{comp}", comp, ehe=eh.init(spec) if comp in active else None
+            )
             for comp in comps
         }
         edges = {(a, b) for a in states for b in states if a != b}
@@ -200,15 +218,20 @@ def setup(
             raise SpecificationError(f"the trace observes {moved} off their ap_owner component")
         edges = {(child, parent) for parent, child in deps.edges if parent in placements}
         states = {
-            name: MonitorState(name, comp, eh.init(d.monitors[name]),
-                               refs=frozenset(p for c, p in edges if c == name),
-                               corefs=frozenset(c for c, p in edges if p == name))
+            name: MonitorState(
+                name=name,
+                component=comp,
+                ehe=eh.init(d.monitors[name]),
+                refs=frozenset(p for c, p in edges if c == name),
+                corefs=frozenset(c for c, p in edges if p == name),
+            )
             for name, comp in placements.items()
         }
     placements = {name: state.component for name, state in states.items()}
     names = frozenset(states) if cfg.algorithm == "chor" else frozenset()
-    result = Setup(cfg, analysis.Graph.of(sorted(states), edges), placements, states,
-                   dict(ap_owner), names)
+    network = analysis.Graph.of(sorted(states), edges)
+    result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner),
+                   monitor_names=names)
     rm = analysis.compute_reach(result.network)
     rs = analysis.compute_reach(system)
     if not analysis.verify_compatible(result.placements, rm, rs):
@@ -301,7 +324,9 @@ def _monitor_round(
     setup: Setup,
 ) -> tuple[list[Message], Optional[Verdict]]:
     """One monitor's round under any algorithm (see the module docstring).  A
-    monitor with no encoding keeps its memory, or forwards its observation."""
+    monitor with no encoding keeps its memory, or forwards its observation to
+    its ref; one with a verdict sends it to its refs and starts afresh, or
+    with no refs ends the run."""
     for msg in inbox:
         if msg.kind == "ehe":  # merged into the encoding, or activating it
             state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
@@ -312,33 +337,40 @@ def _monitor_round(
         mem = mem_from_event(obs, t)
         if state.ehe is None and state.refs:  # an orch forwarder keeps nothing
             (main,) = state.refs
-            return [Message("mem", state.name, main, t, mem)], None
+            return [Message("mem", sender=state.name, receiver=main, sent_at=t,
+                            payload=mem)], None
         state.memory = memory_merge(state.memory, mem)
-    alg = setup.cfg.algorithm
+    policy = _POLICIES[setup.cfg.algorithm]
     outbox: list[Message] = []
     # a chor instance respawned past the current round waits for its round
     while state.ehe is not None and state.ehe.first_round() <= t:
         end = state.ehe.last_round()
         if end < t:
             state.ehe = eh.mov(state.ehe, end, t, setup.monitor_names, state.memory)
-        if alg != "orch":
+        if policy.inc:
             state.ehe = eh.inc(state.ehe, state.memory, step=step)
         memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
         step.evaluations += state.prefix_evals
         evals = step.evaluations
         verdict, last = _resolve(state, t, step, memo)
         if verdict is None:
-            _collect_garbage(state, alg, last, step, step.evaluations - evals, memo)
-            if alg in ("migr", "migrr"):
-                outbox += _hand_off(state, t, setup)
+            _collect_garbage(state, policy, last, step, step.evaluations - evals, memo)
+            target = policy.hand_off(state, setup) if policy.hand_off else state.component
+            if target != state.component:
+                outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
+                                      sent_at=t, payload=state.ehe))
+                state.ehe = None
             break
         if not state.refs:
             # The verdict ends the run: the chor root's kills are counted, never delivered.
-            return outbox + [Message("kill", state.name, child, t)
-                             for child in sorted(state.corefs)], verdict
+            for child in sorted(state.corefs):
+                outbox.append(Message("kill", sender=state.name, receiver=child, sent_at=t))
+            return outbox, verdict
         # A chor verdict goes to the parents, and a fresh instance starts at the next round.
         payload = {ex.monref(state.t_mon, state.name): verdict}
-        outbox += [Message("verdict", state.name, ref, t, payload) for ref in sorted(state.refs)]
+        for ref in sorted(state.refs):
+            outbox.append(Message("verdict", sender=state.name, receiver=ref, sent_at=t,
+                                  payload=payload))
         anchor = state.t_mon
         state.t_mon = anchor + 1
         automaton = state.ehe.automaton
@@ -349,16 +381,14 @@ def _monitor_round(
     return outbox, None
 
 
-# simulate calls each algorithm's round by its name, looked up when it runs, so a
-# wrapper installed under one name sees only that algorithm's rounds.
+# simulate reads each algorithm's name when it runs, so a wrapper installed
+# under one name sees only that algorithm's rounds.
 orchestration_round = migration_round = choreography_round = _monitor_round
-ROUND_NAMES = {"orch": "orchestration_round", "migr": "migration_round",
-               "migrr": "migration_round", "chor": "choreography_round"}
 
 
 def _collect_garbage(
     state: MonitorState,
-    alg: str,
+    policy: Policy,
     last: Optional[tuple[int, str]],
     step: mt.Step,
     evals: int,
@@ -367,39 +397,29 @@ def _collect_garbage(
     """Cut the encoding after an unresolved round and record its footprint.
     ``chor`` drops only its constant prefix, and its root forgets its memory,
     folded in by ``inc``.  The others drop the rounds before ``last``, and
-    conv_e charges the ``evals`` that found it once more.  ``orch``'s kept rows
-    still reach the dropped history: it folds them (uncounted, as it never sends
-    them) and forgets its memory, whose atoms are all stamped by now."""
-    if alg == "chor":
+    conv_e charges the ``evals`` that found it once more.  With no ``inc``
+    (``orch``), the kept rows still reach the dropped history: they are folded
+    (uncounted, as ``orch`` never sends its encoding) and the memory, whose
+    atoms are all stamped by now, is forgotten."""
+    if not policy.cut:
         _drop_prefix(state)
         if not state.refs:
             state.memory = EMPTY_MEMORY
     else:
         step.evaluations += evals
         kept = eh.drop_resolved(state.ehe, last)
-        if alg == "orch" and kept is not state.ehe:
+        if not policy.inc and kept is not state.ehe:
             table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
                      for r, row in kept.table.items()}
             kept = eh.EHE(kept.automaton, table)
             state.memory = EMPTY_MEMORY
         state.ehe = kept
-    p = state.ehe
-    step.gc = len(p), p.last_round() - p.first_round() + 1, len(p.automaton.states)
+    step.gc = _footprint(state.ehe)
 
 
-def _hand_off(state: MonitorState, t: int, setup: Setup) -> list[Message]:
-    """Send the encoding on to the owner of its earliest obligation (``migr``)
-    or the next component (``migrr``), unless that is this monitor's own."""
-    if setup.cfg.algorithm == "migr":
-        owners = _obligation_owners(state.ehe, setup.ap_owner)
-        target = owners[0] if owners else state.component
-    else:
-        comps = sorted(set(setup.placements.values()))
-        target = comps[(comps.index(state.component) + 1) % len(comps)]
-    if target == state.component:
-        return []
-    payload, state.ehe = state.ehe, None
-    return [Message("ehe", state.name, f"m_{target}", t, payload)]
+def _footprint(p: eh.EHE) -> tuple[int, int, int]:
+    """(entries, round span, automaton states) of an encoding."""
+    return len(p), p.last_round() - p.first_round() + 1, len(p.automaton.states)
 
 
 def _drop_prefix(state: MonitorState) -> None:
@@ -416,6 +436,27 @@ def _drop_prefix(state: MonitorState) -> None:
         drop += 1
     if drop:
         state.ehe = eh.EHE(state.ehe.automaton, dict(rows[drop:]))
+
+
+def _earliest_obligation(state: MonitorState, setup: Setup) -> str:
+    """``migr``: the owner of the encoding's earliest obligation, else its own."""
+    owners = _obligation_owners(state.ehe, setup.ap_owner)
+    return owners[0] if owners else state.component
+
+
+def _round_robin(state: MonitorState, setup: Setup) -> str:
+    """``migrr``: the next component in name order."""
+    components = sorted(set(setup.placements.values()))
+    i = components.index(state.component)
+    return components[(i + 1) % len(components)]
+
+
+_POLICIES = {
+    "orch": Policy(inc=False),
+    "migr": Policy(hand_off=_earliest_obligation),
+    "migrr": Policy(hand_off=_round_robin),
+    "chor": Policy(cut=False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +485,12 @@ def simulate(
     pending: list[Message] = []  # in send order
     reported: Optional[Verdict] = None
     stop_round = max(horizon, 1)
-    round_fn = globals()[ROUND_NAMES[cfg.algorithm]]
+    if cfg.algorithm == "orch":
+        round_fn = orchestration_round
+    elif cfg.algorithm == "chor":
+        round_fn = choreography_round
+    else:
+        round_fn = migration_round
 
     for t in range(1, horizon + 1):
         due = [m for m in pending if m.sent_at + cfg.comm_delay <= t]

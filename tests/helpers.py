@@ -141,10 +141,14 @@ def per_round_messages(record: mt.MetricsRecord) -> dict[int, int]:
     return out
 
 
+_ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
+              "migrr": "migration_round", "chor": "choreography_round"}
+
+
 def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.SimRun:
     """``engine.simulate`` that calls ``observe(state)`` after each monitor's
     round, with the monitor state as that round left it."""
-    name = en.ROUND_NAMES[cfg.algorithm]
+    name = _ROUND_FNS[cfg.algorithm]
     inner = getattr(en, name)
 
     def round_fn(state, *args):

@@ -60,7 +60,7 @@ def test_record_message_totals_match_summary(alg):
 
 
 # The round name the benchmark's metrics read for each algorithm, written out
-# here rather than taken from engine.ROUND_NAMES, so the test pins it.
+# here rather than taken from the engine, so the test pins it.
 ROUND_OF = {"orch": "orchestration_round", "migr": "migration_round",
             "migrr": "migration_round", "chor": "choreography_round"}
 
