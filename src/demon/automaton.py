@@ -252,12 +252,17 @@ class DecentralizedTrace:
     def at(self, t: int, component: str) -> Event:
         return self.events.get((t, component), EMPTY_EVENT)
 
-    def observed_owner(self) -> dict[str, str]:
+    @cached_property
+    def _owner(self) -> dict[str, str]:
         owner: dict[str, str] = {}
         for (_, comp), evt in sorted(self.events.items()):
             for ap in sorted(evt.propositions()):
                 owner.setdefault(ap, comp)
         return owner
+
+    def observed_owner(self) -> dict[str, str]:
+        """A copy of the owner of each proposition, scanned once per trace."""
+        return dict(self._owner)
 
 
 def reconstruct_global(tr: DecentralizedTrace) -> list[Event]:

@@ -29,7 +29,7 @@ from . import expr as ex
 from .automaton import DecentralizedSpec, DecentralizedTrace, Specification
 from .errors import IncompatiblePlacement, InvalidParameters, SpecificationError
 from .expr import UNKNOWN, Verdict
-from .store import EMPTY_MEMORY, Event, Memory, mem_from_event, memory_merge
+from .store import Event, Memory, mem_from_event, memory_merge
 
 ALGORITHMS = ("orch", "migr", "migrr", "chor")
 
@@ -404,7 +404,7 @@ def _collect_garbage(
     if not policy.cut:
         _drop_prefix(state)
         if not state.refs:
-            state.memory = EMPTY_MEMORY
+            state.memory.clear()
     else:
         step.evaluations += evals
         kept = eh.drop_resolved(state.ehe, last)
@@ -412,7 +412,7 @@ def _collect_garbage(
             table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
                      for r, row in kept.table.items()}
             kept = eh.EHE(kept.automaton, table)
-            state.memory = EMPTY_MEMORY
+            state.memory.clear()
         state.ehe = kept
     step.gc = _footprint(state.ehe)
 
@@ -482,7 +482,7 @@ def simulate(
     st = setup(cfg, spec_input, system, tr.observed_owner())
     record = mt.MetricsRecord(components=tuple(sorted(system.nodes)))
     horizon = tr.length + cfg.timeout_slack
-    pending: list[Message] = []  # in send order
+    pending: dict[int, list[Message]] = {}  # by delivery round, each in send order
     reported: Optional[Verdict] = None
     stop_round = max(horizon, 1)
     if cfg.algorithm == "orch":
@@ -492,19 +492,18 @@ def simulate(
     else:
         round_fn = migration_round
 
+    names = sorted(st.states)
     for t in range(1, horizon + 1):
-        due = [m for m in pending if m.sent_at + cfg.comm_delay <= t]
-        pending = [m for m in pending if m.sent_at + cfg.comm_delay > t]
         inboxes: dict[str, list[Message]] = {}
-        for msg in sorted(due, key=lambda m: m.sender):  # stable: FIFO per sender
+        for msg in sorted(pending.pop(t, ()), key=lambda m: m.sender):  # stable: FIFO per sender
             inboxes.setdefault(msg.receiver, []).append(msg)
-        for name in sorted(st.states):
+        for name in names:
             step = mt.Step(t, name, st.placements[name])
             obs = tr.at(t, step.component)
             outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
             if outbox:
                 step.sent = tuple((msg.kind, mt.size_of(msg)) for msg in outbox)
-                pending.extend(outbox)
+                pending.setdefault(t + cfg.comm_delay, []).extend(outbox)
             record.steps.append(step)
             if verdict is not None and verdict.is_final and reported is None:
                 reported = verdict

@@ -43,7 +43,7 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ParseError
 
@@ -78,13 +78,14 @@ VERDICT_RANK = {Verdict.UNKNOWN: 0, Verdict.BOTTOM: 1, Verdict.TOP: 2}
 _KIND_RANK = {"ap": 0, "tap": 1, "mon": 2}
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """An encoded observable.
 
     kind "ap" is a bare proposition, "tap" a (round, proposition) pair and
     "mon" a (round, monitor-id) reference.  Atoms are totally ordered by
-    (kind, round, name).
+    :meth:`sort_key`, (kind, round, name), not by tuple comparison.  As a
+    named tuple, an atom is immutable, hashes as ``(kind, t, name)`` (like a
+    frozen dataclass of its fields) and hashes and compares in C.
     """
 
     kind: str

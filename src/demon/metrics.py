@@ -57,11 +57,10 @@ def ehe_size(p: EHE) -> int:
 
 
 def size_of(value) -> int:
-    """Byte size of a memory, EHE, expression, or message under the model.  A
-    message costs its payload's size, or its sender's id when it has none."""
-    from .engine import Message  # local import; engine depends on metrics
-
-    if isinstance(value, Message):
+    """Byte size of a memory, EHE, expression, or message (anything with a
+    ``payload``) under the model.  A message costs its payload's size, or its
+    sender's id when it has none."""
+    if hasattr(value, "payload"):
         if value.payload is None:
             return len(value.sender) * CHAR_BYTES
         value = value.payload
@@ -159,13 +158,14 @@ def summarize(rec: MetricsRecord) -> Summary:
     delay_sum = delay_count = total_msgs = total_bytes = 0
     crit: dict[int, int] = defaultdict(int)  # round -> worst monitor's simplifications
     simplifications, evaluations = _work_table(rec), _work_table(rec)
+    columns = {c: i for i, c in enumerate(rec.components)}
     for s in rec.steps:
         delay_sum += sum(s.delays)
         delay_count += len(s.delays)
         total_msgs += len(s.sent)
         total_bytes += s.bytes_sent
         crit[s.t] = max(crit[s.t], s.simplifications)
-        column = rec.components.index(s.component)
+        column = columns[s.component]
         simplifications[s.t][column] += s.simplifications
         evaluations[s.t][column] += s.evaluations
     return Summary(

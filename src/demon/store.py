@@ -1,10 +1,11 @@
 """Partial-function stores: the generic merge operator, memories, and events.
 
 Memories are plain dicts from atoms to verdicts and are the CvRDT the
-monitors replicate: :func:`memory_merge` is :func:`merge_with` keeping, per
-atom, the highest verdict under the order UNKNOWN < BOTTOM < TOP, so merges
-are idempotent, commutative and associative.  Encodings merge through the
-same :func:`merge_with` (see :func:`ehe.merge`).
+monitors replicate: :func:`memory_merge` keeps, per atom, the highest verdict
+under the order UNKNOWN < BOTTOM < TOP, so merges are idempotent, commutative
+and associative.  Each monitor owns its memory and merges into it in place;
+what it merges in, such as a message payload, never changes.  Encodings merge
+through :func:`merge_with`, which builds a new dict (see :func:`ehe.merge`).
 """
 
 from __future__ import annotations
@@ -69,23 +70,30 @@ EMPTY_EVENT = Event()
 
 Memory = dict[Atom, Verdict]  # partial map from atoms to verdicts: every monitor's value store
 
-# Memories are never changed once built, so this one is shared freely.
+# Shared and never changed: merging into it gives a new dict.
 EMPTY_MEMORY: Memory = {}
 
 
-def memory_merge(m1: Memory, m2: Memory, strict: bool = False) -> Memory:
-    """Replace-merge of two memories (the highest verdict wins per atom).
+def memory_merge(memory: Memory, m: Memory, strict: bool = False) -> Memory:
+    """Merge ``m`` into ``memory`` in place (the highest verdict wins per
+    atom) and return it, or a new dict for :data:`EMPTY_MEMORY`.  ``m`` is
+    only read; to keep both operands, merge into a copy.
 
     With ``strict`` set, a key carrying TOP on one side and BOTTOM on the
-    other raises instead of being silently resolved; such conflicts cannot
-    occur in valid runs but are worth surfacing while debugging.
+    other raises before anything is merged, instead of being silently
+    resolved; such conflicts cannot occur in valid runs but are worth
+    surfacing while debugging.
     """
     if strict:
-        for atom, verdict in m2.items():
-            mine = m1.get(atom)
+        for atom, verdict in m.items():
+            mine = memory.get(atom)
             if mine is not None and mine.is_final and verdict.is_final and mine is not verdict:
                 raise ConflictingObservation(f"conflicting final verdicts for {atom}")
-    return merge_with(m1, m2, _replace_max)
+    memory = {} if memory is EMPTY_MEMORY else memory
+    for atom, verdict in m.items():
+        mine = memory.get(atom)
+        memory[atom] = verdict if mine is None else _replace_max(mine, verdict)
+    return memory
 
 
 def mem_from_event(evt: Event, t: int) -> Memory:

@@ -4,6 +4,7 @@ entrywise encoding comparison, folded memory merges, label-size and
 placement counts, expression tree and DAG sizes and fresh structural
 copies, messages per round, a simulation that shows each monitor's state
 after every round and one that counts the active monitors per round, the
+trace owner scan that ``observed_owner`` must agree with, the
 four-walk simplifier that ``expr.simplify`` must agree with, the search for
 the last resolved round that garbage collection cuts at, and the first trace
 on which two decentralized specifications disagree."""
@@ -145,22 +146,44 @@ _ROUND_FNS = {"orch": "orchestration_round", "migr": "migration_round",
               "migrr": "migration_round", "chor": "choreography_round"}
 
 
-def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe) -> en.SimRun:
+def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe,
+                      before_gc=None) -> en.SimRun:
     """``engine.simulate`` that calls ``observe(state)`` after each monitor's
-    round, with the monitor state as that round left it."""
+    round, with the monitor state as that round left it, and, when given,
+    ``before_gc(state)`` as garbage collection starts, with the memory and
+    the encoding the cut sees."""
     name = _ROUND_FNS[cfg.algorithm]
-    inner = getattr(en, name)
+    inner, inner_gc = getattr(en, name), en._collect_garbage
 
     def round_fn(state, *args):
         out = inner(state, *args)
         observe(state)
         return out
 
+    def collect_garbage(state, *args):
+        before_gc(state)
+        return inner_gc(state, *args)
+
     setattr(en, name, round_fn)
+    if before_gc is not None:
+        en._collect_garbage = collect_garbage
     try:
         return en.simulate(cfg, spec_input, system, tr)
     finally:
         setattr(en, name, inner)
+        en._collect_garbage = inner_gc
+
+
+def reference_owner(tr: DecentralizedTrace) -> dict[str, str]:
+    """Each proposition the trace observes, mapped to the component of its
+    first observation in (round, component, proposition) order, in that
+    order: what ``DecentralizedTrace.observed_owner`` must return."""
+    owner: dict[str, str] = {}
+    for t in range(1, tr.length + 1):
+        for comp in sorted(tr.components):
+            for ap in sorted(tr.at(t, comp).propositions()):
+                owner.setdefault(ap, comp)
+    return owner
 
 
 def active_counts(cfg: en.SimConfig, spec_input, system, tr) -> tuple[en.SimRun, list[int]]:

@@ -115,10 +115,10 @@ def test_criterion_3_cvrdt_laws():
     for _ in range(1000):
         ground = {a: rng.choice((T, B)) for a in atoms}
         m1, m2, m3 = (consistent_memory(ground) for _ in range(3))
-        assert memory_merge(m1, m1) == m1
-        assert memory_merge(m1, m2) == memory_merge(m2, m1)
-        assert memory_merge(memory_merge(m1, m2), m3) == memory_merge(
-            m1, memory_merge(m2, m3)
+        assert memory_merge(dict(m1), m1) == m1
+        assert memory_merge(dict(m1), m2) == memory_merge(dict(m2), m1)
+        assert memory_merge(memory_merge(dict(m1), m2), m3) == memory_merge(
+            dict(m1), memory_merge(dict(m2), m3)
         )
 
     for _ in range(200):

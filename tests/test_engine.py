@@ -10,6 +10,7 @@ from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
 from demon import metrics as mt
+from demon import store
 from demon import traces as tg
 from demon.automaton import (
     DecentralizedTrace,
@@ -378,11 +379,11 @@ def _step_grid_configs():
                                    timeout_slack=5 * delay)
 
 
-def test_step_stream_pinned():
+def _step_grid_runs():
+    """Every config of the step grid on ten seeded formulas and traces, five
+    each at |C| 3 and 5, with L = 12: yields (config, run)."""
     synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
     rng = random.Random(STEP_GRID_SEED)
-    digest = hashlib.sha256()
-    runs = 0
     for ncomp in (3, 5):
         for _ in range(5):
             phi = synthetic.random_formula(rng, ncomp, 2)
@@ -391,15 +392,43 @@ def test_step_stream_pinned():
                                                seed=rng.randrange(2**31)))
             spec = lt.synthesize(phi)
             for cfg in _step_grid_configs():
-                r = en.simulate(cfg, phi if cfg.algorithm == "chor" else spec,
-                                complete(tr.components), tr)
-                digest.update(repr((cfg, r.verdict.value, r.stop_round)).encode())
-                for s in r.record.steps:
-                    digest.update(repr((s.t, s.monitor, s.component, s.evaluations,
-                                        s.simplifications, s.delays, s.gc, s.sent)).encode())
-                runs += 1
+                yield cfg, en.simulate(cfg, phi if cfg.algorithm == "chor" else spec,
+                                       complete(tr.components), tr)
+
+
+def test_step_stream_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for cfg, r in _step_grid_runs():
+        digest.update(repr((cfg, r.verdict.value, r.stop_round)).encode())
+        for s in r.record.steps:
+            digest.update(repr((s.t, s.monitor, s.component, s.evaluations,
+                                s.simplifications, s.delays, s.gc, s.sent)).encode())
+        runs += 1
     assert runs == 120
     assert digest.hexdigest() == STEP_STREAM_SHA256
+
+
+def test_memories_owned_and_payloads_unchanged(monkeypatch):
+    # Each monitor merges into a memory of its own, in place: over the step
+    # grid, no memory may be a payload some monitor sent, no payload may
+    # change after it is sent, and the shared empty memory stays empty.
+    real = en._monitor_round
+    sent = []  # (payload, its copy when sent); keeps every payload alive
+
+    def round_fn(state, *args):
+        outbox, verdict = real(state, *args)
+        assert all(state.memory is not payload for payload, _ in sent)
+        sent.extend((m.payload, dict(m.payload)) for m in outbox
+                    if m.kind in ("mem", "verdict"))
+        return outbox, verdict
+
+    for name in ("orchestration_round", "migration_round", "choreography_round"):
+        monkeypatch.setattr(en, name, round_fn)
+    kinds = {cfg.algorithm for cfg, _ in _step_grid_runs()}
+    assert kinds == set(en.ALGORITHMS)
+    assert sent and all(payload == copy for payload, copy in sent)
+    assert store.EMPTY_MEMORY == {}
 
 
 def test_long_run_metrics_rows_pinned():
@@ -440,7 +469,9 @@ def _state_peaks(alg, length):
     """(largest encoding of any monitor, largest memory of monitor m0) over
     every round of a run that never resolves.  m0 is the orch main monitor
     and the chor root.  The encodings are those the monitors hold after
-    their rounds and those they sent, each recorded by its step's ``gc``."""
+    their rounds and those they sent, each recorded by its step's ``gc``.
+    m0's memory is read as garbage collection starts, before the cut that
+    forgets it."""
     phi = lt.parse_ltl(BOUNDED_PHI)
     tr = _rotating_trace(length)
     peaks = [0, 0]
@@ -448,11 +479,13 @@ def _state_peaks(alg, length):
     def observe(state):
         if state.is_active:
             peaks[0] = max(peaks[0], len(state.ehe))
-            if state.name == "m0":
-                peaks[1] = max(peaks[1], len(state.memory))
+
+    def before_gc(state):
+        if state.name == "m0":
+            peaks[1] = max(peaks[1], len(state.memory))
 
     r = simulate_observed(en.SimConfig(alg), phi if alg == "chor" else lt.synthesize(phi),
-                          complete(tr.components), tr, observe)
+                          complete(tr.components), tr, observe, before_gc)
     assert r.verdict is ex.UNKNOWN and r.stop_round == length + 5
     peaks[0] = max([peaks[0]] + [s.gc[0] for s in r.record.steps if s.gc])
     return tuple(peaks)
@@ -467,7 +500,7 @@ def test_monitor_state_bounded_in_rounds(alg):
     short, long = _state_peaks(alg, 60), _state_peaks(alg, 180)
     assert short[0] > 0 and short[0] == long[0], (short, long)
     if alg in ("orch", "chor"):
-        assert long[1] <= short[1], (short, long)
+        assert short[1] > 0 and long[1] <= short[1], (short, long)
 
 
 def _expression_calls(alg, length, monkeypatch):
@@ -501,6 +534,38 @@ def test_expression_work_linear_in_rounds(alg, monkeypatch):
     short = _expression_calls(alg, 100, monkeypatch)
     long = _expression_calls(alg, 400, monkeypatch)
     assert long <= 4 * short + 50, (short, long)
+
+
+def _memory_writes(alg, length, monkeypatch):
+    """Atoms written into monitor memories over one run on
+    ``_rotating_trace(length)``, counted at ``store.memory_merge``: the atoms
+    merged in when it merges in place, and all the atoms of the result when
+    it returns a new dict."""
+    phi = lt.parse_ltl(BOUNDED_PHI)
+    tr = _rotating_trace(length)
+    written = [0]
+
+    def counted(memory, m, *args, real=en.memory_merge, **kwargs):
+        out = real(memory, m, *args, **kwargs)
+        written[0] += len(m) if out is memory else len(out)
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(en, "memory_merge", counted)
+        r = en.simulate(en.SimConfig(alg), phi if alg == "chor" else lt.synthesize(phi),
+                        complete(tr.components), tr)
+    assert r.verdict is ex.UNKNOWN and r.stop_round == length + 5
+    return written[0]
+
+
+@pytest.mark.parametrize("alg", en.ALGORITHMS)
+def test_memory_writes_linear_in_rounds(alg, monkeypatch):
+    # A merge that copied the memory would write every atom the memory holds
+    # each round: under migr/migrr, which keep every observation, that grows
+    # as the square of the rounds.
+    short = _memory_writes(alg, 100, monkeypatch)
+    long = _memory_writes(alg, 400, monkeypatch)
+    assert short > 0 and long <= 4 * short + 50, (short, long)
 
 
 @pytest.mark.parametrize("text", ["G (a0 || a2 || a4)", "F (a0 && a3)", "(a1 || a2) U a5"])

@@ -171,6 +171,24 @@ class TestAtomsDep:
         assert ex.dep(ex.Var(ex.monref(2, "m7"))) == {"m7"}
 
 
+@pytest.mark.parametrize("atom, key, text", [
+    (ex.plain("a0"), (0, 0, "a0"), "a0"),
+    (ex.timed(3, "a0"), (1, 3, "a0"), "<3,a0>"),
+    (ex.monref(2, "m1"), (2, 2, "m1"), "<2,&m1>"),
+])
+def test_atom_contract(atom, key, text):
+    # The hash is the one a frozen dataclass of the same fields gives, so set
+    # and dict orders, and every digest, stay as they were.
+    assert hash(atom) == hash((atom.kind, atom.t, atom.name))
+    assert atom.sort_key() == key and str(atom) == text
+    assert repr(atom) == f"Atom(kind={atom.kind!r}, t={atom.t!r}, name={atom.name!r})"
+    assert atom == ex.Atom(atom.kind, atom.t, atom.name)
+    for field, value in (("t", 9), ("name", "z"), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(atom, field, value)
+    assert atom.t == key[1] and atom.name == key[2]
+
+
 class TestEquivalent:
     def test_commutativity(self):
         assert ex.equivalent(ex.Or(A, B), ex.Or(B, A))

@@ -9,6 +9,7 @@ from demon.store import (
     EMPTY_MEMORY,
     Event,
     Memory,
+    _replace_max,
     mem_from_event,
     memory_merge,
     merge_with,
@@ -54,7 +55,7 @@ class TestEvent:
 class TestMemoryMerge:
     def test_idempotent(self):
         m = Memory({ex.plain("a"): ex.TOP, ex.plain("b"): ex.UNKNOWN})
-        assert memory_merge(m, m) == m
+        assert memory_merge(dict(m), m) == m
 
     def test_disjoint(self):
         m = memory_merge(
@@ -73,6 +74,7 @@ class TestMemoryMerge:
         m2 = Memory({ex.plain("a"): ex.BOTTOM})
         with pytest.raises(ConflictingObservation):
             memory_merge(m1, m2, strict=True)
+        assert m1 == Memory({ex.plain("a"): ex.TOP})  # nothing merged
         assert memory_merge(m1, m2).get(ex.plain("a")) is ex.TOP  # order wins
 
     def test_monotone_domain(self):
@@ -81,7 +83,26 @@ class TestMemoryMerge:
         for _ in range(100):
             m1 = _random_memory(rng, atoms)
             m2 = _random_memory(rng, atoms)
-            assert memory_merge(m1, m2).keys() >= m1.keys()
+            assert memory_merge(dict(m1), m2).keys() >= m1.keys()
+
+    def test_merges_in_place_and_only_reads_its_argument(self):
+        rng = random.Random(6)
+        atoms = [ex.plain(f"x{i}") for i in range(6)]
+        for _ in range(100):
+            m1 = _random_memory(rng, atoms)
+            m2 = _random_memory(rng, atoms)
+            before, sent = dict(m1), dict(m2)
+            out = memory_merge(m1, m2)
+            assert out is m1 and out is not m2
+            assert m2 == sent
+            assert out == merge_with(before, sent, _replace_max)
+
+    def test_empty_memory_never_changes(self):
+        m = Memory({ex.timed(1, "a"): ex.TOP})
+        out = memory_merge(EMPTY_MEMORY, m)
+        assert out == m and out is not m and out is not EMPTY_MEMORY
+        out[ex.timed(2, "b")] = ex.BOTTOM
+        assert EMPTY_MEMORY == {} and m == Memory({ex.timed(1, "a"): ex.TOP})
 
 
 class TestMemFromEvent:
@@ -108,7 +129,7 @@ memories = st.dictionaries(atom_names, verdicts, max_size=5).map(
 @given(memories)
 @settings(max_examples=100, deadline=None)
 def test_merge_idempotent(m):
-    assert memory_merge(m, m) == m
+    assert memory_merge(dict(m), m) == m
 
 
 @given(memories, memories)
@@ -125,21 +146,21 @@ def test_merge_commutative_without_conflicts(m1, m2):
         for a in m1.keys() | m2.keys()
     )
     if not conflict:
-        assert memory_merge(m1, m2) == memory_merge(m2, m1)
+        assert memory_merge(dict(m1), m2) == memory_merge(dict(m2), m1)
 
 
 @given(memories, memories, memories)
 @settings(max_examples=150, deadline=None)
 def test_merge_associative(m1, m2, m3):
-    left = memory_merge(memory_merge(m1, m2), m3)
-    right = memory_merge(m1, memory_merge(m2, m3))
+    left = memory_merge(memory_merge(dict(m1), m2), m3)
+    right = memory_merge(dict(m1), memory_merge(dict(m2), m3))
     assert left == right
 
 
 @given(st.lists(memories, min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_merge_all_matches_fold(ms):
-    folded = ms[0]
+    folded = dict(ms[0])
     for m in ms[1:]:
         folded = memory_merge(folded, m)
     assert memory_merge_all(ms) == folded

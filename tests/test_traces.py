@@ -10,6 +10,9 @@ from demon.automaton import DecentralizedTrace, reconstruct_global
 from demon.errors import ConflictingObservation, DemonError, InvalidParameters, ParseError
 from demon.store import Event
 
+from conftest import ROOT
+from helpers import reference_owner
+
 
 class TestConfig:
     def test_rejects_bad_lengths(self):
@@ -122,3 +125,37 @@ class TestRoundTrip:
         path.write_text("1,A,a,1\n")
         with pytest.raises(ParseError):
             tg.load(str(path))
+
+
+def _sparse_trace(rng):
+    """A trace in which each component observes a random part of its own
+    propositions, in random rounds: first observations come in no fixed
+    order of components or names."""
+    comps = tuple(f"c{i}" for i in range(rng.randint(1, 4)))
+    owner = {f"p{i}": rng.choice(comps) for i in range(rng.randint(1, 6))}
+    length = rng.randint(0, 8)
+    events = {}
+    for t in range(1, length + 1):
+        for comp in comps:
+            obs = frozenset((ap, rng.choice((ex.TOP, ex.BOTTOM)))
+                            for ap, c in owner.items() if c == comp and rng.random() < 0.4)
+            if obs:
+                events[(t, comp)] = Event(obs)
+    return DecentralizedTrace(comps, length, events)
+
+
+def test_observed_owner_matches_reference_scan(fig4_trace, ex7_trace):
+    # One scan per trace, kept on the frozen trace: each call returns a fresh
+    # copy, in the reference's order, that callers may change freely.
+    rng = random.Random(2404)
+    traces = [fig4_trace, ex7_trace]
+    traces += [tg.load(str(path)) for path in sorted((ROOT / "fixtures").rglob("*.csv"))]
+    traces += [tg.generate(tg.TraceGenConfig(components=n, length=10, seed=n)) for n in (1, 3, 5)]
+    traces += [_sparse_trace(rng) for _ in range(200)]
+    for tr in traces:
+        expected = list(reference_owner(tr).items())
+        first = tr.observed_owner()
+        assert list(first.items()) == expected
+        first["unseen"] = "elsewhere"
+        second = tr.observed_owner()
+        assert second is not first and list(second.items()) == expected
