@@ -75,6 +75,12 @@ class Specification:
         names: the unstamped row and the rows of constants it steps to."""
         return {}
 
+    @cached_property
+    def stamps(self) -> dict:
+        """``ehe.mov``'s stamped transition labels and template rows, one dict
+        per (round, monitor names), oldest first; ``ehe`` bounds it."""
+        return {}
+
     def outgoing(self, q: str) -> tuple[Transition, ...]:
         return self.by_source.get(q, ())
 

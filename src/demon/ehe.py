@@ -4,8 +4,9 @@ state at that round.
 
 The table maps each encoded round to its row ``{state: condition}`` and
 keeps the rounds in ascending order.  Rows are never mutated once built, so
-encodings derived from one another share them.  With R rounds, E entries
-and S states per row:
+encodings derived from one another share them, and runs on one automaton
+share the labels and rows it keeps stamped.  With R rounds, E entries and S
+states per row:
 
 - ``rounds`` and ``len`` are O(R); ``first_round`` and ``last_round`` are
   O(1); ``at`` is O(1) and ``states_at`` is O(S log S).
@@ -13,15 +14,18 @@ and S states per row:
   call, in O(E); hot paths read the rows of ``table`` instead.
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions.
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
-  a row of constants it re-stamps a cached row, one ``expr.encode`` walk per
-  entry, and otherwise makes one ``expr.simplify`` call, bounded at
+  a row of constants it takes a cached row stamped at that round, and
+  otherwise makes one ``expr.simplify`` call, bounded at
   ``expr.DNF_ATOMS`` atoms, per new entry that holds no wide node; an entry
   built over a wide source or prior entry is marked wide with no call and
   no walk.  Only transitions out of a source whose condition is not FALSE
   are stamped; a successor of dead sources alone keeps a FALSE entry, which
-  ``sreach`` still evaluates.  The last new row, when its source holds only
-  constants and the round's memory decides it, is a cached row of
-  constants found with one memory lookup per atom and no walk.
+  ``sreach`` still evaluates.  A label or cached row is stamped with one
+  ``expr.encode`` walk the first time a round and monitor names need it, and
+  the automaton keeps it for its ``_STAMP_CACHE_SIZE`` latest rounds.  The
+  last new row, when its source holds only constants and the round's memory
+  decides it, is a cached row of constants found with one memory lookup per
+  atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
   that hold only constants.
 - ``drop_resolved`` keeps the rows after the last known round, which the
@@ -50,6 +54,8 @@ from .expr import Expr, TOP, TRUE, UNKNOWN, Verdict
 from .store import EMPTY_MEMORY, Memory, merge_with
 
 Row = Mapping[str, Expr]
+
+_STAMP_CACHE_SIZE = 16  # rounds (with monitor names) of stamps kept per automaton
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +136,17 @@ def mov(
 
     A new row after a row of constants has every atom at t+1 and depends only
     on the source row and the monitor names: the first one built is kept
-    unstamped in ``automaton.row_templates`` and later ones re-stamp it, one
-    :func:`expr.encode` walk per entry.  One round for all atoms keeps the
-    :meth:`expr.Atom.sort_key` order :func:`expr.simplify` follows.
+    unstamped in ``automaton.row_templates`` and later ones re-stamp it.  One
+    round for all atoms keeps the :meth:`expr.Atom.sort_key` order
+    :func:`expr.simplify` follows.
+
+    A stamped label or template row depends only on what is stamped, the
+    round and the monitor names, so each is stamped by :func:`expr.encode`
+    once and kept in ``automaton.stamps`` for later calls and runs on the
+    automaton, per round and monitor names; past ``_STAMP_CACHE_SIZE`` of
+    those the oldest is evicted.  Sharing the stamped nodes is safe: rows are
+    never mutated, and the facts :func:`expr.simplify` records on a node
+    follow from its structure.
 
     The row at ``te`` is the one the caller folds under ``memory`` in the same
     round (:func:`inc`, or the engine's resolution).  When it comes from a
@@ -178,17 +192,35 @@ def _row_after_constants(
         verdicts = tuple(memory.get(ex.stamp(n, t, names), UNKNOWN) for n in template.atoms)
         if verdicts not in template.steps:
             memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
-            row = _stamp(template, t, names)
+            row = _stamp(a, template, t, names)
             folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
             template.steps[verdicts] = folded if is_constant_row(folded) else None
         decided = template.steps[verdicts]
         if decided is not None:
             return decided
-    return _stamp(template, t, names)
+    return _stamp(a, template, t, names)
 
 
-def _stamp(template: Template, t: int, names: frozenset[str]) -> Row:
-    return {q: ex.encode(c, t, names) for q, c in template.row.items()}
+def _stamp(a: Specification, template: Template, t: int, names: frozenset[str]) -> Row:
+    """``template`` stamped at ``t``, kept in ``a.stamps``."""
+    stamped = _stamps_at(a, t, names)
+    row = stamped.get(id(template))  # ``a.row_templates`` keeps ``template`` alive
+    if row is None:
+        row = stamped[id(template)] = {q: ex.encode(c, t, names) for q, c in template.row.items()}
+    return row
+
+
+def _stamps_at(a: Specification, t: int, names: frozenset[str]) -> dict:
+    """What ``a`` keeps stamped at round ``t`` under ``names``: labels by the
+    id of their transition, template rows by the id of their template.  The
+    oldest round is evicted once ``a.stamps`` holds ``_STAMP_CACHE_SIZE``."""
+    stamps = a.stamps
+    stamped = stamps.get((t, names))
+    if stamped is None:
+        if len(stamps) >= _STAMP_CACHE_SIZE:
+            del stamps[next(iter(stamps))]
+        stamped = stamps[(t, names)] = {}
+    return stamped
 
 
 def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str]) -> Row:
@@ -204,6 +236,7 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
     folding constructors drop a non-constant operand only when they return a
     constant.  So it is wide too, and :func:`expr.simplify` would return it
     as built; it is marked wide instead of simplified."""
+    stamped = _stamps_at(a, t, names)
     row = dict(old)
     for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
         prior = old.get(qprime, ex.FALSE)
@@ -212,7 +245,10 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
         for tr in a.by_destination[qprime]:
             source = src.get(tr.src, ex.FALSE)
             if source is not ex.FALSE:
-                parts.append(ex.conj(source, ex.encode(tr.label, t, names)))
+                label = stamped.get(id(tr))  # the spec keeps ``tr`` alive
+                if label is None:
+                    label = stamped[id(tr)] = ex.encode(tr.label, t, names)
+                parts.append(ex.conj(source, label))
                 wide = wide or (source.wide and parts[-1] is not ex.FALSE)
         cond = ex.disj(prior, ex.disj_all(parts))
         if wide and type(cond) is not ex.Const:

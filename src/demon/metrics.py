@@ -150,16 +150,18 @@ class Summary:
 
 
 def summarize(rec: MetricsRecord) -> Summary:
-    """Aggregate a run in one pass over its steps: average delay over
-    resolutions, message count and data normalized by run length, per-round
-    critical simplifications, the worst per-monitor round, and convergence
-    for both counters."""
+    """Aggregate a run in one pass over its steps that did some work (an idle
+    step adds 0 everywhere): average delay over resolutions, message count
+    and data normalized by run length, per-round critical simplifications,
+    the worst per-monitor round, and convergence for both counters."""
     n = max(rec.run_length, 1)
     delay_sum = delay_count = total_msgs = total_bytes = 0
     crit: dict[int, int] = defaultdict(int)  # round -> worst monitor's simplifications
     simplifications, evaluations = _work_table(rec), _work_table(rec)
     columns = {c: i for i, c in enumerate(rec.components)}
     for s in rec.steps:
+        if not (s.delays or s.sent or s.simplifications or s.evaluations):
+            continue
         delay_sum += sum(s.delays)
         delay_count += len(s.delays)
         total_msgs += len(s.sent)

@@ -726,6 +726,8 @@ def test_mov_skips_dead_sources_as_the_full_builder_would(a, names):
 def test_mov_stamps_only_transitions_out_of_live_sources(a, names, monkeypatch):
     # Rows with an open entry are built directly: one encode per transition
     # out of a source whose condition is not FALSE, none for the others.
+    # The automaton keeps what it stamped, so its stamp cache is cleared
+    # before each mov: otherwise a repeated stamping makes no call at all.
     calls = [0]
     real = ex.encode
 
@@ -739,6 +741,8 @@ def test_mov_stamps_only_transitions_out_of_live_sources(a, names, monkeypatch):
         if eh.is_constant_row(src):
             continue
         calls[0] = 0
+        a.stamps.clear()
         eh.mov(eh.EHE(a, {t: src}), t, t + 1, names)
+        assert sum(map(len, a.stamps.values())) == calls[0]
         live = sum(len(a.outgoing(q)) for q, c in src.items() if c is not ex.FALSE)
         assert calls[0] == live, src

@@ -379,21 +379,35 @@ def _step_grid_configs():
                                    timeout_slack=5 * delay)
 
 
-def _step_grid_runs():
-    """Every config of the step grid on ten seeded formulas and traces, five
-    each at |C| 3 and 5, with L = 12: yields (config, run)."""
+def _step_grid_inputs():
+    """The step grid's ten seeded formulas and traces, five each at |C| 3
+    and 5, with L = 12: yields (formula, trace)."""
     synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
     rng = random.Random(STEP_GRID_SEED)
     for ncomp in (3, 5):
         for _ in range(5):
             phi = synthetic.random_formula(rng, ncomp, 2)
             _, dist = rng.choice(synthetic.DISTRIBUTIONS)
-            tr = tg.generate(tg.TraceGenConfig(components=ncomp, length=12, distribution=dist,
-                                               seed=rng.randrange(2**31)))
-            spec = lt.synthesize(phi)
-            for cfg in _step_grid_configs():
-                yield cfg, en.simulate(cfg, phi if cfg.algorithm == "chor" else spec,
-                                       complete(tr.components), tr)
+            yield phi, tg.generate(tg.TraceGenConfig(
+                components=ncomp, length=12, distribution=dist, seed=rng.randrange(2**31)))
+
+
+def _step_grid_runs():
+    """Every config of the step grid on each of its formulas and traces:
+    yields (config, run)."""
+    for phi, tr in _step_grid_inputs():
+        spec = lt.synthesize(phi)
+        for cfg in _step_grid_configs():
+            yield cfg, en.simulate(cfg, phi if cfg.algorithm == "chor" else spec,
+                                   complete(tr.components), tr)
+
+
+def _step_fields(r):
+    """A run's verdict, stop round and every field of every step."""
+    return r.verdict, r.stop_round, [
+        (s.t, s.monitor, s.component, s.evaluations, s.simplifications, s.delays, s.gc, s.sent)
+        for s in r.record.steps
+    ]
 
 
 def test_step_stream_pinned():
@@ -407,6 +421,48 @@ def test_step_stream_pinned():
         runs += 1
     assert runs == 120
     assert digest.hexdigest() == STEP_STREAM_SHA256
+
+
+def _stamp_texts(automata):
+    """The text of every stamped label and template row the automata keep."""
+    return {
+        (id(a), at, key): ex.to_text(v) if isinstance(v, ex.Expr)
+        else {q: ex.to_text(c) for q, c in v.items()}
+        for a in automata for at, stamped in a.stamps.items() for key, v in stamped.items()
+    }
+
+
+def test_warm_automata_step_as_cold_ones(monkeypatch):
+    # An automaton keeps what mov stamped, so a second run on it reuses the
+    # first run's stamped nodes, with the facts simplify recorded on them.
+    # Over the step grid, each run on a freshly synthesized automaton and a
+    # second run on the same, now warm, automaton must make the same steps,
+    # and no cached stamping may change in between.
+    cases = []
+    with monkeypatch.context() as patched:
+        patched.setattr(lt, "synthesize", lt.synthesize.__wrapped__)  # past the synthesis cache
+        for phi, tr in _step_grid_inputs():
+            system, owner = complete(tr.components), tr.observed_owner()
+            for cfg in _step_grid_configs():
+                if cfg.algorithm == "chor":
+                    spec = en.assemble_choreography(lt.net_chor(phi, owner),
+                                                    sorted(system.nodes), owner)
+                else:
+                    spec = lt.synthesize(phi)
+                cases.append((cfg, spec, system, tr))
+    automata = [a for cfg, spec, _, _ in cases
+                for a in (spec.monitors.values() if cfg.algorithm == "chor" else (spec,))]
+    assert not any(a.stamps for a in automata)
+    cold = [_step_fields(en.simulate(*case)) for case in cases]
+    texts = _stamp_texts(automata)
+    assert any(isinstance(text, str) for text in texts.values())  # labels
+    assert any(isinstance(text, dict) for text in texts.values())  # template rows
+    warm = [_step_fields(en.simulate(*case)) for case in cases]
+    assert warm == cold
+    after = _stamp_texts(automata)
+    kept = texts.keys() & after.keys()  # the bounded caches evict some rounds
+    assert len(kept) > len(texts) // 2
+    assert all(after[key] == texts[key] for key in kept)
 
 
 def test_memories_owned_and_payloads_unchanged(monkeypatch):
@@ -534,6 +590,26 @@ def test_expression_work_linear_in_rounds(alg, monkeypatch):
     short = _expression_calls(alg, 100, monkeypatch)
     long = _expression_calls(alg, 400, monkeypatch)
     assert long <= 4 * short + 50, (short, long)
+
+
+def test_stamp_cache_bounded(monkeypatch):
+    # A run of more rounds than an automaton's stamp cache holds fills it
+    # to its bound and no further, keeps the latest rounds, and steps as a
+    # run that evicts nothing.
+    phi = lt.parse_ltl(BOUNDED_PHI)
+    bound = eh._STAMP_CACHE_SIZE
+    tr = _rotating_trace(4 * bound)
+    spec = lt.synthesize.__wrapped__(phi)
+    sizes = []
+    r = simulate_observed(en.SimConfig("orch"), spec, complete(tr.components), tr,
+                          lambda state: sizes.append(len(spec.stamps)))
+    assert r.verdict is ex.UNKNOWN and r.stop_round == 4 * bound + 5
+    assert max(sizes) == len(spec.stamps) == bound
+    assert [t for t, _ in spec.stamps] == list(range(r.stop_round - bound + 1, r.stop_round + 1))
+    monkeypatch.setattr(eh, "_STAMP_CACHE_SIZE", 1 << 30)
+    unbounded = en.simulate(en.SimConfig("orch"), lt.synthesize.__wrapped__(phi),
+                            complete(tr.components), tr)
+    assert _step_fields(r) == _step_fields(unbounded)
 
 
 def _memory_writes(alg, length, monkeypatch):
