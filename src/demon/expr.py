@@ -5,8 +5,11 @@ is iterative and memoizes on node identity so shared structure is visited
 once.  Labels are over plain atoms; :func:`encode` stamps each with the round
 it is read at, a proposition as <t,ap> and a monitor name as <t,&m>.
 The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
-and :func:`equivalent`, build a reduced ordered BDD for each call and accept
-any atom count.  :func:`simplify` takes a fold fixpoint, as the folding
+and :func:`equivalent`, accept any atom count: a sampled :func:`_walk`
+proves most open conditions open and decides those of up to
+``SAMPLED_ATOMS`` atoms, and a reduced ordered BDD decides the rest.
+The walks dispatch on exact node type and raise ``TypeError`` on a node of
+any other class.  :func:`simplify` takes a fold fixpoint, as the folding
 constructors and :func:`rewrite_fold` build, and makes one walk,
 :func:`_walk`, that collects the atoms, the tree size and a truth table of
 2^``SAMPLED_ATOMS`` rows: exact up to ``SAMPLED_ATOMS`` atoms, and past that a
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ParseError
+from .errors import ParseError, SpecificationError
 
 EXACT_ATOMS = 16  # atom limit for simplify's truth tables
 DNF_ATOMS = 8  # atom limit for sum-of-products rebuilds
@@ -53,6 +56,7 @@ SAMPLED_ATOMS = 9  # atoms a sampled truth table of 2^9 rows holds exactly
 _SAMPLE_SEED = 2005  # fixes the sampled rows past SAMPLED_ATOMS atoms
 _QM_CACHE_SIZE = 1024  # distinct (table, k) covers kept
 _ATOM_CACHE_SIZE = 1 << 16  # interned atoms kept per constructor
+MAX_NESTING = 100  # nested parentheses and prefix operators a parser accepts
 
 
 class Verdict(enum.Enum):
@@ -162,17 +166,18 @@ FALSE = Const(BOTTOM)
 
 
 def neg(e: Expr) -> Expr:
-    if isinstance(e, Const):
+    cls = type(e)
+    if cls is Const:
         return FALSE if e.value is TOP else TRUE
-    if isinstance(e, Not):
+    if cls is Not:
         return e.operand
     return Not(e)
 
 
 def conj(left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Const):
+    if type(left) is Const:
         return right if left.value is TOP else FALSE
-    if isinstance(right, Const):
+    if type(right) is Const:
         return left if right.value is TOP else FALSE
     if left is right:
         return left
@@ -180,9 +185,9 @@ def conj(left: Expr, right: Expr) -> Expr:
 
 
 def disj(left: Expr, right: Expr) -> Expr:
-    if isinstance(left, Const):
+    if type(left) is Const:
         return TRUE if left.value is TOP else right
-    if isinstance(right, Const):
+    if type(right) is Const:
         return TRUE if right.value is TOP else left
     if left is right:
         return left
@@ -250,13 +255,16 @@ def atom_set(e: Expr, visited: Optional[set[int]] = None) -> set[Atom]:
         if id(node) in visited:
             continue
         visited.add(id(node))
-        if isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             seen.add(node.atom)
-        elif isinstance(node, Not):
+        elif cls is Not:
             stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
+        elif cls is And or cls is Or:
             stack.append(node.left)
             stack.append(node.right)
+        elif cls is not Const:
+            raise TypeError(f"not an expression node: {node!r}")
     return seen
 
 
@@ -284,18 +292,10 @@ def bottom_up(e: Expr, memo: dict, var_value, const_value, not_value, bin_value)
         node, ready = stack.pop()
         if id(node) in memo:
             continue
-        if isinstance(node, Const):
-            memo[id(node)] = const_value(node)
-        elif isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             memo[id(node)] = var_value(node)
-        elif isinstance(node, Not):
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.operand, False))
-                continue
-            memo[id(node)] = not_value(memo[id(node.operand)])
-        else:
-            assert isinstance(node, (And, Or))
+        elif cls is And or cls is Or:
             if not ready:
                 stack.append((node, True))
                 stack.append((node.left, False))
@@ -304,6 +304,16 @@ def bottom_up(e: Expr, memo: dict, var_value, const_value, not_value, bin_value)
             memo[id(node)] = bin_value(
                 node, memo[id(node.left)], memo[id(node.right)]
             )
+        elif cls is Not:
+            if not ready:
+                stack.append((node, True))
+                stack.append((node.operand, False))
+                continue
+            memo[id(node)] = not_value(memo[id(node.operand)])
+        elif cls is Const:
+            memo[id(node)] = const_value(node)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
     return memo[id(e)]
 
 
@@ -335,48 +345,45 @@ def rewrite_fold(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Exp
         node, phase = stack.pop()
         if id(node) in memo:
             continue
-        if isinstance(node, Const):
-            memo[id(node)] = node
-        elif isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             v = get(node.atom)
-            memo[id(node)] = (
-                (TRUE if v is TOP else FALSE) if v is not None and v.is_final else node
-            )
-        elif isinstance(node, Not):
-            if phase == 0:
-                stack.append((node, 2))
-                stack.append((node.operand, 0))
-                continue
-            child = memo[id(node.operand)]
-            if isinstance(child, (Const, Not)):
-                memo[id(node)] = neg(child)
-            else:
-                memo[id(node)] = node if child is node.operand else Not(child)
-        else:
-            assert isinstance(node, (And, Or))
+            memo[id(node)] = TRUE if v is TOP else FALSE if v is BOTTOM else node
+        elif cls is And or cls is Or:
             if phase == 0:
                 stack.append((node, 1))
                 stack.append((node.left, 0))
                 continue
             l = memo[id(node.left)]
             if phase == 1:
-                if isinstance(node, And) and l is FALSE:
-                    memo[id(node)] = FALSE
-                    continue
-                if isinstance(node, Or) and l is TRUE:
-                    memo[id(node)] = TRUE
+                if l is (FALSE if cls is And else TRUE):
+                    memo[id(node)] = l
                     continue
                 stack.append((node, 2))
                 stack.append((node.right, 0))
                 continue
             r = memo[id(node.right)]
-            if isinstance(l, Const) or isinstance(r, Const) or l is r:
-                out = conj(l, r) if isinstance(node, And) else disj(l, r)
+            if type(l) is Const or type(r) is Const or l is r:
+                out = conj(l, r) if cls is And else disj(l, r)
             elif l is node.left and r is node.right:
                 out = node
             else:
-                out = And(l, r) if isinstance(node, And) else Or(l, r)
+                out = cls(l, r)
             memo[id(node)] = out
+        elif cls is Not:
+            if phase == 0:
+                stack.append((node, 2))
+                stack.append((node.operand, 0))
+                continue
+            child = memo[id(node.operand)]
+            if type(child) is Const or type(child) is Not:
+                memo[id(node)] = neg(child)
+            else:
+                memo[id(node)] = node if child is node.operand else Not(child)
+        elif cls is Const:
+            memo[id(node)] = node
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
     return memo[id(e)]
 
 
@@ -559,9 +566,22 @@ def decide_constant(e: Expr) -> Optional[Verdict]:
     """Tautology/contradiction decision for ``e``, exact at every size.
 
     Returns TOP for tautologies, BOTTOM for unsatisfiable expressions, and
-    None otherwise."""
-    if isinstance(e, Var) or (isinstance(e, Not) and isinstance(e.operand, Var)):
-        return None  # a literal, the most common open condition: no BDD needed
+    None otherwise.  A literal is open.  Otherwise one :func:`_walk` over
+    the sampled columns comes first: a table that holds both values proves
+    ``e`` open, since each row is a real assignment, and a constant table
+    over at most ``SAMPLED_ATOMS`` atoms is exact.  Only a sample that reads
+    constant over more atoms, or more than ``EXACT_ATOMS`` atoms, builds a
+    reduced ordered BDD."""
+    cls = type(e)
+    if cls is Var or (cls is Not and type(e.operand) is Var):
+        return None
+    walk = _walk(e, EXACT_ATOMS)
+    if walk is not None:
+        k, table = len(walk[0]), walk[1]
+        if 0 < table < (1 << (1 << min(k, SAMPLED_ATOMS))) - 1:
+            return None
+        if k <= SAMPLED_ATOMS:
+            return TOP if table else BOTTOM
     root = _Bdd(e).root
     return TOP if root == 1 else BOTTOM if root == 0 else None
 
@@ -649,7 +669,8 @@ def _dnf_from_cover(terms: Cover, atoms: list[Atom]) -> Expr:
 def _is_literal(e: Expr) -> bool:
     """Whether ``e`` is a constant, an atom or a negated atom, which
     :func:`fold` and :func:`simplify` return unchanged."""
-    return isinstance(e, (Const, Var)) or (isinstance(e, Not) and isinstance(e.operand, Var))
+    cls = type(e)
+    return cls is Var or cls is Const or (cls is Not and type(e.operand) is Var)
 
 
 Walk = tuple[list[Atom], int, tuple[int, int]]
@@ -700,7 +721,7 @@ def _walk(e: Expr, limit: int = DNF_ATOMS, width: Optional[int] = None) -> Optio
             memo[id(node)] = (full ^ sub[0], sub[1], sub[2] + 1)
         elif cls is Const:
             memo[id(node)] = (full if node.value is TOP else 0, 0, 0)
-        else:
+        elif cls is And or cls is Or:
             l, r = memo.get(id(node.left)), memo.get(id(node.right))
             if l is None or r is None:
                 if r is None:
@@ -710,6 +731,8 @@ def _walk(e: Expr, limit: int = DNF_ATOMS, width: Optional[int] = None) -> Optio
                 continue
             table = l[0] & r[0] if cls is And else l[0] | r[0]
             memo[id(node)] = (table, l[1] + r[1], l[2] + r[2] + 1)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
         stack.pop()
     table, leaves, ops = memo[id(e)]
     rows = 1 << min(len(index), width)
@@ -811,7 +834,7 @@ def eval_expr(e: Expr, memory, memo: Optional[dict[int, Expr]] = None) -> Verdic
     """Verdict of ``e`` under ``memory``: TOP/BOTTOM iff the rewritten
     expression is a tautology/contradiction, UNKNOWN otherwise."""
     r = rewrite_fold(e, memory, memo)
-    if isinstance(r, Const):
+    if type(r) is Const:
         return r.value
     verdict = decide_constant(r)
     return verdict if verdict is not None else UNKNOWN
@@ -884,8 +907,21 @@ def is_identifier(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
+def nested(depth: int, what: str) -> int:
+    """``depth + 1``, the level a parser of ``what`` enters from ``depth``;
+    past ``MAX_NESTING`` the input is rejected, since the parsers and the
+    LTL layer recurse once or more per level."""
+    if depth >= MAX_NESTING:
+        raise SpecificationError(
+            f"{what} nests parentheses and operators more than {MAX_NESTING} levels deep"
+        )
+    return depth + 1
+
+
 def parse_expr(text: str) -> Expr:
-    """Parse the expression grammar (precedence: ! > && > ||) over plain atoms."""
+    """Parse the expression grammar (precedence: ! > && > ||) over plain atoms.
+
+    Parentheses and ``!`` may nest at most ``MAX_NESTING`` levels deep."""
     toks = tokenize(text)[::-1]  # next token last
 
     def peek() -> str:
@@ -896,28 +932,28 @@ def parse_expr(text: str) -> Expr:
             raise ParseError(f"expected {tok!r}, found {peek()!r}")
         toks.pop()
 
-    def parse_or() -> Expr:
-        left = parse_and()
+    def parse_or(depth: int) -> Expr:
+        left = parse_and(depth)
         while peek() == "||":
             take("||")
-            left = Or(left, parse_and())
+            left = Or(left, parse_and(depth))
         return left
 
-    def parse_and() -> Expr:
-        left = parse_unary()
+    def parse_and(depth: int) -> Expr:
+        left = parse_unary(depth)
         while peek() == "&&":
             take("&&")
-            left = And(left, parse_unary())
+            left = And(left, parse_unary(depth))
         return left
 
-    def parse_unary() -> Expr:
+    def parse_unary(depth: int) -> Expr:
         tok = peek()
         if tok == "!":
             take("!")
-            return Not(parse_unary())
+            return Not(parse_unary(nested(depth, "expression")))
         if tok == "(":
             take("(")
-            inner = parse_or()
+            inner = parse_or(nested(depth, "expression"))
             take(")")
             return inner
         if tok in ("true", "false"):
@@ -928,7 +964,7 @@ def parse_expr(text: str) -> Expr:
             return Var(plain(tok))
         raise ParseError(f"expected an expression, found {tok!r}")
 
-    result = parse_or()
+    result = parse_or(0)
     if toks:
         raise ParseError(f"trailing input {peek()!r} in expression")
     return result

@@ -171,6 +171,9 @@ _KEYWORDS = {"X": Next, "F": Finally, "G": Globally}
 
 
 def parse_ltl(text: str) -> Ltl:
+    """Parse the formula syntax above.  Parentheses, prefix operators and
+    the right-nested ``U`` may nest at most ``expr.MAX_NESTING`` levels deep:
+    the LTL layer recurses over a formula's depth."""
     toks = ex.tokenize(text)[::-1]  # next token last
 
     def peek() -> str:
@@ -181,38 +184,38 @@ def parse_ltl(text: str) -> Ltl:
             raise ParseError(f"expected {expected!r}, found {peek()!r}")
         toks.pop()
 
-    def parse_or() -> Ltl:
-        left = parse_until()
+    def parse_or(depth: int) -> Ltl:
+        left = parse_until(depth)
         while peek() == "||":
             take("||")
-            left = LOr(left, parse_until())
+            left = LOr(left, parse_until(depth))
         return left
 
-    def parse_until() -> Ltl:
-        left = parse_and()
+    def parse_until(depth: int) -> Ltl:
+        left = parse_and(depth)
         if peek() == "U":
             take("U")
-            return Until(left, parse_until())
+            return Until(left, parse_until(ex.nested(depth, "formula")))
         return left
 
-    def parse_and() -> Ltl:
-        left = parse_unary()
+    def parse_and(depth: int) -> Ltl:
+        left = parse_unary(depth)
         while peek() == "&&":
             take("&&")
-            left = LAnd(left, parse_unary())
+            left = LAnd(left, parse_unary(depth))
         return left
 
-    def parse_unary() -> Ltl:
+    def parse_unary(depth: int) -> Ltl:
         tok = peek()
         if tok == "!":
             take("!")
-            return LNot(parse_unary())
+            return LNot(parse_unary(ex.nested(depth, "formula")))
         if tok in _KEYWORDS:
             take(tok)
-            return _KEYWORDS[tok](parse_unary())
+            return _KEYWORDS[tok](parse_unary(ex.nested(depth, "formula")))
         if tok == "(":
             take("(")
-            inner = parse_or()
+            inner = parse_or(ex.nested(depth, "formula"))
             take(")")
             return inner
         if tok in ("true", "false"):
@@ -223,7 +226,7 @@ def parse_ltl(text: str) -> Ltl:
             return Prop(tok)
         raise ParseError(f"expected a formula, found {tok!r}")
 
-    result = parse_or()
+    result = parse_or(0)
     if toks:
         raise ParseError(f"trailing input {peek()!r} in formula")
     return result

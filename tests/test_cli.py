@@ -379,6 +379,49 @@ class TestRun:
         assert json.loads(out)["verdict"] == "top"
 
 
+@pytest.mark.parametrize("nest", [lambda n: "(" * n + "a0" + ")" * n,
+                                  lambda n: "!" * n + "a0"],
+                         ids=["parentheses", "negations"])
+class TestNestingBound:
+    """Inputs nested past ``expr.MAX_NESTING`` are bad input (exit 2, naming
+    the bound), in both the formula and the label syntax; at the bound they
+    run."""
+
+    TRACE = str(FIXTURES / "experiment" / "trace_normal.csv")
+
+    def run(self, capsys, spec):
+        return run_cli(capsys, "run", "--spec", str(spec), "--trace", self.TRACE,
+                       "--algorithm", "orch")
+
+    def test_ltl_file(self, tmp_path, capsys, nest):
+        ltl = tmp_path / "phi.ltl"
+        ltl.write_text(f"F {nest(ex.MAX_NESTING - 1)}\n")
+        code, out, err = self.run(capsys, ltl)
+        assert code in (0, 1) and out and err == ""
+        ltl.write_text(f"F {nest(ex.MAX_NESTING)}\n")
+        code, out, err = self.run(capsys, ltl)
+        assert code == 2 and out == ""
+        assert err == f"error: formula nests parentheses and operators more than " \
+                      f"{ex.MAX_NESTING} levels deep\n"
+
+    def test_automaton_label(self, tmp_path, capsys, nest):
+        def spec(depth):
+            # nest(n) is a0 for an even n
+            return {"states": ["q0", "q1"], "initial": "q0",
+                    "verdicts": {"q0": "unknown", "q1": "top"},
+                    "transitions": [{"from": "q0", "to": "q1", "label": nest(depth)},
+                                    {"from": "q0", "to": "q0", "label": "!a0"},
+                                    {"from": "q1", "to": "q1", "label": "true"}]}
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec(ex.MAX_NESTING)))
+        code, out, err = self.run(capsys, path)
+        assert code in (0, 1) and out and err == ""
+        path.write_text(json.dumps(spec(ex.MAX_NESTING + 2)))
+        code, out, err = self.run(capsys, path)
+        assert code == 2 and out == "" and f"more than {ex.MAX_NESTING} levels" in err
+
+
 class TestExperiment:
     def _write_experiment(self, tmp_path, fig1):
         spec = tmp_path / "spec.json"

@@ -12,11 +12,11 @@ import demon
 from demon import ehe as eh
 from demon import expr as ex
 from demon.automaton import make_spec
-from demon.errors import ParseError
+from demon.errors import ParseError, SpecificationError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
-from helpers import fresh_copy, reference_simplify, tree_size
+from helpers import bdd_decision, fresh_copy, reference_simplify, tree_size
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -231,6 +231,17 @@ class TestParser:
     def test_errors(self, bad):
         with pytest.raises(ParseError):
             ex.parse_expr(bad)
+
+    @pytest.mark.parametrize("nest", [lambda n: "(" * n + "a" + ")" * n,
+                                      lambda n: "!" * n + "a",
+                                      lambda n: "!(" * (n // 2) + "a" + ")" * (n // 2)],
+                             ids=["parentheses", "negations", "both"])
+    def test_nesting_bound(self, nest):
+        assert ex.atoms_of(ex.parse_expr(nest(ex.MAX_NESTING))) == [ex.plain("a")]
+        with pytest.raises(SpecificationError, match=f"more than {ex.MAX_NESTING} levels"):
+            ex.parse_expr(nest(ex.MAX_NESTING + 2) + " || b")
+        with pytest.raises(SpecificationError, match=f"more than {ex.MAX_NESTING} levels"):
+            ex.parse_expr("b && (" + nest(ex.MAX_NESTING) + ")")
 
 
 @st.composite
@@ -624,3 +635,99 @@ def test_wide_open_node_takes_one_walk(n, monkeypatch):
     assert ex.simplify(e) is e
     assert walks == [(e, ex.EXACT_ATOMS)]
     assert e.wide and e.settled
+
+
+def _random_over(rng, atoms):
+    """A random condition in which every atom of ``atoms`` occurs, some of
+    them twice, under random connectives and negations."""
+    parts = [ex.Var(a) if rng.random() < 0.7 else ex.Not(ex.Var(a))
+             for a in atoms + rng.sample(atoms, len(atoms) // 2)]
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        left, right = parts[i], parts.pop(i + 1)
+        node = ex.And(left, right) if rng.random() < 0.5 else ex.Or(left, right)
+        parts[i] = ex.Not(node) if rng.random() < 0.2 else node
+    return parts[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9, 10, 12, 16, 17, 24])
+def test_decide_constant_agrees_with_bdd(k, monkeypatch):
+    # Up to SAMPLED_ATOMS atoms the walk decides alone; from there up to
+    # EXACT_ATOMS it proves a condition open only when its sampled rows hold
+    # both values, and past EXACT_ATOMS only the diagram decides.  Each
+    # condition is simplified first: a node past EXACT_ATOMS is then marked
+    # settled without being decided, which must not read as open.
+    rng = random.Random(k)
+    atoms = [ex.plain(f"x{i:02d}") for i in range(k)]
+    builds = []
+
+    class CountedBdd(ex._Bdd):
+        def __init__(self, e):
+            builds.append(e)
+            super().__init__(e)
+
+    decided = set()
+    for _ in range(12):
+        w = _random_over(rng, atoms)
+        for e in (w, ex.Or(w, ex.Not(w)), ex.And(w, ex.Not(w))):
+            expected = bdd_decision(e)
+            ex.simplify(e)
+            sample = ex._walk(e, ex.EXACT_ATOMS)
+            sampled_constant = sample is not None and sample[1] in (0, ex._SAMPLED_FULL)
+            with monkeypatch.context() as patch:
+                patch.setattr(ex, "_Bdd", CountedBdd)
+                assert ex.decide_constant(e) is expected
+            built = builds == [e]
+            builds.clear()
+            assert built == (k > ex.EXACT_ATOMS or k > ex.SAMPLED_ATOMS and sampled_constant)
+            decided.add(expected)
+    assert decided == {ex.TOP, ex.BOTTOM, None}
+
+
+def test_single_row_conditions_stay_open():
+    # Each differs from a constant on one assignment of 12 atoms, the one
+    # that sets every atom, and no sampled row sets them all.
+    xs = [ex.Var(ex.plain(f"x{i:02d}")) for i in range(12)]
+    for e in (ex.disj_all(map(ex.Not, xs)), ex.conj_all(xs)):
+        assert ex._walk(e, ex.EXACT_ATOMS)[1] in (0, ex._SAMPLED_FULL)
+        assert ex.decide_constant(e) is None is bdd_decision(e)
+        assert ex.eval_expr(e, Memory()) is ex.UNKNOWN
+
+
+def test_rewrite_fold_contracts():
+    a, b = ex.plain("a"), ex.plain("b")
+    va, vb = ex.Var(a), ex.Var(b)
+    assert ex.rewrite_fold(va, {a: ex.TOP}) is ex.TRUE
+    assert ex.rewrite_fold(va, {a: ex.BOTTOM}) is ex.FALSE
+    assert ex.rewrite_fold(va, {a: ex.UNKNOWN}) is va
+    assert ex.rewrite_fold(va, {b: ex.TOP}) is va
+    e = ex.Or(ex.And(va, ex.Not(vb)), ex.Not(va))
+    for m in ({}, {a: ex.UNKNOWN}, {b: ex.UNKNOWN}, {ex.plain("c"): ex.TOP}):
+        assert ex.rewrite_fold(e, m) is e
+    assert ex.rewrite_fold(e, {a: ex.TOP}) is e.left.right
+    assert ex.rewrite_fold(e, {a: ex.BOTTOM}) is ex.TRUE
+    assert ex.rewrite_fold(e, {a: ex.TOP, b: ex.TOP}) is ex.FALSE
+
+
+@dataclasses.dataclass(frozen=True)
+class _Implies(ex.Expr):
+    """A node class the walks do not know, shaped like a binary one."""
+
+    left: ex.Expr
+    right: ex.Expr
+
+
+@pytest.mark.parametrize("walk", [
+    lambda e: ex.rewrite_fold(e, {}),
+    lambda e: ex.bottom_up(e, {}, id, id, id, lambda node, l, r: l),
+    lambda e: ex.encode(e, 1),
+    ex.atom_set,
+    ex.simplify,
+    ex.decide_constant,
+], ids=["rewrite_fold", "bottom_up", "encode", "atom_set", "simplify", "decide_constant"])
+def test_walks_reject_unknown_node_classes(walk):
+    a = ex.Var(ex.plain("a"))
+    for e in (_Implies(a, a), ex.And(a, ex.Not(_Implies(a, ex.TRUE)))):
+        with pytest.raises(TypeError, match="not an expression node"):
+            walk(e)

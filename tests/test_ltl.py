@@ -11,7 +11,7 @@ from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
 from demon.automaton import spec_to_dict, validate
-from demon.errors import IncompleteEvent, NoAtomicPropositions, ParseError
+from demon.errors import IncompleteEvent, NoAtomicPropositions, ParseError, SpecificationError
 from demon.store import Memory
 
 from helpers import centralized_as_decentralized, enumerate_full_traces, verdict_equivalent
@@ -45,6 +45,17 @@ class TestParser:
         for bad in ["", "a U", "F", "a &&", "(a"]:
             with pytest.raises(ParseError):
                 lt.parse_ltl(bad)
+
+    @pytest.mark.parametrize("nest", [lambda n: "(" * n + "a" + ")" * n,
+                                      lambda n: "!" * n + "a",
+                                      lambda n: "X F G " * (n // 3) + "X " * (n % 3) + "a",
+                                      lambda n: " U ".join(["a"] * (n + 1))],
+                             ids=["parentheses", "negations", "temporal", "until"])
+    def test_nesting_bound(self, nest):
+        assert lt.atomic_leaves(lt.parse_ltl(nest(ex.MAX_NESTING))) == ["a"]
+        for past in (nest(ex.MAX_NESTING + 1), f"b || ({nest(ex.MAX_NESTING)})"):
+            with pytest.raises(SpecificationError, match=f"more than {ex.MAX_NESTING} levels"):
+                lt.parse_ltl(past)
 
     def test_shares_the_expression_lexer(self):
         for bad in ["a $ b", "a & b", "a | b", "1a", "a -> b"]:
