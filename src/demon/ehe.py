@@ -9,10 +9,12 @@ share the labels and rows it keeps stamped.  With R rounds, E entries and S
 states per row:
 
 - ``rounds`` and ``len`` are O(R); ``first_round`` and ``last_round`` are
-  O(1); ``at`` is O(1) and ``states_at`` is O(S log S).
+  O(1) and ``states_at`` is O(S log S).
 - ``entries`` builds the flat ``{(round, state): condition}`` dict on each
   call, in O(E); hot paths read the rows of ``table`` instead.
-- ``sreach`` finds its row in O(1) and evaluates at most S conditions.
+- ``sreach`` finds its row in O(1) and evaluates at most S conditions; it
+  reads a constant's verdict directly and calls ``expr.eval_expr`` only on
+  the others.
 - ``mov`` copies the row index (O(R)) and adds one row per new round: after
   a row of constants it takes a cached row stamped at that round, and
   otherwise makes one ``expr.simplify`` call, bounded at
@@ -26,8 +28,9 @@ states per row:
   last new row, when its source holds only constants and the round's memory
   decides it, is a cached row of constants found with one memory lookup per
   atom and no walk.
-- ``inc`` rewrites every non-constant entry (O(E) folds) and reuses rows
-  that hold only constants.
+- ``inc`` rewrites every non-constant entry (O(E) folds) and keeps, as the
+  same objects, rows of constants and rows whose entries all fold to
+  themselves; when every row is kept it returns the encoding itself.
 - ``drop_resolved`` keeps the rows after the last known round, which the
   caller's resolution found: it searches nothing and copies O(R) rows.
 - ``merge`` is :func:`store.merge_with` over rounds, whose shared rows merge
@@ -77,9 +80,6 @@ class EHE:
     def last_round(self) -> int:
         return next(reversed(self.table))
 
-    def at(self, t: int, q: str) -> Optional[Expr]:
-        return self.table.get(t, {}).get(q)
-
     def states_at(self, t: int) -> list[str]:
         return sorted(self.table.get(t, ()))
 
@@ -101,7 +101,10 @@ def _row(p: EHE, t: int) -> Row:
 
 def is_constant_row(row: Row) -> bool:
     """Whether every condition of ``row`` is a constant."""
-    return all(type(c) is ex.Const for c in row.values())
+    for c in row.values():
+        if type(c) is not ex.Const:
+            return False
+    return True
 
 
 class Template(NamedTuple):
@@ -266,15 +269,22 @@ def sreach(
     memo: Optional[dict[int, Expr]] = None,
 ) -> Optional[str]:
     """The unique state whose condition at round t evaluates to TOP under
-    ``m``, or None when no condition resolves.  Each evaluation is counted
-    in ``step.evaluations`` when a step is given."""
+    ``m``, or None when no condition resolves.  States are read in name
+    order; a constant condition is its own verdict, and only the others go
+    through :func:`expr.eval_expr`.  Each condition read, up to and
+    including the TOP one, is counted as one evaluation in
+    ``step.evaluations`` when a step is given."""
     row = _row(p, t)
     if memo is None:
         memo = {}
     for q in sorted(row):
         if step is not None:
             step.evaluations += 1
-        if ex.eval_expr(row[q], m, memo=memo) is TOP:
+        cond = row[q]
+        if type(cond) is ex.Const:
+            if cond.value is TOP:
+                return q
+        elif ex.eval_expr(cond, m, memo=memo) is TOP:
             return q
     return None
 
@@ -302,26 +312,33 @@ def inc(p: EHE, m: Memory, step=None) -> EHE:
 
     After this the memory is obsolete for these entries (evaluating the new
     entry under the empty memory equals evaluating the old one under ``m``).
-    Entries are rewritten round by round, states in order; rows holding only
-    constants are kept as they are.  Full simplifier calls are counted in
-    ``step.simplifications`` when a step is given.
+    Entries are rewritten round by round, states in order.  Rows holding only
+    constants, and rows whose every entry rewrites and simplifies to itself,
+    are kept as the same objects; when no row changes, ``p`` itself is
+    returned.  Full simplifier calls are counted in ``step.simplifications``
+    when a step is given.
     """
     memo: dict[int, Expr] = {}
     table: dict[int, Row] = {}
+    changed = False
     for t, row in p.table.items():
         if is_constant_row(row):
             table[t] = row
             continue
         new: dict[str, Expr] = {}
+        same = True
         for q in sorted(row):
-            folded = ex.rewrite_fold(row[q], m, memo)
-            if not isinstance(folded, ex.Const):
+            cond = row[q]
+            folded = ex.rewrite_fold(cond, m, memo)
+            if type(folded) is not ex.Const:
                 if step is not None:
                     step.simplifications += 1
                 folded = ex.simplify(folded)
             new[q] = folded
-        table[t] = new
-    return EHE(p.automaton, table)
+            same = same and folded is cond
+        table[t] = row if same else new
+        changed = changed or not same
+    return EHE(p.automaton, table) if changed else p
 
 
 def drop_resolved(p: EHE, resolved: Optional[tuple[int, str]]) -> EHE:

@@ -86,11 +86,6 @@ class MonitorState:
     t_mon: int = 1  # round the chor instance is anchored at
     prefix_evals: int = 0  # what each _resolve would spend on the rows chor dropped
 
-    @property
-    def is_active(self) -> bool:
-        """Whether the monitor holds an encoding."""
-        return self.ehe is not None
-
 
 @dataclass(frozen=True)
 class Policy:

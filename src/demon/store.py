@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, TypeVar
 
 from .errors import ConflictingObservation
-from .expr import Atom, Verdict, VERDICT_RANK, timed
+from .expr import Atom, TOP, UNKNOWN, Verdict, timed
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -32,7 +32,9 @@ def merge_with(f: Mapping[K, V], g: Mapping[K, V], op: Callable[[V, V], V]) -> d
 
 
 def _replace_max(a: Verdict, b: Verdict) -> Verdict:
-    return b if VERDICT_RANK[a] < VERDICT_RANK[b] else a
+    """The higher of ``a`` and ``b`` under UNKNOWN < BOTTOM < TOP
+    (``expr.VERDICT_RANK``), decided by identity."""
+    return b if b is TOP or a is UNKNOWN else a
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def active_counts(cfg: en.SimConfig, spec_input, system, tr) -> tuple[en.SimRun,
     monitor's state after its own step is its state at the end of the round;
     the run records one step per observed state, in the same order."""
     seen: list[bool] = []
-    run = simulate_observed(cfg, spec_input, system, tr, lambda s: seen.append(s.is_active))
+    run = simulate_observed(cfg, spec_input, system, tr, lambda s: seen.append(s.ehe is not None))
     counts: dict[int, int] = {}
     for step, active in zip(run.record.steps, seen):
         counts[step.t] = counts.get(step.t, 0) + active

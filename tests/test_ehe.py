@@ -114,6 +114,31 @@ class TestResolution:
         p = eh.init(fig1)
         assert eh.verdict_at(p, Memory(), 0) is ex.UNKNOWN  # ver(q0) = ?
 
+    def test_sreach_reads_constants_without_eval_expr(self, monkeypatch):
+        spec = make_spec(["q0", "q1", "q2"], "q0", [("q0", "true", "q0")],
+                         {"q0": "unknown", "q1": "top", "q2": "bottom"})
+        real_eval = ex.eval_expr
+        calls = []
+
+        def recorded(e, *args, **kwargs):
+            calls.append(e)
+            return real_eval(e, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "eval_expr", recorded)
+        a1 = ex.Var(ex.timed(1, "a"))
+        cases = [
+            ({"q0": ex.FALSE, "q1": ex.TRUE, "q2": ex.FALSE}, "q1", 2, []),
+            ({"q0": ex.TRUE, "q1": ex.FALSE, "q2": ex.FALSE}, "q0", 1, []),
+            ({"q0": ex.FALSE, "q1": ex.FALSE, "q2": ex.FALSE}, None, 3, []),
+            ({"q0": a1, "q1": ex.TRUE, "q2": ex.FALSE}, "q1", 2, [a1]),
+        ]
+        for row, found, evaluations, evaluated in cases:
+            calls.clear()
+            step = mt.Step(1, "m", "c")
+            assert eh.sreach(eh.EHE(spec, {1: row}), Memory(), 1, step=step) == found
+            assert step.evaluations == evaluations  # up to and including TOP
+            assert calls == evaluated
+
 
 class TestMergeInc:
     def test_golden_table2(self, fig2):
@@ -286,8 +311,8 @@ def assert_table_consistent(p):
         assert p.states_at(t) == sorted(q for r, q in entries if r == t)
         assert p.states_at(t), t  # no empty rows
     for (t, q), cond in entries.items():
-        assert p.at(t, q) is cond
-    assert p.at(p.rounds()[-1] + 1, p.automaton.initial) is None
+        assert p.table[t][q] is cond
+    assert p.rounds()[-1] + 1 not in p.table
 
 
 class TestTable:
@@ -349,6 +374,28 @@ class TestTable:
         incd = eh.inc(p, Memory(), step=step)
         assert incd.table[0] is p.table[0]
         assert step.simplifications == 4  # the four non-constant entries
+
+    def test_inc_returns_an_encoding_nothing_folds(self, fig1):
+        constant = eh.EHE(fig1, {0: {"q0": ex.TRUE}, 1: {"q0": ex.FALSE, "q1": ex.TRUE}})
+        assert eh.inc(constant, timed_mem(**{"1_a": T, "1_b": B})) is constant
+        # one inc leaves every entry a fixpoint of simplify: a row stamped
+        # from a template is rebuilt by it once
+        p = eh.inc(eh.mov(eh.init(fig1), 0, 2), Memory())
+        for m in (Memory(), timed_mem(**{"3_a": T, "5_b": B})):
+            step = mt.Step(2, "m", "c")
+            assert eh.inc(p, m, step=step) is p
+            assert step.simplifications == 4  # still one call per non-constant entry
+
+    def test_inc_keeps_rows_the_memory_leaves_alone(self, fig1):
+        p = eh.inc(eh.mov(eh.init(fig1), 0, 2), Memory())
+        before = {t: (row, dict(row)) for t, row in p.table.items()}
+        incd = eh.inc(p, timed_mem(**{"2_a": T}))
+        assert incd is not p
+        assert incd.table[0] is p.table[0] and incd.table[1] is p.table[1]
+        assert incd.table[2] is not p.table[2]
+        assert incd.table[2]["q1"] is ex.TRUE
+        assert {t: (row, dict(row)) for t, row in p.table.items()} == before
+        assert all(p.table[t] is row for t, (row, _) in before.items())
 
 
 
@@ -436,14 +483,14 @@ def test_entry_holding_a_wide_node_is_marked_not_simplified(monkeypatch):
     assert p.table[1] == {"q0": ex.And(w, ex.Not(a1)),
                           "q1": ex.Or(ex.And(w, a1), ex.And(small, ex.Not(a1))),
                           "q2": ex.And(small, a1)}
-    assert p.at(1, "q0").left is w and p.at(1, "q1").left.left is w
-    assert p.at(1, "q0").wide and p.at(1, "q1").wide and not p.at(1, "q2").wide
+    assert p.table[1]["q0"].left is w and p.table[1]["q1"].left.left is w
+    assert p.table[1]["q0"].wide and p.table[1]["q1"].wide and not p.table[1]["q2"].wide
     assert calls == [ex.And(small, a1)]
 
     calls.clear()
     p = eh.mov(eh.EHE(spec, {0: {"q0": small}, 1: {"q1": w}}), 0, 1)
-    assert p.at(1, "q1") == ex.Or(w, ex.And(small, a1)) and p.at(1, "q1").left is w
-    assert p.at(1, "q1").wide and not p.at(1, "q0").wide
+    assert p.table[1]["q1"] == ex.Or(w, ex.And(small, a1)) and p.table[1]["q1"].left is w
+    assert p.table[1]["q1"].wide and not p.table[1]["q0"].wide
     assert calls == [ex.And(small, ex.Not(a1)), ex.FALSE]
 
 

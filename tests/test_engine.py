@@ -58,7 +58,7 @@ class TestSetup:
         )
         assert len(st.network.nodes) == 4
         assert len(st.network.edges) == 12
-        active = [s for s in st.states.values() if s.is_active]
+        active = [s for s in st.states.values() if s.ehe is not None]
         assert len(active) == 1
 
     def test_migr_initial_active_follows_heuristic(self, fig1):
@@ -66,7 +66,7 @@ class TestSetup:
             en.SimConfig("migr"), fig1, complete(("A", "B")), {"a": "B", "b": "B"}
         )
         # both round-1 obligations live on B, so B's monitor starts active
-        assert st.states["m_B"].is_active and not st.states["m_A"].is_active
+        assert st.states["m_B"].ehe is not None and st.states["m_A"].ehe is None
 
     def test_chor_single_monitor(self):
         phi = lt.parse_ltl("F (a0 && a1)")
@@ -116,7 +116,7 @@ class TestSetup:
             en.setup(en.SimConfig(alg, initial_active=3), spec, system, owner)
         st = en.setup(en.SimConfig(alg, initial_active=2), spec, system, owner)
         if alg.startswith("migr"):
-            assert all(s.is_active for s in st.states.values())
+            assert all(s.ehe is not None for s in st.states.values())
 
 
 def test_resolve_returns_where_garbage_collection_cuts():
@@ -533,7 +533,7 @@ def _state_peaks(alg, length):
     peaks = [0, 0]
 
     def observe(state):
-        if state.is_active:
+        if state.ehe is not None:
             peaks[0] = max(peaks[0], len(state.ehe))
 
     def before_gc(state):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -53,6 +54,11 @@ class TestEvent:
 
 
 class TestMemoryMerge:
+    def test_replace_max_follows_verdict_rank(self):
+        for a, b in itertools.product(ex.Verdict, repeat=2):
+            expected = b if ex.VERDICT_RANK[a] < ex.VERDICT_RANK[b] else a
+            assert _replace_max(a, b) is expected, (a, b)
+
     def test_idempotent(self):
         m = Memory({ex.plain("a"): ex.TOP, ex.plain("b"): ex.UNKNOWN})
         assert memory_merge(dict(m), m) == m
