@@ -5,16 +5,18 @@ is iterative and memoizes on node identity so shared structure is visited
 once.  Labels are over plain atoms; :func:`encode` stamps each with the round
 it is read at, a proposition as <t,ap> and a monitor name as <t,&m>.
 The exact decisions, :func:`decide_constant` (under :func:`eval_expr`)
-and :func:`equivalent`, accept any atom count: a sampled :func:`_walk`
-proves most open conditions open and decides those of up to
-``SAMPLED_ATOMS`` atoms, and a reduced ordered BDD decides the rest.
-The walks dispatch on exact node type and raise ``TypeError`` on a node of
-any other class.  :func:`simplify` takes a fold fixpoint, as the folding
-constructors and :func:`rewrite_fold` build, and makes one walk,
-:func:`_walk`, that collects the atoms, the tree size and a truth table of
-2^``SAMPLED_ATOMS`` rows: exact up to ``SAMPLED_ATOMS`` atoms, and past that a
-fixed sample of assignments that shows most wide conditions to be open.  Only
-a wide input whose sampled rows all agree is walked again, exactly.  It
+and :func:`equivalent`, accept any atom count: up to ``EXACT_ATOMS`` atoms
+they read the table that :func:`simplify` reads, and a reduced ordered BDD,
+built through :func:`bottom_up` over atoms in breadth-first order, decides
+wider conditions.  The walks dispatch on exact node type and raise
+``TypeError`` on a node of any other class.  :func:`simplify` takes a fold
+fixpoint, as the folding constructors and :func:`rewrite_fold` build, and
+makes one walk, :func:`_walk`, that collects the atoms, the tree size and
+a truth table of 2^``SAMPLED_ATOMS`` rows: exact up to ``SAMPLED_ATOMS``
+atoms, and past that a fixed sample of assignments that shows most wide
+conditions to be open.  Only a wide input whose sampled rows all agree is
+walked again, exactly: that rule is :func:`_exact_walk`, which
+:func:`decide_constant` shares.  It
 decides constants up to ``EXACT_ATOMS`` atoms and rebuilds a sum of products
 up to ``DNF_ATOMS`` atoms.  A caller may bound the atoms it simplifies:
 ``ehe.mov`` passes ``DNF_ATOMS`` and leaves a wider new entry as built, after
@@ -75,9 +77,6 @@ class Verdict(enum.Enum):
 TOP = Verdict.TOP
 BOTTOM = Verdict.BOTTOM
 UNKNOWN = Verdict.UNKNOWN
-
-# Replace-merge order for memories: UNKNOWN < BOTTOM < TOP.
-VERDICT_RANK = {Verdict.UNKNOWN: 0, Verdict.BOTTOM: 1, Verdict.TOP: 2}
 
 _KIND_RANK = {"ap": 0, "tap": 1, "mon": 2}
 
@@ -435,65 +434,45 @@ def truth_table(e: Expr, atoms: list[Atom]) -> int:
     )
 
 
+_AND, _OR, _XOR = (0, 0, 0, 1), (0, 1, 1, 1), (0, 1, 1, 0)  # op(a, b) at 2a + b
+
+
 class _Bdd:
     """Reduced ordered binary decision diagram (Bryant, IEEE Trans. Computers
     1986) of ``e``, built for one decision and dropped; ``root`` is its node.
 
     Nodes are ints: 0 is FALSE, 1 is TRUE, and ``nodes[n]`` of any other node
-    is (variable, low, high), taking ``low`` when the variable is false.
-    Variables are atoms in chronological (round, kind, name) order, which
-    keeps a round's monitor references next to its propositions, unlike
-    :meth:`Atom.sort_key`.  The unique table makes equal functions one node.
-
-    Each maximal chain of one connective is built as a whole: its operands
-    are combined from the latest top variable down, so each step puts a
-    diagram below a new top variable instead of copying the diagram built so
-    far to reach its bottom (as a left-nested ``conj_all`` would)."""
+    is (variable, low, high), taking ``low`` when the variable is false.  The
+    unique table makes equal functions one node.  Variables are atoms in
+    breadth-first order from the root, and :func:`bottom_up` joins the
+    children's diagrams with :meth:`apply`.  In that order the operand a
+    connective adds last sits above the diagram it joins, so a chain of one
+    connective builds in time linear in its length, nested either way."""
 
     def __init__(self, e: Expr):
-        atoms = sorted(atom_set(e), key=lambda a: (a.t, _KIND_RANK[a.kind], a.name))
-        index = {a: i for i, a in enumerate(atoms)}
-        self.nodes = [(len(atoms), 0, 0), (len(atoms), 1, 1)]  # below every variable
-        self.unique: dict[tuple[int, int, int], int] = {}
-        memo: dict[int, int] = {}
-        chains: dict[int, list[Expr]] = {}  # id of a chain's top -> its operands
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
+        index: dict[Atom, int] = {}
+        queue, seen = [e], set()
+        for node in queue:  # the list grows as it is read: breadth-first
+            if id(node) in seen:
                 continue
-            if isinstance(node, Const):
-                memo[id(node)] = 1 if node.value is TOP else 0
-            elif isinstance(node, Var):
-                memo[id(node)] = self.node((index[node.atom], 0, 1))
-            elif isinstance(node, Not):
-                if id(node.operand) not in memo:
-                    stack.append(node.operand)
-                    continue
-                memo[id(node)] = self.negate(memo[id(node.operand)])
-            else:
-                operands = chains.get(id(node))
-                if operands is None:
-                    operands = chains[id(node)] = _chain_operands(node, memo)
-                    missing = [op for op in operands if id(op) not in memo]
-                    if missing:
-                        stack += missing
-                        continue
-                memo[id(node)] = self.combine(
-                    isinstance(node, And), [memo[id(op)] for op in operands]
-                )
-            stack.pop()
-        self.root = memo[id(e)]
-
-    def combine(self, conjunction: bool, operands: list[int]) -> int:
-        """Conjunction or disjunction of ``operands``, latest top variable first."""
-        nodes = self.nodes
-        operands.sort(key=lambda n: nodes[n][0], reverse=True)
-        acc = operands[0]
-        for n in operands[1:]:
-            acc = self.ite(n, acc, 0) if conjunction else self.ite(n, 1, acc)
-        return acc
+            seen.add(id(node))
+            cls = type(node)
+            if cls is Var:
+                index.setdefault(node.atom, len(index))
+            elif cls is Not:
+                queue.append(node.operand)
+            elif cls is And or cls is Or:
+                queue += (node.left, node.right)
+        self.nodes = [(len(index), 0, 0), (len(index), 1, 1)]  # below every variable
+        self.unique: dict[tuple[int, int, int], int] = {}
+        self.root = bottom_up(
+            e,
+            {},
+            lambda node: self.node((index[node.atom], 0, 1)),
+            lambda node: 1 if node.value is TOP else 0,
+            lambda n: self.apply(_XOR, n, 1),
+            lambda node, l, r: self.apply(_AND if type(node) is And else _OR, l, r),
+        )
 
     def node(self, key: tuple[int, int, int]) -> int:
         if key[1] == key[2]:
@@ -504,86 +483,57 @@ class _Bdd:
             self.nodes.append(key)
         return n
 
-    def negate(self, n: int) -> int:
-        v, low, high = self.nodes[n]  # a variable's complement needs no walk
-        return self.node((v, 1, 0)) if (low, high) == (0, 1) else self.ite(n, 0, 1)
-
-    def ite(self, f: int, g: int, h: int) -> int:
-        """Node of "if f then g else h": the apply operation in the form that
-        covers and (f, g, 0), or (f, 1, g) and not (f, 0, 1).  Iterative, as
-        the walk goes as deep as there are variables."""
+    def apply(self, op: tuple[int, int, int, int], f: int, g: int) -> int:
+        """Node of ``op`` on ``f`` and ``g``, for a symmetric ``op`` given by
+        its values at (0, 0), (0, 1), (1, 0) and (1, 1).  Iterative, as the
+        walk goes as deep as there are variables."""
         nodes = self.nodes
-        memo: dict[tuple[int, int, int], int] = {}
-        root = (f, g, h)
+        memo: dict[tuple[int, int], int] = {}
+        root = (min(f, g), max(f, g))
         stack = [root]
         while stack:
             key = stack[-1]
-            f, g, h = key
+            f, g = key  # f <= g: a terminal operand comes first
             if key in memo:
                 stack.pop()
-            elif f < 2 or g == h or (g, h) == (1, 0):
-                memo[key] = h if f == 0 else g if f == 1 or g == h else f
-                stack.pop()
+            elif f < 2 and g < 2:
+                memo[key] = op[2 * f + g]
+            elif f < 2 and op[2 * f] == op[2 * f + 1]:  # op(f, .) is constant
+                memo[key] = op[2 * f]
+            elif f < 2 and op[2 * f + 1]:  # op(f, .) is the identity
+                memo[key] = g
             else:
-                (vf, f0, f1), (vg, g0, g1), (vh, h0, h1) = nodes[f], nodes[g], nodes[h]
-                top = min(vf, vg, vh)  # cofactor on the first variable tested
+                (vf, f0, f1), (vg, g0, g1) = nodes[f], nodes[g]
+                top = min(vf, vg)  # cofactor on the first variable tested
                 if vf != top:
                     f0 = f1 = f
                 if vg != top:
                     g0 = g1 = g
-                if vh != top:
-                    h0 = h1 = h
-                lo, hi = (f0, g0, h0), (f1, g1, h1)
+                lo, hi = (min(f0, g0), max(f0, g0)), (min(f1, g1), max(f1, g1))
                 if lo in memo and hi in memo:
                     memo[key] = self.node((top, memo[lo], memo[hi]))
-                    stack.pop()
                 else:
                     stack += (lo, hi)
         return memo[root]
-
-
-def _chain_operands(top: Expr, memo: dict[int, int]) -> list[Expr]:
-    """Distinct operands of the maximal chain of ``top``'s connective under
-    it: the walk goes down through children of that connective that have no
-    diagram in ``memo`` yet."""
-    cls = type(top)
-    out: list[Expr] = []
-    seen = {id(top)}
-    todo = [top.right, top.left]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if type(node) is cls and id(node) not in memo:
-            todo += (node.right, node.left)
-        else:
-            out.append(node)
-    return out
 
 
 def decide_constant(e: Expr) -> Optional[Verdict]:
     """Tautology/contradiction decision for ``e``, exact at every size.
 
     Returns TOP for tautologies, BOTTOM for unsatisfiable expressions, and
-    None otherwise.  A literal is open.  Otherwise one :func:`_walk` over
-    the sampled columns comes first: a table that holds both values proves
-    ``e`` open, since each row is a real assignment, and a constant table
-    over at most ``SAMPLED_ATOMS`` atoms is exact.  Only a sample that reads
-    constant over more atoms, or more than ``EXACT_ATOMS`` atoms, builds a
-    reduced ordered BDD."""
+    None otherwise.  A literal is open.  Any other condition of up to
+    ``EXACT_ATOMS`` atoms is decided by the table of :func:`_exact_walk`,
+    which :func:`simplify` reads too; only a wider one builds a reduced
+    ordered BDD."""
     cls = type(e)
     if cls is Var or (cls is Not and type(e.operand) is Var):
         return None
-    walk = _walk(e, EXACT_ATOMS)
-    if walk is not None:
-        k, table = len(walk[0]), walk[1]
-        if 0 < table < (1 << (1 << min(k, SAMPLED_ATOMS))) - 1:
-            return None
-        if k <= SAMPLED_ATOMS:
-            return TOP if table else BOTTOM
-    root = _Bdd(e).root
-    return TOP if root == 1 else BOTTOM if root == 0 else None
+    walk = _exact_walk(e, EXACT_ATOMS)
+    if walk is None:
+        root = _Bdd(e).root
+        return TOP if root == 1 else BOTTOM if root == 0 else None
+    k, table = len(walk[0]), walk[1]
+    return TOP if table == (1 << (1 << k)) - 1 else BOTTOM if table == 0 else None
 
 
 Cover = tuple[tuple[tuple[int, bool], ...], ...]
@@ -739,6 +689,21 @@ def _walk(e: Expr, limit: int = DNF_ATOMS, width: Optional[int] = None) -> Optio
     return list(index), table & ((1 << rows) - 1), (leaves, ops)
 
 
+def _exact_walk(e: Expr, limit: int) -> Optional[Walk]:
+    """:func:`_walk` of ``e`` over the sampled columns, stopped at a ``limit +
+    1``-th atom, with a table that is constant exactly when ``e`` is.
+
+    The sampled table is exact up to ``SAMPLED_ATOMS`` atoms.  Past that, one
+    that holds both values is returned as it is, since each of its rows is a
+    real assignment; only one that reads constant is walked again, over the
+    exact columns of its atom count."""
+    walk = _walk(e, limit)
+    if walk is None or len(walk[0]) <= SAMPLED_ATOMS or 0 < walk[1] < _SAMPLED_FULL:
+        return walk
+    k = len(walk[0])
+    return _walk(e, k, k)
+
+
 def _sort_variables(table: int, atoms: list[Atom]) -> tuple[int, list[Atom]]:
     """``table`` over ``atoms`` re-indexed over the same atoms in
     :meth:`Atom.sort_key` order: one delta swap of the table's bits per pair
@@ -773,12 +738,9 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     rebuilt as an irredundant sum of products when that is no larger;
     otherwise the result is ``e`` itself.
 
-    One :func:`_walk` over the sampled columns, stopped at a ``max_atoms +
-    1``-th atom, gives the atoms, the size and the table, which is exact up to
-    ``SAMPLED_ATOMS`` atoms.  Past that, a sampled table that holds both
-    values shows that ``e`` is not constant; only one that reads constant is
-    walked again, over the exact columns of its atom count, so every result
-    is the one an exact table gives.
+    :func:`_exact_walk`, stopped at a ``max_atoms + 1``-th atom, gives the
+    atoms, the size and a table that reads constant exactly when ``e`` is,
+    so every result is the one an exact table gives.
 
     Two facts follow from a node's structure alone, so once a call learns
     one it records it on the node for every later call:
@@ -796,7 +758,7 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     """
     if _is_literal(e) or e.settled or (e.wide and max_atoms <= DNF_ATOMS):
         return e
-    walk = _walk(e, max_atoms)
+    walk = _exact_walk(e, max_atoms)
     if walk is None:
         if max_atoms >= DNF_ATOMS:
             learn(e, "wide")
@@ -805,10 +767,6 @@ def simplify(e: Expr, max_atoms: int = EXACT_ATOMS) -> Expr:
     k = len(atoms)
     if k > DNF_ATOMS:
         learn(e, "wide")
-        if k > SAMPLED_ATOMS:
-            if 0 < table < _SAMPLED_FULL:  # sampled rows of both values
-                return learn(e, "settled")
-            atoms, table, size = _walk(e, k, k)  # reads constant: check exactly
     if table == (1 << (1 << k)) - 1:
         return TRUE
     if table == 0:

@@ -32,8 +32,8 @@ def merge_with(f: Mapping[K, V], g: Mapping[K, V], op: Callable[[V, V], V]) -> d
 
 
 def _replace_max(a: Verdict, b: Verdict) -> Verdict:
-    """The higher of ``a`` and ``b`` under UNKNOWN < BOTTOM < TOP
-    (``expr.VERDICT_RANK``), decided by identity."""
+    """The higher of ``a`` and ``b`` under UNKNOWN < BOTTOM < TOP, decided
+    by identity."""
     return b if b is TOP or a is UNKNOWN else a
 
 
@@ -76,21 +76,10 @@ Memory = dict[Atom, Verdict]  # partial map from atoms to verdicts: every monito
 EMPTY_MEMORY: Memory = {}
 
 
-def memory_merge(memory: Memory, m: Memory, strict: bool = False) -> Memory:
+def memory_merge(memory: Memory, m: Memory) -> Memory:
     """Merge ``m`` into ``memory`` in place (the highest verdict wins per
     atom) and return it, or a new dict for :data:`EMPTY_MEMORY`.  ``m`` is
-    only read; to keep both operands, merge into a copy.
-
-    With ``strict`` set, a key carrying TOP on one side and BOTTOM on the
-    other raises before anything is merged, instead of being silently
-    resolved; such conflicts cannot occur in valid runs but are worth
-    surfacing while debugging.
-    """
-    if strict:
-        for atom, verdict in m.items():
-            mine = memory.get(atom)
-            if mine is not None and mine.is_final and verdict.is_final and mine is not verdict:
-                raise ConflictingObservation(f"conflicting final verdicts for {atom}")
+    only read; to keep both operands, merge into a copy."""
     memory = {} if memory is EMPTY_MEMORY else memory
     for atom, verdict in m.items():
         mine = memory.get(atom)

@@ -5,10 +5,9 @@ placement counts, expression tree and DAG sizes and fresh structural
 copies, messages per round, a simulation that shows each monitor's state
 after every round and one that counts the active monitors per round, the
 trace owner scan that ``observed_owner`` must agree with, the
-four-walk simplifier that ``expr.simplify`` must agree with, the BDD-only
-decision that ``expr.decide_constant`` must agree with, the search for
-the last resolved round that garbage collection cuts at, and the first trace
-on which two decentralized specifications disagree."""
+four-walk simplifier that ``expr.simplify`` must agree with, the search
+for the last resolved round that garbage collection cuts at, and the first
+trace on which two decentralized specifications disagree."""
 
 from __future__ import annotations
 
@@ -39,10 +38,10 @@ def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:
     return all(ex.equivalent(p1.entries[k], p2.entries[k]) for k in p1.entries)
 
 
-def memory_merge_all(memories: Iterable[Memory], strict: bool = False) -> Memory:
+def memory_merge_all(memories: Iterable[Memory]) -> Memory:
     out = EMPTY_MEMORY
     for m in memories:
-        out = memory_merge(out, m, strict=strict)
+        out = memory_merge(out, m)
     return out
 
 
@@ -225,14 +224,6 @@ def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:
         if ex._cover_size(terms) <= tree_size(f):
             return ex._dnf_from_cover(terms, atoms)
     return f
-
-
-def bdd_decision(e: ex.Expr) -> Optional[Verdict]:
-    """What ``expr.decide_constant(e)`` must return, from the reduced
-    ordered BDD alone: TOP for a tautology, BOTTOM for a contradiction and
-    None for an open condition."""
-    root = ex._Bdd(e).root
-    return TOP if root == 1 else BOTTOM if root == 0 else None
 
 
 def last_resolved(p: EHE, m: Memory) -> Optional[tuple[int, str]]:

@@ -16,7 +16,7 @@ from demon.errors import ParseError, SpecificationError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
-from helpers import bdd_decision, fresh_copy, reference_simplify, tree_size
+from helpers import fresh_copy, reference_simplify, tree_size
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -270,11 +270,17 @@ def test_simplify_equivalence_property(e):
 @given(exprs("abcdefgh"), exprs("abcdefgh"))
 @settings(max_examples=150, deadline=None)
 def test_bdd_decisions_match_truth_tables(e1, e2):
+    # Conditions this small are decided by their tables, so the diagram is
+    # checked on its own as well.
     atoms = ex.atoms_of(ex.And(e1, e2))
     t1, t2 = ex.truth_table(e1, atoms), ex.truth_table(e2, atoms)
     full = (1 << (1 << len(atoms))) - 1
     assert ex.decide_constant(e1) is {full: ex.TOP, 0: ex.BOTTOM}.get(t1)
     assert ex.equivalent(e1, e2) == (t1 == t2)
+    root = ex._Bdd(e1).root
+    assert (root == 1, root == 0) == (t1 == full, t1 == 0)
+    xor = ex.Or(ex.And(e1, ex.Not(e2)), ex.And(ex.Not(e1), e2))
+    assert (ex._Bdd(xor).root == 0) == (t1 == t2)
 
 
 @given(exprs(), st.integers(0, 3))
@@ -317,12 +323,20 @@ def test_decision_deeper_than_recursion_limit():
 def test_decision_on_long_chain_is_fast(name):
     # A left-nested conjunction whose newest atom is last in variable order
     # (zero-padded names) once cost a copy of the diagram per atom: seconds.
-    w = ex.conj_all(ex.Var(ex.plain(name.format(i))) for i in range(1500))
-    start = time.perf_counter()
-    assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
-    assert ex.decide_constant(ex.And(w, ex.Not(w))) is ex.BOTTOM
-    assert ex.decide_constant(w) is None
-    assert time.perf_counter() - start < 1.0
+    # Chains nested either way and a balanced tree build in near-linear time.
+    xs = [ex.Var(ex.plain(name.format(i))) for i in range(1500)]
+    right = xs[-1]
+    for x in reversed(xs[:-1]):
+        right = ex.And(x, right)
+    level = xs[:1024]
+    while len(level) > 1:
+        level = [ex.And(l, r) for l, r in zip(level[::2], level[1::2])]
+    for w in (ex.conj_all(xs), right, level[0]):
+        start = time.perf_counter()
+        assert ex.decide_constant(ex.Or(w, ex.Not(w))) is ex.TOP
+        assert ex.decide_constant(ex.And(w, ex.Not(w))) is ex.BOTTOM
+        assert ex.decide_constant(w) is None
+        assert time.perf_counter() - start < 1.0
 
 
 def test_deep_expressions_do_not_overflow():
@@ -651,13 +665,20 @@ def _random_over(rng, atoms):
     return parts[0]
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 9, 10, 12, 16, 17, 24])
+def _table_decision(e):
+    """What ``decide_constant(e)`` must return, from the full truth table."""
+    atoms = ex.atoms_of(e)
+    table = ex.truth_table(e, atoms)
+    return {(1 << (1 << len(atoms))) - 1: ex.TOP, 0: ex.BOTTOM}.get(table)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9, 10, 12, 16, 17, 20])
 def test_decide_constant_agrees_with_bdd(k, monkeypatch):
-    # Up to SAMPLED_ATOMS atoms the walk decides alone; from there up to
-    # EXACT_ATOMS it proves a condition open only when its sampled rows hold
-    # both values, and past EXACT_ATOMS only the diagram decides.  Each
-    # condition is simplified first: a node past EXACT_ATOMS is then marked
-    # settled without being decided, which must not read as open.
+    # Up to EXACT_ATOMS atoms the walk decides, over exact columns when the
+    # sampled rows past SAMPLED_ATOMS read constant; only past EXACT_ATOMS is
+    # a diagram built.  Each condition is simplified first: a node past
+    # EXACT_ATOMS is then marked settled without being decided, which must
+    # not read as open.
     rng = random.Random(k)
     atoms = [ex.plain(f"x{i:02d}") for i in range(k)]
     builds = []
@@ -671,16 +692,13 @@ def test_decide_constant_agrees_with_bdd(k, monkeypatch):
     for _ in range(12):
         w = _random_over(rng, atoms)
         for e in (w, ex.Or(w, ex.Not(w)), ex.And(w, ex.Not(w))):
-            expected = bdd_decision(e)
+            expected = _table_decision(e)
             ex.simplify(e)
-            sample = ex._walk(e, ex.EXACT_ATOMS)
-            sampled_constant = sample is not None and sample[1] in (0, ex._SAMPLED_FULL)
             with monkeypatch.context() as patch:
                 patch.setattr(ex, "_Bdd", CountedBdd)
                 assert ex.decide_constant(e) is expected
-            built = builds == [e]
+            assert builds == ([e] if k > ex.EXACT_ATOMS else [])
             builds.clear()
-            assert built == (k > ex.EXACT_ATOMS or k > ex.SAMPLED_ATOMS and sampled_constant)
             decided.add(expected)
     assert decided == {ex.TOP, ex.BOTTOM, None}
 
@@ -691,7 +709,7 @@ def test_single_row_conditions_stay_open():
     xs = [ex.Var(ex.plain(f"x{i:02d}")) for i in range(12)]
     for e in (ex.disj_all(map(ex.Not, xs)), ex.conj_all(xs)):
         assert ex._walk(e, ex.EXACT_ATOMS)[1] in (0, ex._SAMPLED_FULL)
-        assert ex.decide_constant(e) is None is bdd_decision(e)
+        assert ex.decide_constant(e) is None is _table_decision(e)
         assert ex.eval_expr(e, Memory()) is ex.UNKNOWN
 
 
@@ -725,7 +743,8 @@ class _Implies(ex.Expr):
     ex.atom_set,
     ex.simplify,
     ex.decide_constant,
-], ids=["rewrite_fold", "bottom_up", "encode", "atom_set", "simplify", "decide_constant"])
+    ex._Bdd,
+], ids=["rewrite_fold", "bottom_up", "encode", "atom_set", "simplify", "decide_constant", "_Bdd"])
 def test_walks_reject_unknown_node_classes(walk):
     a = ex.Var(ex.plain("a"))
     for e in (_Implies(a, a), ex.And(a, ex.Not(_Implies(a, ex.TRUE)))):

