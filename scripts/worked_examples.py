@@ -31,7 +31,7 @@ def main() -> int:
         [("q0", "a || b", "q1"), ("q0", "!a && !b", "q0"), ("q1", "true", "q1")],
         {"q0": "unknown", "q1": "top"},
     )
-    table = eh.mov(eh.init(f_or), 0, 2)
+    table = eh.mov(eh.init(f_or), 2)
     print(eh.dump(table))
     memory = Memory({ex.timed(1, "a"): T, ex.timed(1, "b"): B})
     print("state at round 1 given <1,a>=T, <1,b>=F:", eh.sreach(table, memory, 1))
@@ -43,7 +43,7 @@ def main() -> int:
         [("q0", "a && b", "q1"), ("q0", "!a || !b", "q0"), ("q1", "true", "q1")],
         {"q0": "unknown", "q1": "top"},
     )
-    shared = eh.mov(eh.init(f_and), 0, 1)
+    shared = eh.mov(eh.init(f_and), 1)
     left = eh.inc(shared, Memory({ex.timed(1, "a"): T}))
     right = eh.inc(shared, Memory({ex.timed(1, "b"): B}))
     merged = eh.merge(left, right)

@@ -8,9 +8,6 @@ from typing import Iterable, Iterator, Mapping
 from . import expr as ex
 from .automaton import DecentralizedSpec, Specification
 from .errors import SpecificationError
-from .expr import BOTTOM, TOP, Verdict
-
-FINAL_VERDICTS = frozenset({TOP, BOTTOM})
 
 
 @dataclass(frozen=True)
@@ -42,15 +39,13 @@ Assignment = dict[str, str]
 ReachMap = dict[str, frozenset[str]]
 
 
-def ca_monitorable(
-    a: Specification, finals: frozenset[Verdict] = FINAL_VERDICTS
-) -> tuple[bool, set[str]]:
+def ca_monitorable(a: Specification) -> tuple[bool, set[str]]:
     """Work-list co-reachability from final-verdict states.
 
     Returns (all states marked?, marked states).  A state is monitorable iff
-    some state carrying a verdict in ``finals`` is reachable from it.
+    some state carrying a final verdict (TOP or BOTTOM) is reachable from it.
     """
-    worklist = [q for q in a.states if a.verdicts[q] in finals]
+    worklist = [q for q in a.states if a.verdicts[q].is_final]
     marked = set(worklist)
     predecessors: dict[str, set[str]] = {q: set() for q in a.states}
     for t in a.transitions:

@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import expr as ex
 from .errors import (
@@ -149,14 +149,9 @@ def _plain_memory(evt: Event) -> Memory:
     return {ex.plain(ap): verdict for ap, verdict in evt.observations}
 
 
-def step(
-    a: Specification,
-    q: str,
-    evt: Event,
-    diagnostics: Optional[list[str]] = None,
-) -> str:
+def step(a: Specification, q: str, evt: Event) -> str:
     """One transition over an event; empty events (and events satisfying no
-    label) leave the state unchanged, the latter flagged as "stuck"."""
+    label, which leave the automaton stuck) leave the state unchanged."""
     if evt.is_empty:
         return q
     memory = _plain_memory(evt)
@@ -167,11 +162,7 @@ def step(
         raise SpecificationError(
             f"state {q!r}: several labels satisfied at once (automaton not deterministic)"
         )
-    if not satisfied:
-        if diagnostics is not None:
-            diagnostics.append(f"stuck at {q!r}: no label satisfied")
-        return q
-    return satisfied[0].dst
+    return satisfied[0].dst if satisfied else q
 
 
 def run(a: Specification, events: Sequence[Event]) -> str:

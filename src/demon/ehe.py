@@ -15,19 +15,20 @@ states per row:
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions; it
   reads a constant's verdict directly and calls ``expr.eval_expr`` only on
   the others.
-- ``mov`` copies the row index (O(R)) and adds one row per new round: after
-  a row of constants it takes a cached row stamped at that round, and
-  otherwise makes one ``expr.simplify`` call, bounded at
-  ``expr.DNF_ATOMS`` atoms, per new entry that holds no wide node; an entry
-  built over a wide source or prior entry is marked wide with no call and
-  no walk.  Only transitions out of a source whose condition is not FALSE
-  are stamped; a successor of dead sources alone keeps a FALSE entry, which
-  ``sreach`` still evaluates.  A label or cached row is stamped with one
-  ``expr.encode`` walk the first time a round and monitor names need it, and
-  the automaton keeps it for its ``_STAMP_CACHE_SIZE`` latest rounds.  The
-  last new row, when its source holds only constants and the round's memory
-  decides it, is a cached row of constants found with one memory lookup per
-  atom and no walk.
+- ``mov`` copies the row index (O(R)) and appends one row per round past
+  the last one, so a gap ``merge`` left stays a gap.  After a row of
+  constants it takes a cached row stamped at that round, and otherwise
+  makes one ``expr.simplify`` call, bounded at ``expr.DNF_ATOMS`` atoms,
+  per new entry that holds no wide node; an entry built over a wide source
+  is marked wide with no call and no walk.  Only transitions out of a
+  source whose condition is not FALSE are stamped; a successor of dead
+  sources alone keeps a FALSE entry, which ``sreach`` still evaluates.  A
+  label or cached row is stamped with one ``expr.encode`` walk the first
+  time a round and monitor names need it, and the automaton keeps it for
+  its ``_STAMP_CACHE_SIZE`` latest rounds.  The last new row, when its
+  source holds only constants and the round's memory decides it, is a
+  cached row of constants found with one memory lookup per atom and no
+  walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and keeps, as the
   same objects, rows of constants and rows whose entries all fold to
   themselves; when every row is kept it returns the encoding itself.
@@ -121,16 +122,15 @@ class Template(NamedTuple):
 
 
 def mov(
-    p: EHE, ts_round: int, te: int, monitor_names: Iterable[str] = (),
-    memory: Memory = EMPTY_MEMORY,
+    p: EHE, te: int, monitor_names: Iterable[str] = (), memory: Memory = EMPTY_MEMORY
 ) -> EHE:
-    """Extend the encoding one round at a time from ``ts_round`` to ``te``.
+    """Extend the encoding one round at a time from its last round to ``te``;
+    ``p`` itself when ``te`` is its last round.
 
     The condition to reach q' at round t+1 disjoins, over the transitions into
     q', the source state's condition at t conjoined with the label stamped at
-    t+1 by :func:`expr.encode`; an entry already present at the target key is
-    merged with disjunction.  New entries are built with folding constructors
-    and simplified by one :func:`expr.simplify` call bounded at
+    t+1 by :func:`expr.encode`.  New entries are built with folding
+    constructors and simplified by one :func:`expr.simplify` call bounded at
     ``expr.DNF_ATOMS`` atoms, the bound up to which it rebuilds a sum of
     products; a wider entry stays as built, and one that holds a node
     already known to be wide is marked wide without the call.  The folding
@@ -158,24 +158,21 @@ def mov(
     per template atom, without stamping or folding.  Rows before ``te`` never
     see the memory.
     """
-    _row(p, ts_round)
-    if te < ts_round:
-        raise UndefinedRound(f"cannot extend backwards from {ts_round} to {te}")
-    if te == ts_round:
+    last = p.last_round()
+    if te < last:
+        raise UndefinedRound(f"cannot extend backwards from {last} to {te}")
+    if te == last:
         return p
     names = frozenset(monitor_names)
     a = p.automaton
     table = dict(p.table)
-    for t in range(ts_round, te):
-        src = table.get(t, {})
-        if t + 1 in table or not is_constant_row(src):
-            row = _next_row(a, src, t + 1, table.get(t + 1, {}), names)
+    src = table[last]
+    for t in range(last + 1, te + 1):
+        if is_constant_row(src):
+            src = _row_after_constants(a, src, t, names, memory if t == te else None)
         else:
-            row = _row_after_constants(a, src, t + 1, names, memory if t + 1 == te else None)
-        if row:
-            table[t + 1] = row
-    if ts_round < p.last_round():  # rounds added inside a gap go into place
-        table = dict(sorted(table.items()))
+            src = _next_row(a, src, t, names)
+        table[t] = src
     return EHE(a, table)
 
 
@@ -187,7 +184,7 @@ def _row_after_constants(
     key = (frozenset(src.items()), names)
     template = a.row_templates.get(key)
     if template is None:
-        row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, {}, names).items()}
+        row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, names).items()}
         visited: set[int] = set()
         atoms = sorted({x.name for c in row.values() for x in ex.atom_set(c, visited)})
         template = a.row_templates[key] = Template(row, tuple(atoms), {})
@@ -226,8 +223,8 @@ def _stamps_at(a: Specification, t: int, names: frozenset[str]) -> dict:
     return stamped
 
 
-def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str]) -> Row:
-    """Row ``t`` reached from ``src``, the row at t-1, disjoined into ``old``.
+def _next_row(a: Specification, src: Row, t: int, names: frozenset[str]) -> Row:
+    """Row ``t`` reached from ``src``, the row at t-1.
 
     Every successor of a state in ``src`` gets an entry, but only labels of
     transitions from a source that is not FALSE are stamped and conjoined: a
@@ -235,15 +232,14 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
     object.  A successor of FALSE sources alone gets FALSE.
 
     An entry that is not a constant and conjoins a wide source (with a label
-    that is not FALSE) or disjoins a wide prior entry holds that node: the
-    folding constructors drop a non-constant operand only when they return a
-    constant.  So it is wide too, and :func:`expr.simplify` would return it
-    as built; it is marked wide instead of simplified."""
+    that is not FALSE) holds that node: the folding constructors drop a
+    non-constant operand only when they return a constant.  So it is wide
+    too, and :func:`expr.simplify` would return it as built; it is marked
+    wide instead of simplified."""
     stamped = _stamps_at(a, t, names)
-    row = dict(old)
+    row: dict[str, Expr] = {}
     for qprime in sorted({tr.dst for q in src for tr in a.outgoing(q)}):
-        prior = old.get(qprime, ex.FALSE)
-        wide = prior.wide
+        wide = False
         parts = []
         for tr in a.by_destination[qprime]:
             source = src.get(tr.src, ex.FALSE)
@@ -253,7 +249,7 @@ def _next_row(a: Specification, src: Row, t: int, old: Row, names: frozenset[str
                     label = stamped[id(tr)] = ex.encode(tr.label, t, names)
                 parts.append(ex.conj(source, label))
                 wide = wide or (source.wide and parts[-1] is not ex.FALSE)
-        cond = ex.disj(prior, ex.disj_all(parts))
+        cond = ex.disj_all(parts)
         if wide and type(cond) is not ex.Const:
             row[qprime] = ex.learn(cond, "wide")
         else:

@@ -54,7 +54,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Message:
-    """What ``sender`` sends in round ``sent_at``, with one payload: a memory
+    """What ``sender`` sends in a round, with one payload: a memory
     (``mem`` from an ``orch`` forwarder; ``verdict`` from a ``chor`` monitor,
     the one entry ``<t,&sender> ↦ v``), an encoding (``ehe``), or nothing
     (``kill``, sent by the ``chor`` root in the round whose verdict ends the
@@ -63,7 +63,6 @@ class Message:
     kind: str  # "mem" | "ehe" | "verdict" | "kill"
     sender: str
     receiver: str
-    sent_at: int
     payload: Union[Memory, eh.EHE, None] = None
 
 
@@ -180,7 +179,7 @@ def setup(
         spec = _expect_spec(spec_input)
         if cfg.algorithm == "migr":
             # earliest-obligation preference after one move from the start
-            ranked = _obligation_owners(eh.mov(eh.init(spec), 0, 1), ap_owner)
+            ranked = _obligation_owners(eh.mov(eh.init(spec), 1), ap_owner)
         else:
             ranked = []
         for comp in comps:  # fill up deterministically
@@ -332,16 +331,13 @@ def _monitor_round(
         mem = mem_from_event(obs, t)
         if state.ehe is None and state.refs:  # an orch forwarder keeps nothing
             (main,) = state.refs
-            return [Message("mem", sender=state.name, receiver=main, sent_at=t,
-                            payload=mem)], None
+            return [Message("mem", sender=state.name, receiver=main, payload=mem)], None
         state.memory = memory_merge(state.memory, mem)
     policy = _POLICIES[setup.cfg.algorithm]
     outbox: list[Message] = []
     # a chor instance respawned past the current round waits for its round
     while state.ehe is not None and state.ehe.first_round() <= t:
-        end = state.ehe.last_round()
-        if end < t:
-            state.ehe = eh.mov(state.ehe, end, t, setup.monitor_names, state.memory)
+        state.ehe = eh.mov(state.ehe, t, setup.monitor_names, state.memory)
         if policy.inc:
             state.ehe = eh.inc(state.ehe, state.memory, step=step)
         memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
@@ -353,19 +349,18 @@ def _monitor_round(
             target = policy.hand_off(state, setup) if policy.hand_off else state.component
             if target != state.component:
                 outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
-                                      sent_at=t, payload=state.ehe))
+                                      payload=state.ehe))
                 state.ehe = None
             break
         if not state.refs:
             # The verdict ends the run: the chor root's kills are counted, never delivered.
             for child in sorted(state.corefs):
-                outbox.append(Message("kill", sender=state.name, receiver=child, sent_at=t))
+                outbox.append(Message("kill", sender=state.name, receiver=child))
             return outbox, verdict
         # A chor verdict goes to the parents, and a fresh instance starts at the next round.
         payload = {ex.monref(state.t_mon, state.name): verdict}
         for ref in sorted(state.refs):
-            outbox.append(Message("verdict", sender=state.name, receiver=ref, sent_at=t,
-                                  payload=payload))
+            outbox.append(Message("verdict", sender=state.name, receiver=ref, payload=payload))
         anchor = state.t_mon
         state.t_mon = anchor + 1
         automaton = state.ehe.automaton

@@ -48,7 +48,7 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, KeysView, NamedTuple, Optional
 
 from .errors import ParseError, SpecificationError
 
@@ -243,28 +243,27 @@ def atoms_of(e: Expr) -> list[Atom]:
     return sorted(atom_set(e), key=Atom.sort_key)
 
 
-def atom_set(e: Expr, visited: Optional[set[int]] = None) -> set[Atom]:
+def atom_set(e: Expr, visited: Optional[set[int]] = None) -> KeysView[Atom]:
     """Distinct atoms of ``e`` outside the nodes in ``visited``, to which
-    every node walked is added: calls sharing it walk shared subtrees once."""
-    seen: set[Atom] = set()
+    every node walked is added: calls sharing it walk shared subtrees once.
+    The atoms come in breadth-first order from the root, left before right."""
+    seen: dict[Atom, None] = {}
     visited = set() if visited is None else visited
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    queue = [e]
+    for node in queue:  # the list grows as it is read: breadth-first
         if id(node) in visited:
             continue
         visited.add(id(node))
         cls = type(node)
         if cls is Var:
-            seen.add(node.atom)
+            seen[node.atom] = None
         elif cls is Not:
-            stack.append(node.operand)
+            queue.append(node.operand)
         elif cls is And or cls is Or:
-            stack.append(node.left)
-            stack.append(node.right)
+            queue += (node.left, node.right)
         elif cls is not Const:
             raise TypeError(f"not an expression node: {node!r}")
-    return seen
+    return seen.keys()
 
 
 def dep(e: Expr, monitor_labels: Iterable[str] = ()) -> set[str]:
@@ -444,25 +443,14 @@ class _Bdd:
     Nodes are ints: 0 is FALSE, 1 is TRUE, and ``nodes[n]`` of any other node
     is (variable, low, high), taking ``low`` when the variable is false.  The
     unique table makes equal functions one node.  Variables are atoms in
-    breadth-first order from the root, and :func:`bottom_up` joins the
-    children's diagrams with :meth:`apply`.  In that order the operand a
-    connective adds last sits above the diagram it joins, so a chain of one
-    connective builds in time linear in its length, nested either way."""
+    the breadth-first order of :func:`atom_set`, and :func:`bottom_up`
+    joins the children's diagrams with :meth:`apply`.  In that order the
+    operand a connective adds last sits above the diagram it joins, so a
+    chain of one connective builds in time linear in its length, nested
+    either way."""
 
     def __init__(self, e: Expr):
-        index: dict[Atom, int] = {}
-        queue, seen = [e], set()
-        for node in queue:  # the list grows as it is read: breadth-first
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            cls = type(node)
-            if cls is Var:
-                index.setdefault(node.atom, len(index))
-            elif cls is Not:
-                queue.append(node.operand)
-            elif cls is And or cls is Or:
-                queue += (node.left, node.right)
+        index = {a: i for i, a in enumerate(atom_set(e))}
         self.nodes = [(len(index), 0, 0), (len(index), 1, 1)]  # below every variable
         self.unique: dict[tuple[int, int, int], int] = {}
         self.root = bottom_up(

@@ -29,6 +29,7 @@ from .expr import BOTTOM, TOP, Verdict
 from .store import Memory
 
 _SYNTH_CACHE_SIZE = 128  # distinct formulas whose automata are kept
+_STATE_CAP = 512  # progression states an automaton may have
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,10 @@ _KEYWORDS = {"X": Next, "F": Finally, "G": Globally}
 
 def parse_ltl(text: str) -> Ltl:
     """Parse the formula syntax above.  Parentheses, prefix operators and
-    the right-nested ``U`` may nest at most ``expr.MAX_NESTING`` levels deep:
-    the LTL layer recurses over a formula's depth."""
+    the right-nested ``U`` may nest at most ``expr.MAX_NESTING`` levels deep,
+    and each further operand of an ``&&`` or ``||`` chain, which nests the
+    chain one level deeper, counts as one level: the LTL layer recurses over
+    a formula's depth."""
     toks = ex.tokenize(text)[::-1]  # next token last
 
     def peek() -> str:
@@ -188,6 +191,7 @@ def parse_ltl(text: str) -> Ltl:
         left = parse_until(depth)
         while peek() == "||":
             take("||")
+            depth = ex.nested(depth, "formula")
             left = LOr(left, parse_until(depth))
         return left
 
@@ -202,6 +206,7 @@ def parse_ltl(text: str) -> Ltl:
         left = parse_unary(depth)
         while peek() == "&&":
             take("&&")
+            depth = ex.nested(depth, "formula")
             left = LAnd(left, parse_unary(depth))
         return left
 
@@ -356,13 +361,14 @@ def progress(phi: Ltl, m: Memory) -> Ltl:
 
 
 @lru_cache(maxsize=_SYNTH_CACHE_SIZE)
-def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
+def synthesize(phi: Ltl) -> Specification:
     """Build a deterministic, complete Moore automaton whose states are the
     simplified formulas reachable by progression.
 
     Transition labels disjoin the truth assignments (over the state's own
     leaves) that select each successor; the TRUE/FALSE states carry the
-    final verdicts.
+    final verdicts.  More than ``_STATE_CAP`` states raise
+    :class:`StateCapExceeded`.
 
     Results are kept in a least-recently-used cache of ``_SYNTH_CACHE_SIZE``
     entries, keyed by the formula's value: equal formulas give the same
@@ -377,8 +383,8 @@ def synthesize(phi: Ltl, state_cap: int = 512) -> Specification:
 
     def register(f: Ltl) -> str:
         if f not in names:
-            if len(names) >= state_cap:
-                raise StateCapExceeded(f"more than {state_cap} progression states")
+            if len(names) >= _STATE_CAP:
+                raise StateCapExceeded(f"more than {_STATE_CAP} progression states")
             text = ltl_text(f)
             if texts.setdefault(text, f) != f:
                 raise SpecificationError(f"ambiguous state rendering {text!r}")

@@ -56,7 +56,7 @@ def test_criterion_1_and_2_ehe_soundness_and_determinism():
     for trial, spec, tr in _soundness_instances(pairs):
         glob = reconstruct_global(tr)
         n = tr.length
-        p = eh.mov(eh.init(spec), 0, n)
+        p = eh.mov(eh.init(spec), n)
         memory = Memory()
         q_auto = spec.initial
         # Entries only mention atoms of rounds up to their own, so one
@@ -81,7 +81,7 @@ def test_criterion_1_and_2_ehe_soundness_and_determinism():
                 prefix_mem = Memory(
                     {a: v for a, v in memory.items() if a.t <= k}
                 )
-                assert eh.sreach(eh.mov(eh.init(spec), 0, k), prefix_mem, k) == q_auto
+                assert eh.sreach(eh.mov(eh.init(spec), k), prefix_mem, k) == q_auto
             prefix_checks += 1
     assert prefix_checks >= pairs
     _report("1 (EHE soundness, Prop. 2)")
@@ -124,7 +124,7 @@ def test_criterion_3_cvrdt_laws():
     for _ in range(200):
         spec, aps = random_spec(rng, max_states=4, max_aps=2)
         k = rng.randint(1, 4)
-        p = eh.mov(eh.init(spec), 0, k)
+        p = eh.mov(eh.init(spec), k)
         support = sorted(
             {a for cond in p.entries.values() for a in ex.atoms_of(cond)},
             key=ex.Atom.sort_key,
@@ -154,7 +154,7 @@ def test_criterion_4_memory_obsolescence():
     for _ in range(200):
         spec, aps = random_spec(rng, max_states=5, max_aps=3)
         k = rng.randint(1, 5)
-        p = eh.mov(eh.init(spec), 0, k)
+        p = eh.mov(eh.init(spec), k)
         support = sorted(
             {a for cond in p.entries.values() for a in ex.atoms_of(cond)},
             key=ex.Atom.sort_key,
@@ -186,7 +186,7 @@ def test_criterion_5_golden_table1(fig1):
             ex.Or(a1, b1), ex.And(ex.And(ex.Not(a1), ex.Not(b1)), ex.Or(a2, b2))
         ),
     }
-    p = eh.mov(eh.init(fig1), 0, 2)
+    p = eh.mov(eh.init(fig1), 2)
     assert set(p.entries) == set(expected)
     for key, want in expected.items():
         assert ex.equivalent(p.entries[key], want), key
@@ -195,7 +195,7 @@ def test_criterion_5_golden_table1(fig1):
 
 def test_criterion_6_golden_table2(fig2):
     a1, b1 = ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))
-    p = eh.mov(eh.init(fig2), 0, 1)
+    p = eh.mov(eh.init(fig2), 1)
     m0 = Memory({ex.timed(1, "a"): T})
     m1 = Memory({ex.timed(1, "b"): B})
     p0, p1 = eh.inc(p, m0), eh.inc(p, m1)

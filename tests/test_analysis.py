@@ -4,7 +4,6 @@ import random
 import pytest
 
 from demon import analysis as an
-from demon import expr as ex
 from demon.automaton import make_spec
 
 from conftest import random_spec
@@ -35,10 +34,6 @@ class TestMonitorability:
     def test_single_accepting_state(self):
         a = make_spec(["q"], "q", [("q", "true", "q")], {"q": "top"})
         assert an.ca_monitorable(a) == (True, {"q"})
-
-    def test_custom_final_set(self, fig3):
-        ok, marked = an.ca_monitorable(fig3, finals=frozenset({ex.UNKNOWN}))
-        assert ok and marked == {"q0", "q1"}
 
     def test_against_bruteforce(self):
         rng = random.Random(31)

@@ -130,7 +130,7 @@ def test_traced_mov_records_its_simplifications():
                      {"q0": "unknown", "q1": "top"})
     with tracer.Tracer() as tracing:
         tracing.run_id = 0
-        p = eh.mov(eh.init(spec), 0, 3)
+        p = eh.mov(eh.init(spec), 3)
     assert len(p.entries) == 7
     assert tracing.counts()["ehe.mov"] == 1
     assert tracing.counts()["expr.simplify"] == 6

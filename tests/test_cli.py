@@ -379,13 +379,14 @@ class TestRun:
         assert json.loads(out)["verdict"] == "top"
 
 
-@pytest.mark.parametrize("nest", [lambda n: "(" * n + "a0" + ")" * n,
-                                  lambda n: "!" * n + "a0"],
-                         ids=["parentheses", "negations"])
+NESTS = {"parentheses": lambda n: "(" * n + "a0" + ")" * n, "negations": lambda n: "!" * n + "a0"}
+
+
 class TestNestingBound:
     """Inputs nested past ``expr.MAX_NESTING`` are bad input (exit 2, naming
     the bound), in both the formula and the label syntax; at the bound they
-    run."""
+    run.  In a formula each further operand of an ``&&`` chain is one level;
+    labels take chains of any length."""
 
     TRACE = str(FIXTURES / "experiment" / "trace_normal.csv")
 
@@ -393,6 +394,9 @@ class TestNestingBound:
         return run_cli(capsys, "run", "--spec", str(spec), "--trace", self.TRACE,
                        "--algorithm", "orch")
 
+    @pytest.mark.parametrize("nest", [*NESTS.values(),
+                                      lambda n: "(" + " && ".join(["a0"] * n) + ")"],
+                             ids=[*NESTS, "chain"])
     def test_ltl_file(self, tmp_path, capsys, nest):
         ltl = tmp_path / "phi.ltl"
         ltl.write_text(f"F {nest(ex.MAX_NESTING - 1)}\n")
@@ -404,6 +408,7 @@ class TestNestingBound:
         assert err == f"error: formula nests parentheses and operators more than " \
                       f"{ex.MAX_NESTING} levels deep\n"
 
+    @pytest.mark.parametrize("nest", NESTS.values(), ids=NESTS)
     def test_automaton_label(self, tmp_path, capsys, nest):
         def spec(depth):
             # nest(n) is a0 for an even n

@@ -55,12 +55,10 @@ class TestConstruction:
 
     def test_next_states(self, fig1):
         assert [tr.dst for tr in fig1.outgoing("q0")] == ["q1", "q0"]
-        assert eh.mov(eh.init(fig1), 0, 1).states_at(1) == ["q0", "q1"]
-        with pytest.raises(UndefinedRound):
-            eh.mov(eh.init(fig1), 3, 4)
+        assert eh.mov(eh.init(fig1), 1).states_at(1) == ["q0", "q1"]
 
     def test_next_absorbing(self, fig1):
-        p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 5, 6)
+        p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 6)
         assert p.states_at(6) == ["q1"]
 
     def test_to_expr(self, fig1):
@@ -71,24 +69,26 @@ class TestConstruction:
             Transition("q1", ex.TRUE, "q1"),
         )
         assert fig1.by_destination is fig1.by_destination  # built once
-        p = eh.mov(eh.init(fig1), 0, 1)
+        p = eh.mov(eh.init(fig1), 1)
         a1, b1 = ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))
         assert ex.equivalent(p.entries[(1, "q1")], ex.Or(a1, b1))
         assert ex.equivalent(p.entries[(1, "q0")], ex.And(ex.Not(a1), ex.Not(b1)))
 
     def test_golden_table1(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         expected = table1_expected()
         assert set(p.entries) == set(expected)
         for key, want in expected.items():
             assert ex.equivalent(p.entries[key], want), key
 
     def test_mov_identity(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
-        assert eh.mov(p, 2, 2) is p
+        p = eh.mov(eh.init(fig1), 2)
+        assert eh.mov(p, 2) is p
+        with pytest.raises(UndefinedRound):  # below the last round
+            eh.mov(p, 1)
 
     def test_mov_fig2_one_round(self, fig2):
-        p = eh.mov(eh.init(fig2), 0, 1)
+        p = eh.mov(eh.init(fig2), 1)
         a1, b1 = ex.Var(ex.timed(1, "a")), ex.Var(ex.timed(1, "b"))
         assert ex.equivalent(p.entries[(1, "q0")], ex.Or(ex.Not(a1), ex.Not(b1)))
         assert ex.equivalent(p.entries[(1, "q1")], ex.And(a1, b1))
@@ -96,7 +96,7 @@ class TestConstruction:
 
 class TestResolution:
     def test_sreach_example(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"1_a": T, "1_b": B})
         assert eh.sreach(p, m, 1) == "q1"
         assert eh.verdict_at(p, m, 1) is T
@@ -106,7 +106,7 @@ class TestResolution:
         assert eh.sreach(p, Memory(), 0) == "q0"
 
     def test_sreach_unresolved(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 1)
+        p = eh.mov(eh.init(fig1), 1)
         assert eh.sreach(p, Memory(), 1) is None
         assert eh.verdict_at(p, Memory(), 1) is ex.UNKNOWN
 
@@ -142,7 +142,7 @@ class TestResolution:
 
 class TestMergeInc:
     def test_golden_table2(self, fig2):
-        p = eh.mov(eh.init(fig2), 0, 1)
+        p = eh.mov(eh.init(fig2), 1)
         m0 = Memory({ex.timed(1, "a"): T})
         m1 = Memory({ex.timed(1, "b"): B})
         p0 = eh.inc(p, m0)
@@ -159,11 +159,11 @@ class TestMergeInc:
         assert eh.sreach(merged, Memory(), 1) == "q0"
 
     def test_merge_idempotent(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         assert entrywise_equivalent(eh.merge(p, p), p)
 
     def test_merge_with_init_keeps_entries(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         merged = eh.merge(p, eh.init(fig1))
         assert entrywise_equivalent(merged, p)
 
@@ -172,18 +172,18 @@ class TestMergeInc:
             eh.merge(eh.init(fig1), eh.init(fig2))
 
     def test_inc_empty_memory(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         assert entrywise_equivalent(eh.inc(p, Memory()), p)
 
     def test_inc_idempotent(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"1_a": B})
         once = eh.inc(p, m)
         assert entrywise_equivalent(eh.inc(once, m), once)
 
     def test_memory_obsolescence(self, fig1):
         rng = random.Random(23)
-        p = eh.mov(eh.init(fig1), 0, 3)
+        p = eh.mov(eh.init(fig1), 3)
         atoms = sorted(
             {a for cond in p.entries.values() for a in ex.atoms_of(cond)},
             key=ex.Atom.sort_key,
@@ -199,7 +199,7 @@ class TestMergeInc:
 
 class TestDropResolved:
     def test_drop_after_resolution(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"1_a": B, "1_b": B})  # round 1 resolves to q0, round 2 open
         dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dropped.rounds() == [1, 2]
@@ -209,20 +209,20 @@ class TestDropResolved:
     def test_drop_jumps_over_accepting_prefix(self, fig1):
         # a=T at round 1 pins every later round to the absorbing state, so
         # the whole encoding collapses to its last round.
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"1_a": T, "1_b": B})
         dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dict(dropped.entries) == {(2, "q1"): ex.TRUE}
 
     def test_no_resolution_unchanged(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"2_a": T})  # resolves nothing contiguously beyond 0
         dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dropped.rounds() == [0, 1, 2]
         assert dropped.entries[(0, "q0")] == ex.TRUE
 
     def test_fully_resolved_single_entry(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 1)
+        p = eh.mov(eh.init(fig1), 1)
         m = timed_mem(**{"1_a": T, "1_b": T})
         dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dict(dropped.entries) == {(1, "q1"): ex.TRUE}
@@ -236,7 +236,7 @@ class TestSoundness:
             n = rng.randint(1, 10)
             tr = random_trace(rng, aps, rng.randint(1, 2), n)
             glob = reconstruct_global(tr)
-            p = eh.mov(eh.init(spec), 0, n)
+            p = eh.mov(eh.init(spec), n)
             mem = Memory()
             for k in range(1, n + 1):
                 mem = memory_merge(mem, mem_from_event(glob[k - 1], k))
@@ -245,7 +245,7 @@ class TestSoundness:
     def test_future_observation_resolves_early_round(self, fig1):
         # Knowing only round-2 observations can already pin down round 2:
         # every round-1 continuation reaches the accepting state.
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"2_a": T, "2_b": B})
         assert eh.sreach(p, m, 2) == "q1"
 
@@ -259,7 +259,7 @@ class TestReconciliationCorollary:
         for _ in range(100):
             spec, aps = random_spec(rng, max_states=4, max_aps=2)
             k = rng.randint(1, 4)
-            p = eh.mov(eh.init(spec), 0, k)
+            p = eh.mov(eh.init(spec), k)
             support = sorted(
                 {a for cond in p.entries.values() for a in ex.atoms_of(cond)},
                 key=ex.Atom.sort_key,
@@ -295,7 +295,7 @@ def test_entry_support_bounded_by_delay_times_label_size():
     for _ in range(40):
         spec, _ = random_spec(rng, max_states=5, max_aps=3)
         d = rng.randint(1, 6)
-        p = eh.mov(eh.init(spec), 0, d)
+        p = eh.mov(eh.init(spec), d)
         bound = d * max_label_size(spec)
         for (t, q), cond in p.entries.items():
             assert len(ex.atoms_of(cond)) <= bound
@@ -329,7 +329,7 @@ class TestTable:
                 if op == "mov":
                     if p.last_round() + 2 > 11:  # memories cover rounds 1..11
                         continue
-                    p = eh.mov(p, rng.choice(p.rounds()), p.last_round() + rng.randint(0, 2))
+                    p = eh.mov(p, p.last_round() + rng.randint(0, 2))
                 elif op == "inc":
                     p = eh.inc(p, m)
                 elif op == "merge":
@@ -343,8 +343,8 @@ class TestTable:
                 encodings.append(p)
 
     def test_merge_of_disjoint_ranges_keeps_gap(self, fig1):
-        early = eh.mov(eh.init(fig1), 0, 2)
-        late = eh.mov(eh.EHE(fig1, {5: {"q0": ex.TRUE}}), 5, 6)
+        early = eh.mov(eh.init(fig1), 2)
+        late = eh.mov(eh.EHE(fig1, {5: {"q0": ex.TRUE}}), 6)
         merged = eh.merge(late, early)
         assert merged.rounds() == [0, 1, 2, 5, 6]
         assert (merged.first_round(), merged.last_round()) == (0, 6)
@@ -352,24 +352,26 @@ class TestTable:
         assert_table_consistent(merged)
 
     def test_undefined_round_in_gap_and_past_end(self, fig1):
-        early = eh.mov(eh.init(fig1), 0, 2)
+        early = eh.mov(eh.init(fig1), 2)
         late = eh.EHE(fig1, {5: {"q0": ex.TRUE}})
         merged = eh.merge(early, late)
         for t in (3, 4, 7):
             with pytest.raises(UndefinedRound):
                 eh.sreach(merged, Memory(), t)
+        for t in (3, 4):  # below the last round
             with pytest.raises(UndefinedRound):
-                eh.mov(merged, t, t + 1)
+                eh.mov(merged, t)
 
-    def test_mov_across_gap_keeps_rounds_ascending(self, fig1):
-        merged = eh.merge(eh.init(fig1), eh.EHE(fig1, {3: {"q1": ex.TRUE}}))
-        p = eh.mov(merged, 0, 4)
-        assert p.rounds() == [0, 1, 2, 3, 4]
-        assert p.states_at(3) == ["q0", "q1"]
+    def test_mov_after_gap_appends_past_last_round(self, fig1):
+        merged = eh.merge(eh.init(fig1), eh.EHE(fig1, {3: {"q0": ex.TRUE}}))
+        p = eh.mov(merged, 5)
+        assert p.rounds() == [0, 3, 4, 5]
+        assert all(p.table[t] is merged.table[t] for t in (0, 3))
+        assert p.states_at(4) == ["q0", "q1"]
         assert_table_consistent(p)
 
     def test_inc_reuses_constant_rows(self, fig1):
-        p = eh.mov(eh.init(fig1), 0, 2)
+        p = eh.mov(eh.init(fig1), 2)
         step = mt.Step(2, "m", "c")
         incd = eh.inc(p, Memory(), step=step)
         assert incd.table[0] is p.table[0]
@@ -380,14 +382,14 @@ class TestTable:
         assert eh.inc(constant, timed_mem(**{"1_a": T, "1_b": B})) is constant
         # one inc leaves every entry a fixpoint of simplify: a row stamped
         # from a template is rebuilt by it once
-        p = eh.inc(eh.mov(eh.init(fig1), 0, 2), Memory())
+        p = eh.inc(eh.mov(eh.init(fig1), 2), Memory())
         for m in (Memory(), timed_mem(**{"3_a": T, "5_b": B})):
             step = mt.Step(2, "m", "c")
             assert eh.inc(p, m, step=step) is p
             assert step.simplifications == 4  # still one call per non-constant entry
 
     def test_inc_keeps_rows_the_memory_leaves_alone(self, fig1):
-        p = eh.inc(eh.mov(eh.init(fig1), 0, 2), Memory())
+        p = eh.inc(eh.mov(eh.init(fig1), 2), Memory())
         before = {t: (row, dict(row)) for t, row in p.table.items()}
         incd = eh.inc(p, timed_mem(**{"2_a": T}))
         assert incd is not p
@@ -425,7 +427,7 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
             atoms = [ex.timed(t, a) for t in range(1, 8) for a in aps]
             p = eh.init(spec)
             while p.last_round() < 6:
-                p = eh.mov(p, p.last_round(), p.last_round() + rng.randint(1, 2))
+                p = eh.mov(p, p.last_round() + rng.randint(1, 2))
                 if rng.random() < 0.3:
                     m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.2})
                     p = eh.inc(p, m)
@@ -453,16 +455,15 @@ def test_mov_simplifies_only_what_simplify_can_rebuild(monkeypatch):
     specs = [random_spec(rng, max_states=5, max_aps=4)[0] for _ in range(20)]
     monkeypatch.setattr(ex, "simplify", recorded)
     for spec in specs:
-        eh.mov(eh.init(spec), 0, 6)
+        eh.mov(eh.init(spec), 6)
     assert calls and {bound for bound, _, _ in calls} == {(ex.DNF_ATOMS,)}
     wide = [kept for _, k, kept in calls if k > ex.DNF_ATOMS]
     assert wide and all(wide), len(wide)
 
 
 def test_entry_holding_a_wide_node_is_marked_not_simplified(monkeypatch):
-    # An entry that conjoins a live wide source, or disjoins a wide prior
-    # entry, holds that node: mov marks it wide and leaves it as built,
-    # without calling simplify.  A FALSE label drops the source, so the
+    # An entry that conjoins a live wide source holds that node: mov marks
+    # it wide and leaves it as built, without calling simplify.  A FALSE label drops the source, so the
     # entry it reaches is simplified as usual.
     spec = make_spec(["q0", "q1", "q2"], "q0",
                      [("q0", "a", "q1"), ("q0", "!a", "q0"), ("q0", "false", "q2"),
@@ -479,19 +480,13 @@ def test_entry_holding_a_wide_node_is_marked_not_simplified(monkeypatch):
         return real_simplify(e, *bound)
 
     monkeypatch.setattr(ex, "simplify", recorded)
-    p = eh.mov(eh.EHE(spec, {0: {"q0": w, "q1": small}}), 0, 1)
+    p = eh.mov(eh.EHE(spec, {0: {"q0": w, "q1": small}}), 1)
     assert p.table[1] == {"q0": ex.And(w, ex.Not(a1)),
                           "q1": ex.Or(ex.And(w, a1), ex.And(small, ex.Not(a1))),
                           "q2": ex.And(small, a1)}
     assert p.table[1]["q0"].left is w and p.table[1]["q1"].left.left is w
     assert p.table[1]["q0"].wide and p.table[1]["q1"].wide and not p.table[1]["q2"].wide
     assert calls == [ex.And(small, a1)]
-
-    calls.clear()
-    p = eh.mov(eh.EHE(spec, {0: {"q0": small}, 1: {"q1": w}}), 0, 1)
-    assert p.table[1]["q1"] == ex.Or(w, ex.And(small, a1)) and p.table[1]["q1"].left is w
-    assert p.table[1]["q1"].wide and not p.table[1]["q0"].wide
-    assert calls == [ex.And(small, ex.Not(a1)), ex.FALSE]
 
 
 def test_mov_rows_match_simplify_on_fact_free_copies(monkeypatch):
@@ -518,10 +513,10 @@ def test_mov_rows_match_simplify_on_fact_free_copies(monkeypatch):
             copy = eh.EHE(twin, {r: {q: fresh_copy(c, memo) for q, c in row.items()}
                                  for r, row in p.table.items()})
             monkeypatch.setattr(ex, "simplify", reference_simplify)
-            expected = eh.mov(copy, t, te)
+            expected = eh.mov(copy, te)
             monkeypatch.setattr(ex, "simplify", recorded)
             calls.clear()
-            p = eh.mov(p, t, te)
+            p = eh.mov(p, te)
             monkeypatch.setattr(ex, "simplify", real_simplify)
             for r in range(t + 1, te + 1):
                 row, want = p.table[r], expected.table[r]
@@ -592,10 +587,10 @@ def test_template_rows_match_direct_build(a, names):
         return Specification(a.states, a.initial, a.transitions, a.verdicts)
 
     for src in _constant_rows(a.states):
-        eh.mov(eh.EHE(a, {2: src}), 2, 3, names)  # builds the template
+        eh.mov(eh.EHE(a, {2: src}), 3, names)  # builds the template
         for t in (6, 41):
-            warm = eh.mov(eh.EHE(a, {t: src}), t, t + 1, names).table[t + 1]
-            cold = eh.mov(eh.EHE(fresh(), {t: src}), t, t + 1, names).table[t + 1]
+            warm = eh.mov(eh.EHE(a, {t: src}), t + 1, names).table[t + 1]
+            cold = eh.mov(eh.EHE(fresh(), {t: src}), t + 1, names).table[t + 1]
             assert list(warm) == list(cold)
             for q in cold:
                 assert ex.to_text(warm[q]) == ex.to_text(cold[q]), (src, t, q)
@@ -607,7 +602,7 @@ def test_template_rows_match_direct_build(a, names):
 def test_chor_style_automaton_needs_stamped_templates():
     # Simplifying the template over plain atoms would order m1 before z.
     a, names = _chor_style_automaton()
-    row = eh.mov(eh.EHE(a, {4: {"q0": ex.TRUE}}), 4, 5, names).table[5]
+    row = eh.mov(eh.EHE(a, {4: {"q0": ex.TRUE}}), 5, names).table[5]
     plain_first = ex.simplify(ex.unstamp(ex.disj_all(
         ex.encode(tr.label, 5, names) for tr in a.by_destination["q0"] if tr.src == "q0"
     )))
@@ -617,16 +612,16 @@ def test_chor_style_automaton_needs_stamped_templates():
 def test_mov_from_constant_rows_is_stamping_only(fig1, monkeypatch):
     # After one round has built the template, mov over constant source rows
     # neither walks for simplify nor simplifies.
-    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 0, 1)
-    eh.mov(eh.EHE(fig1, {0: {"q1": ex.TRUE}}), 0, 1)
+    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 1)
+    eh.mov(eh.EHE(fig1, {0: {"q1": ex.TRUE}}), 1)
     calls = []
     real_simplify, real_walk = ex.simplify, ex._walk
     monkeypatch.setattr(ex, "simplify", lambda *args: calls.append(args) or real_simplify(*args))
     monkeypatch.setattr(ex, "_walk", lambda *args: calls.append(args) or real_walk(*args))
     for t in range(1, 40):
-        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t, t + 1).table[t + 1]
+        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t + 1).table[t + 1]
         assert ex.to_text(row["q1"]) == f"<{t + 1},a> || <{t + 1},b>"
-    p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 5, 60)
+    p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 60)
     assert p.rounds() == list(range(5, 61))
     assert calls == []
     assert len(fig1.row_templates) == 2
@@ -662,11 +657,11 @@ def test_mov_under_the_round_memory_matches_inc_of_the_stamped_row(a, names):
     t, decided = 6, 0
     for src in _constant_rows(a.states):
         p = eh.EHE(a, {t: src})
-        row = eh.mov(p, t, t + 1, names).table.get(t + 1, {})
+        row = eh.mov(p, t + 1, names).table.get(t + 1, {})
         for m in _round_memories(row, t + 1):
-            expected = _inc_view(eh.mov(p, t, t + 1, names), m)
+            expected = _inc_view(eh.mov(p, t + 1, names), m)
             for _ in range(2):
-                moved = eh.mov(p, t, t + 1, names, memory=m)
+                moved = eh.mov(p, t + 1, names, memory=m)
                 assert _inc_view(moved, m) == expected, (src, m)
             if not eh.is_constant_row(row):
                 decided += eh.is_constant_row(moved.table[t + 1])
@@ -680,11 +675,11 @@ def test_mov_under_a_memory_builds_earlier_rows_as_without_it(a, names):
     rng, t = random.Random(5), 3
     for src in _constant_rows(a.states):
         p = eh.EHE(a, {t: src})
-        plain = eh.mov(p, t, t + 3, names)
+        plain = eh.mov(p, t + 3, names)
         atoms = {x for row in plain.table.values() for c in row.values() for x in ex.atom_set(c)}
         for _ in range(4):
             m = {x: rng.choice((T, B)) for x in atoms if rng.random() < 0.7}
-            moved = eh.mov(p, t, t + 3, names, memory=m)
+            moved = eh.mov(p, t + 3, names, memory=m)
             assert moved.rounds() == plain.rounds()
             for r in (t + 1, t + 2):
                 got, want = moved.table.get(r, {}), plain.table.get(r, {})
@@ -703,14 +698,14 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
     def memory(t):
         return {ex.timed(t, "a"): T, ex.timed(t - 1, "b"): B, ex.timed(t + 1, "a"): B}
 
-    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 0, 1, memory=memory(1))
+    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 1, memory=memory(1))
     calls = []
     for name in ("encode", "rewrite_fold", "simplify", "_walk"):
         real = getattr(ex, name)
         monkeypatch.setattr(ex, name, lambda *args, real=real, name=name, **kw: (
             calls.append(name) or real(*args, **kw)))
     for t in range(1, 40):
-        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t, t + 1, memory=memory(t + 1)).table
+        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t + 1, memory=memory(t + 1)).table
         assert row[t + 1] == {"q0": ex.FALSE, "q1": ex.TRUE}
     assert calls == []
     (template,) = [v for k, v in fig1.row_templates.items() if ("q0", ex.TRUE) in k[0]]
@@ -754,7 +749,7 @@ def test_mov_skips_dead_sources_as_the_full_builder_would(a, names):
     # Rows of constants go through the template path and must match too.
     t, dead_only = 4, 0
     for src in _mixed_rows(a.states, t, seed=len(a.states)):
-        got = eh.mov(eh.EHE(a, {t: src}), t, t + 1, names).table.get(t + 1, {})
+        got = eh.mov(eh.EHE(a, {t: src}), t + 1, names).table.get(t + 1, {})
         want = _full_next_row(a, src, t + 1, names)
         assert list(got) == list(want), src
         for q in want:
@@ -789,7 +784,7 @@ def test_mov_stamps_only_transitions_out_of_live_sources(a, names, monkeypatch):
             continue
         calls[0] = 0
         a.stamps.clear()
-        eh.mov(eh.EHE(a, {t: src}), t, t + 1, names)
+        eh.mov(eh.EHE(a, {t: src}), t + 1, names)
         assert sum(map(len, a.stamps.values())) == calls[0]
         live = sum(len(a.outgoing(q)) for q, c in src.items() if c is not ex.FALSE)
         assert calls[0] == live, src

@@ -127,7 +127,7 @@ def test_resolve_returns_where_garbage_collection_cuts():
     for _ in range(150):
         spec, aps = random_spec(rng, max_states=4, max_aps=3)
         n = rng.randint(1, 6)
-        p = eh.mov(eh.init(spec), 0, n)
+        p = eh.mov(eh.init(spec), n)
         atoms = [ex.timed(t, a) for t in range(1, n + 1) for a in aps]
         if rng.random() < 0.5:
             p = eh.inc(p, Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.3}))

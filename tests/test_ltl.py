@@ -49,8 +49,11 @@ class TestParser:
     @pytest.mark.parametrize("nest", [lambda n: "(" * n + "a" + ")" * n,
                                       lambda n: "!" * n + "a",
                                       lambda n: "X F G " * (n // 3) + "X " * (n % 3) + "a",
-                                      lambda n: " U ".join(["a"] * (n + 1))],
-                             ids=["parentheses", "negations", "temporal", "until"])
+                                      lambda n: " U ".join(["a"] * (n + 1)),
+                                      lambda n: " && ".join(["a"] * (n + 1)),
+                                      lambda n: " || ".join(["a"] * (n + 1))],
+                             ids=["parentheses", "negations", "temporal", "until", "and-chain",
+                                  "or-chain"])
     def test_nesting_bound(self, nest):
         assert lt.atomic_leaves(lt.parse_ltl(nest(ex.MAX_NESTING))) == ["a"]
         for past in (nest(ex.MAX_NESTING + 1), f"b || ({nest(ex.MAX_NESTING)})"):
@@ -207,10 +210,11 @@ class TestSynthesize:
         assert fresh is not aut and fresh == aut
         assert spec_to_dict(fresh) == spec_to_dict(aut)
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         deep = lt.parse_ltl("a U (b U (c U (d U (e U f))))")
-        with pytest.raises(lt.StateCapExceeded):
-            lt.synthesize(deep, state_cap=2)
+        monkeypatch.setattr(lt, "_STATE_CAP", 2)
+        with pytest.raises(lt.StateCapExceeded, match="more than 2 progression states"):
+            lt.synthesize.__wrapped__(deep)
 
     def test_progression_matches_run(self):
         # Progression reaching a constant must land the automaton in the

@@ -22,12 +22,12 @@ class TestSizes:
         assert mt.expr_size(e) == 12
 
     def test_kill_size_is_id_only(self):
-        msg = Message("kill", sender="m10", receiver="m0", sent_at=3)
+        msg = Message("kill", sender="m10", receiver="m0")
         assert mt.size_of(msg) == 3
 
     def test_verdict_size(self):
         verdict = {ex.monref(2, "m1"): ex.TOP}
-        msg = Message("verdict", sender="m1", receiver="m0", sent_at=3, payload=verdict)
+        msg = Message("verdict", sender="m1", receiver="m0", payload=verdict)
         assert mt.size_of(msg) == 2 + 4 + 1
         assert mt.size_of(verdict) == mt.size_of(msg)
 
