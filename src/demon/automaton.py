@@ -406,7 +406,10 @@ def dspec_from_dict(data: dict) -> DecentralizedSpec:
 
 def load_spec_file(path: str) -> Specification | DecentralizedSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise SpecificationError(f"specification file {path} nests too deeply") from None
     if not isinstance(data, dict):
         raise SpecificationError(
             f"specification file {path} must hold a JSON object, got {type(data).__name__}"

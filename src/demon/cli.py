@@ -30,10 +30,13 @@ def _log(message: str) -> None:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """The JSON object in ``path``; any other JSON value is an input error
-    naming the file."""
+    """The JSON object in ``path``; any other JSON value, or one nested past
+    the interpreter's recursion limit, is an input error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise DemonError(f"{what} {path} nests too deeply") from None
     if not isinstance(data, dict):
         raise DemonError(f"{what} {path} must hold a JSON object, got {type(data).__name__}")
     return data
@@ -183,13 +186,17 @@ def _spec_input_for(algorithm: str, spec_path: str):
     text = Path(spec_path).read_text(encoding="utf-8").strip()
     if not text.startswith("{"):
         formula = lt.parse_ltl(text)
-    elif "ltl" in (data := json.loads(text)):
+    else:
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise DemonError(f"spec file {spec_path} nests too deeply") from None
+        if "ltl" not in data:
+            return load_spec_file(spec_path)
         if not isinstance(data["ltl"], str):
             raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
                              f"string, got {data['ltl']!r}")
         formula = lt.parse_ltl(data["ltl"])
-    else:
-        return load_spec_file(spec_path)
     return formula if algorithm == "chor" else lt.synthesize(formula)
 
 

@@ -48,7 +48,6 @@ state.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import expr as ex
@@ -62,10 +61,15 @@ Row = Mapping[str, Expr]
 _STAMP_CACHE_SIZE = 16  # rounds (with monitor names) of stamps kept per automaton
 
 
-@dataclass(frozen=True, eq=False)
 class EHE:
-    automaton: Specification
-    table: Mapping[int, Row]  # round -> {state: condition}, rounds ascending
+    """An automaton and its table, equal only to itself; slotted, as every
+    ``mov``, ``inc``, ``merge`` and cut builds one."""
+
+    __slots__ = ("automaton", "table")
+
+    def __init__(self, automaton: Specification, table: Mapping[int, Row]) -> None:
+        self.automaton = automaton
+        self.table = table
 
     @property
     def entries(self) -> dict[tuple[int, str], Expr]:
@@ -180,8 +184,10 @@ def _row_after_constants(
     a: Specification, src: Row, t: int, names: frozenset[str], memory: Optional[Memory]
 ) -> Row:
     """Row ``t`` after ``src``, a row of constants: the automaton's template
-    stamped at ``t``, or the row of constants ``memory`` folds that to."""
-    key = (frozenset(src.items()), names)
+    stamped at ``t``, or the row of constants ``memory`` folds that to.  The
+    template is keyed by the states of ``src``, those that are TRUE and the
+    monitor names, so no verdict is hashed."""
+    key = (frozenset(src), frozenset(q for q, c in src.items() if c.value is TOP), names)
     template = a.row_templates.get(key)
     if template is None:
         row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, names).items()}

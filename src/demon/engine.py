@@ -16,7 +16,8 @@ the last resolved state, while ``chor`` drops only a constant prefix; ``migr``
 and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
 one with no encoding forwards its observations to its ref (an ``orch``
 forwarder), and one with a verdict sends it to its refs and respawns (a
-``chor`` monitor below the root), or with no refs ends the run.
+``chor`` monitor below the root), or with no refs ends the run.  A fresh
+instance anchored at the current round is booked without a second pass.
 """
 
 from __future__ import annotations
@@ -320,7 +321,14 @@ def _monitor_round(
     """One monitor's round under any algorithm (see the module docstring).  A
     monitor with no encoding keeps its memory, or forwards its observation to
     its ref; one with a verdict sends it to its refs and starts afresh, or
-    with no refs ends the run."""
+    with no refs ends the run.
+
+    A fresh instance's encoding starts at its predecessor's anchor.  When
+    that is ``t`` and the initial state is not final, another pass would
+    only read the row ``{initial: TRUE}``: the step books its one evaluation
+    and the footprint ``(1, 1, |Q|)`` instead.  Otherwise the instance takes
+    another pass: one behind ``t`` is moved up to ``t``, and one whose
+    initial state is final reports again."""
     for msg in inbox:
         if msg.kind == "ehe":  # merged into the encoding, or activating it
             state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
@@ -368,6 +376,10 @@ def _monitor_round(
         state.t_kn = anchor
         state.prefix_evals = 0
         state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
+        if anchor == t and not automaton.verdict_of(automaton.initial).is_final:
+            step.evaluations += 1
+            step.gc = (1, 1, len(automaton.states))
+            break
     return outbox, None
 
 

@@ -143,13 +143,16 @@ def store(tr: DecentralizedTrace, path: str) -> None:
                 writer.writerow([t, comp, ap, "1" if verdict is TOP else "0"])
 
 
-def _declared_shape(text: str) -> tuple[tuple[str, ...], int]:
-    """Component list and length from the JSON of a leading ``#`` line."""
+def _declared_shape(text: str, path: str) -> tuple[tuple[str, ...], int]:
+    """Component list and length from the JSON of the leading ``#`` line of
+    the trace in ``path``."""
     try:
         meta = json.loads(text)
         components, length = meta["components"], meta["length"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad trace metadata line: {exc}", 1) from None
+    except RecursionError:
+        raise ParseError(f"metadata line of trace {path} nests too deeply", 1) from None
     if not (isinstance(components, list) and all(isinstance(c, str) for c in components)):
         raise ParseError(f"trace metadata 'components' must be a list of names, "
                          f"got {components!r}", 1)
@@ -168,7 +171,7 @@ def load(path: str) -> DecentralizedTrace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
-            declared = _declared_shape(first[1:])
+            declared = _declared_shape(first[1:], path)
             header_line = 2
         else:
             fh.seek(0)

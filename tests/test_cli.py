@@ -7,7 +7,7 @@ import pytest
 from demon import cli
 from demon import expr as ex
 from demon import traces as tg
-from demon.automaton import dspec_to_dict, spec_to_dict
+from demon.automaton import decentralized_run, dspec_to_dict, load_spec_file, spec_to_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -427,6 +427,46 @@ class TestNestingBound:
         assert code == 2 and out == "" and f"more than {ex.MAX_NESTING} levels" in err
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON parser's recursion limit
+
+
+class TestDeepJson:
+    """JSON nested past the interpreter's recursion limit is bad input (exit
+    2, naming the file) at each place a file's JSON is parsed, not a
+    RecursionError traceback (exit 1)."""
+
+    TRACE = str(FIXTURES / "experiment" / "trace_normal.csv")
+
+    def expect_input_error(self, capsys, path, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err and "nests too deeply" in err
+
+    def test_spec_file_under_run(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text(f'{{"states": {DEEP}}}')
+        self.expect_input_error(capsys, spec, "run", "--algorithm", "orch",
+                                "--spec", str(spec), "--trace", self.TRACE)
+
+    def test_spec_file_under_check(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text(f'{{"states": {DEEP}}}')
+        self.expect_input_error(capsys, spec, "check", "validate", "--spec", str(spec))
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text(f'{{"specs": {DEEP}}}')
+        self.expect_input_error(capsys, config, "experiment", str(config))
+
+    def test_trace_metadata_line(self, tmp_path, capsys):
+        trace = tmp_path / "deep.csv"
+        trace.write_text(f'# {{"components": {DEEP}, "length": 3}}\n'
+                         "t,component,ap,value\n1,c0,a0,1\n")
+        self.expect_input_error(capsys, trace, "run", "--algorithm", "orch",
+                                "--spec", str(FIXTURES / "experiment" / "spec.ltl"),
+                                "--trace", str(trace))
+
+
 class TestExperiment:
     def _write_experiment(self, tmp_path, fig1):
         spec = tmp_path / "spec.json"
@@ -583,6 +623,17 @@ class TestDecentralizedSpecInput:
         code, out, _ = run_cli(capsys, "run", "--spec", self.SPEC, "--trace", self.TRACE,
                                "--algorithm", "chor", "--format", "json")
         assert code == 0 and json.loads(out)["verdict"] == "top"
+
+    def test_child_with_a_final_initial_state(self, capsys):
+        # m1 reports from its initial state at once, so its respawned
+        # instance reports again within the round: the run still ends, with
+        # the reference verdict.
+        spec = str(FIXTURES / "decentralized_final_child.json")
+        trace = str(FIXTURES / "experiment" / "trace_normal.csv")
+        code, out, _ = run_cli(capsys, "run", "--spec", spec, "--trace", trace,
+                               "--algorithm", "chor", "--format", "json")
+        expected = decentralized_run(load_spec_file(spec), tg.load(trace))
+        assert code == 0 and json.loads(out)["verdict"] == expected.value == "top"
 
     def test_centralized_algorithms_reject_it(self, capsys):
         for spec, trace in ((self.SPEC, self.TRACE),

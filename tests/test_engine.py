@@ -13,8 +13,11 @@ from demon import metrics as mt
 from demon import store
 from demon import traces as tg
 from demon.automaton import (
+    DecentralizedSpec,
     DecentralizedTrace,
+    Specification,
     decentralized_run,
+    make_spec,
     reconstruct_global,
     run,
 )
@@ -712,3 +715,91 @@ def test_chor_prefix_drop_keeps_open_rows(fig1):
     assert dropped(closed, 2) == (2, 2)  # only rows before t_kn
     assert dropped({1: {"q0": TR}, 2: {"q0": TR, "q1": x}, 3: {"q0": TR}}, 3) == (2, 1)
     assert dropped({1: {"q0": TR, "q1": TR}, 2: {"q0": TR}}, 2) == (1, 0)
+
+
+# Recorded before a respawn anchored at the current round was booked
+# directly: the step streams of the respawn tests below.
+RESPAWN_FINAL_SHA256 = "cecdec4645682296a92222ee48ce75718c0a9b825f1079495ac775eac5ae65db"
+RESPAWN_BEHIND_SHA256 = "676bc6eb6fb85a431de6b5bda2354e4960b47cfb3d8f181b87293f78dd591486"
+RESPAWN_AT_T_STEPS = [(1, 4, (1, 1, 3), (("verdict", 7),)), (2, 3, (1, 1, 3), (("verdict", 7),)),
+                      (3, 3, (3, 2, 3), ())]
+
+
+def _chor_with_child(m1: Specification) -> DecentralizedSpec:
+    """Root m0 on c0 reaches its TOP state once ``a0 && m1`` holds; the child
+    m1 runs on c1, where ``a1`` is observed."""
+    m0 = make_spec(["q0", "qT"], "q0",
+                   [("q0", "a0 && m1", "qT"), ("q0", "!(a0 && m1)", "q0"), ("qT", "true", "qT")],
+                   {"q0": "unknown", "qT": "top"})
+    return DecentralizedSpec(("m0", "m1"), {"m0": m0, "m1": m1}, ("c0", "c1"),
+                             {"m0": "c0", "m1": "c1"}, "m0", {"a0": "c0", "a1": "c1"})
+
+
+def _respawn_runs(d, comm_delays, monkeypatch):
+    """``chor`` on ``d`` over eight seeded traces of length 8 at each delay:
+    yields (config, run, the (round, anchor) of each verdict m1 sent), with
+    each verdict checked against the decentralized reference."""
+    rng = random.Random(53)
+    for _ in range(8):
+        tr = tg.generate(tg.TraceGenConfig(components=2, aps_per_component=1, length=8,
+                                           seed=rng.randrange(2**31)))
+        for comm_delay in comm_delays:
+            cfg = en.SimConfig("chor", comm_delay=comm_delay, timeout_slack=5 * comm_delay)
+            reports = []
+
+            def round_fn(state, t, *args, inner=en.choreography_round):
+                outbox, verdict = inner(state, t, *args)
+                reports.extend((t, next(iter(msg.payload)).t)
+                               for msg in outbox if msg.kind == "verdict")
+                return outbox, verdict
+
+            with monkeypatch.context() as patched:
+                patched.setattr(en, "choreography_round", round_fn)
+                r = en.simulate(cfg, d, complete(tr.components), tr)
+            assert r.verdict is decentralized_run(d, tr), (tr, comm_delay)
+            yield cfg, r, reports
+
+
+def _steps_digest(runs) -> str:
+    digest = hashlib.sha256()
+    for cfg, r in runs:
+        digest.update(repr((cfg, *_step_fields(r))).encode())
+    return digest.hexdigest()
+
+
+def test_respawn_of_a_final_initial_state_ends(monkeypatch):
+    # m1 starts in its final state: each instance reports at once, so the
+    # instance it respawns in the same round reports too, and the next one
+    # waits for the following round.
+    m1 = make_spec(["top"], "top", [("top", "true", "top")], {"top": "top"})
+    runs = list(_respawn_runs(_chor_with_child(m1), (1, 3), monkeypatch))
+    for _, r, reports in runs:
+        assert reports[:2] == [(1, 1), (1, 2)]
+        assert all(anchor in (t, t + 1) for t, anchor in reports)
+    assert _steps_digest((cfg, r) for cfg, r, _ in runs) == RESPAWN_FINAL_SHA256
+
+
+def test_respawn_behind_the_current_round(monkeypatch):
+    # m1 reads a1 one round after its anchor, so every instance resolves a
+    # round late and its successor, anchored behind the current round, is
+    # moved up to it in the same round.
+    m1 = make_spec(["s0", "s1", "sT", "sB"], "s0",
+                   [("s0", "true", "s1"), ("s1", "a1", "sT"), ("s1", "!a1", "sB"),
+                    ("sT", "true", "sT"), ("sB", "true", "sB")],
+                   {"s0": "unknown", "s1": "unknown", "sT": "top", "sB": "bottom"})
+    runs = list(_respawn_runs(_chor_with_child(m1), (3,), monkeypatch))
+    for _, r, reports in runs:
+        assert reports and all(anchor == t - 1 for t, anchor in reports)
+    assert {r.verdict for _, r, _ in runs} == {T, ex.UNKNOWN}
+    assert _steps_digest((cfg, r) for cfg, r, _ in runs) == RESPAWN_BEHIND_SHA256
+
+
+def test_respawn_at_the_current_round_books_one_evaluation(fig4, fig4_trace):
+    # fig4's m1 resolves each instance in the round it is anchored at, so its
+    # successor is anchored at the current round: that round's step counts
+    # one more evaluation, of the row {s0: TRUE}, and the footprint
+    # (1 entry, 1 round, 3 states).  In round 3 its instance waits for b0.
+    r = en.simulate(en.SimConfig("chor"), fig4, complete(("c0", "c1")), fig4_trace)
+    steps = [(s.t, s.evaluations, s.gc, s.sent) for s in r.record.steps if s.monitor == "m1"]
+    assert steps == RESPAWN_AT_T_STEPS
+    assert all(gc == (1, 1, 3) for _, _, gc, sent in steps if sent)
