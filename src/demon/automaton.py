@@ -341,18 +341,6 @@ def decentralized_run(d: DecentralizedSpec, tr: DecentralizedTrace) -> Verdict:
 # JSON file formats
 
 
-def spec_to_dict(a: Specification) -> dict:
-    return {
-        "states": list(a.states),
-        "initial": a.initial,
-        "verdicts": {q: a.verdicts[q].value for q in a.states},
-        "transitions": [
-            {"from": t.src, "to": t.dst, "label": ex.to_text(t.label)}
-            for t in a.transitions
-        ],
-    }
-
-
 def _mapping(data: dict, key: str, what: str) -> dict:
     """``data[key]``, which must be a JSON object mapping ``what``."""
     value = data[key]
@@ -371,16 +359,6 @@ def spec_from_dict(data: dict) -> Specification:
         return make_spec(data["states"], data["initial"], transitions, verdicts)
     except (KeyError, TypeError) as exc:
         raise SpecificationError(f"malformed specification object: {exc}") from exc
-
-
-def dspec_to_dict(d: DecentralizedSpec) -> dict:
-    return {
-        "monitors": {name: spec_to_dict(d.monitors[name]) for name in d.monitor_labels},
-        "attach": dict(d.attach),
-        "root": d.root,
-        "components": list(d.components),
-        "ap_owner": dict(d.ap_owner),
-    }
 
 
 def dspec_from_dict(data: dict) -> DecentralizedSpec:

@@ -29,12 +29,22 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _naming(what: str, path: str, load, *args):
+    """``load(*args)``, with any input error it raises naming ``path``."""
+    try:
+        return load(*args)
+    except (DemonError, json.JSONDecodeError) as exc:
+        if path in str(exc):
+            raise
+        raise DemonError(f"{what} {path}: {exc}") from None
+
+
 def _load_object(path: str, what: str) -> dict:
-    """The JSON object in ``path``; any other JSON value, or one nested past
-    the interpreter's recursion limit, is an input error naming the file."""
+    """The JSON object in ``path``; any other JSON value, malformed or nested
+    past the interpreter's recursion limit, is an input error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = _naming(what, path, json.load, fh)
         except RecursionError:
             raise DemonError(f"{what} {path} nests too deeply") from None
     if not isinstance(data, dict):
@@ -135,7 +145,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps({"compatible": ok, "assignment": assignment}, sort_keys=True))
         return 0 if ok else 1
 
-    spec = load_spec_file(args.spec)
+    spec = _naming("spec file", args.spec, load_spec_file, args.spec)
     if args.mode == "validate":
         if isinstance(spec, DecentralizedSpec):
             reports = {name: validate(spec.monitors[name]) for name in spec.monitor_labels}
@@ -188,11 +198,11 @@ def _spec_input_for(algorithm: str, spec_path: str):
         formula = lt.parse_ltl(text)
     else:
         try:
-            data = json.loads(text)
+            data = _naming("spec file", spec_path, json.loads, text)
         except RecursionError:
             raise DemonError(f"spec file {spec_path} nests too deeply") from None
         if "ltl" not in data:
-            return load_spec_file(spec_path)
+            return _naming("spec file", spec_path, load_spec_file, spec_path)
         if not isinstance(data["ltl"], str):
             raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
                              f"string, got {data['ltl']!r}")
@@ -216,7 +226,7 @@ def _system_graph(args: argparse.Namespace, tr) -> analysis.Graph:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    tr = traces.load(args.trace)
+    tr = _naming("trace", args.trace, traces.load, args.trace)
     cfg = _sim_config(args, args.algorithm)
     spec_input = _spec_input_for(args.algorithm, args.spec)
     system = _system_graph(args, tr)
@@ -279,7 +289,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "timeout_slack": _int_option(config, "timeout_slack", 5),
     }
     configs = [engine.SimConfig(algorithm, **params) for algorithm in algorithms]
-    loaded = [(path, _attempt(traces.load, path)) for path in trace_paths]
+    loaded = [(p, _attempt(_naming, "trace", p, traces.load, p)) for p in trace_paths]
     rows = []
     for cfg in configs:
         algorithm = cfg.algorithm

@@ -9,7 +9,7 @@ share the labels and rows it keeps stamped.  With R rounds, E entries and S
 states per row:
 
 - ``rounds`` and ``len`` are O(R); ``first_round`` and ``last_round`` are
-  O(1) and ``states_at`` is O(S log S).
+  O(1).
 - ``entries`` builds the flat ``{(round, state): condition}`` dict on each
   call, in O(E); hot paths read the rows of ``table`` instead.
 - ``sreach`` finds its row in O(1) and evaluates at most S conditions; it
@@ -28,7 +28,7 @@ states per row:
   its ``_STAMP_CACHE_SIZE`` latest rounds.  The last new row, when its
   source holds only constants and the round's memory decides it, is a
   cached row of constants found with one memory lookup per atom and no
-  walk.
+  walk; ``decided_round`` finds it, and its source, in the same lookups.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and keeps, as the
   same objects, rows of constants and rows whose entries all fold to
   themselves; when every row is kept it returns the encoding itself.
@@ -85,9 +85,6 @@ class EHE:
     def last_round(self) -> int:
         return next(reversed(self.table))
 
-    def states_at(self, t: int) -> list[str]:
-        return sorted(self.table.get(t, ()))
-
     def __len__(self) -> int:
         return sum(map(len, self.table.values()))
 
@@ -112,17 +109,33 @@ def is_constant_row(row: Row) -> bool:
     return True
 
 
+class Decided(NamedTuple):
+    """A row of constants, what :func:`sreach` finds there and its reads."""
+
+    row: Row
+    state: Optional[str]
+    evals: int
+
+
+def _decided(row: Row) -> Decided:
+    states = sorted(row)
+    q = next((q for q in states if row[q].value is TOP), None)
+    return Decided(row, q, len(states) if q is None else states.index(q) + 1)
+
+
 class Template(NamedTuple):
     """The row ``mov`` builds after one row of constants, kept per automaton.
 
-    ``row`` has plain atoms and ``atoms`` lists their names.  ``steps`` maps
-    the verdicts a memory gives those atoms once stamped (UNKNOWN where it
-    gives none) to the row of constants the stamped row folds to under them,
-    or to None when some entry stays open."""
+    ``row`` has plain atoms and ``atoms`` lists their names.  ``source`` is
+    the source row, or None unless it has one TRUE entry, at a state that is
+    not final.  ``steps`` maps the verdicts a memory gives the atoms once
+    stamped, as masks over ``atoms`` (TOP, decided), to the row they fold the
+    stamped row to, or to None when some entry stays open."""
 
     row: Row
     atoms: tuple[str, ...]
-    steps: dict[tuple[Verdict, ...], Optional[Row]]
+    source: Optional[Decided]
+    steps: dict[tuple[int, int], Optional[Decided]]
 
 
 def mov(
@@ -173,38 +186,57 @@ def mov(
     src = table[last]
     for t in range(last + 1, te + 1):
         if is_constant_row(src):
-            src = _row_after_constants(a, src, t, names, memory if t == te else None)
+            template, decided = _after_constants(a, src, t, names, memory if t == te else None)
+            src = decided.row if decided is not None else _stamp(a, template, t, names)
         else:
             src = _next_row(a, src, t, names)
         table[t] = src
     return EHE(a, table)
 
 
-def _row_after_constants(
+def _after_constants(
     a: Specification, src: Row, t: int, names: frozenset[str], memory: Optional[Memory]
-) -> Row:
-    """Row ``t`` after ``src``, a row of constants: the automaton's template
-    stamped at ``t``, or the row of constants ``memory`` folds that to.  The
-    template is keyed by the states of ``src``, those that are TRUE and the
-    monitor names, so no verdict is hashed."""
+) -> tuple[Template, Optional[Decided]]:
+    """The automaton's template after ``src``, a row of constants, keyed by
+    its states, the TRUE ones and the monitor names so that no verdict is
+    hashed; and the row ``memory`` folds it to at ``t``, if all constants."""
     key = (frozenset(src), frozenset(q for q, c in src.items() if c.value is TOP), names)
     template = a.row_templates.get(key)
     if template is None:
         row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, names).items()}
         visited: set[int] = set()
         atoms = sorted({x.name for c in row.values() for x in ex.atom_set(c, visited)})
-        template = a.row_templates[key] = Template(row, tuple(atoms), {})
-    if memory is not None:
-        verdicts = tuple(memory.get(ex.stamp(n, t, names), UNKNOWN) for n in template.atoms)
-        if verdicts not in template.steps:
-            memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
-            row = _stamp(a, template, t, names)
-            folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
-            template.steps[verdicts] = folded if is_constant_row(folded) else None
-        decided = template.steps[verdicts]
-        if decided is not None:
-            return decided
-    return _stamp(a, template, t, names)
+        source = _decided(src)
+        if len(key[1]) != 1 or a.verdict_of(source.state).is_final:
+            source = None
+        template = a.row_templates[key] = Template(row, tuple(atoms), source, {})
+    if memory is None:
+        return template, None
+    top = known = 0
+    for i, name in enumerate(template.atoms):
+        v = memory.get(ex.stamp(name, t, names), UNKNOWN)
+        top |= (v is TOP) << i
+        known |= (v is not UNKNOWN) << i
+    if (top, known) not in template.steps:
+        memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
+        row = _stamp(a, template, t, names)
+        folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
+        template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
+    return template, template.steps[top, known]
+
+
+def decided_round(p: EHE, t: int, monitor_names: frozenset[str],
+                  memory: Memory) -> Optional[tuple[Decided, Decided]]:
+    """``p``'s one row, of constants at ``t - 1`` with one TRUE entry, and
+    the row :func:`mov` appends at ``t`` under ``memory``, both decided, when
+    that is a row of constants with a TOP entry (which :func:`inc` keeps)."""
+    src = p.table.get(t - 1)
+    if src is None or len(p.table) != 1 or not is_constant_row(src):
+        return None
+    template, decided = _after_constants(p.automaton, src, t, monitor_names, memory)
+    if template.source is None or decided is None or decided.state is None:
+        return None
+    return template.source, decided
 
 
 def _stamp(a: Specification, template: Template, t: int, names: frozenset[str]) -> Row:

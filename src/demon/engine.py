@@ -17,8 +17,8 @@ and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
 one with no encoding forwards its observations to its ref (an ``orch``
 forwarder), and one with a verdict sends it to its refs and respawns (a
 ``chor`` monitor below the root), or with no refs ends the run.  A fresh
-instance anchored at the current round is booked without a second pass.
-"""
+instance anchored at the current round, or a ``chor`` round that
+``ehe.decided_round`` decides, is booked with no pass."""
 
 from __future__ import annotations
 
@@ -320,15 +320,10 @@ def _monitor_round(
 ) -> tuple[list[Message], Optional[Verdict]]:
     """One monitor's round under any algorithm (see the module docstring).  A
     monitor with no encoding keeps its memory, or forwards its observation to
-    its ref; one with a verdict sends it to its refs and starts afresh, or
-    with no refs ends the run.
-
-    A fresh instance's encoding starts at its predecessor's anchor.  When
-    that is ``t`` and the initial state is not final, another pass would
-    only read the row ``{initial: TRUE}``: the step books its one evaluation
-    and the footprint ``(1, 1, |Q|)`` instead.  Otherwise the instance takes
-    another pass: one behind ``t`` is moved up to ``t``, and one whose
-    initial state is final reports again."""
+    its ref; one with a verdict sends it to its refs and starts afresh (see
+    :func:`_respawn`), or with no refs ends the run.  A ``chor`` round that
+    :func:`ehe.decided_round` decides takes no ``mov``, ``inc`` or
+    ``_resolve``, but is booked as if it had."""
     for msg in inbox:
         if msg.kind == "ehe":  # merged into the encoding, or activating it
             state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
@@ -345,42 +340,77 @@ def _monitor_round(
     outbox: list[Message] = []
     # a chor instance respawned past the current round waits for its round
     while state.ehe is not None and state.ehe.first_round() <= t:
-        state.ehe = eh.mov(state.ehe, t, setup.monitor_names, state.memory)
-        if policy.inc:
-            state.ehe = eh.inc(state.ehe, state.memory, step=step)
-        memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
         step.evaluations += state.prefix_evals
-        evals = step.evaluations
-        verdict, last = _resolve(state, t, step, memo)
+        hit = None if policy.cut or state.t_kn != t - 1 else eh.decided_round(
+            state.ehe, t, setup.monitor_names, state.memory)
+        if hit is not None:
+            verdict = _book_decided_round(state, t, step, *hit)
+        else:
+            state.ehe = eh.mov(state.ehe, t, setup.monitor_names, state.memory)
+            if policy.inc:
+                state.ehe = eh.inc(state.ehe, state.memory, step=step)
+            memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
+            evals = step.evaluations
+            verdict, last = _resolve(state, t, step, memo)
+            if verdict is None:
+                _collect_garbage(state, policy, last, step, step.evaluations - evals, memo)
+                target = policy.hand_off(state, setup) if policy.hand_off else state.component
+                if target != state.component:
+                    outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
+                                          payload=state.ehe))
+                    state.ehe = None
         if verdict is None:
-            _collect_garbage(state, policy, last, step, step.evaluations - evals, memo)
-            target = policy.hand_off(state, setup) if policy.hand_off else state.component
-            if target != state.component:
-                outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
-                                      payload=state.ehe))
-                state.ehe = None
             break
         if not state.refs:
             # The verdict ends the run: the chor root's kills are counted, never delivered.
             for child in sorted(state.corefs):
                 outbox.append(Message("kill", sender=state.name, receiver=child))
             return outbox, verdict
-        # A chor verdict goes to the parents, and a fresh instance starts at the next round.
-        payload = {ex.monref(state.t_mon, state.name): verdict}
-        for ref in sorted(state.refs):
-            outbox.append(Message("verdict", sender=state.name, receiver=ref, payload=payload))
-        anchor = state.t_mon
-        state.t_mon = anchor + 1
-        automaton = state.ehe.automaton
-        state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
-        state.t_kn = anchor
-        state.prefix_evals = 0
-        state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
-        if anchor == t and not automaton.verdict_of(automaton.initial).is_final:
-            step.evaluations += 1
-            step.gc = (1, 1, len(automaton.states))
+        if _respawn(state, t, verdict, step, outbox):
             break
     return outbox, None
+
+
+def _book_decided_round(state: MonitorState, t: int, step: mt.Step, source: eh.Decided,
+                        decided: eh.Decided) -> Optional[Verdict]:
+    """Book what ``mov``, ``inc`` and ``_resolve`` would over the rows from
+    :func:`ehe.decided_round`; return a final verdict, or book the cut too."""
+    a = state.ehe.automaton
+    step.evaluations += source.evals + decided.evals
+    step.delays += (0,)
+    state.t_kn = t
+    verdict = a.verdict_of(decided.state)
+    if verdict.is_final:
+        return verdict
+    state.ehe = eh.EHE(a, {t: decided.row})  # what the prefix drop keeps, at its cost
+    state.prefix_evals += source.evals
+    if not state.refs:
+        state.memory.clear()
+    step.gc = (len(decided.row), 1, len(a.states))
+    return None
+
+
+def _respawn(state: MonitorState, t: int, verdict: Verdict, step: mt.Step,
+             outbox: list[Message]) -> bool:
+    """Send a ``chor`` verdict to the refs and start a fresh instance at the
+    next anchor, with the memory past the old one.  At ``t``, with an initial
+    state that is not final, its pass would only read ``{initial: TRUE}``: the
+    step books that and the footprint ``(1, 1, |Q|)``, and True ends the round."""
+    payload = {ex.monref(state.t_mon, state.name): verdict}
+    for ref in sorted(state.refs):
+        outbox.append(Message("verdict", sender=state.name, receiver=ref, payload=payload))
+    anchor = state.t_mon
+    state.t_mon = anchor + 1
+    automaton = state.ehe.automaton
+    state.ehe = eh.EHE(automaton, {anchor: {automaton.initial: ex.TRUE}})
+    state.t_kn = anchor
+    state.prefix_evals = 0
+    state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
+    if anchor == t and not automaton.verdict_of(automaton.initial).is_final:
+        step.evaluations += 1
+        step.gc = (1, 1, len(automaton.states))
+        return True
+    return False
 
 
 # simulate reads each algorithm's name when it runs, so a wrapper installed

@@ -1,13 +1,14 @@
-"""Oracles and constructions that only the tests use: exhaustive trace
-enumeration, the one-monitor wrapping of a centralized specification,
-entrywise encoding comparison, folded memory merges, label-size and
-placement counts, expression tree and DAG sizes and fresh structural
-copies, messages per round, a simulation that shows each monitor's state
-after every round and one that counts the active monitors per round, the
-trace owner scan that ``observed_owner`` must agree with, the
-four-walk simplifier that ``expr.simplify`` must agree with, the search
-for the last resolved round that garbage collection cuts at, and the first
-trace on which two decentralized specifications disagree."""
+"""Oracles and constructions that only the tests use: the JSON objects of
+specifications, exhaustive trace enumeration, the one-monitor wrapping of a
+centralized specification, entrywise encoding comparison, folded memory
+merges, label-size and placement counts, expression tree and DAG sizes and
+fresh structural copies, messages per round, a simulation that shows each
+monitor's state after every round and one that counts the active monitors
+per round, the trace owner scan that ``observed_owner`` must agree with,
+the four-walk simplifier that ``expr.simplify`` must agree with, the search
+for the last resolved round that garbage collection cuts at, the states
+encoded at a round, and the first trace on which two decentralized
+specifications disagree."""
 
 from __future__ import annotations
 
@@ -29,6 +30,30 @@ from demon.automaton import (
 from demon.ehe import EHE
 from demon.expr import BOTTOM, TOP, Verdict
 from demon.store import EMPTY_MEMORY, Event, Memory, memory_merge
+
+
+def spec_to_dict(a: Specification) -> dict:
+    """The JSON object of ``a`` that ``automaton.spec_from_dict`` reads."""
+    return {
+        "states": list(a.states),
+        "initial": a.initial,
+        "verdicts": {q: a.verdicts[q].value for q in a.states},
+        "transitions": [
+            {"from": t.src, "to": t.dst, "label": ex.to_text(t.label)}
+            for t in a.transitions
+        ],
+    }
+
+
+def dspec_to_dict(d: DecentralizedSpec) -> dict:
+    """The JSON object of ``d`` that ``automaton.dspec_from_dict`` reads."""
+    return {
+        "monitors": {name: spec_to_dict(d.monitors[name]) for name in d.monitor_labels},
+        "attach": dict(d.attach),
+        "root": d.root,
+        "components": list(d.components),
+        "ap_owner": dict(d.ap_owner),
+    }
 
 
 def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:
@@ -224,6 +249,12 @@ def reference_simplify(e: ex.Expr, max_atoms: int = ex.EXACT_ATOMS) -> ex.Expr:
         if ex._cover_size(terms) <= tree_size(f):
             return ex._dnf_from_cover(terms, atoms)
     return f
+
+
+def states_at(p: EHE, t: int) -> list[str]:
+    """The states with an entry at round ``t``, sorted; empty when ``t`` is
+    not encoded."""
+    return sorted(p.table.get(t, ()))
 
 
 def last_resolved(p: EHE, m: Memory) -> Optional[tuple[int, str]]:

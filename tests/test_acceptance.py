@@ -27,6 +27,7 @@ from helpers import (
     centralized_as_decentralized,
     entrywise_equivalent,
     per_round_messages,
+    states_at,
 )
 
 T, B, U = ex.TOP, ex.BOTTOM, ex.UNKNOWN
@@ -70,7 +71,7 @@ def test_criterion_1_and_2_ehe_soundness_and_determinism():
             )
             tops = [
                 q
-                for q in p.states_at(k)
+                for q in states_at(p, k)
                 if ex.eval_expr(p.entries[(k, q)], memory, memo=memo) is T
             ]
             assert len(tops) <= 1, f"determinism violated at trial {trial} round {k}"

@@ -10,14 +10,12 @@ from demon.automaton import (
     Specification,
     decentralized_run,
     dspec_from_dict,
-    dspec_to_dict,
     load_spec_file,
     make_spec,
     normalize,
     reconstruct_global,
     run,
     spec_from_dict,
-    spec_to_dict,
     step,
     validate,
 )
@@ -29,7 +27,13 @@ from demon.errors import (
 from demon.store import Event
 
 from conftest import random_spec, random_trace
-from helpers import centralized_as_decentralized, enumerate_full_traces, verdict_equivalent
+from helpers import (
+    centralized_as_decentralized,
+    dspec_to_dict,
+    enumerate_full_traces,
+    spec_to_dict,
+    verdict_equivalent,
+)
 
 T, B = ex.TOP, ex.BOTTOM
 

@@ -7,7 +7,9 @@ import pytest
 from demon import cli
 from demon import expr as ex
 from demon import traces as tg
-from demon.automaton import decentralized_run, dspec_to_dict, load_spec_file, spec_to_dict
+from demon.automaton import decentralized_run, load_spec_file
+
+from helpers import dspec_to_dict, spec_to_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -465,6 +467,63 @@ class TestDeepJson:
         self.expect_input_error(capsys, trace, "run", "--algorithm", "orch",
                                 "--spec", str(FIXTURES / "experiment" / "spec.ltl"),
                                 "--trace", str(trace))
+
+
+class TestInputErrorsNameTheirFile:
+    """Malformed JSON and a malformed trace are bad input (exit 2) whose
+    message names the file, since one run reads several."""
+
+    TRACE = str(FIXTURES / "experiment" / "trace_normal.csv")
+    LTL = str(FIXTURES / "experiment" / "spec.ltl")
+
+    def expect_named(self, capsys, path, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err, err
+
+    @pytest.fixture
+    def truncated(self, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"states": [')
+        return path
+
+    @pytest.fixture
+    def bad_header(self, tmp_path):
+        path = tmp_path / "badhdr.csv"
+        path.write_text("t,comp,ap,value\n1,c0,a0,1\n")
+        return path
+
+    def test_spec_under_check(self, capsys, truncated):
+        self.expect_named(capsys, truncated, "check", "validate", "--spec", str(truncated))
+
+    @pytest.mark.parametrize("algorithm", ["orch", "chor"])
+    def test_spec_under_run(self, capsys, truncated, algorithm):
+        self.expect_named(capsys, truncated, "run", "--algorithm", algorithm,
+                          "--spec", str(truncated), "--trace", self.TRACE)
+
+    def test_system_graph(self, capsys, truncated):
+        self.expect_named(capsys, truncated, "run", "--algorithm", "orch", "--spec", self.LTL,
+                          "--trace", self.TRACE, "--system", str(truncated))
+
+    def test_experiment_config(self, capsys, truncated):
+        self.expect_named(capsys, truncated, "experiment", str(truncated))
+
+    @pytest.mark.parametrize("text", ["t,comp,ap,value\n1,c0,a0,1\n",
+                                      "t,component,ap,value\n1,c0,a0,2\n",
+                                      "t,component,ap,value\n1,c0\n"])
+    def test_trace_under_run(self, tmp_path, capsys, text):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(text)
+        self.expect_named(capsys, trace, "run", "--algorithm", "orch", "--spec", self.LTL,
+                          "--trace", str(trace))
+
+    def test_trace_under_experiment(self, tmp_path, capsys, bad_header):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"algorithms": ["orch"], "specs": [self.LTL],
+                                      "traces": [bad_header.name]}))
+        code, _, err = run_cli(capsys, "experiment", str(config))
+        assert code == 0 and str(bad_header) in err and "skipping" in err
+        self.expect_named(capsys, bad_header, "experiment", str(config), "--strict")
 
 
 class TestExperiment:

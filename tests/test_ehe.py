@@ -19,6 +19,7 @@ from helpers import (
     last_resolved,
     max_label_size,
     reference_simplify,
+    states_at,
     tree_size,
 )
 
@@ -55,11 +56,11 @@ class TestConstruction:
 
     def test_next_states(self, fig1):
         assert [tr.dst for tr in fig1.outgoing("q0")] == ["q1", "q0"]
-        assert eh.mov(eh.init(fig1), 1).states_at(1) == ["q0", "q1"]
+        assert states_at(eh.mov(eh.init(fig1), 1), 1) == ["q0", "q1"]
 
     def test_next_absorbing(self, fig1):
         p = eh.mov(eh.EHE(fig1, {5: {"q1": ex.TRUE}}), 6)
-        assert p.states_at(6) == ["q1"]
+        assert states_at(p, 6) == ["q1"]
 
     def test_to_expr(self, fig1):
         a, b = ex.plain("a"), ex.plain("b")
@@ -204,7 +205,7 @@ class TestDropResolved:
         dropped = eh.drop_resolved(p, last_resolved(p, m))
         assert dropped.rounds() == [1, 2]
         assert dropped.entries[(1, "q0")] == ex.TRUE
-        assert set(dropped.states_at(1)) == {"q0"}
+        assert set(states_at(dropped, 1)) == {"q0"}
 
     def test_drop_jumps_over_accepting_prefix(self, fig1):
         # a=T at round 1 pins every later round to the absorbing state, so
@@ -275,7 +276,7 @@ class TestReconciliationCorollary:
             empty = Memory()
             for t in merged.rounds():
                 tops = [
-                    q for q in merged.states_at(t)
+                    q for q in states_at(merged, t)
                     if ex.eval_expr(merged.entries[(t, q)], empty) is T
                 ]
                 assert len(tops) <= 1  # determinism survives the merge
@@ -308,8 +309,8 @@ def assert_table_consistent(p):
     if p.rounds():
         assert (p.first_round(), p.last_round()) == (p.rounds()[0], p.rounds()[-1])
     for t in p.rounds():
-        assert p.states_at(t) == sorted(q for r, q in entries if r == t)
-        assert p.states_at(t), t  # no empty rows
+        assert states_at(p, t) == sorted(q for r, q in entries if r == t)
+        assert states_at(p, t), t  # no empty rows
     for (t, q), cond in entries.items():
         assert p.table[t][q] is cond
     assert p.rounds()[-1] + 1 not in p.table
@@ -367,7 +368,7 @@ class TestTable:
         p = eh.mov(merged, 5)
         assert p.rounds() == [0, 3, 4, 5]
         assert all(p.table[t] is merged.table[t] for t in (0, 3))
-        assert p.states_at(4) == ["q0", "q1"]
+        assert states_at(p, 4) == ["q0", "q1"]
         assert_table_consistent(p)
 
     def test_inc_reuses_constant_rows(self, fig1):
@@ -709,7 +710,9 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
         assert row[t + 1] == {"q0": ex.FALSE, "q1": ex.TRUE}
     assert calls == []
     (template,) = [v for k, v in fig1.row_templates.items() if k[:2] == ({"q0"}, {"q0"})]
-    assert template.steps == {(T, ex.UNKNOWN): {"q0": ex.FALSE, "q1": ex.TRUE}}
+    # Keyed by masks over the atoms ("a", "b"): a is TOP and decided, b open.
+    assert template.atoms == ("a", "b")
+    assert template.steps == {(0b01, 0b01): eh.Decided({"q0": ex.FALSE, "q1": ex.TRUE}, "q1", 2)}
 
 
 def _full_next_row(a, src, t, names):

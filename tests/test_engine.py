@@ -17,6 +17,7 @@ from demon.automaton import (
     DecentralizedTrace,
     Specification,
     decentralized_run,
+    load_spec_file,
     make_spec,
     reconstruct_global,
     run,
@@ -767,12 +768,24 @@ def _steps_digest(runs) -> str:
     return digest.hexdigest()
 
 
+def _final_child() -> Specification:
+    """A child whose one state, its initial one, is final."""
+    return make_spec(["top"], "top", [("top", "true", "top")], {"top": "top"})
+
+
+def _late_child() -> Specification:
+    """A child that reads a1 one round after its anchor."""
+    return make_spec(["s0", "s1", "sT", "sB"], "s0",
+                     [("s0", "true", "s1"), ("s1", "a1", "sT"), ("s1", "!a1", "sB"),
+                      ("sT", "true", "sT"), ("sB", "true", "sB")],
+                     {"s0": "unknown", "s1": "unknown", "sT": "top", "sB": "bottom"})
+
+
 def test_respawn_of_a_final_initial_state_ends(monkeypatch):
     # m1 starts in its final state: each instance reports at once, so the
     # instance it respawns in the same round reports too, and the next one
     # waits for the following round.
-    m1 = make_spec(["top"], "top", [("top", "true", "top")], {"top": "top"})
-    runs = list(_respawn_runs(_chor_with_child(m1), (1, 3), monkeypatch))
+    runs = list(_respawn_runs(_chor_with_child(_final_child()), (1, 3), monkeypatch))
     for _, r, reports in runs:
         assert reports[:2] == [(1, 1), (1, 2)]
         assert all(anchor in (t, t + 1) for t, anchor in reports)
@@ -783,11 +796,7 @@ def test_respawn_behind_the_current_round(monkeypatch):
     # m1 reads a1 one round after its anchor, so every instance resolves a
     # round late and its successor, anchored behind the current round, is
     # moved up to it in the same round.
-    m1 = make_spec(["s0", "s1", "sT", "sB"], "s0",
-                   [("s0", "true", "s1"), ("s1", "a1", "sT"), ("s1", "!a1", "sB"),
-                    ("sT", "true", "sT"), ("sB", "true", "sB")],
-                   {"s0": "unknown", "s1": "unknown", "sT": "top", "sB": "bottom"})
-    runs = list(_respawn_runs(_chor_with_child(m1), (3,), monkeypatch))
+    runs = list(_respawn_runs(_chor_with_child(_late_child()), (3,), monkeypatch))
     for _, r, reports in runs:
         assert reports and all(anchor == t - 1 for t, anchor in reports)
     assert {r.verdict for _, r, _ in runs} == {T, ex.UNKNOWN}
@@ -803,3 +812,66 @@ def test_respawn_at_the_current_round_books_one_evaluation(fig4, fig4_trace):
     steps = [(s.t, s.evaluations, s.gc, s.sent) for s in r.record.steps if s.monitor == "m1"]
     assert steps == RESPAWN_AT_T_STEPS
     assert all(gc == (1, 1, 3) for _, _, gc, sent in steps if sent)
+
+
+def _lookup_cases(fig4, fig4_trace):
+    """``chor`` runs that the decided-round lookup may book, by family: (family,
+    config, spec input, system, trace).  ``long``'s shape, G over a
+    disjunction of one proposition per component, over seeded L=120 traces;
+    the respawn tests' specifications; and the shipped child with a final
+    initial state."""
+    rng = random.Random(71)
+    for n in (3, 4):
+        phi = lt.parse_ltl(f"G ({' || '.join(f'a{i}' for i in range(n))})")
+        for _ in range(2):
+            tr = tg.generate(tg.TraceGenConfig(
+                components=n, aps_per_component=1, length=120,
+                distribution=tg.Binomial(n=100, p=0.97), seed=rng.randrange(2**31)))
+            for comm_delay in (1, 3):
+                yield "long", en.SimConfig("chor", comm_delay=comm_delay), phi, \
+                    complete(tr.components), tr
+    for family, m1 in (("final", _final_child()), ("late", _late_child())):
+        for _ in range(4):
+            tr = tg.generate(tg.TraceGenConfig(components=2, aps_per_component=1, length=8,
+                                               seed=rng.randrange(2**31)))
+            for comm_delay in (1, 3):
+                cfg = en.SimConfig("chor", comm_delay=comm_delay, timeout_slack=5 * comm_delay)
+                yield family, cfg, _chor_with_child(m1), complete(tr.components), tr
+    yield "fig4", en.SimConfig("chor"), fig4, complete(("c0", "c1")), fig4_trace
+    tr = tg.load(str(EXPERIMENT / "trace_normal.csv"))
+    d = load_spec_file(str(EXPERIMENT.parent / "decentralized_final_child.json"))
+    yield "fixture", en.SimConfig("chor"), d, complete(tr.components), tr
+
+
+def test_decided_round_lookup_books_what_the_pass_would(fig4, fig4_trace, monkeypatch):
+    # Every run steps exactly as with a lookup that always misses, so every
+    # round takes its pass: same verdict, stop round, every Step field, and
+    # every monitor's state after every round.  The lookup hits in some
+    # round of each family.
+    real, hits = eh.decided_round, {}
+
+    def counted(*args):
+        hit = real(*args)
+        hits[family] += hit is not None
+        return hit
+
+    def run(case, lookup):
+        seen = []
+
+        def round_fn(state, t, *args, inner=en.choreography_round):
+            outbox, verdict = inner(state, t, *args)
+            # nothing reads the encoding that a verdict ending the run leaves
+            table = None if verdict is not None else dict(state.ehe.table)
+            seen.append((t, state.name, sorted(state.memory.items()), state.t_kn, state.t_mon,
+                         state.prefix_evals, table))
+            return outbox, verdict
+
+        with monkeypatch.context() as patched:
+            patched.setattr(eh, "decided_round", lookup)
+            patched.setattr(en, "choreography_round", round_fn)
+            return _step_fields(en.simulate(*case)), seen
+
+    for family, *case in _lookup_cases(fig4, fig4_trace):
+        hits.setdefault(family, 0)
+        assert run(case, counted) == run(case, lambda *args: None), (family, case)
+    assert len(hits) == 5 and all(hits.values()), hits

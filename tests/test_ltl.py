@@ -10,11 +10,16 @@ from demon import analysis as an
 from demon import engine as en
 from demon import expr as ex
 from demon import ltl as lt
-from demon.automaton import spec_to_dict, validate
+from demon.automaton import validate
 from demon.errors import IncompleteEvent, NoAtomicPropositions, ParseError, SpecificationError
 from demon.store import Memory
 
-from helpers import centralized_as_decentralized, enumerate_full_traces, verdict_equivalent
+from helpers import (
+    centralized_as_decentralized,
+    enumerate_full_traces,
+    spec_to_dict,
+    verdict_equivalent,
+)
 
 T, B = ex.TOP, ex.BOTTOM
 OWNER = {"a0": "c0", "a1": "c0", "b0": "c1", "b1": "c1"}
