@@ -392,6 +392,9 @@ def load_spec_file(path: str) -> Specification | DecentralizedSpec:
         raise SpecificationError(
             f"specification file {path} must hold a JSON object, got {type(data).__name__}"
         )
-    if "monitors" in data:
-        return dspec_from_dict(data)
-    return spec_from_dict(data)
+    return any_spec_from_dict(data)
+
+
+def any_spec_from_dict(data: dict) -> Specification | DecentralizedSpec:
+    """A decentralized specification when ``data`` has monitors, else an automaton."""
+    return dspec_from_dict(data) if "monitors" in data else spec_from_dict(data)

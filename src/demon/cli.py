@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, engine, ltl as lt, metrics as mt, traces
-from .automaton import DecentralizedSpec, load_spec_file, validate
+from .automaton import DecentralizedSpec, any_spec_from_dict, load_spec_file, validate
 from .errors import DemonError
 from .expr import UNKNOWN
 
@@ -195,18 +195,18 @@ def _spec_input_for(algorithm: str, spec_path: str):
     """
     text = Path(spec_path).read_text(encoding="utf-8").strip()
     if not text.startswith("{"):
-        formula = lt.parse_ltl(text)
+        formula = _naming("spec file", spec_path, lt.parse_ltl, text)
     else:
         try:
             data = _naming("spec file", spec_path, json.loads, text)
         except RecursionError:
             raise DemonError(f"spec file {spec_path} nests too deeply") from None
         if "ltl" not in data:
-            return _naming("spec file", spec_path, load_spec_file, spec_path)
+            return _naming("spec file", spec_path, any_spec_from_dict, data)
         if not isinstance(data["ltl"], str):
             raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
                              f"string, got {data['ltl']!r}")
-        formula = lt.parse_ltl(data["ltl"])
+        formula = _naming("spec file", spec_path, lt.parse_ltl, data["ltl"])
     return formula if algorithm == "chor" else lt.synthesize(formula)
 
 

@@ -25,10 +25,10 @@ states per row:
   sources alone keeps a FALSE entry, which ``sreach`` still evaluates.  A
   label or cached row is stamped with one ``expr.encode`` walk the first
   time a round and monitor names need it, and the automaton keeps it for
-  its ``_STAMP_CACHE_SIZE`` latest rounds.  The last new row, when its
-  source holds only constants and the round's memory decides it, is a
-  cached row of constants found with one memory lookup per atom and no
-  walk; ``decided_round`` finds it, and its source, in the same lookups.
+  its ``_STAMP_CACHE_SIZE`` latest rounds.  ``decided_round`` finds the
+  row it appends after a lone row of constants as the round's memory folds
+  it, when all constants: a cached row found with one memory lookup per
+  atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and keeps, as the
   same objects, rows of constants and rows whose entries all fold to
   themselves; when every row is kept it returns the encoding itself.
@@ -54,7 +54,7 @@ from . import expr as ex
 from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
 from .expr import Expr, TOP, TRUE, UNKNOWN, Verdict
-from .store import EMPTY_MEMORY, Memory, merge_with
+from .store import Memory, merge_with
 
 Row = Mapping[str, Expr]
 
@@ -130,7 +130,7 @@ class Template(NamedTuple):
     the source row, or None unless it has one TRUE entry, at a state that is
     not final.  ``steps`` maps the verdicts a memory gives the atoms once
     stamped, as masks over ``atoms`` (TOP, decided), to the row they fold the
-    stamped row to, or to None when some entry stays open."""
+    stamped row to, or to None when some entry stays open (:func:`decided_round`)."""
 
     row: Row
     atoms: tuple[str, ...]
@@ -138,9 +138,7 @@ class Template(NamedTuple):
     steps: dict[tuple[int, int], Optional[Decided]]
 
 
-def mov(
-    p: EHE, te: int, monitor_names: Iterable[str] = (), memory: Memory = EMPTY_MEMORY
-) -> EHE:
+def mov(p: EHE, te: int, monitor_names: Iterable[str] = ()) -> EHE:
     """Extend the encoding one round at a time from its last round to ``te``;
     ``p`` itself when ``te`` is its last round.
 
@@ -167,13 +165,6 @@ def mov(
     those the oldest is evicted.  Sharing the stamped nodes is safe: rows are
     never mutated, and the facts :func:`expr.simplify` records on a node
     follow from its structure.
-
-    The row at ``te`` is the one the caller folds under ``memory`` in the same
-    round (:func:`inc`, or the engine's resolution).  When it comes from a
-    template and ``memory`` decides every entry, it is that row of constants,
-    cached in the template's ``steps`` and found again with one memory lookup
-    per template atom, without stamping or folding.  Rows before ``te`` never
-    see the memory.
     """
     last = p.last_round()
     if te < last:
@@ -186,20 +177,17 @@ def mov(
     src = table[last]
     for t in range(last + 1, te + 1):
         if is_constant_row(src):
-            template, decided = _after_constants(a, src, t, names, memory if t == te else None)
-            src = decided.row if decided is not None else _stamp(a, template, t, names)
+            src = _stamp(a, _template(a, src, t, names), t, names)
         else:
             src = _next_row(a, src, t, names)
         table[t] = src
     return EHE(a, table)
 
 
-def _after_constants(
-    a: Specification, src: Row, t: int, names: frozenset[str], memory: Optional[Memory]
-) -> tuple[Template, Optional[Decided]]:
+def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Template:
     """The automaton's template after ``src``, a row of constants, keyed by
     its states, the TRUE ones and the monitor names so that no verdict is
-    hashed; and the row ``memory`` folds it to at ``t``, if all constants."""
+    hashed; built from the row at ``t`` the first time."""
     key = (frozenset(src), frozenset(q for q, c in src.items() if c.value is TOP), names)
     template = a.row_templates.get(key)
     if template is None:
@@ -210,31 +198,32 @@ def _after_constants(
         if len(key[1]) != 1 or a.verdict_of(source.state).is_final:
             source = None
         template = a.row_templates[key] = Template(row, tuple(atoms), source, {})
-    if memory is None:
-        return template, None
-    top = known = 0
-    for i, name in enumerate(template.atoms):
-        v = memory.get(ex.stamp(name, t, names), UNKNOWN)
-        top |= (v is TOP) << i
-        known |= (v is not UNKNOWN) << i
-    if (top, known) not in template.steps:
-        memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
-        row = _stamp(a, template, t, names)
-        folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
-        template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
-    return template, template.steps[top, known]
+    return template
 
 
 def decided_round(p: EHE, t: int, monitor_names: frozenset[str],
                   memory: Memory) -> Optional[tuple[Decided, Decided]]:
     """``p``'s one row, of constants at ``t - 1`` with one TRUE entry, and
-    the row :func:`mov` appends at ``t`` under ``memory``, both decided, when
-    that is a row of constants with a TOP entry (which :func:`inc` keeps)."""
+    the row :func:`mov` appends at ``t`` as ``memory`` folds it, both decided,
+    when that is a row of constants with a TOP entry (which :func:`inc` keeps)."""
     src = p.table.get(t - 1)
     if src is None or len(p.table) != 1 or not is_constant_row(src):
         return None
-    template, decided = _after_constants(p.automaton, src, t, monitor_names, memory)
-    if template.source is None or decided is None or decided.state is None:
+    template = _template(p.automaton, src, t, monitor_names)
+    if template.source is None:
+        return None
+    top = known = 0
+    for i, name in enumerate(template.atoms):
+        v = memory.get(ex.stamp(name, t, monitor_names), UNKNOWN)
+        top |= (v is TOP) << i
+        known |= (v is not UNKNOWN) << i
+    if (top, known) not in template.steps:
+        memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
+        row = _stamp(p.automaton, template, t, monitor_names)
+        folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
+        template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
+    decided = template.steps[top, known]
+    if decided is None or decided.state is None:
         return None
     return template.source, decided
 

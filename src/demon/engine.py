@@ -17,7 +17,7 @@ and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
 one with no encoding forwards its observations to its ref (an ``orch``
 forwarder), and one with a verdict sends it to its refs and respawns (a
 ``chor`` monitor below the root), or with no refs ends the run.  A fresh
-instance anchored at the current round, or a ``chor`` round that
+instance anchored at the current round, or a round that
 ``ehe.decided_round`` decides, is booked with no pass."""
 
 from __future__ import annotations
@@ -321,9 +321,9 @@ def _monitor_round(
     """One monitor's round under any algorithm (see the module docstring).  A
     monitor with no encoding keeps its memory, or forwards its observation to
     its ref; one with a verdict sends it to its refs and starts afresh (see
-    :func:`_respawn`), or with no refs ends the run.  A ``chor`` round that
-    :func:`ehe.decided_round` decides takes no ``mov``, ``inc`` or
-    ``_resolve``, but is booked as if it had."""
+    :func:`_respawn`), or with no refs ends the run.  A round that
+    :func:`ehe.decided_round` decides takes no ``mov``, ``inc``, ``_resolve``
+    or ``_collect_garbage``, but is booked as if it had."""
     for msg in inbox:
         if msg.kind == "ehe":  # merged into the encoding, or activating it
             state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
@@ -341,12 +341,12 @@ def _monitor_round(
     # a chor instance respawned past the current round waits for its round
     while state.ehe is not None and state.ehe.first_round() <= t:
         step.evaluations += state.prefix_evals
-        hit = None if policy.cut or state.t_kn != t - 1 else eh.decided_round(
+        hit = None if state.t_kn != t - 1 else eh.decided_round(
             state.ehe, t, setup.monitor_names, state.memory)
         if hit is not None:
-            verdict = _book_decided_round(state, t, step, *hit)
+            verdict = _book_decided_round(state, policy, t, step, *hit)
         else:
-            state.ehe = eh.mov(state.ehe, t, setup.monitor_names, state.memory)
+            state.ehe = eh.mov(state.ehe, t, setup.monitor_names)
             if policy.inc:
                 state.ehe = eh.inc(state.ehe, state.memory, step=step)
             memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
@@ -354,12 +354,12 @@ def _monitor_round(
             verdict, last = _resolve(state, t, step, memo)
             if verdict is None:
                 _collect_garbage(state, policy, last, step, step.evaluations - evals, memo)
-                target = policy.hand_off(state, setup) if policy.hand_off else state.component
-                if target != state.component:
-                    outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
-                                          payload=state.ehe))
-                    state.ehe = None
         if verdict is None:
+            target = policy.hand_off(state, setup) if policy.hand_off else state.component
+            if target != state.component:
+                outbox.append(Message("ehe", sender=state.name, receiver=f"m_{target}",
+                                      payload=state.ehe))
+                state.ehe = None
             break
         if not state.refs:
             # The verdict ends the run: the chor root's kills are counted, never delivered.
@@ -371,8 +371,8 @@ def _monitor_round(
     return outbox, None
 
 
-def _book_decided_round(state: MonitorState, t: int, step: mt.Step, source: eh.Decided,
-                        decided: eh.Decided) -> Optional[Verdict]:
+def _book_decided_round(state: MonitorState, policy: Policy, t: int, step: mt.Step,
+                        source: eh.Decided, decided: eh.Decided) -> Optional[Verdict]:
     """Book what ``mov``, ``inc`` and ``_resolve`` would over the rows from
     :func:`ehe.decided_round`; return a final verdict, or book the cut too."""
     a = state.ehe.automaton
@@ -382,11 +382,16 @@ def _book_decided_round(state: MonitorState, t: int, step: mt.Step, source: eh.D
     verdict = a.verdict_of(decided.state)
     if verdict.is_final:
         return verdict
-    state.ehe = eh.EHE(a, {t: decided.row})  # what the prefix drop keeps, at its cost
-    state.prefix_evals += source.evals
-    if not state.refs:
+    if policy.cut:  # what drop_resolved keeps, with conv_e charging the evals once more
+        step.evaluations += source.evals + decided.evals
+        row = {decided.state: ex.TRUE}
+    else:  # what the prefix drop keeps, at its cost
+        row = decided.row
+        state.prefix_evals += source.evals
+    state.ehe = eh.EHE(a, {t: row})
+    if not policy.inc or not (policy.cut or state.refs):  # orch, and the chor root
         state.memory.clear()
-    step.gc = (len(decided.row), 1, len(a.states))
+    step.gc = (len(row), 1, len(a.states))
     return None
 
 

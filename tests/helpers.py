@@ -176,27 +176,33 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe,
     """``engine.simulate`` that calls ``observe(state)`` after each monitor's
     round, with the monitor state as that round left it, and, when given,
     ``before_gc(state)`` as garbage collection starts, with the memory and
-    the encoding the cut sees."""
+    the encoding the cut sees, or as a round that ``ehe.decided_round``
+    decides is booked, with the memory the booking reads."""
     name = _ROUND_FNS[cfg.algorithm]
-    inner, inner_gc = getattr(en, name), en._collect_garbage
+    inner = getattr(en, name)
+    hooked = {fn: getattr(en, fn) for fn in ("_collect_garbage", "_book_decided_round")}
 
     def round_fn(state, *args):
         out = inner(state, *args)
         observe(state)
         return out
 
-    def collect_garbage(state, *args):
-        before_gc(state)
-        return inner_gc(state, *args)
+    def hook(real):
+        def call(state, *args):
+            before_gc(state)
+            return real(state, *args)
+        return call
 
     setattr(en, name, round_fn)
     if before_gc is not None:
-        en._collect_garbage = collect_garbage
+        for fn, real in hooked.items():
+            setattr(en, fn, hook(real))
     try:
         return en.simulate(cfg, spec_input, system, tr)
     finally:
         setattr(en, name, inner)
-        en._collect_garbage = inner_gc
+        for fn, real in hooked.items():
+            setattr(en, fn, real)
 
 
 def reference_owner(tr: DecentralizedTrace) -> dict[str, str]:

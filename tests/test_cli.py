@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -407,8 +409,8 @@ class TestNestingBound:
         ltl.write_text(f"F {nest(ex.MAX_NESTING)}\n")
         code, out, err = self.run(capsys, ltl)
         assert code == 2 and out == ""
-        assert err == f"error: formula nests parentheses and operators more than " \
-                      f"{ex.MAX_NESTING} levels deep\n"
+        assert err == f"error: spec file {ltl}: formula nests parentheses and operators " \
+                      f"more than {ex.MAX_NESTING} levels deep\n"
 
     @pytest.mark.parametrize("nest", NESTS.values(), ids=NESTS)
     def test_automaton_label(self, tmp_path, capsys, nest):
@@ -507,6 +509,16 @@ class TestInputErrorsNameTheirFile:
 
     def test_experiment_config(self, capsys, truncated):
         self.expect_named(capsys, truncated, "experiment", str(truncated))
+
+    @pytest.mark.parametrize("name, text", [("phi.ltl", "a0 &&"),
+                                            ("phi.json", json.dumps({"ltl": "a0 &&"}))],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("algorithm", ["orch", "chor"])
+    def test_malformed_ltl(self, tmp_path, capsys, name, text, algorithm):
+        spec = tmp_path / name
+        spec.write_text(text)
+        self.expect_named(capsys, spec, "run", "--algorithm", algorithm, "--spec", str(spec),
+                          "--trace", self.TRACE)
 
     @pytest.mark.parametrize("text", ["t,comp,ap,value\n1,c0,a0,1\n",
                                       "t,component,ap,value\n1,c0,a0,2\n",
@@ -682,6 +694,20 @@ class TestDecentralizedSpecInput:
         code, out, _ = run_cli(capsys, "run", "--spec", self.SPEC, "--trace", self.TRACE,
                                "--algorithm", "chor", "--format", "json")
         assert code == 0 and json.loads(out)["verdict"] == "top"
+
+    def test_spec_file_read_once(self, capsys, monkeypatch):
+        opened = []
+
+        def counting(file, *args, real=open, **kw):
+            opened.append(Path(file).resolve() if isinstance(file, (str, Path)) else file)
+            return real(file, *args, **kw)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        code, _, _ = run_cli(capsys, "run", "--spec", self.SPEC, "--trace", self.TRACE,
+                             "--algorithm", "chor")
+        assert code == 0
+        assert opened.count(Path(self.SPEC).resolve()) == 1
 
     def test_child_with_a_final_initial_state(self, capsys):
         # m1 reports from its initial state at once, so its respawned

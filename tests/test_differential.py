@@ -140,6 +140,8 @@ def test_each_row_resolved_once_per_round(monkeypatch):
     # reaches sreach twice, yet a step that collects garbage counts the pass's
     # evaluations twice, once for each.  And the main orch monitor's encoding
     # starts at its last known round after every round without a verdict.
+    # The decided-round lookup always misses here, so that every round takes
+    # the pass whose sreach calls are counted.
     real = eh.sreach
     searched = []
     evaluated = {}  # id(step) -> evaluations made inside sreach
@@ -152,6 +154,7 @@ def test_each_row_resolved_once_per_round(monkeypatch):
         return q
 
     monkeypatch.setattr(eh, "sreach", recorded)
+    monkeypatch.setattr(eh, "decided_round", lambda *args: None)
     cases = list(draw_cases(11, 12, components=(2, 4), lengths=(5, 30)))
     for _, phi, tr, system, *_ in cases:
         spec = lt.synthesize(phi)

@@ -651,45 +651,35 @@ def _round_memories(row, t):
 
 @pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
 def test_mov_under_the_round_memory_matches_inc_of_the_stamped_row(a, names):
-    # Given the memory inc folds under next, mov may hand over the row of
-    # constants that inc folds the stamped row to.  After inc nothing the
-    # metrics read may tell the two apart: the first call fills the cached
-    # step, the second finds it.
+    # decided_round hands over, with its source, the row of constants that
+    # inc folds mov's stamped row to under the round's memory, exactly when
+    # the source holds one TRUE at a state that is not final and the folded
+    # row has a TRUE entry.  sreach reads both rows at the cost each
+    # Decided books.  The first call fills the cached step, the second
+    # finds it.
     t, decided = 6, 0
     for src in _constant_rows(a.states):
         p = eh.EHE(a, {t: src})
-        row = eh.mov(p, t + 1, names).table.get(t + 1, {})
-        for m in _round_memories(row, t + 1):
-            expected = _inc_view(eh.mov(p, t + 1, names), m)
-            for _ in range(2):
-                moved = eh.mov(p, t + 1, names, memory=m)
-                assert _inc_view(moved, m) == expected, (src, m)
-            if not eh.is_constant_row(row):
-                decided += eh.is_constant_row(moved.table[t + 1])
+        moved = eh.mov(p, t + 1, names)
+        open_source = [q for q, c in src.items() if c is ex.TRUE]
+        open_source = len(open_source) == 1 and not a.verdict_of(open_source[0]).is_final
+        for m in _round_memories(moved.table.get(t + 1, {}), t + 1):
+            folded = eh.inc(moved, m)
+            row = folded.table[t + 1]
+            hits = [eh.decided_round(p, t + 1, names, m) for _ in range(2)]
+            assert hits[0] == hits[1], (src, m)
+            if not (open_source and eh.is_constant_row(row) and ex.TRUE in row.values()):
+                assert hits[0] is None, (src, m)
+                continue
+            source, step = hits[0]
+            assert source.row is src and step.row == row, (src, m)
+            for r, found in ((t, source), (t + 1, step)):
+                evals = mt.Step(0, "m", "c")
+                assert eh.sreach(folded, m, r, step=evals) == found.state
+                assert evals.evaluations == found.evals
+            assert _inc_view(eh.EHE(a, {t: src, t + 1: step.row}), m) == _inc_view(moved, m)
+            decided += not eh.is_constant_row(moved.table[t + 1])
     assert decided
-
-
-@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
-def test_mov_under_a_memory_builds_earlier_rows_as_without_it(a, names):
-    # Only the last new row may use the memory: the rows before it are
-    # built exactly as without one.
-    rng, t = random.Random(5), 3
-    for src in _constant_rows(a.states):
-        p = eh.EHE(a, {t: src})
-        plain = eh.mov(p, t + 3, names)
-        atoms = {x for row in plain.table.values() for c in row.values() for x in ex.atom_set(c)}
-        for _ in range(4):
-            m = {x: rng.choice((T, B)) for x in atoms if rng.random() < 0.7}
-            moved = eh.mov(p, t + 3, names, memory=m)
-            assert moved.rounds() == plain.rounds()
-            for r in (t + 1, t + 2):
-                got, want = moved.table.get(r, {}), plain.table.get(r, {})
-                assert list(got) == list(want)
-                for q in want:
-                    assert ex.to_text(got[q]) == ex.to_text(want[q])
-                    assert tree_size(got[q]) == tree_size(want[q])
-                assert dag_nodes(got.values()) == dag_nodes(want.values())
-            assert _inc_view(moved, m) == _inc_view(plain, m)
 
 
 def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
@@ -699,15 +689,20 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
     def memory(t):
         return {ex.timed(t, "a"): T, ex.timed(t - 1, "b"): B, ex.timed(t + 1, "a"): B}
 
-    eh.mov(eh.EHE(fig1, {0: {"q0": ex.TRUE}}), 1, memory=memory(1))
+    def decided(t):
+        return eh.decided_round(eh.EHE(fig1, {t - 1: {"q0": ex.TRUE}}), t, frozenset(),
+                                memory(t))
+
+    decided(1)
     calls = []
     for name in ("encode", "rewrite_fold", "simplify", "_walk"):
         real = getattr(ex, name)
         monkeypatch.setattr(ex, name, lambda *args, real=real, name=name, **kw: (
             calls.append(name) or real(*args, **kw)))
     for t in range(1, 40):
-        row = eh.mov(eh.EHE(fig1, {t: {"q0": ex.TRUE}}), t + 1, memory=memory(t + 1)).table
-        assert row[t + 1] == {"q0": ex.FALSE, "q1": ex.TRUE}
+        source, step = decided(t + 1)
+        assert source == eh.Decided({"q0": ex.TRUE}, "q0", 1)
+        assert step.row == {"q0": ex.FALSE, "q1": ex.TRUE}
     assert calls == []
     (template,) = [v for k, v in fig1.row_templates.items() if k[:2] == ({"q0"}, {"q0"})]
     # Keyed by masks over the atoms ("a", "b"): a is TOP and decided, b open.

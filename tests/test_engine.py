@@ -815,11 +815,12 @@ def test_respawn_at_the_current_round_books_one_evaluation(fig4, fig4_trace):
 
 
 def _lookup_cases(fig4, fig4_trace):
-    """``chor`` runs that the decided-round lookup may book, by family: (family,
+    """Runs that the decided-round lookup may book, by family: (family,
     config, spec input, system, trace).  ``long``'s shape, G over a
-    disjunction of one proposition per component, over seeded L=120 traces;
-    the respawn tests' specifications; and the shipped child with a final
-    initial state."""
+    disjunction of one proposition per component, over seeded L=120 traces,
+    and seeded ``random_formula`` shapes over L=30 traces, each under every
+    config of the step grid; under ``chor``, the respawn tests'
+    specifications and the shipped child with a final initial state."""
     rng = random.Random(71)
     for n in (3, 4):
         phi = lt.parse_ltl(f"G ({' || '.join(f'a{i}' for i in range(n))})")
@@ -827,8 +828,19 @@ def _lookup_cases(fig4, fig4_trace):
             tr = tg.generate(tg.TraceGenConfig(
                 components=n, aps_per_component=1, length=120,
                 distribution=tg.Binomial(n=100, p=0.97), seed=rng.randrange(2**31)))
-            for comm_delay in (1, 3):
-                yield "long", en.SimConfig("chor", comm_delay=comm_delay), phi, \
+            for cfg in _step_grid_configs():
+                yield "long", cfg, phi if cfg.algorithm == "chor" else lt.synthesize(phi), \
+                    complete(tr.components), tr
+    synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
+    for ncomp in (3, 4):
+        for _ in range(3):
+            phi = synthetic.random_formula(rng, ncomp, 2)
+            _, dist = rng.choice(synthetic.DISTRIBUTIONS)
+            tr = tg.generate(tg.TraceGenConfig(components=ncomp, length=30, distribution=dist,
+                                               seed=rng.randrange(2**31)))
+            for cfg in _step_grid_configs():
+                yield "random_formula", cfg, \
+                    phi if cfg.algorithm == "chor" else lt.synthesize(phi), \
                     complete(tr.components), tr
     for family, m1 in (("final", _final_child()), ("late", _late_child())):
         for _ in range(4):
@@ -847,31 +859,41 @@ def test_decided_round_lookup_books_what_the_pass_would(fig4, fig4_trace, monkey
     # Every run steps exactly as with a lookup that always misses, so every
     # round takes its pass: same verdict, stop round, every Step field, and
     # every monitor's state after every round.  The lookup hits in some
-    # round of each family.
+    # round of each family and of each algorithm.
     real, hits = eh.decided_round, {}
 
     def counted(*args):
         hit = real(*args)
-        hits[family] += hit is not None
+        hits[family, cfg.algorithm] += hit is not None
         return hit
 
     def run(case, lookup):
         seen = []
 
-        def round_fn(state, t, *args, inner=en.choreography_round):
-            outbox, verdict = inner(state, t, *args)
-            # nothing reads the encoding that a verdict ending the run leaves
-            table = None if verdict is not None else dict(state.ehe.table)
-            seen.append((t, state.name, sorted(state.memory.items()), state.t_kn, state.t_mon,
-                         state.prefix_evals, table))
-            return outbox, verdict
+        def observed(inner):
+            def round_fn(state, t, *args):
+                outbox, verdict = inner(state, t, *args)
+                # nothing reads the encoding that a verdict ending the run leaves
+                table = None if verdict is not None or state.ehe is None \
+                    else dict(state.ehe.table)
+                sent = [(msg.kind, msg.receiver,
+                         msg.payload.table if msg.kind == "ehe" else msg.payload)
+                        for msg in outbox]
+                seen.append((t, state.name, sorted(state.memory.items()), state.t_kn,
+                             state.t_mon, state.prefix_evals, table, sent))
+                return outbox, verdict
+            return round_fn
 
         with monkeypatch.context() as patched:
             patched.setattr(eh, "decided_round", lookup)
-            patched.setattr(en, "choreography_round", round_fn)
+            for alias in ("orchestration_round", "migration_round", "choreography_round"):
+                patched.setattr(en, alias, observed(getattr(en, alias)))
             return _step_fields(en.simulate(*case)), seen
 
     for family, *case in _lookup_cases(fig4, fig4_trace):
-        hits.setdefault(family, 0)
+        cfg = case[0]
+        hits.setdefault((family, cfg.algorithm), 0)
         assert run(case, counted) == run(case, lambda *args: None), (family, case)
-    assert len(hits) == 5 and all(hits.values()), hits
+    assert {alg for (_, alg), n in hits.items() if n} == set(en.ALGORITHMS), hits
+    families = {family for family, _ in hits}
+    assert len(families) == 6 and families == {family for (family, _), n in hits.items() if n}
