@@ -26,9 +26,9 @@ states per row:
   label or cached row is stamped with one ``expr.encode`` walk the first
   time a round and monitor names need it, and the automaton keeps it for
   its ``_STAMP_CACHE_SIZE`` latest rounds.  ``decided_round`` finds the
-  row it appends after a lone row of constants as the round's memory folds
-  it, when all constants: a cached row found with one memory lookup per
-  atom and no walk.
+  rows it appends after a lone row of constants, up to the round, as the
+  round's memory folds them, when all constants: one cached row per round,
+  found with one memory lookup per atom and no walk.
 - ``inc`` rewrites every non-constant entry (O(E) folds) and keeps, as the
   same objects, rows of constants and rows whose entries all fold to
   themselves; when every row is kept it returns the encoding itself.
@@ -126,14 +126,16 @@ def _decided(row: Row) -> Decided:
 class Template(NamedTuple):
     """The row ``mov`` builds after one row of constants, kept per automaton.
 
-    ``row`` has plain atoms and ``atoms`` lists their names.  ``source`` is
-    the source row, or None unless it has one TRUE entry, at a state that is
-    not final.  ``steps`` maps the verdicts a memory gives the atoms once
+    ``row`` has plain atoms and ``atoms`` lists their names; ``labels`` lists
+    the names of every atom on the automaton's labels.  ``source`` is the
+    source row, or None unless it has one TRUE entry, at a state that is not
+    final.  ``steps`` maps the verdicts a memory gives the atoms once
     stamped, as masks over ``atoms`` (TOP, decided), to the row they fold the
     stamped row to, or to None when some entry stays open (:func:`decided_round`)."""
 
     row: Row
     atoms: tuple[str, ...]
+    labels: tuple[str, ...]
     source: Optional[Decided]
     steps: dict[tuple[int, int], Optional[Decided]]
 
@@ -188,44 +190,67 @@ def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Temp
     """The automaton's template after ``src``, a row of constants, keyed by
     its states, the TRUE ones and the monitor names so that no verdict is
     hashed; built from the row at ``t`` the first time."""
-    key = (frozenset(src), frozenset(q for q, c in src.items() if c.value is TOP), names)
+    true = [q for q, c in src.items() if c.value is TOP]
+    key = (frozenset(src), frozenset(true), names)
     template = a.row_templates.get(key)
     if template is None:
         row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, names).items()}
         visited: set[int] = set()
         atoms = sorted({x.name for c in row.values() for x in ex.atom_set(c, visited)})
+        labels = sorted({x.name for tr in a.transitions for x in ex.atom_set(tr.label)})
         source = _decided(src)
-        if len(key[1]) != 1 or a.verdict_of(source.state).is_final:
+        if len(true) != 1 or a.verdict_of(source.state).is_final:
             source = None
-        template = a.row_templates[key] = Template(row, tuple(atoms), source, {})
+        template = a.row_templates[key] = Template(row, tuple(atoms), tuple(labels), source, {})
     return template
 
 
 def decided_round(p: EHE, t: int, monitor_names: frozenset[str],
-                  memory: Memory) -> Optional[tuple[Decided, Decided]]:
-    """``p``'s one row, of constants at ``t - 1`` with one TRUE entry, and
-    the row :func:`mov` appends at ``t`` as ``memory`` folds it, both decided,
-    when that is a row of constants with a TOP entry (which :func:`inc` keeps)."""
-    src = p.table.get(t - 1)
-    if src is None or len(p.table) != 1 or not is_constant_row(src):
+                  memory: Memory) -> Optional[list[Decided]]:
+    """The rows ``_resolve`` reads after :func:`mov` to ``t`` and :func:`inc`
+    under ``memory``, each decided, up to ``t`` or the first final state;
+    None unless the pass would read just these and simplify nothing.
+
+    ``p`` must be one row of constants at a round k <= t with one TRUE entry,
+    at a state that is not final; each later row is the cached step of the
+    template after the row before it, and must be constants with a TOP entry.
+    Past k = t - 1, ``mov`` builds rows from open ones, whose rebuilt covers
+    ``inc`` folds only syntactically, so ``memory`` must decide every label
+    atom at every round in (k, t]: then each row folds to its constants."""
+    if len(p.table) != 1:
         return None
-    template = _template(p.automaton, src, t, monitor_names)
+    ((k, src),) = p.table.items()
+    if k > t or not is_constant_row(src):
+        return None
+    a = p.automaton
+    template = _template(a, src, k + 1, monitor_names)
     if template.source is None:
         return None
-    top = known = 0
-    for i, name in enumerate(template.atoms):
-        v = memory.get(ex.stamp(name, t, monitor_names), UNKNOWN)
-        top |= (v is TOP) << i
-        known |= (v is not UNKNOWN) << i
-    if (top, known) not in template.steps:
-        memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
-        row = _stamp(p.automaton, template, t, monitor_names)
-        folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
-        template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
-    decided = template.steps[top, known]
-    if decided is None or decided.state is None:
+    rows = [template.source]
+    if k < t - 1 and any(memory.get(ex.stamp(name, r, monitor_names), UNKNOWN) is UNKNOWN
+                         for r in range(k + 1, t + 1) for name in template.labels):
         return None
-    return template.source, decided
+    for r in range(k + 1, t + 1):
+        top = known = 0
+        for i, name in enumerate(template.atoms):
+            v = memory.get(ex.stamp(name, r, monitor_names), UNKNOWN)
+            top |= (v is TOP) << i
+            known |= (v is not UNKNOWN) << i
+        if (top, known) not in template.steps:
+            memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
+            row = _stamp(a, template, r, monitor_names)
+            folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
+            template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
+        decided = template.steps[top, known]
+        if decided is None or decided.state is None:
+            return None
+        rows.append(decided)
+        if r == t or a.verdict_of(decided.state).is_final:
+            break
+        template = _template(a, decided.row, r + 1, monitor_names)
+        if template.source is None:
+            return None
+    return rows
 
 
 def _stamp(a: Specification, template: Template, t: int, names: frozenset[str]) -> Row:

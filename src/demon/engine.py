@@ -16,9 +16,10 @@ the last resolved state, while ``chor`` drops only a constant prefix; ``migr``
 and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
 one with no encoding forwards its observations to its ref (an ``orch``
 forwarder), and one with a verdict sends it to its refs and respawns (a
-``chor`` monitor below the root), or with no refs ends the run.  A fresh
-instance anchored at the current round, or a round that
-``ehe.decided_round`` decides, is booked with no pass."""
+``chor`` monitor below the root), or with no refs ends the run.  A round
+that ``ehe.decided_round`` decides, from one row of constants at or behind
+it, is booked with no pass: a respawned ``chor`` instance anchored at the
+round, one round behind it, or further behind and catching up."""
 
 from __future__ import annotations
 
@@ -341,10 +342,9 @@ def _monitor_round(
     # a chor instance respawned past the current round waits for its round
     while state.ehe is not None and state.ehe.first_round() <= t:
         step.evaluations += state.prefix_evals
-        hit = None if state.t_kn != t - 1 else eh.decided_round(
-            state.ehe, t, setup.monitor_names, state.memory)
-        if hit is not None:
-            verdict = _book_decided_round(state, policy, t, step, *hit)
+        rows = eh.decided_round(state.ehe, t, setup.monitor_names, state.memory)
+        if rows is not None:
+            verdict = _book_decided_round(state, policy, t, step, rows)
         else:
             state.ehe = eh.mov(state.ehe, t, setup.monitor_names)
             if policy.inc:
@@ -366,41 +366,46 @@ def _monitor_round(
             for child in sorted(state.corefs):
                 outbox.append(Message("kill", sender=state.name, receiver=child))
             return outbox, verdict
-        if _respawn(state, t, verdict, step, outbox):
-            break
+        _respawn(state, verdict, outbox)
     return outbox, None
 
 
 def _book_decided_round(state: MonitorState, policy: Policy, t: int, step: mt.Step,
-                        source: eh.Decided, decided: eh.Decided) -> Optional[Verdict]:
+                        rows: list[eh.Decided]) -> Optional[Verdict]:
     """Book what ``mov``, ``inc`` and ``_resolve`` would over the rows from
-    :func:`ehe.decided_round`; return a final verdict, or book the cut too."""
+    :func:`ehe.decided_round`, one per round from the encoding's first: their
+    evaluations, and a delay for each newly known round.  Return a final
+    verdict, or book the cut too."""
     a = state.ehe.automaton
-    step.evaluations += source.evals + decided.evals
-    step.delays += (0,)
-    state.t_kn = t
-    verdict = a.verdict_of(decided.state)
+    evals = 0
+    for r, last in enumerate(rows, start=state.ehe.first_round()):
+        evals += last.evals
+        if r > state.t_kn:
+            step.delays += (t - r,)
+            state.t_kn = r
+    step.evaluations += evals
+    verdict = a.verdict_of(last.state)
     if verdict.is_final:
         return verdict
     if policy.cut:  # what drop_resolved keeps, with conv_e charging the evals once more
-        step.evaluations += source.evals + decided.evals
-        row = {decided.state: ex.TRUE}
-    else:  # what the prefix drop keeps, at its cost
-        row = decided.row
-        state.prefix_evals += source.evals
-    state.ehe = eh.EHE(a, {t: row})
+        step.evaluations += evals
+        state.ehe = eh.EHE(a, {t: {last.state: ex.TRUE}})
+        step.gc = (1, 1, len(a.states))
+    else:  # what the prefix drop keeps, the row at t, at the cost of the rows before it
+        if len(rows) > 1:
+            state.ehe = eh.EHE(a, {t: last.row})
+            state.prefix_evals += evals - last.evals
+        step.gc = (len(last.row), 1, len(a.states))
     if not policy.inc or not (policy.cut or state.refs):  # orch, and the chor root
         state.memory.clear()
-    step.gc = (len(row), 1, len(a.states))
     return None
 
 
-def _respawn(state: MonitorState, t: int, verdict: Verdict, step: mt.Step,
-             outbox: list[Message]) -> bool:
+def _respawn(state: MonitorState, verdict: Verdict, outbox: list[Message]) -> None:
     """Send a ``chor`` verdict to the refs and start a fresh instance at the
-    next anchor, with the memory past the old one.  At ``t``, with an initial
-    state that is not final, its pass would only read ``{initial: TRUE}``: the
-    step books that and the footprint ``(1, 1, |Q|)``, and True ends the round."""
+    next anchor, with the memory past the old one.  Its encoding is the one
+    row ``{initial: TRUE}`` at the old anchor, which the round then moves up
+    to the current round, by a pass or by :func:`ehe.decided_round`."""
     payload = {ex.monref(state.t_mon, state.name): verdict}
     for ref in sorted(state.refs):
         outbox.append(Message("verdict", sender=state.name, receiver=ref, payload=payload))
@@ -411,11 +416,6 @@ def _respawn(state: MonitorState, t: int, verdict: Verdict, step: mt.Step,
     state.t_kn = anchor
     state.prefix_evals = 0
     state.memory = {a: v for a, v in state.memory.items() if a.t > anchor}
-    if anchor == t and not automaton.verdict_of(automaton.initial).is_final:
-        step.evaluations += 1
-        step.gc = (1, 1, len(automaton.states))
-        return True
-    return False
 
 
 # simulate reads each algorithm's name when it runs, so a wrapper installed

@@ -245,8 +245,9 @@ def simplify_ltl(phi: Ltl) -> Ltl:
     """Equivalence-preserving simplification with a canonical Boolean level.
 
     Temporal operands are simplified recursively; constant temporal cases
-    collapse (F/G/U of constants); the Boolean structure over the remaining
-    leaves is rebuilt as a deterministic irredundant sum of products.
+    collapse (F/G/U of constants), and so do nested ones (F F y = F y,
+    F G F y = G F y, G F G y = F G y); the Boolean structure over the
+    remaining leaves is rebuilt as a deterministic irredundant sum of products.
     """
     if isinstance(phi, (LTrue, LFalse, Prop, MonPlaceholder)):
         return phi
@@ -256,6 +257,8 @@ def simplify_ltl(phi: Ltl) -> Ltl:
         x = simplify_ltl(phi.operand)
         if isinstance(x, (LTrue, LFalse, type(phi))):
             return x
+        if isinstance(x, (Finally, Globally)) and isinstance(x.operand, type(phi)):
+            return x  # F G F y = G F y and G F G y = F G y
         return type(phi)(x)
     if isinstance(phi, Until):
         left = simplify_ltl(phi.left)

@@ -710,6 +710,101 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
     assert template.steps == {(0b01, 0b01): eh.Decided({"q0": ex.FALSE, "q1": ex.TRUE}, "q1", 2)}
 
 
+def _label_names(a):
+    return sorted({x.name for tr in a.transitions for x in ex.atom_set(tr.label)})
+
+
+def _memories_since(a, names, k, t, rng, count):
+    """``count`` seeded memories over every label atom of ``a`` at every
+    round in (k, t], each with whether it decides them all: every other one
+    leaves each atom out at odds of one in four."""
+    atoms = [ex.stamp(name, r, names) for r in range(k + 1, t + 1) for name in _label_names(a)]
+    for i in range(count):
+        m = {x: rng.choice((T, B)) for x in atoms if i % 2 == 0 or rng.random() >= 0.25}
+        yield m, len(m) == len(atoms)
+
+
+def _small_random_specs():
+    """Two seeded random automata of at most four states over three
+    propositions, whose labels are rebuilt covers."""
+    return [(random_spec(random.Random(seed), max_states=4, max_aps=3)[0], frozenset())
+            for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton(),
+                                      *_small_random_specs()])
+def test_decided_rounds_behind_are_the_rows_inc_folds(a, names):
+    # From a row of constants three rounds behind, the lookup hands over
+    # each row that inc folds mov's rows to, up to the round or the first
+    # final state, and inc counts no simplification on the way: sreach reads
+    # each row at the cost its Decided books.  It hits whenever the memory
+    # decides every label atom since; under a memory that leaves one out,
+    # inc may fold a rebuilt cover to no constant where the chain of rows
+    # reads one, so the lookup must miss.
+    k, t, rng, long_hits = 6, 9, random.Random(5), 0
+    for src in _constant_rows(a.states):
+        p = eh.EHE(a, {k: src})
+        moved = eh.mov(p, t, names)
+        true = [q for q, c in src.items() if c is ex.TRUE]
+        open_source = len(true) == 1 and not a.verdict_of(true[0]).is_final
+        for m, full in _memories_since(a, names, k, t, rng, 8):
+            rows = eh.decided_round(p, t, names, m)
+            if rows is None:
+                assert not (open_source and full), (src, m)
+                continue
+            assert open_source and rows[0].row == src, (src, m)
+            last = a.verdict_of(rows[-1].state)
+            assert len(rows) == t - k + 1 or (last.is_final and len(rows) > 1), (src, m)
+            assert not any(a.verdict_of(d.state).is_final for d in rows[:-1])
+            step = mt.Step(0, "m", "c")
+            folded = eh.inc(moved, m, step=step)
+            assert step.simplifications == 0, (src, m)
+            for r, found in enumerate(rows, start=k):
+                assert folded.table[r] == found.row, (src, m, r)
+                evals = mt.Step(0, "m", "c")
+                assert eh.sreach(folded, m, r, step=evals) == found.state
+                assert evals.evaluations == found.evals
+            long_hits += len(rows) > 2
+    assert long_hits
+
+
+@pytest.mark.parametrize("a, names", [*_random_formula_automata(), _chor_style_automaton()])
+def test_decided_round_at_the_round_is_the_source_alone(a, names):
+    # An encoding anchored at the round itself: the pass would read its one
+    # row, so that row, decided, is all the lookup returns.
+    t = 6
+    for src in _constant_rows(a.states):
+        rows = eh.decided_round(eh.EHE(a, {t: src}), t, names, {})
+        true = [q for q, c in src.items() if c is ex.TRUE]
+        if len(true) != 1 or a.verdict_of(true[0]).is_final:
+            assert rows is None, src
+            continue
+        states = sorted(src)
+        assert rows == [eh.Decided(src, true[0], states.index(true[0]) + 1)], src
+
+
+def test_decided_rounds_behind_need_every_label_atom():
+    # Behind by more than one round, one label atom missing from the memory
+    # at one round in (k, t] misses the lookup, be it the proposition z or
+    # the reference to m1, and even where the row it sits in folds without
+    # it (z || m1 with z TRUE) or lies past the final state.
+    a, names = _chor_style_automaton()
+    k, t = 3, 6
+    p = eh.EHE(a, {k: {"q0": ex.TRUE}})
+    # q0 -> q1 at k+1 (z && !m1), q1 -> q2 at k+2 (z), final
+    m = {ex.stamp(name, r, names): T for r in range(k + 1, t + 1) for name in ("z", "m1")}
+    m[ex.monref(k + 1, "m1")] = B
+    rows = eh.decided_round(p, t, names, m)
+    assert [d.state for d in rows] == ["q0", "q1", "q2"]
+    assert ex.monref(k + 2, "m1") in m and ex.timed(t, "z") in m
+    for atom in m:
+        assert eh.decided_round(p, t, names, {x: v for x, v in m.items() if x != atom}) is None, atom
+    # One round behind, the lookup reads only the atoms of the row it folds.
+    one_behind = eh.EHE(a, {t - 1: {"q1": ex.TRUE}})
+    rows = eh.decided_round(one_behind, t, names, {ex.timed(t, "z"): T})
+    assert [d.state for d in rows] == ["q1", "q2"]
+
+
 def _full_next_row(a, src, t, names):
     """The row at ``t`` built as ``mov`` once did, stamping and conjoining
     the label of every transition out of ``src``, FALSE sources included."""

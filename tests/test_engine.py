@@ -814,13 +814,24 @@ def test_respawn_at_the_current_round_books_one_evaluation(fig4, fig4_trace):
     assert all(gc == (1, 1, 3) for _, _, gc, sent in steps if sent)
 
 
+def _late_trace(late: int, length: int = 10) -> DecentralizedTrace:
+    """a0 holds from round 2, a1 on even rounds and a2 from round ``late``."""
+    holds = {"a0": lambda t: t >= 2, "a1": lambda t: t % 2 == 0, "a2": lambda t: t >= late}
+    return DecentralizedTrace(("c0", "c1", "c2"), length, {
+        (t, f"c{ap[1]}"): Event.of((ap, T if holds[ap](t) else B))
+        for t in range(1, length + 1) for ap in holds
+    })
+
+
 def _lookup_cases(fig4, fig4_trace):
     """Runs that the decided-round lookup may book, by family: (family,
     config, spec input, system, trace).  ``long``'s shape, G over a
     disjunction of one proposition per component, over seeded L=120 traces,
     and seeded ``random_formula`` shapes over L=30 traces, each under every
     config of the step grid; under ``chor``, the respawn tests'
-    specifications and the shipped child with a final initial state."""
+    specifications, ``F a0 && F a1 && F a2`` with a child that waits for a
+    late a2 and then catches up, and the shipped child with a final initial
+    state."""
     rng = random.Random(71)
     for n in (3, 4):
         phi = lt.parse_ltl(f"G ({' || '.join(f'a{i}' for i in range(n))})")
@@ -849,6 +860,12 @@ def _lookup_cases(fig4, fig4_trace):
             for comm_delay in (1, 3):
                 cfg = en.SimConfig("chor", comm_delay=comm_delay, timeout_slack=5 * comm_delay)
                 yield family, cfg, _chor_with_child(m1), complete(tr.components), tr
+    phi = lt.parse_ltl("F a0 && F a1 && F a2")
+    for late in (4, 6):
+        for comm_delay in (1, 3):
+            cfg = en.SimConfig("chor", comm_delay=comm_delay, timeout_slack=5 * comm_delay)
+            tr = _late_trace(late)
+            yield "catch_up", cfg, phi, complete(tr.components), tr
     yield "fig4", en.SimConfig("chor"), fig4, complete(("c0", "c1")), fig4_trace
     tr = tg.load(str(EXPERIMENT / "trace_normal.csv"))
     d = load_spec_file(str(EXPERIMENT.parent / "decentralized_final_child.json"))
@@ -859,13 +876,15 @@ def test_decided_round_lookup_books_what_the_pass_would(fig4, fig4_trace, monkey
     # Every run steps exactly as with a lookup that always misses, so every
     # round takes its pass: same verdict, stop round, every Step field, and
     # every monitor's state after every round.  The lookup hits in some
-    # round of each family and of each algorithm.
-    real, hits = eh.decided_round, {}
+    # round of each family and of each algorithm, and a child that catches
+    # up gets more than two rows from one lookup.
+    real, hits, caught_up = eh.decided_round, {}, {}
 
     def counted(*args):
-        hit = real(*args)
-        hits[family, cfg.algorithm] += hit is not None
-        return hit
+        rows = real(*args)
+        hits[family, cfg.algorithm] += rows is not None
+        caught_up[family] = caught_up.get(family, 0) + (rows is not None and len(rows) > 2)
+        return rows
 
     def run(case, lookup):
         seen = []
@@ -896,4 +915,5 @@ def test_decided_round_lookup_books_what_the_pass_would(fig4, fig4_trace, monkey
         assert run(case, counted) == run(case, lambda *args: None), (family, case)
     assert {alg for (_, alg), n in hits.items() if n} == set(en.ALGORITHMS), hits
     families = {family for family, _ in hits}
-    assert len(families) == 6 and families == {family for (family, _), n in hits.items() if n}
+    assert len(families) == 7 and families == {family for (family, _), n in hits.items() if n}
+    assert caught_up["catch_up"], caught_up

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import random
+import signal
 import time
 
 import pytest
@@ -27,6 +29,22 @@ OWNER = {"a0": "c0", "a1": "c0", "b0": "c1", "b1": "c1"}
 
 def pmem(**kv):
     return Memory({ex.plain(k): v for k, v in kv.items()})
+
+
+@contextlib.contextmanager
+def time_bound(seconds: float):
+    """Fail with TimeoutError, rather than hang, once the block has run for
+    ``seconds`` of wall time."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParser:
@@ -169,6 +187,19 @@ class TestProgress:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("pairs", [5, 6, 7])
+    @pytest.mark.parametrize("outer, inner", [("F", "G"), ("G", "F")])
+    def test_nested_finally_globally_synthesize_within_a_bound(self, pairs, outer, inner):
+        # F G F y is G F y and G F G y is F G y, so five to seven nested
+        # pairs, 10-14 temporal leaves without those rules, past the
+        # expr.DNF_ATOMS bound of the canonical Boolean level, simplify to one
+        # pair and synthesize to its two states.
+        phi = lt.parse_ltl(" ".join([f"{outer} {inner}"] * pairs) + " a0")
+        assert lt.simplify_ltl(phi) == lt.parse_ltl(f"{outer} {inner} a0")
+        with time_bound(5.0):
+            aut = lt.synthesize.__wrapped__(phi)
+        assert len(aut.states) == 2
+
     def test_fig1_shape(self):
         aut = lt.synthesize(lt.parse_ltl("F (a || b)"))
         assert len(aut.states) == 2
