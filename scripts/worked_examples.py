@@ -18,6 +18,14 @@ from demon.automaton import DecentralizedTrace, decentralized_run, make_spec
 from demon.store import Event, Memory
 
 
+def dump(p: eh.EHE) -> str:
+    """One (round, state, expression) line per entry of an encoding."""
+    lines = ["t\tq\te"]
+    for t, row in p.table.items():
+        lines.extend(f"{t}\t{q}\t{ex.to_text(row[q])}" for q in sorted(row))
+    return "\n".join(lines)
+
+
 def banner(title: str) -> None:
     print(f"\n=== {title} {'=' * max(0, 60 - len(title))}")
 
@@ -32,10 +40,11 @@ def main() -> int:
         {"q0": "unknown", "q1": "top"},
     )
     table = eh.mov(eh.init(f_or), 2)
-    print(eh.dump(table))
+    print(dump(table))
     memory = Memory({ex.timed(1, "a"): T, ex.timed(1, "b"): B})
-    print("state at round 1 given <1,a>=T, <1,b>=F:", eh.sreach(table, memory, 1))
-    print("verdict:", eh.verdict_at(table, memory, 1).value)
+    state = eh.sreach(table, memory, 1)
+    print("state at round 1 given <1,a>=T, <1,b>=F:", state)
+    print("verdict:", f_or.verdict_of(state).value)
 
     banner("Reconciling two partial views of F(a && b)")
     f_and = make_spec(
@@ -50,7 +59,7 @@ def main() -> int:
     for name, view in (("observer of a", left), ("observer of b", right),
                        ("merged", merged)):
         print(f"-- {name}")
-        print(eh.dump(view))
+        print(dump(view))
     print("merged view resolves round 1 to:", eh.sreach(merged, Memory(), 1))
 
     banner("Decentralized specification with a monitor reference")

@@ -29,7 +29,7 @@ from .automaton import (
     step,
     validate,
 )
-from .ehe import EHE, drop_resolved, inc, init, merge, mov, sreach, verdict_at
+from .ehe import EHE, drop_resolved, inc, init, merge, mov, sreach
 from .analysis import (
     Graph,
     ca_monitorable,

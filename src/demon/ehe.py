@@ -12,9 +12,9 @@ states per row:
   O(1).
 - ``entries`` builds the flat ``{(round, state): condition}`` dict on each
   call, in O(E); hot paths read the rows of ``table`` instead.
-- ``sreach`` finds its row in O(1) and evaluates at most S conditions; it
-  reads a constant's verdict directly and calls ``expr.eval_expr`` only on
-  the others.
+- ``read`` evaluates at most S conditions of a row; it reads a constant's
+  verdict directly and calls ``expr.eval_expr`` only on the others.
+  ``sreach`` finds its row in O(1) and reads it.
 - ``mov`` copies the row index (O(R)) and appends one row per round past
   the last one, so a gap ``merge`` left stays a gap.  After a row of
   constants it takes a cached row stamped at that round, and otherwise
@@ -53,8 +53,8 @@ from typing import Iterable, NamedTuple, Optional
 from . import expr as ex
 from .automaton import Specification
 from .errors import AutomatonMismatch, UndefinedRound
-from .expr import Expr, TOP, TRUE, UNKNOWN, Verdict
-from .store import Memory, merge_with
+from .expr import Expr, TOP, TRUE, UNKNOWN
+from .store import EMPTY_MEMORY, Memory, merge_with
 
 Row = Mapping[str, Expr]
 
@@ -94,13 +94,6 @@ def init(a: Specification) -> EHE:
     return EHE(a, {0: {a.initial: TRUE}})
 
 
-def _row(p: EHE, t: int) -> Row:
-    row = p.table.get(t)
-    if row is None:
-        raise UndefinedRound(f"round {t} is not encoded (rounds: {p.rounds()})")
-    return row
-
-
 def is_constant_row(row: Row) -> bool:
     """Whether every condition of ``row`` is a constant."""
     for c in row.values():
@@ -110,17 +103,27 @@ def is_constant_row(row: Row) -> bool:
 
 
 class Decided(NamedTuple):
-    """A row of constants, what :func:`sreach` finds there and its reads."""
+    """A row, the state :func:`read` finds there (or None) and its reads."""
 
     row: Row
     state: Optional[str]
     evals: int
 
 
-def _decided(row: Row) -> Decided:
+def read(row: Row, m: Memory, memo: Optional[dict[int, Expr]] = None) -> Decided:
+    """The first state of ``row``, in name order, whose condition evaluates to
+    TOP under ``m``, or None, with the conditions read up to and including
+    it.  A constant condition is its own verdict; only the others go through
+    :func:`expr.eval_expr`, which may share ``memo`` across one memory."""
     states = sorted(row)
-    q = next((q for q in states if row[q].value is TOP), None)
-    return Decided(row, q, len(states) if q is None else states.index(q) + 1)
+    for i, q in enumerate(states, 1):
+        cond = row[q]
+        if type(cond) is ex.Const:
+            if cond.value is TOP:
+                return Decided(row, q, i)
+        elif ex.eval_expr(cond, m, memo) is TOP:
+            return Decided(row, q, i)
+    return Decided(row, None, len(states))
 
 
 class Template(NamedTuple):
@@ -178,19 +181,23 @@ def mov(p: EHE, te: int, monitor_names: Iterable[str] = ()) -> EHE:
     table = dict(p.table)
     src = table[last]
     for t in range(last + 1, te + 1):
-        if is_constant_row(src):
-            src = _stamp(a, _template(a, src, t, names), t, names)
-        else:
-            src = _next_row(a, src, t, names)
+        template = _template(a, src, t, names)
+        src = _next_row(a, src, t, names) if template is None else _stamp(a, template, t, names)
         table[t] = src
     return EHE(a, table)
 
 
-def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Template:
-    """The automaton's template after ``src``, a row of constants, keyed by
-    its states, the TRUE ones and the monitor names so that no verdict is
-    hashed; built from the row at ``t`` the first time."""
-    true = [q for q, c in src.items() if c.value is TOP]
+def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Optional[Template]:
+    """The automaton's template after ``src``, or None unless ``src`` is a
+    row of constants; keyed by its states, the TRUE ones and the monitor
+    names so that no verdict is hashed, and built from the row at ``t`` the
+    first time."""
+    true = []
+    for q, c in src.items():
+        if type(c) is not ex.Const:
+            return None
+        if c.value is TOP:
+            true.append(q)
     key = (frozenset(src), frozenset(true), names)
     template = a.row_templates.get(key)
     if template is None:
@@ -198,7 +205,7 @@ def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Temp
         visited: set[int] = set()
         atoms = sorted({x.name for c in row.values() for x in ex.atom_set(c, visited)})
         labels = sorted({x.name for tr in a.transitions for x in ex.atom_set(tr.label)})
-        source = _decided(src)
+        source = read(src, EMPTY_MEMORY)
         if len(true) != 1 or a.verdict_of(source.state).is_final:
             source = None
         template = a.row_templates[key] = Template(row, tuple(atoms), tuple(labels), source, {})
@@ -220,11 +227,11 @@ def decided_round(p: EHE, t: int, monitor_names: frozenset[str],
     if len(p.table) != 1:
         return None
     ((k, src),) = p.table.items()
-    if k > t or not is_constant_row(src):
+    if k > t:
         return None
     a = p.automaton
     template = _template(a, src, k + 1, monitor_names)
-    if template.source is None:
+    if template is None or template.source is None:
         return None
     rows = [template.source]
     if k < t - 1 and any(memory.get(ex.stamp(name, r, monitor_names), UNKNOWN) is UNKNOWN
@@ -236,12 +243,13 @@ def decided_round(p: EHE, t: int, monitor_names: frozenset[str],
             v = memory.get(ex.stamp(name, r, monitor_names), UNKNOWN)
             top |= (v is TOP) << i
             known |= (v is not UNKNOWN) << i
-        if (top, known) not in template.steps:
+        key = top, known
+        if key not in template.steps:
             memo: dict[int, Expr] = {}  # keyed by id: the stamped row stays alive
             row = _stamp(a, template, r, monitor_names)
             folded = {q: ex.rewrite_fold(c, memory, memo) for q, c in row.items()}
-            template.steps[top, known] = _decided(folded) if is_constant_row(folded) else None
-        decided = template.steps[top, known]
+            template.steps[key] = read(folded, memory) if is_constant_row(folded) else None
+        decided = template.steps[key]
         if decided is None or decided.state is None:
             return None
         rows.append(decided)
@@ -317,30 +325,16 @@ def sreach(
     memo: Optional[dict[int, Expr]] = None,
 ) -> Optional[str]:
     """The unique state whose condition at round t evaluates to TOP under
-    ``m``, or None when no condition resolves.  States are read in name
-    order; a constant condition is its own verdict, and only the others go
-    through :func:`expr.eval_expr`.  Each condition read, up to and
-    including the TOP one, is counted as one evaluation in
-    ``step.evaluations`` when a step is given."""
-    row = _row(p, t)
-    if memo is None:
-        memo = {}
-    for q in sorted(row):
-        if step is not None:
-            step.evaluations += 1
-        cond = row[q]
-        if type(cond) is ex.Const:
-            if cond.value is TOP:
-                return q
-        elif ex.eval_expr(cond, m, memo=memo) is TOP:
-            return q
-    return None
-
-
-def verdict_at(p: EHE, m: Memory, t: int) -> Verdict:
-    """The verdict of the state :func:`sreach` finds at round t, or UNKNOWN."""
-    q = sreach(p, m, t)
-    return p.automaton.verdict_of(q) if q is not None else ex.UNKNOWN
+    ``m``, or None when no condition resolves, as :func:`read` finds it.
+    Each condition read, up to and including the TOP one, is counted as one
+    evaluation in ``step.evaluations`` when a step is given."""
+    row = p.table.get(t)
+    if row is None:
+        raise UndefinedRound(f"round {t} is not encoded (rounds: {p.rounds()})")
+    found = read(row, m, memo)
+    if step is not None:
+        step.evaluations += found.evals
+    return found.state
 
 
 def merge(p1: EHE, p2: EHE) -> EHE:
@@ -397,14 +391,7 @@ def drop_resolved(p: EHE, resolved: Optional[tuple[int, str]]) -> EHE:
         return p
     t_star, q_star = resolved
     table: dict[int, Row] = {t_star: {q_star: TRUE}}
-    table.update((t, row) for t, row in p.table.items() if t > t_star)
+    for t, row in p.table.items():
+        if t > t_star:
+            table[t] = row
     return EHE(p.automaton, table)
-
-
-def dump(p: EHE) -> str:
-    """Tabular debug rendering: one (round, state, expression) row per entry."""
-    lines = ["t\tq\te"]
-    entries = p.entries
-    for (t, q) in sorted(entries):
-        lines.append(f"{t}\t{q}\t{ex.to_text(entries[(t, q)])}")
-    return "\n".join(lines)

@@ -16,10 +16,14 @@ the last resolved state, while ``chor`` drops only a constant prefix; ``migr``
 and ``migrr`` hand the encoding off.  The rest follows from a monitor's refs:
 one with no encoding forwards its observations to its ref (an ``orch``
 forwarder), and one with a verdict sends it to its refs and respawns (a
-``chor`` monitor below the root), or with no refs ends the run.  A round
-that ``ehe.decided_round`` decides, from one row of constants at or behind
-it, is booked with no pass: a respawned ``chor`` instance anchored at the
-round, one round behind it, or further behind and catching up."""
+``chor`` monitor below the root), or with no refs ends the run.
+
+Resolution yields the rows read from the encoding's first round, each with
+its round, the state found and its reads, up to the first open row or final
+state.  ``ehe.decided_round`` finds them with no ``mov``, ``inc`` or
+evaluation when the memory decides every row after one row of constants at
+or behind the round; otherwise the pass reads them.  One booking counts
+them and collects the garbage for both."""
 
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from . import analysis, ehe as eh, ltl as lt, metrics as mt
 from . import expr as ex
 from .automaton import DecentralizedSpec, DecentralizedTrace, Specification
 from .errors import IncompatiblePlacement, InvalidParameters, SpecificationError
-from .expr import UNKNOWN, Verdict
+from .expr import TOP, UNKNOWN, Verdict
 from .store import Event, Memory, mem_from_event, memory_merge
 
 ALGORITHMS = ("orch", "migr", "migrr", "chor")
@@ -85,7 +89,7 @@ class MonitorState:
     corefs: frozenset[str] = frozenset()  # chor children sending verdicts here
     t_kn: int = 0  # last round resolved
     t_mon: int = 1  # round the chor instance is anchored at
-    prefix_evals: int = 0  # what each _resolve would spend on the rows chor dropped
+    prefix_evals: int = 0  # what reading the rows chor dropped would cost each round
 
 
 @dataclass(frozen=True)
@@ -284,31 +288,18 @@ def assemble_choreography(
 # Per-round monitor behavior
 
 
-def _resolve(
-    state: MonitorState,
-    t: int,
-    step: mt.Step,
-    memo: Optional[dict[int, ex.Expr]] = None,
-) -> tuple[Optional[Verdict], Optional[tuple[int, str]]]:
-    """Resolve the automaton state at each encoded round in turn, advancing
-    ``state.t_kn`` (and recording its delay) past every newly known round.
-    Stops at the first unresolved round or final verdict; returns that verdict
-    (or None) and the last resolved ``(round, state)`` (None when the first
-    round is open), where :func:`ehe.drop_resolved` cuts."""
-    memo = {} if memo is None else memo
-    last = None
-    for r in state.ehe.rounds():
-        q = eh.sreach(state.ehe, state.memory, r, step=step, memo=memo)
-        if q is None:
+def _resolve(p: eh.EHE, memory: Memory,
+             memo: dict[int, ex.Expr]) -> list[tuple[int, eh.Decided]]:
+    """The rows of ``p`` read under ``memory`` from its first round, each with
+    its round, up to the first open row or final state."""
+    verdict_of = p.automaton.verdict_of
+    rows = []
+    for r, row in p.table.items():
+        found = eh.read(row, memory, memo)
+        rows.append((r, found))
+        if found.state is None or verdict_of(found.state) is not UNKNOWN:
             break
-        last = (r, q)
-        if r > state.t_kn:
-            step.delays += (t - r,)
-            state.t_kn = r
-        v = state.ehe.automaton.verdict_of(q)
-        if v.is_final:
-            return v, last
-    return None, last
+    return rows
 
 
 def _monitor_round(
@@ -322,9 +313,10 @@ def _monitor_round(
     """One monitor's round under any algorithm (see the module docstring).  A
     monitor with no encoding keeps its memory, or forwards its observation to
     its ref; one with a verdict sends it to its refs and starts afresh (see
-    :func:`_respawn`), or with no refs ends the run.  A round that
-    :func:`ehe.decided_round` decides takes no ``mov``, ``inc``, ``_resolve``
-    or ``_collect_garbage``, but is booked as if it had."""
+    :func:`_respawn`), or with no refs ends the run.  The rows the round
+    resolves come from :func:`ehe.decided_round` when it decides them, and
+    otherwise from ``mov``, ``inc`` and :func:`_resolve`; either way
+    :func:`_book` books them."""
     for msg in inbox:
         if msg.kind == "ehe":  # merged into the encoding, or activating it
             state.ehe = msg.payload if state.ehe is None else eh.merge(state.ehe, msg.payload)
@@ -340,20 +332,18 @@ def _monitor_round(
     policy = _POLICIES[setup.cfg.algorithm]
     outbox: list[Message] = []
     # a chor instance respawned past the current round waits for its round
-    while state.ehe is not None and state.ehe.first_round() <= t:
+    while state.ehe is not None and (first := state.ehe.first_round()) <= t:
         step.evaluations += state.prefix_evals
-        rows = eh.decided_round(state.ehe, t, setup.monitor_names, state.memory)
-        if rows is not None:
-            verdict = _book_decided_round(state, policy, t, step, rows)
+        memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
+        decided = eh.decided_round(state.ehe, t, setup.monitor_names, state.memory)
+        if decided is not None:  # one row per round from the first
+            rows = list(enumerate(decided, first))
         else:
             state.ehe = eh.mov(state.ehe, t, setup.monitor_names)
             if policy.inc:
                 state.ehe = eh.inc(state.ehe, state.memory, step=step)
-            memo: dict[int, ex.Expr] = {}  # one rewrite cache: the memory is fixed for the round
-            evals = step.evaluations
-            verdict, last = _resolve(state, t, step, memo)
-            if verdict is None:
-                _collect_garbage(state, policy, last, step, step.evaluations - evals, memo)
+            rows = _resolve(state.ehe, state.memory, memo)
+        verdict = _book(state, policy, t, step, rows, memo)
         if verdict is None:
             target = policy.hand_off(state, setup) if policy.hand_off else state.component
             if target != state.component:
@@ -370,35 +360,78 @@ def _monitor_round(
     return outbox, None
 
 
-def _book_decided_round(state: MonitorState, policy: Policy, t: int, step: mt.Step,
-                        rows: list[eh.Decided]) -> Optional[Verdict]:
-    """Book what ``mov``, ``inc`` and ``_resolve`` would over the rows from
-    :func:`ehe.decided_round`, one per round from the encoding's first: their
-    evaluations, and a delay for each newly known round.  Return a final
-    verdict, or book the cut too."""
+def _book(state: MonitorState, policy: Policy, t: int, step: mt.Step,
+          rows: list[tuple[int, eh.Decided]], memo: dict[int, ex.Expr]) -> Optional[Verdict]:
+    """Book a round's resolution from ``rows``: what :func:`_resolve` read
+    after ``mov`` and ``inc``, or what :func:`ehe.decided_round` found they
+    would read, either way an encoding that ends at ``t``.  Count the reads
+    and a delay for each newly known round, then return a final verdict, or
+    cut the encoding and record its footprint.
+
+    ``orch``, ``migr`` and ``migrr`` drop the rounds before the last resolved
+    one, and conv_e charges the reads that found it once more.  With no
+    ``inc`` (``orch``), the rows kept past the cut still reach the dropped
+    history: they are folded (uncounted, as ``orch`` never sends its
+    encoding) and the memory, whose atoms are all stamped by now, is
+    forgotten.  ``chor`` drops the leading rows before ``t_kn`` (never the
+    last one read) of constants with one TRUE, which every later round
+    would read alike at the cost ``prefix_evals`` keeps, and its root
+    forgets the memory that ``inc`` folded in."""
     a = state.ehe.automaton
     evals = 0
-    for r, last in enumerate(rows, start=state.ehe.first_round()):
-        evals += last.evals
+    last = None  # the last resolved (round, state)
+    for r, found in rows:
+        evals += found.evals
+        if found.state is None:
+            break
+        last = r, found.state
         if r > state.t_kn:
             step.delays += (t - r,)
             state.t_kn = r
     step.evaluations += evals
-    verdict = a.verdict_of(last.state)
-    if verdict.is_final:
+    if last is not None and (verdict := a.verdict_of(last[1])) is not UNKNOWN:
         return verdict
-    if policy.cut:  # what drop_resolved keeps, with conv_e charging the evals once more
+    if policy.cut:
         step.evaluations += evals
-        state.ehe = eh.EHE(a, {t: {last.state: ex.TRUE}})
-        step.gc = (1, 1, len(a.states))
-    else:  # what the prefix drop keeps, the row at t, at the cost of the rows before it
-        if len(rows) > 1:
-            state.ehe = eh.EHE(a, {t: last.row})
-            state.prefix_evals += evals - last.evals
-        step.gc = (len(last.row), 1, len(a.states))
-    if not policy.inc or not (policy.cut or state.refs):  # orch, and the chor root
+        state.ehe = eh.drop_resolved(state.ehe, last)
+        forget = not policy.inc and last is not None
+        if forget and len(state.ehe.table) > 1:  # rows past the cut row, which is TRUE
+            state.ehe = eh.EHE(a, {r: {q: ex.rewrite_fold(c, state.memory, memo)
+                                       for q, c in row.items()}
+                                   for r, row in state.ehe.table.items()})
+    else:
+        forget = not state.refs
+        drop = 0
+        for r, found in rows[:-1]:
+            if r >= state.t_kn or not _one_true(found.row):
+                break
+            state.prefix_evals += found.evals
+            drop += 1
+        if drop:  # the rows read from the first kept one, then the rows past them
+            table = {}
+            for r, found in rows[drop:]:
+                table[r] = found.row
+            for r, row in state.ehe.table.items():
+                if r > rows[-1][0]:
+                    table[r] = row
+            state.ehe = eh.EHE(a, table)
+    if forget:
         state.memory.clear()
+    table = state.ehe.table  # footprint: entries, round span and automaton states
+    first = next(iter(table))
+    entries = len(table[t]) if first == t else sum(map(len, table.values()))
+    step.gc = (entries, t - first + 1, len(a.states))
     return None
+
+
+def _one_true(row: eh.Row) -> bool:
+    """Whether ``row`` holds only constants, one of them TRUE."""
+    true = 0
+    for c in row.values():
+        if type(c) is not ex.Const:
+            return False
+        true += c.value is TOP
+    return true == 1
 
 
 def _respawn(state: MonitorState, verdict: Verdict, outbox: list[Message]) -> None:
@@ -421,58 +454,6 @@ def _respawn(state: MonitorState, verdict: Verdict, outbox: list[Message]) -> No
 # simulate reads each algorithm's name when it runs, so a wrapper installed
 # under one name sees only that algorithm's rounds.
 orchestration_round = migration_round = choreography_round = _monitor_round
-
-
-def _collect_garbage(
-    state: MonitorState,
-    policy: Policy,
-    last: Optional[tuple[int, str]],
-    step: mt.Step,
-    evals: int,
-    memo: dict[int, ex.Expr],
-) -> None:
-    """Cut the encoding after an unresolved round and record its footprint.
-    ``chor`` drops only its constant prefix, and its root forgets its memory,
-    folded in by ``inc``.  The others drop the rounds before ``last``, and
-    conv_e charges the ``evals`` that found it once more.  With no ``inc``
-    (``orch``), the kept rows still reach the dropped history: they are folded
-    (uncounted, as ``orch`` never sends its encoding) and the memory, whose
-    atoms are all stamped by now, is forgotten."""
-    if not policy.cut:
-        _drop_prefix(state)
-        if not state.refs:
-            state.memory.clear()
-    else:
-        step.evaluations += evals
-        kept = eh.drop_resolved(state.ehe, last)
-        if not policy.inc and kept is not state.ehe:
-            table = {r: {q: ex.rewrite_fold(c, state.memory, memo) for q, c in row.items()}
-                     for r, row in kept.table.items()}
-            kept = eh.EHE(kept.automaton, table)
-            state.memory.clear()
-        state.ehe = kept
-    step.gc = _footprint(state.ehe)
-
-
-def _footprint(p: eh.EHE) -> tuple[int, int, int]:
-    """(entries, round span, automaton states) of an encoding."""
-    return len(p), p.last_round() - p.first_round() + 1, len(p.automaton.states)
-
-
-def _drop_prefix(state: MonitorState) -> None:
-    """Drop the leading rows before ``t_kn`` (never the last) of constants with one
-    TRUE: every later ``_resolve`` would pass each at the cost ``prefix_evals`` keeps."""
-    rows = list(state.ehe.table.items())
-    drop = 0
-    while drop < len(rows) - 1 and rows[drop][0] < state.t_kn:
-        row = rows[drop][1]
-        conds = [c for _, c in sorted(row.items())]
-        if not eh.is_constant_row(row) or conds.count(ex.TRUE) != 1:
-            break
-        state.prefix_evals += conds.index(ex.TRUE) + 1
-        drop += 1
-    if drop:
-        state.ehe = eh.EHE(state.ehe.automaton, dict(rows[drop:]))
 
 
 def _earliest_obligation(state: MonitorState, setup: Setup) -> str:

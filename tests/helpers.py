@@ -7,8 +7,9 @@ monitor's state after every round and one that counts the active monitors
 per round, the trace owner scan that ``observed_owner`` must agree with,
 the four-walk simplifier that ``expr.simplify`` must agree with, the search
 for the last resolved round that garbage collection cuts at, the states
-encoded at a round, and the first trace on which two decentralized
-specifications disagree."""
+encoded at a round, the verdict found at a round, the tabular rendering of
+an encoding, and the first trace on which two decentralized specifications
+disagree."""
 
 from __future__ import annotations
 
@@ -175,34 +176,28 @@ def simulate_observed(cfg: en.SimConfig, spec_input, system, tr, observe,
                       before_gc=None) -> en.SimRun:
     """``engine.simulate`` that calls ``observe(state)`` after each monitor's
     round, with the monitor state as that round left it, and, when given,
-    ``before_gc(state)`` as garbage collection starts, with the memory and
-    the encoding the cut sees, or as a round that ``ehe.decided_round``
-    decides is booked, with the memory the booking reads."""
+    ``before_gc(state)`` as a round's resolution is booked, with the memory
+    the booking and its cut read."""
     name = _ROUND_FNS[cfg.algorithm]
-    inner = getattr(en, name)
-    hooked = {fn: getattr(en, fn) for fn in ("_collect_garbage", "_book_decided_round")}
+    inner, book = getattr(en, name), en._book
 
     def round_fn(state, *args):
         out = inner(state, *args)
         observe(state)
         return out
 
-    def hook(real):
-        def call(state, *args):
-            before_gc(state)
-            return real(state, *args)
-        return call
+    def hooked_book(state, *args):
+        before_gc(state)
+        return book(state, *args)
 
     setattr(en, name, round_fn)
     if before_gc is not None:
-        for fn, real in hooked.items():
-            setattr(en, fn, hook(real))
+        en._book = hooked_book
     try:
         return en.simulate(cfg, spec_input, system, tr)
     finally:
         setattr(en, name, inner)
-        for fn, real in hooked.items():
-            setattr(en, fn, real)
+        en._book = book
 
 
 def reference_owner(tr: DecentralizedTrace) -> dict[str, str]:
@@ -261,6 +256,21 @@ def states_at(p: EHE, t: int) -> list[str]:
     """The states with an entry at round ``t``, sorted; empty when ``t`` is
     not encoded."""
     return sorted(p.table.get(t, ()))
+
+
+def verdict_at(p: EHE, m: Memory, t: int) -> Verdict:
+    """The verdict of the state ``sreach`` finds at round t, or UNKNOWN."""
+    q = eh.sreach(p, m, t)
+    return p.automaton.verdict_of(q) if q is not None else ex.UNKNOWN
+
+
+def dump(p: EHE) -> str:
+    """Tabular rendering: one (round, state, expression) row per entry."""
+    lines = ["t\tq\te"]
+    entries = p.entries
+    for (t, q) in sorted(entries):
+        lines.append(f"{t}\t{q}\t{ex.to_text(entries[(t, q)])}")
+    return "\n".join(lines)
 
 
 def last_resolved(p: EHE, m: Memory) -> Optional[tuple[int, str]]:

@@ -137,23 +137,42 @@ def test_every_simplify_input_is_a_fold_fixpoint(monkeypatch):
 
 def test_each_row_resolved_once_per_round(monkeypatch):
     # Resolution and garbage collection share one pass: no (step, round) pair
-    # reaches sreach twice, yet a step that collects garbage counts the pass's
+    # is read twice, yet a step that collects garbage counts the pass's
     # evaluations twice, once for each.  And the main orch monitor's encoding
     # starts at its last known round after every round without a verdict.
     # The decided-round lookup always misses here, so that every round takes
-    # the pass whose sreach calls are counted.
-    real = eh.sreach
+    # the pass whose row reads are counted.
+    real_read, real_mov = eh.read, eh.mov
     searched = []
-    evaluated = {}  # id(step) -> evaluations made inside sreach
+    evaluated = {}  # id(step) -> evaluations made by the row reads
+    current = {"moving": False}  # the round's monitor state and step; whether mov runs
 
-    def recorded(p, m, t, step=None, memo=None):
-        searched.append((id(step), t))
-        before = step.evaluations
-        q = real(p, m, t, step=step, memo=memo)
-        evaluated[id(step)] = evaluated.get(id(step), 0) + step.evaluations - before
-        return q
+    def recorded(row, m, memo=None):
+        found = real_read(row, m, memo)
+        if not current["moving"]:  # mov reads a constant row once to build its template
+            state, step = current["state"], current["step"]
+            (t,) = [r for r, kept in state.ehe.table.items() if kept is row]
+            searched.append((id(step), t))
+            evaluated[id(step)] = evaluated.get(id(step), 0) + found.evals
+        return found
 
-    monkeypatch.setattr(eh, "sreach", recorded)
+    def moving(*args):
+        current["moving"] = True
+        try:
+            return real_mov(*args)
+        finally:
+            current["moving"] = False
+
+    def stepping(inner):
+        def round_fn(state, t, obs, inbox, step, setup):
+            current.update(state=state, step=step)
+            return inner(state, t, obs, inbox, step, setup)
+        return round_fn
+
+    monkeypatch.setattr(eh, "read", recorded)
+    monkeypatch.setattr(eh, "mov", moving)
+    for alias in ("orchestration_round", "migration_round"):
+        monkeypatch.setattr(en, alias, stepping(getattr(en, alias)))
     monkeypatch.setattr(eh, "decided_round", lambda *args: None)
     cases = list(draw_cases(11, 12, components=(2, 4), lengths=(5, 30)))
     for _, phi, tr, system, *_ in cases:

@@ -14,6 +14,7 @@ from demon.store import Memory, mem_from_event, memory_merge
 from conftest import load_module, random_spec, random_trace
 from helpers import (
     dag_nodes,
+    dump,
     entrywise_equivalent,
     fresh_copy,
     last_resolved,
@@ -21,6 +22,7 @@ from helpers import (
     reference_simplify,
     states_at,
     tree_size,
+    verdict_at,
 )
 
 T, B = ex.TOP, ex.BOTTOM
@@ -100,7 +102,7 @@ class TestResolution:
         p = eh.mov(eh.init(fig1), 2)
         m = timed_mem(**{"1_a": T, "1_b": B})
         assert eh.sreach(p, m, 1) == "q1"
-        assert eh.verdict_at(p, m, 1) is T
+        assert verdict_at(p, m, 1) is T
 
     def test_sreach_round0(self, fig1):
         p = eh.init(fig1)
@@ -109,11 +111,11 @@ class TestResolution:
     def test_sreach_unresolved(self, fig1):
         p = eh.mov(eh.init(fig1), 1)
         assert eh.sreach(p, Memory(), 1) is None
-        assert eh.verdict_at(p, Memory(), 1) is ex.UNKNOWN
+        assert verdict_at(p, Memory(), 1) is ex.UNKNOWN
 
     def test_verdict_at_round0(self, fig1):
         p = eh.init(fig1)
-        assert eh.verdict_at(p, Memory(), 0) is ex.UNKNOWN  # ver(q0) = ?
+        assert verdict_at(p, Memory(), 0) is ex.UNKNOWN  # ver(q0) = ?
 
     def test_sreach_reads_constants_without_eval_expr(self, monkeypatch):
         spec = make_spec(["q0", "q1", "q2"], "q0", [("q0", "true", "q0")],
@@ -432,7 +434,7 @@ def test_capped_support_walk_keeps_every_simplify_decision(monkeypatch):
                 if rng.random() < 0.3:
                     m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.2})
                     p = eh.inc(p, m)
-                dumps.append(eh.dump(p))
+                dumps.append(dump(p))
         return rebuilt, dumps
 
     capped = runs(real_simplify)
@@ -521,7 +523,7 @@ def test_mov_rows_match_simplify_on_fact_free_copies(monkeypatch):
             monkeypatch.setattr(ex, "simplify", real_simplify)
             for r in range(t + 1, te + 1):
                 row, want = p.table[r], expected.table[r]
-                assert eh.dump(eh.EHE(spec, {r: row})) == eh.dump(eh.EHE(spec, {r: want}))
+                assert dump(eh.EHE(spec, {r: row})) == dump(eh.EHE(spec, {r: want}))
                 assert {q: tree_size(c) for q, c in row.items()} == \
                     {q: tree_size(c) for q, c in want.items()}
                 built += len(row)

@@ -124,8 +124,9 @@ class TestSetup:
 
 
 def test_resolve_returns_where_garbage_collection_cuts():
-    # Without a final verdict, the last (round, state) _resolve resolved is the
-    # one the search from the first round up to the first open round finds.
+    # Without a final verdict, the booking of the rows _resolve read cuts at
+    # the last (round, state) that the search from the first round up to the
+    # first open round finds.
     rng = random.Random(1212)
     seen = set()
     for _ in range(150):
@@ -139,9 +140,15 @@ def test_resolve_returns_where_garbage_collection_cuts():
             p = EHE(spec, dict(list(p.table.items())[rng.randint(1, n):]))
         m = Memory({a: rng.choice((T, B)) for a in atoms if rng.random() < 0.5})
         state = en.MonitorState("m_c", "c", p, m)
-        verdict, last = en._resolve(state, n, mt.Step(n, "m_c", "c"))
+        rows = en._resolve(p, m, {})
+        verdict = en._book(state, en._POLICIES["migr"], n, mt.Step(n, "m_c", "c"), rows, {})
         if verdict is None:
-            assert last == last_resolved(p, m)
+            last = last_resolved(p, m)
+            if last is None:
+                assert state.ehe is p
+            else:
+                assert state.ehe.first_round() == last[0]
+                assert state.ehe.table[last[0]] == {last[1]: ex.TRUE}
             seen.add("none" if last is None else "cut" if last[0] < n else "all")
     assert seen == {"none", "cut", "all"}, seen
 
@@ -699,16 +706,22 @@ def test_row_templates_bounded_by_states():
         assert len(template.steps) <= 3 ** len(template.atoms)
 
 
-def test_chor_prefix_drop_keeps_open_rows(fig1):
+def test_chor_prefix_drop_keeps_open_rows():
     # A leading row before t_kn that holds only constants, one of them TRUE,
     # resolves the same way at the same cost on every later round, so it goes
     # and its cost is kept.  A row with an open entry still costs inc a
     # simplification, so it stays, and with it every row after it.
     F, TR, x = ex.FALSE, ex.TRUE, ex.Var(ex.timed(2, "a"))
+    spec = make_spec(["q0", "q1"], "q0", [("q0", "a", "q1"), ("q0", "!a", "q0"),
+                                          ("q1", "true", "q1")],
+                     {"q0": "unknown", "q1": "unknown"})
 
     def dropped(table, t_kn):
-        state = en.MonitorState("m0", "A", EHE(fig1, table), t_kn=t_kn)
-        en._drop_prefix(state)
+        # booked with the rows read up to t_kn, the last known round
+        t = max(table)
+        state = en.MonitorState("m0", "A", EHE(spec, table), t_kn=t_kn)
+        rows = [(r, eh.read(row, {})) for r, row in table.items() if r <= t_kn]
+        assert en._book(state, en._POLICIES["chor"], t, mt.Step(t, "m0", "A"), rows, {}) is None
         return state.ehe.first_round(), state.prefix_evals
 
     closed = {1: {"q0": F, "q1": TR}, 2: {"q0": TR}, 3: {"q0": TR, "q1": F}}
@@ -870,6 +883,52 @@ def _lookup_cases(fig4, fig4_trace):
     tr = tg.load(str(EXPERIMENT / "trace_normal.csv"))
     d = load_spec_file(str(EXPERIMENT.parent / "decentralized_final_child.json"))
     yield "fixture", en.SimConfig("chor"), d, complete(tr.components), tr
+
+
+def test_booking_resolves_past_a_merge_gap(monkeypatch):
+    # Two active migration monitors three rounds apart merge encodings whose
+    # rounds need not meet, so a round may resolve rows on both sides of a
+    # gap.  Every round without a final verdict books a delay for each newly
+    # known round of the table, advances t_kn and cuts where the search from
+    # the first round up to the first open one stops.  The decided-round
+    # lookup, which takes one row of constants and so never a gap, always
+    # misses here, so that every booking reads the moved encoding.  migrr's
+    # encodings move in step and never meet on these runs; migr's do.
+    synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
+    rng = random.Random(5)
+    real = en._book
+    across = {}
+
+    def checked(state, policy, t, step, rows, memo):
+        p, m, t_kn, delays = state.ehe, dict(state.memory), state.t_kn, step.delays
+        verdict = real(state, policy, t, step, rows, memo)
+        if verdict is None:
+            last = last_resolved(p, m)
+            known = [r for r in p.rounds() if last is not None and t_kn < r <= last[0]]
+            assert step.delays == delays + tuple(t - r for r in known)
+            assert state.t_kn == max([t_kn] + known)
+            if last is None:
+                assert state.ehe is p
+            else:
+                assert state.ehe.table == {last[0]: {last[1]: ex.TRUE},
+                                           **{r: row for r, row in p.table.items() if r > last[0]}}
+                rounds = [r for r in p.rounds() if r <= last[0]]
+                gap = any(b - a > 1 for a, b in zip(rounds, rounds[1:]))
+                across[cfg.algorithm] = across.get(cfg.algorithm, 0) + gap
+        return verdict
+
+    monkeypatch.setattr(en, "_book", checked)
+    monkeypatch.setattr(eh, "decided_round", lambda *args: None)
+    for _ in range(6):
+        ncomp = rng.choice((3, 4))
+        phi = synthetic.random_formula(rng, ncomp, 2)
+        _, dist = rng.choice(synthetic.DISTRIBUTIONS)
+        tr = tg.generate(tg.TraceGenConfig(components=ncomp, length=20, distribution=dist,
+                                           seed=rng.randrange(2**31)))
+        for alg in ("migr", "migrr"):
+            cfg = en.SimConfig(alg, comm_delay=3, initial_active=2, timeout_slack=15)
+            en.simulate(cfg, lt.synthesize(phi), complete(tr.components), tr)
+    assert across["migr"] and "migrr" in across, across
 
 
 def test_decided_round_lookup_books_what_the_pass_would(fig4, fig4_trace, monkeypatch):

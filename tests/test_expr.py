@@ -16,7 +16,7 @@ from demon.errors import ParseError, SpecificationError
 from demon.store import Memory
 
 from conftest import random_expr, random_memory
-from helpers import fresh_copy, reference_simplify, tree_size
+from helpers import dump, fresh_copy, reference_simplify, tree_size
 
 A, B, C = ex.Var(ex.plain("a")), ex.Var(ex.plain("b")), ex.Var(ex.plain("c"))
 
@@ -355,7 +355,7 @@ def test_deep_expressions_do_not_overflow():
     assert text.endswith(") && x39 || y")
     assert len(text) == len("x0") + sum(len(f"( && x{i % 40} || y)") for i in range(1, 5000)) - 2
     spec = make_spec(["q"], "q", [("q", "true", "q")], {"q": "unknown"})
-    assert eh.dump(eh.EHE(spec, {0: {"q": deep}})) == f"t\tq\te\n0\tq\t{text}"
+    assert dump(eh.EHE(spec, {0: {"q": deep}})) == f"t\tq\te\n0\tq\t{text}"
 
 
 def cover_cases():
