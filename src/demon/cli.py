@@ -230,7 +230,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _sim_config(args, args.algorithm)
     spec_input = _spec_input_for(args.algorithm, args.spec)
     system = _system_graph(args, tr)
-    run = engine.simulate(cfg, spec_input, system, tr)
+    run = _naming(f"spec file {args.spec} over trace", args.trace, engine.simulate,
+                  cfg, spec_input, system, tr)
     summary = mt.summarize(run.record)
     if args.format == "json":
         print(json.dumps(run.to_dict(), sort_keys=True))
@@ -271,9 +272,8 @@ def _attempt(fn, *args):
         return exc
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _load_object(args.config, "experiment config")
-    base = Path(args.config).parent
+def _experiment_plan(config: dict, base: Path):
+    """An experiment config's simulation configs, specs, traces and output."""
     algorithms, specs, sources = (
         _str_list(config, key) for key in ("algorithms", "specs", "traces")
     )
@@ -282,13 +282,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out_path = config.get("output")
     if out_path is not None and not isinstance(out_path, str):
         raise DemonError(f"config key 'output' must be a file name, got {out_path!r}")
-    trace_paths = _trace_paths(base, sources)
     params = {
         "comm_delay": _int_option(config, "comm_delay", 1),
         "initial_active": _int_option(config, "active", 1),
         "timeout_slack": _int_option(config, "timeout_slack", 5),
     }
     configs = [engine.SimConfig(algorithm, **params) for algorithm in algorithms]
+    return configs, specs, _trace_paths(base, sources), out_path
+
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    config = _load_object(args.config, "experiment config")
+    base = Path(args.config).parent
+    configs, specs, trace_paths, out_path = _naming("experiment config", args.config,
+                                                    _experiment_plan, config, base)
     loaded = [(p, _attempt(_naming, "trace", p, traces.load, p)) for p in trace_paths]
     rows = []
     for cfg in configs:
@@ -302,7 +309,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                         if isinstance(given, Exception):
                             raise given
                     system = analysis.complete_graph(tr.components)
-                    run = engine.simulate(cfg, spec_input, system, tr)
+                    run = _naming(f"spec file {spec_path} over trace", trace_path,
+                                  engine.simulate, cfg, spec_input, system, tr)
                 except _INPUT_ERRORS as exc:
                     if args.strict:
                         raise

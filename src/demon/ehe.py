@@ -189,16 +189,16 @@ def mov(p: EHE, te: int, monitor_names: Iterable[str] = ()) -> EHE:
 
 def _template(a: Specification, src: Row, t: int, names: frozenset[str]) -> Optional[Template]:
     """The automaton's template after ``src``, or None unless ``src`` is a
-    row of constants; keyed by its states, the TRUE ones and the monitor
-    names so that no verdict is hashed, and built from the row at ``t`` the
-    first time."""
+    row of constants; keyed by its states (a lone one as is), the TRUE ones
+    (a lone entry by whether it is) and the monitor names, so that no verdict
+    is hashed, and built from the row at ``t`` the first time."""
     true = []
     for q, c in src.items():
         if type(c) is not ex.Const:
             return None
         if c.value is TOP:
             true.append(q)
-    key = (frozenset(src), frozenset(true), names)
+    key = (q, bool(true), names) if len(src) == 1 else (frozenset(src), frozenset(true), names)
     template = a.row_templates.get(key)
     if template is None:
         row = {q: ex.unstamp(c) for q, c in _next_row(a, src, t, names).items()}

@@ -28,14 +28,15 @@ them and collects the garbage for both."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import analysis, ehe as eh, ltl as lt, metrics as mt
 from . import expr as ex
 from .automaton import DecentralizedSpec, DecentralizedTrace, Specification
 from .errors import IncompatiblePlacement, InvalidParameters, SpecificationError
-from .expr import TOP, UNKNOWN, Verdict
-from .store import Event, Memory, mem_from_event, memory_merge
+from .expr import BOTTOM, TOP, UNKNOWN, Verdict
+from .store import EMPTY_EVENT, Event, Memory, mem_from_event, memory_merge
 
 ALGORITHMS = ("orch", "migr", "migrr", "chor")
 
@@ -58,7 +59,7 @@ class SimConfig:
             raise InvalidParameters("timeout_slack must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """What ``sender`` sends in a round, with one payload: a memory
     (``mem`` from an ``orch`` forwarder; ``verdict`` from a ``chor`` monitor,
@@ -306,7 +307,7 @@ def _monitor_round(
     state: MonitorState,
     t: int,
     obs: Event,
-    inbox: list[Message],
+    inbox: Iterable[Message],
     step: mt.Step,
     setup: Setup,
 ) -> tuple[list[Message], Optional[Verdict]]:
@@ -510,20 +511,25 @@ def simulate(
     else:
         round_fn = migration_round
 
-    names = sorted(st.states)
+    monitors = [(name, st.placements[name], st.states[name]) for name in sorted(st.states)]
+    event_at, no_event = tr.events.get, EMPTY_EVENT
+    new_step, size_of, append = mt.Step, mt.size_of, record.steps.append
     for t in range(1, horizon + 1):
         inboxes: dict[str, list[Message]] = {}
-        for msg in sorted(pending.pop(t, ()), key=lambda m: m.sender):  # stable: FIFO per sender
+        due = pending.pop(t, ())
+        if len(due) > 1:
+            due.sort(key=attrgetter("sender"))  # stable: FIFO per sender
+        for msg in due:
             inboxes.setdefault(msg.receiver, []).append(msg)
-        for name in names:
-            step = mt.Step(t, name, st.placements[name])
-            obs = tr.at(t, step.component)
-            outbox, verdict = round_fn(st.states[name], t, obs, inboxes.get(name, []), step, st)
+        for name, component, state in monitors:
+            step = new_step(t, name, component)
+            obs = event_at((t, component), no_event)
+            outbox, verdict = round_fn(state, t, obs, inboxes.get(name, ()), step, st)
             if outbox:
-                step.sent = tuple((msg.kind, mt.size_of(msg)) for msg in outbox)
+                step.sent = tuple([(msg.kind, size_of(msg)) for msg in outbox])
                 pending.setdefault(t + cfg.comm_delay, []).extend(outbox)
-            record.steps.append(step)
-            if verdict is not None and verdict.is_final and reported is None:
+            append(step)
+            if (verdict is TOP or verdict is BOTTOM) and reported is None:
                 reported = verdict
         if reported is not None:
             stop_round = t

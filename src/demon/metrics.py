@@ -44,7 +44,10 @@ def expr_size(e: Expr, memo: Optional[dict] = None) -> int:
 
 
 def memory_size(m: Memory) -> int:
-    return sum(atom_size(a) + VERDICT_BYTES for a, _ in m.items())
+    total = 0
+    for a in m:  # atom_size(a) + VERDICT_BYTES, priced inline
+        total += len(a.name) * CHAR_BYTES + VERDICT_BYTES + INT_BYTES * (a.kind != "ap")
+    return total
 
 
 def ehe_size(p: EHE) -> int:
@@ -150,26 +153,32 @@ class Summary:
 
 
 def summarize(rec: MetricsRecord) -> Summary:
-    """Aggregate a run in one pass over its steps that did some work (an idle
-    step adds 0 everywhere): average delay over resolutions, message count
-    and data normalized by run length, per-round critical simplifications,
-    the worst per-monitor round, and convergence for both counters."""
+    """Aggregate a run in one pass over its steps, adding only non-zero
+    counters (a zero adds nothing that :func:`_distance` reads): average delay
+    over resolutions, message count and data normalized by run length, per-round
+    critical simplifications, the worst per-monitor round, and convergence."""
     n = max(rec.run_length, 1)
     delay_sum = delay_count = total_msgs = total_bytes = 0
     crit: dict[int, int] = defaultdict(int)  # round -> worst monitor's simplifications
     simplifications, evaluations = _work_table(rec), _work_table(rec)
     columns = {c: i for i, c in enumerate(rec.components)}
-    for s in rec.steps:
-        if not (s.delays or s.sent or s.simplifications or s.evaluations):
-            continue
-        delay_sum += sum(s.delays)
-        delay_count += len(s.delays)
-        total_msgs += len(s.sent)
-        total_bytes += s.bytes_sent
-        crit[s.t] = max(crit[s.t], s.simplifications)
-        column = columns[s.component]
-        simplifications[s.t][column] += s.simplifications
-        evaluations[s.t][column] += s.evaluations
+    for s in rec.steps:  # each counter read once
+        delays, sent, simp, evals = s.delays, s.sent, s.simplifications, s.evaluations
+        if delays:
+            delay_sum += sum(delays)
+            delay_count += len(delays)
+        if sent:
+            total_msgs += len(sent)
+            for _, size in sent:
+                total_bytes += size
+        if simp or evals:
+            t, column = s.t, columns[s.component]
+            if simp:
+                if simp > crit[t]:
+                    crit[t] = simp
+                simplifications[t][column] += simp
+            if evals:
+                evaluations[t][column] += evals
     return Summary(
         average_delay=delay_sum / delay_count if delay_count else 0.0,
         messages_per_round=total_msgs / n,

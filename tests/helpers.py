@@ -8,12 +8,14 @@ per round, the trace owner scan that ``observed_owner`` must agree with,
 the four-walk simplifier that ``expr.simplify`` must agree with, the search
 for the last resolved round that garbage collection cuts at, the states
 encoded at a round, the verdict found at a round, the tabular rendering of
-an encoding, and the first trace on which two decentralized specifications
-disagree."""
+an encoding, the first trace on which two decentralized specifications
+disagree, and the step-by-step summary fold that ``metrics.summarize`` must
+agree with."""
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from demon import analysis as an
@@ -296,3 +298,35 @@ def verdict_equivalent(
         if decentralized_run(d1, tr) is not decentralized_run(d2, tr):
             return tr
     return None
+
+
+def reference_summarize(rec: mt.MetricsRecord) -> mt.Summary:
+    """``metrics.summarize`` as one pass over the steps that did some work,
+    adding every counter of each: what the fold that reads each counter once
+    and adds only the non-zero ones must return, float for float."""
+    n = max(rec.run_length, 1)
+    delay_sum = delay_count = total_msgs = total_bytes = 0
+    crit: dict[int, int] = defaultdict(int)  # round -> worst monitor's simplifications
+    simplifications, evaluations = mt._work_table(rec), mt._work_table(rec)
+    columns = {c: i for i, c in enumerate(rec.components)}
+    for s in rec.steps:
+        if not (s.delays or s.sent or s.simplifications or s.evaluations):
+            continue
+        delay_sum += sum(s.delays)
+        delay_count += len(s.delays)
+        total_msgs += len(s.sent)
+        total_bytes += s.bytes_sent
+        crit[s.t] = max(crit[s.t], s.simplifications)
+        column = columns[s.component]
+        simplifications[s.t][column] += s.simplifications
+        evaluations[s.t][column] += s.evaluations
+    return mt.Summary(
+        average_delay=delay_sum / delay_count if delay_count else 0.0,
+        messages_per_round=total_msgs / n,
+        data_per_round=total_bytes / n,
+        data_per_message=total_bytes / total_msgs if total_msgs else 0.0,
+        critical_simplifications=sum(crit.values()) / n,
+        max_simplifications=max(crit.values(), default=0),
+        convergence_simplifications=mt._distance(simplifications, rec),
+        convergence_evaluations=mt._distance(evaluations, rec),
+    )

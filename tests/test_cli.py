@@ -2,11 +2,12 @@ import builtins
 import csv
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from demon import cli
+from demon import cli, engine
 from demon import expr as ex
 from demon import traces as tg
 from demon.automaton import decentralized_run, load_spec_file
@@ -529,6 +530,24 @@ class TestInputErrorsNameTheirFile:
         self.expect_named(capsys, trace, "run", "--algorithm", "orch", "--spec", self.LTL,
                           "--trace", str(trace))
 
+    def test_unowned_proposition_names_spec_and_trace(self, tmp_path, capsys):
+        # No component observes ``a``: chor cannot place it, orch runs to unknown.
+        spec = tmp_path / "x.ltl"
+        spec.write_text("F (a0 && a)\n")
+        code, out, err = run_cli(capsys, "run", "--algorithm", "chor", "--spec", str(spec),
+                                 "--trace", self.TRACE)
+        assert code == 2 and out == "" and str(spec) in err and self.TRACE in err
+        assert "proposition 'a' has no owning component" in err
+        code, out, _ = run_cli(capsys, "run", "--algorithm", "orch", "--spec", str(spec),
+                               "--trace", self.TRACE, "--format", "json")
+        assert code == 1 and json.loads(out)["verdict"] == "unknown"
+
+    def test_experiment_config_values_name_the_config(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"algorithms": ["orch"], "specs": [self.LTL],
+                                      "traces": [self.TRACE], "comm_delay": 0}))
+        self.expect_named(capsys, config, "experiment", str(config))
+
     def test_trace_under_experiment(self, tmp_path, capsys, bad_header):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"algorithms": ["orch"], "specs": [self.LTL],
@@ -866,3 +885,121 @@ class TestShippedFixtures:
         assert code == 0
         rows = (work / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 3
+
+
+class TestMutationFuzz:
+    """Seeded mutations of the shipped inputs through ``cli.main``: trace
+    CSVs, specification JSONs, LTL files and experiment configs.  Every case
+    exits 0, 1 or 2 with no exception escaping, and every exit-2 message
+    names a file of the inputs."""
+
+    TOKENS = ("", "0", "1", "9", "-1", "a", "a0", "a9", "c0", "c9", "m0", "m9", "q0", "x",
+              ",", "\n", " ", "{", "}", "[", "]", '"', ":", "null", "true", "1e999", "&&",
+              "||", "!", "F", "G", "X", "U", "(", ")", "#")
+    VALUES = (None, True, 0, -1, 2.5, 1e308, "", "x", "a0", "q0", "m0", "c0", "true",
+              [], ["x"], [["c0", "c1"]], {}, {"x": 1})
+    CASES = {"trace": 2400, "spec": 2400, "ltl": 2000, "experiment": 600}  # about 20 s
+
+    @classmethod
+    def mutate(cls, rng, text: str) -> str:
+        """``text`` after one to three cuts, insertions, replacements,
+        truncations, or repeated or dropped lines."""
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            j = min(len(text), i + rng.randint(1, 8))
+            op = rng.randrange(5)
+            if op == 0:
+                text = text[:i] + text[j:]
+            elif op == 1:
+                text = text[:i] + rng.choice(cls.TOKENS) + text[i:]
+            elif op == 2:
+                text = text[:i] + rng.choice(cls.TOKENS) + text[j:]
+            elif op == 3:
+                text = text[:i]
+            else:  # repeat or drop a line
+                lines = text.splitlines(keepends=True) or [""]
+                k = rng.randrange(len(lines))
+                lines[k:k + 1] = rng.choice(([], [lines[k]] * 2))
+                text = "".join(lines)
+        return text
+
+    @classmethod
+    def mutate_json(cls, rng, text: str) -> str:
+        """``text`` with one value at a random path replaced, or a key dropped."""
+        data = json.loads(text)
+        node, key = None, None
+        while node is None or rng.random() < 0.7:
+            holder = data if node is None else node[key]
+            if isinstance(holder, dict) and holder:
+                node, key = holder, rng.choice(list(holder))
+            elif isinstance(holder, list) and holder:
+                node, key = holder, rng.randrange(len(holder))
+            else:
+                break
+        if node is None:
+            return text
+        if isinstance(node, dict) and rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = rng.choice(cls.VALUES)
+        return json.dumps(data)
+
+    def expect_handled(self, capsys, inputs, *argv):
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert err.startswith("error: ") and str(inputs) in err, (argv, err)
+
+    def test_mutated_inputs_exit_cleanly(self, tmp_path, capsys):
+        import shutil
+
+        rng = random.Random(20261021)
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURES, inputs)
+        experiment = inputs / "experiment"
+        traces = [experiment / "trace_normal.csv", inputs / "decentralized_shared.csv"]
+        specs = sorted(p for p in inputs.glob("*.json")
+                       if "nodes" not in json.loads(p.read_text()))
+        mutant = inputs / "mutant"
+        for _ in range(self.CASES["trace"]):
+            base = rng.choice(traces)
+            spec, alg = rng.choice([(experiment / "spec.ltl", rng.choice(engine.ALGORITHMS)),
+                                    (inputs / "decentralized_shared.json", "chor")])
+            mutant.with_suffix(".csv").write_text(self.mutate(rng, base.read_text()))
+            self.expect_handled(capsys, inputs, "run", "--algorithm", alg, "--spec", str(spec),
+                                "--trace", str(mutant.with_suffix(".csv")))
+        for _ in range(self.CASES["spec"]):
+            path = mutant.with_suffix(".json")
+            mutate = rng.choice((self.mutate, self.mutate_json))
+            path.write_text(mutate(rng, rng.choice(specs).read_text()))
+            if rng.random() < 0.3:
+                self.expect_handled(capsys, inputs, "check",
+                                    rng.choice(("validate", "monitorability")), "--spec", str(path))
+            else:
+                self.expect_handled(capsys, inputs, "run", "--algorithm",
+                                    rng.choice(engine.ALGORITHMS), "--spec", str(path),
+                                    "--trace", str(rng.choice(traces)))
+        formulas = [(experiment / "spec.ltl").read_text(), "G (a0 || a1 || a2)\n",
+                    "F (a0 && a)\n", "(a0 U a1) && X !a2\n"]
+        for _ in range(self.CASES["ltl"]):
+            path = mutant.with_suffix(".ltl")
+            path.write_text(self.mutate(rng, rng.choice(formulas)))
+            self.expect_handled(capsys, inputs, "run", "--algorithm",
+                                rng.choice(engine.ALGORITHMS), "--spec", str(path),
+                                "--trace", str(traces[0]))
+        config = experiment / "config.json"
+        original = config.read_text()
+        done = 0
+        while done < self.CASES["experiment"]:
+            text = rng.choice((self.mutate, self.mutate_json))(rng, original)
+            try:  # results go only to the file the fixture names, or to stdout
+                output = json.loads(text).get("output")
+            except (ValueError, AttributeError, RecursionError):
+                output = None
+            if isinstance(output, str) and output not in ("", "results.csv"):
+                continue
+            config.write_text(text)
+            strict = ("--strict",) if rng.random() < 0.5 else ()
+            self.expect_handled(capsys, inputs, "experiment", str(config), *strict)
+            done += 1

@@ -706,7 +706,8 @@ def test_warm_decided_step_neither_stamps_nor_folds(fig1, monkeypatch):
         assert source == eh.Decided({"q0": ex.TRUE}, "q0", 1)
         assert step.row == {"q0": ex.FALSE, "q1": ex.TRUE}
     assert calls == []
-    (template,) = [v for k, v in fig1.row_templates.items() if k[:2] == ({"q0"}, {"q0"})]
+    # A lone entry's template is keyed by its state and whether it is TRUE.
+    (template,) = [v for k, v in fig1.row_templates.items() if k[:2] == ("q0", True)]
     # Keyed by masks over the atoms ("a", "b"): a is TOP and decided, b open.
     assert template.atoms == ("a", "b")
     assert template.steps == {(0b01, 0b01): eh.Decided({"q0": ex.FALSE, "q1": ex.TRUE}, "q1", 2)}
