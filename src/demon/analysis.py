@@ -1,8 +1,16 @@
-"""Decision procedures over specifications: monitorability and compatibility."""
+"""Decision procedures over specifications: monitorability and compatibility.
+
+Every check is reachability, searched iteratively by :func:`reach` over the
+successor lists a :class:`Graph` builds once, so no depth is too deep.  Over
+V nodes and E edges, ``ca_monitorable`` is one ``reach`` back from the final
+states, O(V + E); ``has_cycle`` is Kahn's topological sort, O(V + E);
+``compute_reach`` is one ``reach`` per node, O(V (V + E)); and ``compatible``
+backtracks over assignments, pruned by the all-pairs ``verify_compatible``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from . import expr as ex
@@ -14,20 +22,37 @@ from .errors import SpecificationError
 class Graph:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
+    # each node's successors in name order, built once from ``edges``
+    out: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.nodes)) < len(self.nodes):
+        out: dict[str, list[str]] = {n: [] for n in self.nodes}
+        if len(out) < len(self.nodes):
             raise SpecificationError(f"graph nodes {list(self.nodes)} repeat a name")
         for a, b in self.edges:
-            if a not in self.nodes or b not in self.nodes:
+            if a not in out or b not in out:
                 raise SpecificationError(f"edge ({a!r}, {b!r}) uses unknown node")
+            out[a].append(b)
+        object.__setattr__(self, "out", {n: tuple(sorted(bs)) for n, bs in out.items()})
 
     @staticmethod
     def of(nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> "Graph":
         return Graph(tuple(nodes), frozenset(edges))
 
     def successors(self, node: str) -> list[str]:
-        return sorted(b for a, b in self.edges if a == node)
+        return list(self.out.get(node, ()))
+
+
+def reach(g: Graph, starts: Iterable[str]) -> set[str]:
+    """Every node of ``g`` reachable from ``starts``, the starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for succ in g.out[stack.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 def complete_graph(nodes: Iterable[str]) -> Graph:
@@ -40,82 +65,54 @@ ReachMap = dict[str, frozenset[str]]
 
 
 def ca_monitorable(a: Specification) -> tuple[bool, set[str]]:
-    """Work-list co-reachability from final-verdict states.
+    """Co-reachability from final-verdict states.
 
     Returns (all states marked?, marked states).  A state is monitorable iff
     some state carrying a final verdict (TOP or BOTTOM) is reachable from it.
     """
-    worklist = [q for q in a.states if a.verdicts[q].is_final]
-    marked = set(worklist)
-    predecessors: dict[str, set[str]] = {q: set() for q in a.states}
-    for t in a.transitions:
-        predecessors[t.dst].add(t.src)
-    while worklist:
-        q = worklist.pop()
-        for p in sorted(predecessors[q]):
-            if p not in marked:
-                marked.add(p)
-                worklist.append(p)
+    # a state listed twice is one node, but counts twice in ``len(a.states)``
+    backwards = Graph.of(dict.fromkeys(a.states), {(t.dst, t.src) for t in a.transitions})
+    marked = reach(backwards, (q for q in a.states if a.verdicts[q].is_final))
     return len(marked) == len(a.states), marked
 
 
 def mds(a: Specification, monitor_labels: Iterable[str]) -> set[str]:
     """Monitor dependency set: every monitor referenced by any transition label."""
-    labels = set(monitor_labels)
-    out: set[str] = set()
-    for t in a.transitions:
-        out |= ex.dep(t.label, labels)
-    return out
+    labels = frozenset(monitor_labels)  # the same object when given a frozenset
+    return {ref for t in a.transitions for ref in ex.dep(t.label, labels)}
 
 
 def mdg(d: DecentralizedSpec) -> Graph:
     """Monitor dependency graph: an edge per direct reference."""
-    edges = set()
-    for name in d.monitor_labels:
-        for ref in mds(d.monitors[name], d.monitor_labels):
-            edges.add((name, ref))
-    return Graph(tuple(sorted(d.monitor_labels)), frozenset(edges))
+    labels = frozenset(d.monitor_labels)
+    edges = {(name, ref) for name in labels for ref in mds(d.monitors[name], labels)}
+    return Graph(tuple(sorted(labels)), frozenset(edges))
 
 
 def has_cycle(g: Graph) -> bool:
-    """Depth-first back-edge detection."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in g.nodes}
-
-    def visit(node: str) -> bool:
-        color[node] = GREY
-        for succ in g.successors(node):
-            if color[succ] == GREY:
-                return True
-            if color[succ] == WHITE and visit(succ):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color[n] == WHITE and visit(n) for n in g.nodes)
+    """Kahn's topological sort: the nodes it cannot remove lie on or behind a
+    cycle."""
+    indegree = dict.fromkeys(g.nodes, 0)
+    for _, b in g.edges:
+        indegree[b] += 1
+    removed = [n for n, k in indegree.items() if k == 0]
+    for node in removed:  # the list grows as it is read
+        for succ in g.out[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                removed.append(succ)
+    return len(removed) < len(g.nodes)
 
 
 def decentralized_monitorable(d: DecentralizedSpec) -> bool:
     """Acyclic dependency graph and every monitor individually monitorable."""
-    if has_cycle(mdg(d)):
-        return False
-    return all(ca_monitorable(d.monitors[name])[0] for name in d.monitor_labels)
+    return not has_cycle(mdg(d)) and all(
+        ca_monitorable(d.monitors[name])[0] for name in d.monitor_labels)
 
 
 def compute_reach(g: Graph) -> ReachMap:
     """Reflexive-transitive closure per node."""
-    out: ReachMap = {}
-    for start in g.nodes:
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for succ in g.successors(node):
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        out[start] = frozenset(seen)
-    return out
+    return {n: frozenset(reach(g, (n,))) for n in g.nodes}
 
 
 def verify_compatible(s: Mapping[str, str], rm: ReachMap, rs: ReachMap) -> bool:

@@ -181,7 +181,7 @@ def setup(
         states = {"m0": MonitorState("m0", comps[0], ehe=eh.init(spec))}
         for comp in comps[1:]:
             states[f"f_{comp}"] = MonitorState(f"f_{comp}", comp, refs=frozenset({"m0"}))
-        edges = {(name, "m0") for name in states if name != "m0"}
+        network = analysis.Graph.of(sorted(states), {(f, "m0") for f in states if f != "m0"})
     elif cfg.algorithm in ("migr", "migrr"):
         spec = _expect_spec(spec_input)
         if cfg.algorithm == "migr":
@@ -199,7 +199,7 @@ def setup(
             )
             for comp in comps
         }
-        edges = {(a, b) for a in states for b in states if a != b}
+        network = analysis.complete_graph(sorted(states))
     else:  # choreography: the network is the reversed monitor dependency graph
         d = spec_input
         if isinstance(d, lt.Ltl):
@@ -210,27 +210,29 @@ def setup(
         deps = analysis.mdg(d)
         if analysis.has_cycle(deps):
             raise SpecificationError("the monitor dependency graph has a cycle")
-        placements = {m: d.attach[m] for m in sorted(analysis.compute_reach(deps)[d.root])}
+        placements = {m: d.attach[m] for m in sorted(analysis.reach(deps, (d.root,)))}
         unplaced = sorted(set(placements.values()) - set(comps))
         if unplaced:
             raise SpecificationError(f"monitors attached to {unplaced} outside the system graph")
         moved = sorted(ap for ap, c in d.ap_owner.items() if ap_owner.get(ap, c) != c)
         if moved:
             raise SpecificationError(f"the trace observes {moved} off their ap_owner component")
-        edges = {(child, parent) for parent, child in deps.edges if parent in placements}
+        # a channel to each placed monitor from each of its children, placed too
+        network = analysis.Graph.of(
+            placements, {(child, parent) for parent in placements for child in deps.out[parent]}
+        )
         states = {
             name: MonitorState(
                 name=name,
                 component=comp,
                 ehe=eh.init(d.monitors[name]),
-                refs=frozenset(p for c, p in edges if c == name),
-                corefs=frozenset(c for c, p in edges if p == name),
+                refs=frozenset(network.out[name]),
+                corefs=frozenset(deps.out[name]),
             )
             for name, comp in placements.items()
         }
     placements = {name: state.component for name, state in states.items()}
     names = frozenset(states) if cfg.algorithm == "chor" else frozenset()
-    network = analysis.Graph.of(sorted(states), edges)
     result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner),
                    monitor_names=names)
     rm = analysis.compute_reach(result.network)

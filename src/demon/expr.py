@@ -48,7 +48,7 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, KeysView, NamedTuple, Optional
+from typing import Collection, Iterable, KeysView, NamedTuple, Optional
 
 from .errors import ParseError, SpecificationError
 
@@ -266,21 +266,17 @@ def atom_set(e: Expr, visited: Optional[set[int]] = None) -> KeysView[Atom]:
     return seen.keys()
 
 
-def dep(e: Expr, monitor_labels: Iterable[str] = ()) -> set[str]:
+def dep(e: Expr, monitor_labels: Collection[str] = ()) -> set[str]:
     """Names of all monitors referenced by ``e``.
 
     Monitor-reference atoms are always reported; plain atoms are reported
     when their name appears in ``monitor_labels`` (decentralized labels use
-    bare monitor names).
+    bare monitor names), which callers pass as a set when it is large.
     """
-    labels = set(monitor_labels)
-    out: set[str] = set()
-    for atom in atoms_of(e):
-        if atom.kind == "mon":
-            out.add(atom.name)
-        elif atom.kind == "ap" and atom.name in labels:
-            out.add(atom.name)
-    return out
+    return {
+        atom.name for atom in atom_set(e)
+        if atom.kind == "mon" or (atom.kind == "ap" and atom.name in monitor_labels)
+    }
 
 
 def bottom_up(e: Expr, memo: dict, var_value, const_value, not_value, bin_value):

@@ -1,7 +1,9 @@
 """Oracles and constructions that only the tests use: the JSON objects of
 specifications, exhaustive trace enumeration, the one-monitor wrapping of a
 centralized specification, entrywise encoding comparison, folded memory
-merges, label-size and placement counts, expression tree and DAG sizes and
+merges, label-size and placement counts, the edge-scanning cycle,
+reachability and co-reachability searches that ``analysis`` must agree
+with, expression tree and DAG sizes and
 fresh structural copies, messages per round, a simulation that shows each
 monitor's state after every round and one that counts the active monitors
 per round, the trace owner scan that ``observed_owner`` must agree with,
@@ -120,6 +122,62 @@ def count_compatible(net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]
     """Number of total compatible assignments extending the constraint
     (exhaustive)."""
     return sum(1 for _ in an._compatible_assignments(net, sys, constraint))
+
+
+def _scanned_successors(g: an.Graph, node: str) -> list[str]:
+    """``node``'s successors by a scan of every edge."""
+    return sorted(b for a, b in g.edges if a == node)
+
+
+def reference_has_cycle(g: an.Graph) -> bool:
+    """Depth-first back-edge detection, recursive (small graphs only)."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in g.nodes}
+
+    def visit(node: str) -> bool:
+        color[node] = GREY
+        for succ in _scanned_successors(g, node):
+            if color[succ] == GREY:
+                return True
+            if color[succ] == WHITE and visit(succ):
+                return True
+        color[node] = BLACK
+        return False
+
+    return any(color[n] == WHITE and visit(n) for n in g.nodes)
+
+
+def reference_compute_reach(g: an.Graph) -> an.ReachMap:
+    """Reflexive-transitive closure per node, one depth-first search each."""
+    out: an.ReachMap = {}
+    for start in g.nodes:
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for succ in _scanned_successors(g, node):
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        out[start] = frozenset(seen)
+    return out
+
+
+def reference_ca_monitorable(a: Specification) -> tuple[bool, set[str]]:
+    """Work-list co-reachability from final-verdict states over predecessor
+    sets."""
+    worklist = [q for q in a.states if a.verdicts[q].is_final]
+    marked = set(worklist)
+    predecessors: dict[str, set[str]] = {q: set() for q in a.states}
+    for t in a.transitions:
+        predecessors[t.dst].add(t.src)
+    while worklist:
+        q = worklist.pop()
+        for p in sorted(predecessors[q]):
+            if p not in marked:
+                marked.add(p)
+                worklist.append(p)
+    return len(marked) == len(a.states), marked
 
 
 def tree_size(e: ex.Expr) -> tuple[int, int]:

@@ -7,7 +7,12 @@ from demon import analysis as an
 from demon.automaton import make_spec
 
 from conftest import random_spec
-from helpers import count_compatible
+from helpers import (
+    count_compatible,
+    reference_ca_monitorable,
+    reference_compute_reach,
+    reference_has_cycle,
+)
 
 
 @pytest.fixture
@@ -109,6 +114,53 @@ class TestReachability:
     def test_edgeless(self):
         reach = an.compute_reach(an.Graph.of(["x", "y"]))
         assert reach == {"x": frozenset({"x"}), "y": frozenset({"y"})}
+
+
+def _random_graph(rng):
+    """0-12 nodes, not in name order, self-loops allowed, any edge density."""
+    nodes = [f"n{i}" for i in range(rng.randint(0, 12))]
+    rng.shuffle(nodes)
+    density = rng.choice((0.0, 1.0, rng.random(), rng.random()))
+    return an.Graph.of(nodes, {(a, b) for a in nodes for b in nodes if rng.random() < density})
+
+
+class TestOneSearch:
+    """The successor lists, ``reach``, Kahn's cycle test and the reversed
+    co-reachability give what the edge-scanning searches gave."""
+
+    def test_graphs_against_reference(self):
+        rng = random.Random(3601)
+        for _ in range(600):
+            g = _random_graph(rng)
+            expected = reference_compute_reach(g)
+            assert an.compute_reach(g) == expected
+            assert an.has_cycle(g) == reference_has_cycle(g)
+            for n in g.nodes:
+                assert g.successors(n) == sorted(b for a, b in g.edges if a == n)
+            starts = [n for n in g.nodes if rng.random() < 0.3]
+            assert an.reach(g, starts) == set().union(*(expected[n] for n in starts))
+
+    def test_automata_against_reference(self):
+        rng = random.Random(3602)
+        for i in range(300):
+            spec, _ = random_spec(rng, max_states=8, max_aps=2,
+                                  absorbing_finals=i % 2 == 0, require_final=i % 3 == 0)
+            assert an.ca_monitorable(spec) == reference_ca_monitorable(spec)
+
+    def test_repeated_state_still_unmarked(self):
+        a = make_spec(["q", "q"], "q", [("q", "true", "q")], {"q": "top"})
+        assert an.ca_monitorable(a) == reference_ca_monitorable(a) == (False, {"q"})
+
+    def test_long_chain_and_cycle(self):
+        nodes = [f"n{i:04d}" for i in range(5000)]
+        chain = list(zip(nodes, nodes[1:]))
+        g = an.Graph.of(nodes, chain)
+        assert not an.has_cycle(g)
+        assert an.reach(g, (nodes[0],)) == set(nodes)
+        assert an.reach(g, (nodes[-1],)) == {nodes[-1]}
+        assert an.has_cycle(an.Graph.of(nodes, chain + [(nodes[-1], nodes[0])]))
+        # a cycle hanging off an acyclic prefix
+        assert an.has_cycle(an.Graph.of(nodes, chain + [(nodes[-1], nodes[2500])]))
 
 
 class TestCompatibility:

@@ -103,6 +103,16 @@ class TestGenTraces:
         code, _, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
         assert code == 2 and "'components'" in err
 
+    def test_config_values_name_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"components": "x", "distributions": [{"kind": "normal"}]}))
+        code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and out == "" and str(cfg) in err and "'components'" in err
+        cfg.write_text(json.dumps({"components": 0, "distributions": [{"kind": "normal"}]}))
+        code, out, err = run_cli(capsys, "gen-traces", str(cfg), str(tmp_path / "o"))
+        assert code == 2 and out == "" and str(cfg) in err
+        assert not (tmp_path / "o").exists()  # rejected before anything is written
+
     @pytest.mark.parametrize("distributions", [["normal"], {"kind": "normal"}])
     def test_distributions_must_be_objects(self, tmp_path, capsys, distributions):
         cfg = tmp_path / "gen.json"
@@ -165,6 +175,32 @@ class TestCheck:
             code, out, _ = run_cli(capsys, "check", "monitorability", "--spec", str(p))
             assert code == 1 and json.loads(out) == {"monitorable": False,
                                                      "witnesses": witnesses}
+
+    @staticmethod
+    def chain_spec(n: int, last_ref: str) -> dict:
+        """Monitors m0 ... m{n-1} on one component, each deciding on the next
+        one's verdict, and the last on ``last_ref``."""
+        def monitor(ref):
+            return {"initial": "q0", "states": ["q0", "q1", "q2"],
+                    "verdicts": {"q0": "unknown", "q1": "top", "q2": "bottom"},
+                    "transitions": [{"from": "q0", "label": ref, "to": "q1"},
+                                    {"from": "q0", "label": f"!{ref}", "to": "q2"},
+                                    {"from": "q1", "label": "true", "to": "q1"},
+                                    {"from": "q2", "label": "true", "to": "q2"}]}
+        refs = [f"m{i}" for i in range(1, n)] + [last_ref]
+        return {"monitors": {f"m{i}": monitor(ref) for i, ref in enumerate(refs)},
+                "attach": {f"m{i}": "c0" for i in range(n)}, "root": "m0",
+                "components": ["c0"], "ap_owner": {"a0": "c0"}}
+
+    @pytest.mark.parametrize("last_ref, code, witnesses", [
+        ("a0", 0, {}), ("m0", 1, {"__dependency_cycle__": True})])
+    def test_long_monitor_chain(self, tmp_path, capsys, last_ref, code, witnesses):
+        # 5,000 monitors deep: the checks search iteratively, with no recursion
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps(self.chain_spec(5000, last_ref)))
+        got, out, err = run_cli(capsys, "check", "monitorability", "--spec", str(p))
+        assert (got, err) == (code, "")
+        assert json.loads(out) == {"monitorable": code == 0, "witnesses": witnesses}
 
     def test_compatibility(self, tmp_path, capsys):
         net = tmp_path / "net.json"

@@ -149,8 +149,12 @@ def test_observed_owner_matches_reference_scan(fig4_trace, ex7_trace):
     # copy, in the reference's order, that callers may change freely.
     rng = random.Random(2404)
     traces = [fig4_trace, ex7_trace]
-    traces += [tg.load(str(path)) for path in sorted((ROOT / "fixtures").rglob("*.csv"))
-               if path.name != "expected_results.csv"]  # an experiment's output table
+    # the trace fixtures only: an experiment run in place writes its results
+    # table next to its config, and that table is no trace
+    experiment = ROOT / "fixtures" / "experiment"
+    listed = json.loads((experiment / "config.json").read_text())["traces"]
+    paths = sorted((ROOT / "fixtures").glob("*.csv")) + [experiment / name for name in listed]
+    traces += [tg.load(str(path)) for path in paths]
     traces += [tg.generate(tg.TraceGenConfig(components=n, length=10, seed=n)) for n in (1, 3, 5)]
     traces += [_sparse_trace(rng) for _ in range(200)]
     for tr in traces:
