@@ -4,8 +4,11 @@ Every check is reachability, searched iteratively by :func:`reach` over the
 successor lists a :class:`Graph` builds once, so no depth is too deep.  Over
 V nodes and E edges, ``ca_monitorable`` is one ``reach`` back from the final
 states, O(V + E); ``has_cycle`` is Kahn's topological sort, O(V + E);
-``compute_reach`` is one ``reach`` per node, O(V (V + E)); and ``compatible``
-backtracks over assignments, pruned by the all-pairs ``verify_compatible``.
+``compute_reach`` is one ``reach`` per node, O(V (V + E)); ``verify_compatible``
+is one lookup per pair it is given, O(E) for a placement given by channels;
+and ``compatible`` closes both graphs, then backtracks without recursion, each
+choice checking only the reachable pairs it completes: one lookup per pair on
+a descent that never backtracks, exponential time at worst.
 """
 
 from __future__ import annotations
@@ -115,8 +118,16 @@ def compute_reach(g: Graph) -> ReachMap:
     return {n: frozenset(reach(g, (n,))) for n in g.nodes}
 
 
-def verify_compatible(s: Mapping[str, str], rm: ReachMap, rs: ReachMap) -> bool:
-    """Check that reachable assigned monitors land on reachable components."""
+def verify_compatible(s: Mapping[str, str], rm: Mapping[str, Iterable[str]],
+                      rs: ReachMap) -> bool:
+    """Check that reachable assigned monitors land on reachable components:
+    for each assigned ``m``, every assigned monitor in ``rm[m]`` sits on a
+    component in ``rs[s[m]]``.
+
+    ``rm`` is the network's closure (``compute_reach``), which decides any
+    partial assignment.  For a total one the network's successor lists
+    (``Graph.out``) give the same answer with one lookup per channel, since
+    system reachability is reflexive and composes along a path."""
     for m in s:
         targets = {s[m2] for m2 in rm[m] if m2 in s}
         if not targets <= rs[s[m]]:
@@ -127,8 +138,11 @@ def verify_compatible(s: Mapping[str, str], rm: ReachMap, rs: ReachMap) -> bool:
 def _compatible_assignments(
     net: Graph, sys: Graph, constraint: Mapping[str, str]
 ) -> Iterator[Assignment]:
-    """Backtracking search: every total compatible assignment extending the
-    constraint, in search order (monitors and components in name order)."""
+    """Backtracking search, iterative: every total compatible assignment
+    extending the constraint, in search order (monitors and components in
+    name order).  Placing a monitor checks each pair in which one reaches the
+    other and the other is placed already, once: the pairs ``verify_compatible``
+    would add for it, so the search prunes exactly where that check would."""
     unknown = sorted(set(constraint) - set(net.nodes)) + sorted(
         set(constraint.values()) - set(sys.nodes)
     )
@@ -140,19 +154,38 @@ def _compatible_assignments(
         return
     free = sorted(set(net.nodes) - set(constraint))
     components = sorted(sys.nodes)
-
-    def search(assigned: Assignment, remaining: list[str]) -> Iterator[Assignment]:
-        if not remaining:
-            yield assigned
-            return
-        monitor, rest = remaining[0], remaining[1:]
-        for comp in components:
-            candidate = dict(assigned)
-            candidate[monitor] = comp
-            if verify_compatible(candidate, rm, rs):
-                yield from search(candidate, rest)
-
-    yield from search(dict(constraint), free)
+    rank = dict.fromkeys(constraint, -1) | {m: i for i, m in enumerate(free)}
+    # per free monitor, the monitors placed before it that it reaches, and
+    # those that reach it
+    reaches: dict[str, list[str]] = {m: [] for m in free}
+    reached_by: dict[str, list[str]] = {m: [] for m in free}
+    for a in net.nodes:
+        for b in rm[a]:
+            if rank[a] > rank[b]:
+                reaches[a].append(b)
+            elif rank[b] > rank[a]:
+                reached_by[b].append(a)
+    assigned = dict(constraint)
+    tried = [0] * len(free)  # per depth, the index of the next component to try
+    depth = 0
+    while depth >= 0:
+        if depth == len(free):
+            yield dict(assigned)
+            depth -= 1
+            continue
+        monitor = free[depth]
+        for k in range(tried[depth], len(components)):
+            comp = components[k]
+            if all(assigned[b] in rs[comp] for b in reaches[monitor]) and all(
+                    comp in rs[assigned[a]] for a in reached_by[monitor]):
+                assigned[monitor] = comp
+                tried[depth] = k + 1
+                depth += 1
+                break
+        else:
+            assigned.pop(monitor, None)
+            tried[depth] = 0
+            depth -= 1
 
 
 def compatible(

@@ -9,7 +9,6 @@ per monitor to a component; labels may reference other monitors by name.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -380,19 +379,6 @@ def dspec_from_dict(data: dict) -> DecentralizedSpec:
         )
     except (KeyError, TypeError) as exc:
         raise SpecificationError(f"malformed decentralized specification: {exc}") from exc
-
-
-def load_spec_file(path: str) -> Specification | DecentralizedSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise SpecificationError(f"specification file {path} nests too deeply") from None
-    if not isinstance(data, dict):
-        raise SpecificationError(
-            f"specification file {path} must hold a JSON object, got {type(data).__name__}"
-        )
-    return any_spec_from_dict(data)
 
 
 def any_spec_from_dict(data: dict) -> Specification | DecentralizedSpec:

@@ -17,12 +17,14 @@ import sys
 from pathlib import Path
 
 from . import analysis, engine, ltl as lt, metrics as mt, traces
-from .automaton import DecentralizedSpec, any_spec_from_dict, load_spec_file, validate
+from .automaton import DecentralizedSpec, any_spec_from_dict, validate
 from .errors import DemonError
 from .expr import UNKNOWN
 
 _DISTRIBUTIONS = {"normal": traces.Normal, "binomial": traces.Binomial, "beta": traces.Beta}
-_INPUT_ERRORS = (DemonError, OSError, json.JSONDecodeError)
+# errors in what an input holds, which ``_naming`` makes name the input
+_BAD_CONTENT = (DemonError, json.JSONDecodeError, UnicodeDecodeError)
+_INPUT_ERRORS = (OSError, *_BAD_CONTENT)
 
 
 def _log(message: str) -> None:
@@ -33,23 +35,26 @@ def _naming(what: str, path: str, load, *args):
     """``load(*args)``, with any input error it raises naming ``path``."""
     try:
         return load(*args)
-    except (DemonError, json.JSONDecodeError) as exc:
+    except _BAD_CONTENT as exc:
         if path in str(exc):
             raise
         raise DemonError(f"{what} {path}: {exc}") from None
 
 
-def _load_object(path: str, what: str) -> dict:
-    """The JSON object in ``path``; any other JSON value, malformed or nested
-    past the interpreter's recursion limit, is an input error naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = _naming(what, path, json.load, fh)
-        except RecursionError:
-            raise DemonError(f"{what} {path} nests too deeply") from None
+def _load(path: str, what: str, build, text: str | None = None):
+    """``build`` of the JSON object in ``path`` (or in ``text``, its text when
+    already read).  Bytes that are not UTF-8, malformed JSON, any other JSON
+    value, JSON nested past the interpreter's recursion limit and whatever
+    ``build`` rejects are input errors naming the file."""
+    if text is None:
+        text = _naming(what, path, Path(path).read_text, "utf-8")
+    try:
+        data = _naming(what, path, json.loads, text)
+    except RecursionError:
+        raise DemonError(f"{what} {path} nests too deeply") from None
     if not isinstance(data, dict):
         raise DemonError(f"{what} {path} must hold a JSON object, got {type(data).__name__}")
-    return data
+    return _naming(what, path, build, data)
 
 
 def _int_option(config: dict, key: str, default=None) -> int:
@@ -110,8 +115,7 @@ def _gen_plan(config: dict) -> tuple[int, list[tuple[str, traces.TraceGenConfig]
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
-    config = _load_object(args.config, "gen-traces config")
-    count, plan = _naming("gen-traces config", args.config, _gen_plan, config)
+    count, plan = _load(args.config, "gen-traces config", _gen_plan)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
@@ -124,43 +128,40 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_graph(path: str) -> analysis.Graph:
-    return analysis.graph_from_dict(_load_object(path, "graph file"))
+def _constraint(data: dict) -> dict:
+    if not all(isinstance(comp, str) for comp in data.values()):
+        raise DemonError("constraint must map monitor names to component names")
+    return data
+
+
+def _validation(spec) -> tuple[bool, dict]:
+    """Whether ``spec``, or each monitor of a decentralized one, is
+    deterministic and complete, and the states where it is not."""
+    if isinstance(spec, DecentralizedSpec):
+        checked = {name: _validation(spec.monitors[name]) for name in spec.monitor_labels}
+        return (all(ok for ok, _ in checked.values()),
+                {name: payload for name, (_, payload) in checked.items()})
+    r = validate(spec)
+    return r.ok, {"determinism": [q for q, _, _ in r.determinism],
+                  "completeness": r.completeness}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.mode == "compatibility":
-        net = _load_graph(args.network)
-        sysg = _load_graph(args.system)
-        constraint = {}
-        if args.constraint:
-            constraint = _load_object(args.constraint, "constraint file")
-            if not all(isinstance(comp, str) for comp in constraint.values()):
-                raise DemonError(f"constraint file {args.constraint} must map monitor "
-                                 "names to component names")
-        ok, assignment = analysis.compatible(net, sysg, constraint)
+        net, sysg = (_load(path, "graph file", analysis.graph_from_dict)
+                     for path in (args.network, args.system))
+        if args.constraint:  # the one input that can name nodes the graphs lack
+            constraint = _load(args.constraint, "constraint file", _constraint)
+            ok, assignment = _naming("constraint file", args.constraint, analysis.compatible,
+                                     net, sysg, constraint)
+        else:
+            ok, assignment = analysis.compatible(net, sysg, {})
         print(json.dumps({"compatible": ok, "assignment": assignment}, sort_keys=True))
         return 0 if ok else 1
 
-    spec = _naming("spec file", args.spec, load_spec_file, args.spec)
+    spec = _load(args.spec, "spec file", any_spec_from_dict)
     if args.mode == "validate":
-        if isinstance(spec, DecentralizedSpec):
-            reports = {name: validate(spec.monitors[name]) for name in spec.monitor_labels}
-            ok = all(r.ok for r in reports.values())
-            payload = {
-                name: {
-                    "determinism": [q for q, _, _ in r.determinism],
-                    "completeness": r.completeness,
-                }
-                for name, r in reports.items()
-            }
-        else:
-            r = validate(spec)
-            ok = r.ok
-            payload = {
-                "determinism": [q for q, _, _ in r.determinism],
-                "completeness": r.completeness,
-            }
+        ok, payload = _validation(spec)
         print(json.dumps({"valid": ok, "violations": payload}, sort_keys=True))
         return 0 if ok else 1
 
@@ -190,62 +191,45 @@ def _spec_input_for(algorithm: str, spec_path: str):
     An automaton JSON fits the centralized algorithms, and a decentralized
     specification JSON fits choreography; ``engine.setup`` rejects a mismatch.
     """
-    text = Path(spec_path).read_text(encoding="utf-8").strip()
-    if not text.startswith("{"):
-        formula = _naming("spec file", spec_path, lt.parse_ltl, text)
+    text = _naming("spec file", spec_path, Path(spec_path).read_text, "utf-8").strip()
+    if text.startswith("{"):
+        spec = _load(spec_path, "spec file", _spec_of, text)
     else:
-        try:
-            data = _naming("spec file", spec_path, json.loads, text)
-        except RecursionError:
-            raise DemonError(f"spec file {spec_path} nests too deeply") from None
-        if "ltl" not in data:
-            return _naming("spec file", spec_path, any_spec_from_dict, data)
-        if not isinstance(data["ltl"], str):
-            raise DemonError(f"spec file {spec_path}: key 'ltl' must be a formula "
-                             f"string, got {data['ltl']!r}")
-        formula = _naming("spec file", spec_path, lt.parse_ltl, data["ltl"])
-    return formula if algorithm == "chor" else lt.synthesize(formula)
+        spec = _naming("spec file", spec_path, _spec_of, {"ltl": text})
+    return lt.synthesize(spec) if isinstance(spec, lt.Ltl) and algorithm != "chor" else spec
 
 
-def _sim_config(args: argparse.Namespace, algorithm: str) -> engine.SimConfig:
-    return engine.SimConfig(
-        algorithm=algorithm,
-        comm_delay=args.comm_delay,
-        initial_active=args.active,
-        timeout_slack=args.timeout_slack,
-    )
+def _spec_of(data: dict):
+    """The formula under key ``ltl``, else the automaton or decentralized
+    specification ``data`` describes."""
+    if "ltl" not in data:
+        return any_spec_from_dict(data)
+    if not isinstance(data["ltl"], str):
+        raise DemonError(f"key 'ltl' must be a formula string, got {data['ltl']!r}")
+    return lt.parse_ltl(data["ltl"])
 
 
-def _system_graph(args: argparse.Namespace, tr) -> analysis.Graph:
-    if getattr(args, "system", None):
-        return _load_graph(args.system)
-    return analysis.complete_graph(tr.components)
+def _write_rows(fh, rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(mt.CSV_HEADER)
+    writer.writerows(rows)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     tr = _naming("trace", args.trace, traces.load, args.trace)
-    cfg = _sim_config(args, args.algorithm)
+    cfg = engine.SimConfig(args.algorithm, args.comm_delay, args.active, args.timeout_slack)
     spec_input = _spec_input_for(args.algorithm, args.spec)
-    system = _system_graph(args, tr)
-    run = _naming(f"spec file {args.spec} over trace", args.trace, engine.simulate,
+    system = _load(args.system, "graph file", analysis.graph_from_dict) if args.system \
+        else analysis.complete_graph(tr.components)
+    on = f" on system {args.system}" if args.system else ""
+    run = _naming(f"spec file {args.spec}{on} over trace", args.trace, engine.simulate,
                   cfg, spec_input, system, tr)
-    summary = mt.summarize(run.record)
     if args.format == "json":
         print(json.dumps(run.to_dict(), sort_keys=True))
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(mt.CSV_HEADER)
-        writer.writerow(
-            mt.csv_row(
-                cfg.algorithm,
-                len(system.nodes),
-                Path(args.spec).name,
-                Path(args.trace).name,
-                run.verdict,
-                run.stop_round,
-                summary,
-            )
-        )
+        _write_rows(sys.stdout, [mt.csv_row(
+            cfg.algorithm, len(system.nodes), Path(args.spec).name, Path(args.trace).name,
+            run.verdict, run.stop_round, mt.summarize(run.record))])
     return 0 if run.verdict is not UNKNOWN else 1
 
 
@@ -269,8 +253,9 @@ def _attempt(fn, *args):
         return exc
 
 
-def _experiment_plan(config: dict, base: Path):
-    """An experiment config's simulation configs, specs, traces and output."""
+def _experiment_plan(config: dict):
+    """An experiment config's simulation configs, specs, trace sources and
+    output."""
     algorithms, specs, sources = (
         _str_list(config, key) for key in ("algorithms", "specs", "traces")
     )
@@ -285,15 +270,15 @@ def _experiment_plan(config: dict, base: Path):
         "timeout_slack": _int_option(config, "timeout_slack", 5),
     }
     configs = [engine.SimConfig(algorithm, **params) for algorithm in algorithms]
-    return configs, specs, _trace_paths(base, sources), out_path
+    return configs, specs, sources, out_path
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _load_object(args.config, "experiment config")
+    configs, specs, sources, out_path = _load(args.config, "experiment config",
+                                              _experiment_plan)
     base = Path(args.config).parent
-    configs, specs, trace_paths, out_path = _naming("experiment config", args.config,
-                                                    _experiment_plan, config, base)
-    loaded = [(p, _attempt(_naming, "trace", p, traces.load, p)) for p in trace_paths]
+    loaded = [(p, _attempt(_naming, "trace", p, traces.load, p))
+              for p in _trace_paths(base, sources)]
     rows = []
     for cfg in configs:
         algorithm = cfg.algorithm
@@ -327,14 +312,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     rows.sort()
     if out_path:
         with open(str(base / out_path), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(mt.CSV_HEADER)
-            writer.writerows(rows)
+            _write_rows(fh, rows)
         _log(f"wrote {len(rows)} rows")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(mt.CSV_HEADER)
-        writer.writerows(rows)
+        _write_rows(sys.stdout, rows)
     return 0
 
 

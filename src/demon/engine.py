@@ -235,9 +235,7 @@ def setup(
     names = frozenset(states) if cfg.algorithm == "chor" else frozenset()
     result = Setup(cfg, network, placements, states, ap_owner=dict(ap_owner),
                    monitor_names=names)
-    rm = analysis.compute_reach(result.network)
-    rs = analysis.compute_reach(system)
-    if not analysis.verify_compatible(result.placements, rm, rs):
+    if not analysis.verify_compatible(placements, network.out, analysis.compute_reach(system)):
         raise IncompatiblePlacement(
             "generated monitor network cannot be deployed on the system graph"
         )

@@ -1,9 +1,10 @@
 """Oracles and constructions that only the tests use: the JSON objects of
-specifications, exhaustive trace enumeration, the one-monitor wrapping of a
-centralized specification, entrywise encoding comparison, folded memory
-merges, label-size and placement counts, the edge-scanning cycle,
-reachability and co-reachability searches that ``analysis`` must agree
-with, expression tree and DAG sizes and
+specifications and a reader of specification files, exhaustive trace
+enumeration, the one-monitor wrapping of a centralized specification,
+entrywise encoding comparison, folded memory merges, label-size and
+placement counts, the recursive compatibility search, the edge-scanning
+cycle, reachability and co-reachability searches that ``analysis`` must
+agree with, expression tree and DAG sizes and
 fresh structural copies, messages per round, a simulation that shows each
 monitor's state after every round and one that counts the active monitors
 per round, the trace owner scan that ``observed_owner`` must agree with,
@@ -17,7 +18,9 @@ agree with."""
 from __future__ import annotations
 
 import itertools
+import json
 from collections import defaultdict
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from demon import analysis as an
@@ -29,6 +32,7 @@ from demon.automaton import (
     DecentralizedSpec,
     DecentralizedTrace,
     Specification,
+    any_spec_from_dict,
     decentralized_run,
     normalize,
 )
@@ -59,6 +63,11 @@ def dspec_to_dict(d: DecentralizedSpec) -> dict:
         "components": list(d.components),
         "ap_owner": dict(d.ap_owner),
     }
+
+
+def load_spec(path: str) -> Specification | DecentralizedSpec:
+    """The automaton or decentralized specification in the JSON file ``path``."""
+    return any_spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def entrywise_equivalent(p1: EHE, p2: EHE) -> bool:
@@ -122,6 +131,32 @@ def count_compatible(net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]
     """Number of total compatible assignments extending the constraint
     (exhaustive)."""
     return sum(1 for _ in an._compatible_assignments(net, sys, constraint))
+
+
+def reference_compatible_assignments(
+    net: an.Graph, sys: an.Graph, constraint: Mapping[str, str]
+) -> Iterator[an.Assignment]:
+    """Recursive backtracking search that re-checks each whole candidate with
+    ``verify_compatible``, in the search order of
+    ``analysis._compatible_assignments`` (small graphs only)."""
+    rm = an.compute_reach(net)
+    rs = an.compute_reach(sys)
+    if not an.verify_compatible(constraint, rm, rs):
+        return
+    components = sorted(sys.nodes)
+
+    def search(assigned: an.Assignment, remaining: list[str]) -> Iterator[an.Assignment]:
+        if not remaining:
+            yield assigned
+            return
+        monitor, rest = remaining[0], remaining[1:]
+        for comp in components:
+            candidate = dict(assigned)
+            candidate[monitor] = comp
+            if an.verify_compatible(candidate, rm, rs):
+                yield from search(candidate, rest)
+
+    yield from search(dict(constraint), sorted(set(net.nodes) - set(constraint)))
 
 
 def _scanned_successors(g: an.Graph, node: str) -> list[str]:

@@ -10,6 +10,7 @@ from conftest import random_spec
 from helpers import (
     count_compatible,
     reference_ca_monitorable,
+    reference_compatible_assignments,
     reference_compute_reach,
     reference_has_cycle,
 )
@@ -215,6 +216,48 @@ class TestCompatibility:
             assert ok == (expected is not None)
             if ok:
                 assert _direct_check(net, sysg, constraint, sol)
+
+    def test_search_matches_recursive_reference(self):
+        # Full enumerations, in order, with and without a constraint.
+        rng = random.Random(37)
+        for case in range(300):
+            mons = [f"m{i}" for i in range(rng.randint(0, 7))]
+            comps = [f"c{i}" for i in range(rng.randint(0, 3))]
+            density = rng.random()
+            net = an.Graph.of(
+                mons, {(a, b) for a in mons for b in mons if a != b and rng.random() < density})
+            sysg = an.Graph.of(
+                comps, {(a, b) for a in comps for b in comps if a != b and rng.random() < 0.5})
+            constraint = {m: rng.choice(comps) for m in mons
+                          if comps and case % 2 and rng.random() < 0.3}
+            got = [list(s.items()) for s in an._compatible_assignments(net, sysg, constraint)]
+            expected = [list(s.items())
+                        for s in reference_compatible_assignments(net, sysg, constraint)]
+            assert got == expected, (net, sysg, constraint)
+
+    def test_long_chain_is_searched_without_recursion(self):
+        mons = [f"m{i}" for i in range(1200)]  # past the default recursion limit
+        net = an.Graph.of(mons, zip(mons, mons[1:]))
+        sysg = an.Graph.of(["c0", "c1"], [("c0", "c1")])
+        ok, sol = an.compatible(net, sysg, {"m0": "c1"})
+        assert ok and set(sol.values()) == {"c1"}
+        assert an.compatible(net, sysg, {"m0": "c1", "m1199": "c0"}) == (False, {})
+
+    def test_channels_decide_a_total_placement(self):
+        # Checking each channel against the closed system decides every path,
+        # for a total placement.
+        rng = random.Random(43)
+        for _ in range(300):
+            mons = [f"m{i}" for i in range(rng.randint(1, 8))]
+            comps = [f"c{i}" for i in range(rng.randint(1, 4))]
+            net = an.Graph.of(
+                mons, {(a, b) for a in mons for b in mons if a != b and rng.random() < 0.3})
+            sysg = an.Graph.of(
+                comps, {(a, b) for a in comps for b in comps if a != b and rng.random() < 0.4})
+            placement = {m: rng.choice(comps) for m in mons}
+            rs = an.compute_reach(sysg)
+            assert an.verify_compatible(placement, net.out, rs) == \
+                an.verify_compatible(placement, an.compute_reach(net), rs)
 
     def test_count_all_matches_bruteforce(self, fig5_net, fig5_sys):
         count = count_compatible(fig5_net, fig5_sys, {"m0": "c0", "m2": "c2"})

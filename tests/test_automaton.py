@@ -10,7 +10,6 @@ from demon.automaton import (
     Specification,
     decentralized_run,
     dspec_from_dict,
-    load_spec_file,
     make_spec,
     normalize,
     reconstruct_global,
@@ -31,6 +30,7 @@ from helpers import (
     centralized_as_decentralized,
     dspec_to_dict,
     enumerate_full_traces,
+    load_spec,
     spec_to_dict,
     verdict_equivalent,
 )
@@ -229,10 +229,10 @@ class TestJson:
     def test_load_dispatches_on_shape(self, fig1, fig4, tmp_path):
         p1 = tmp_path / "spec.json"
         p1.write_text(json.dumps(spec_to_dict(fig1)))
-        assert isinstance(load_spec_file(str(p1)), Specification)
+        assert isinstance(load_spec(str(p1)), Specification)
         p2 = tmp_path / "dspec.json"
         p2.write_text(json.dumps(dspec_to_dict(fig4)))
-        assert isinstance(load_spec_file(str(p2)), DecentralizedSpec)
+        assert isinstance(load_spec(str(p2)), DecentralizedSpec)
 
     def test_malformed_rejected(self):
         with pytest.raises(SpecificationError):

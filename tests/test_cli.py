@@ -10,9 +10,9 @@ import pytest
 from demon import cli, engine
 from demon import expr as ex
 from demon import traces as tg
-from demon.automaton import decentralized_run, load_spec_file
+from demon.automaton import decentralized_run
 
-from helpers import dspec_to_dict, spec_to_dict
+from helpers import dspec_to_dict, load_spec, spec_to_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -255,6 +255,37 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "compatibility", "--network", str(net),
                                "--system", str(sysg), "--constraint", str(cons))
         assert code == 2 and named in err
+
+    @pytest.mark.parametrize("network, constraint, named", [
+        ({"nodes": ["m0"], "edges": [["m0", "m9"]]}, {}, "net.json"),
+        ({"nodes": 5, "edges": []}, {}, "net.json"),
+        ({"nodes": ["m0"], "edges": []}, {"m9": "c0"}, "cons.json"),
+        ({"nodes": ["m0"], "edges": []}, {"m0": "c9"}, "cons.json"),
+    ])
+    def test_compatibility_errors_name_their_file(self, tmp_path, capsys, network,
+                                                  constraint, named):
+        (tmp_path / "net.json").write_text(json.dumps(network))
+        (tmp_path / "sys.json").write_text(json.dumps({"nodes": ["c0"], "edges": []}))
+        (tmp_path / "cons.json").write_text(json.dumps(constraint))
+        code, _, err = run_cli(capsys, "check", "compatibility",
+                               "--network", str(tmp_path / "net.json"),
+                               "--system", str(tmp_path / "sys.json"),
+                               "--constraint", str(tmp_path / "cons.json"))
+        assert code == 2 and err.startswith("error: ") and str(tmp_path / named) in err
+
+    def test_long_chain_compatibility(self, tmp_path, capsys):
+        # A chain past the interpreter's recursion limit, placed onto a
+        # two-component path: the first assignment found puts every monitor
+        # on c0.
+        mons = [f"m{i}" for i in range(1500)]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"nodes": mons, "edges": list(zip(mons, mons[1:]))}))
+        sysg = tmp_path / "sys.json"
+        sysg.write_text(json.dumps({"nodes": ["c0", "c1"], "edges": [["c0", "c1"]]}))
+        code, out, err = run_cli(capsys, "check", "compatibility",
+                                 "--network", str(net), "--system", str(sysg))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"compatible": True, "assignment": dict.fromkeys(mons, "c0")}
 
     def test_validate(self, fig1_file, capsys):
         code, out, _ = run_cli(capsys, "check", "validate", "--spec", fig1_file)
@@ -547,6 +578,29 @@ class TestInputErrorsNameTheirFile:
     def test_experiment_config(self, capsys, truncated):
         self.expect_named(capsys, truncated, "experiment", str(truncated))
 
+    @pytest.mark.parametrize("role", ["check", "spec", "trace", "graph", "experiment"])
+    def test_undecodable_input(self, tmp_path, capsys, role):
+        # bytes that are not UTF-8: exit 2 naming the file, not a traceback
+        bad = tmp_path / ("bad.csv" if role == "trace" else "bad.json")
+        bad.write_bytes(b"t,component,ap,value\n1,c0,a\xff,1\n" if role == "trace"
+                        else b'{"states": ["\xff"]}')
+        argv = {"check": ("check", "validate", "--spec", str(bad)),
+                "spec": ("run", "--algorithm", "orch", "--spec", str(bad), "--trace", self.TRACE),
+                "trace": ("run", "--algorithm", "orch", "--spec", self.LTL, "--trace", str(bad)),
+                "graph": ("check", "compatibility", "--network", str(bad),
+                          "--system", str(FIXTURES / "system_path.json")),
+                "experiment": ("experiment", str(bad))}[role]
+        self.expect_named(capsys, bad, *argv)
+
+    @pytest.mark.parametrize("graph", [{"nodes": 5, "edges": []}, ["c0", "c1"],
+                                       {"nodes": ["c0", "c1"], "edges": [["c0", "c9"]]},
+                                       {"nodes": ["c0"], "edges": []}])
+    def test_system_graph_of_wrong_shape(self, tmp_path, capsys, graph):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(graph))
+        self.expect_named(capsys, system, "run", "--algorithm", "orch", "--spec", self.LTL,
+                          "--trace", self.TRACE, "--system", str(system))
+
     @pytest.mark.parametrize("name, text", [("phi.ltl", "a0 &&"),
                                             ("phi.json", json.dumps({"ltl": "a0 &&"}))],
                              ids=["text", "json"])
@@ -772,7 +826,7 @@ class TestDecentralizedSpecInput:
         trace = str(FIXTURES / "experiment" / "trace_normal.csv")
         code, out, _ = run_cli(capsys, "run", "--spec", spec, "--trace", trace,
                                "--algorithm", "chor", "--format", "json")
-        expected = decentralized_run(load_spec_file(spec), tg.load(trace))
+        expected = decentralized_run(load_spec(spec), tg.load(trace))
         assert code == 0 and json.loads(out)["verdict"] == expected.value == "top"
 
     def test_centralized_algorithms_reject_it(self, capsys):
@@ -925,16 +979,17 @@ class TestShippedFixtures:
 
 class TestMutationFuzz:
     """Seeded mutations of the shipped inputs through ``cli.main``: trace
-    CSVs, specification JSONs, LTL files and experiment configs.  Every case
-    exits 0, 1 or 2 with no exception escaping, and every exit-2 message
-    names a file of the inputs."""
+    CSVs, specification JSONs, LTL files, experiment configs, and graph and
+    constraint files.  Every case exits 0, 1 or 2 with no exception
+    escaping, and every exit-2 message names a file of the inputs."""
 
     TOKENS = ("", "0", "1", "9", "-1", "a", "a0", "a9", "c0", "c9", "m0", "m9", "q0", "x",
               ",", "\n", " ", "{", "}", "[", "]", '"', ":", "null", "true", "1e999", "&&",
               "||", "!", "F", "G", "X", "U", "(", ")", "#")
     VALUES = (None, True, 0, -1, 2.5, 1e308, "", "x", "a0", "q0", "m0", "c0", "true",
               [], ["x"], [["c0", "c1"]], {}, {"x": 1})
-    CASES = {"trace": 2400, "spec": 2400, "ltl": 2000, "experiment": 600}  # about 20 s
+    CASES = {"trace": 2400, "spec": 2400, "ltl": 2000, "experiment": 600,
+             "graph": 600}  # about 20 s
 
     @classmethod
     def mutate(cls, rng, text: str) -> str:
@@ -1039,3 +1094,20 @@ class TestMutationFuzz:
             strict = ("--strict",) if rng.random() < 0.5 else ()
             self.expect_handled(capsys, inputs, "experiment", str(config), *strict)
             done += 1
+        graphs = {"--network": inputs / "monitor_network.json",
+                  "--system": inputs / "system_path.json",
+                  "--constraint": inputs / "placement_constraint.json"}
+        for _ in range(self.CASES["graph"]):
+            option = rng.choice(list(graphs))
+            path = mutant.with_name(f"mutant_{graphs[option].name}")
+            mutate = rng.choice((self.mutate, self.mutate_json))
+            path.write_text(mutate(rng, graphs[option].read_text()))
+            files = {**graphs, option: path}
+            if option == "--system" and rng.random() < 0.5:
+                self.expect_handled(capsys, inputs, "run", "--algorithm",
+                                    rng.choice(engine.ALGORITHMS),
+                                    "--spec", str(experiment / "spec.ltl"),
+                                    "--trace", str(traces[0]), "--system", str(path))
+            else:
+                self.expect_handled(capsys, inputs, "check", "compatibility",
+                                    *(arg for pair in files.items() for arg in map(str, pair)))

@@ -18,7 +18,6 @@ from demon.automaton import (
     DecentralizedSpec,
     DecentralizedTrace,
     decentralized_run,
-    load_spec_file,
     make_spec,
     reconstruct_global,
     step,
@@ -27,7 +26,7 @@ from demon.expr import BOTTOM, TOP, UNKNOWN
 from demon.store import Event
 
 from conftest import ROOT, load_module
-from helpers import dag_nodes, simulate_observed
+from helpers import dag_nodes, load_spec, simulate_observed
 
 synthetic = load_module("scripts/synthetic_benchmark.py", "synthetic_benchmark")
 
@@ -323,7 +322,7 @@ def test_orch_encoding_stays_small_on_long_wide_case():
 
 # A hand-written hierarchical specification: the root m0 (on c0) and the
 # middle monitor m1 (on c1) both reference the shared monitor m2 (on c2).
-SHARED = load_spec_file(str(ROOT / "fixtures" / "decentralized_shared.json"))
+SHARED = load_spec(str(ROOT / "fixtures" / "decentralized_shared.json"))
 SHARED_DEPS = frozenset({("m0", "m1"), ("m0", "m2"), ("m1", "m2")})
 
 

@@ -17,7 +17,6 @@ from demon.automaton import (
     DecentralizedTrace,
     Specification,
     decentralized_run,
-    load_spec_file,
     make_spec,
     reconstruct_global,
     run,
@@ -27,7 +26,13 @@ from demon.errors import IncompatiblePlacement, InvalidParameters
 from demon.store import Event, Memory
 
 from conftest import load_module, random_spec, random_trace
-from helpers import active_counts, last_resolved, per_round_messages, simulate_observed
+from helpers import (
+    active_counts,
+    last_resolved,
+    load_spec,
+    per_round_messages,
+    simulate_observed,
+)
 
 T, B = ex.TOP, ex.BOTTOM
 
@@ -881,7 +886,7 @@ def _lookup_cases(fig4, fig4_trace):
             yield "catch_up", cfg, phi, complete(tr.components), tr
     yield "fig4", en.SimConfig("chor"), fig4, complete(("c0", "c1")), fig4_trace
     tr = tg.load(str(EXPERIMENT / "trace_normal.csv"))
-    d = load_spec_file(str(EXPERIMENT.parent / "decentralized_final_child.json"))
+    d = load_spec(str(EXPERIMENT.parent / "decentralized_final_child.json"))
     yield "fixture", en.SimConfig("chor"), d, complete(tr.components), tr
 
 
